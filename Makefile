@@ -11,7 +11,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/engine ./internal/keygen ./internal/nonkey ./internal/parallel ./internal/validate ./internal/genplan ./internal/obs
+	$(GO) test -race ./internal/engine ./internal/keygen ./internal/nonkey ./internal/parallel ./internal/validate ./internal/genplan ./internal/obs ./internal/obshttp ./internal/storage
 
 # bench refreshes the "current" snapshot of BENCH_engine.json: the executor
 # micro-benchmarks (ns/op, allocs/op, B/op, rows/sec) plus the root
@@ -20,7 +20,8 @@ race:
 # ablation grid (cache x warm-start), whose keygen_ms metrics record what
 # each fast-path layer buys, and the out-of-core benchmarks, whose metrics
 # record peak heap per generation mode (inmem_peak_mb, stream_peak_mb,
-# peak_ratio_x) and export throughput for both paths (mb_per_s).
+# peak_ratio_x) and export throughput of the reference and streaming encoders
+# (mb_per_s).
 # StageBreakdown skips loudly instead of writing
 # a quiet number if keygen regresses past 2x the recorded snapshot. Both packages run
 # in ONE go test invocation so benchjson writes one combined snapshot.

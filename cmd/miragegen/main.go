@@ -46,11 +46,9 @@ func main() {
 		progAddr   = flag.String("progress", "", "serve live run progress on this address: /progress (JSON snapshot), /events (SSE tail), plus /metrics and pprof")
 		traceOut   = flag.String("trace", "", "write a Perfetto/Chrome trace-event file (trace.json) of the run's span tree and events to this path")
 		eventsOut  = flag.String("events", "", "tee the run's structured event journal to this file as JSONL")
-		kgCache    = flag.Bool("keygen-cache", true, "memoize keygen CP solutions within the run (byte-neutral; off only for ablations)")
-		kgWarm     = flag.Bool("keygen-warm", true, "warm-start per-batch CP rounds from the transportation split (byte-neutral)")
 		stream     = flag.Bool("stream", false, "out-of-core mode: stream CSVs to -out while generating, retaining only keygen's working set in memory (same bytes as the in-memory path)")
 		shardRows  = flag.Int64("shard-rows", 0, "export shard size in rows for -stream (0 = default 64k; byte-neutral)")
-		windowRows = flag.Int64("window-rows", 0, "keygen evaluation window in rows for -stream (0 = default 64k; negative = full-column retention; byte-neutral)")
+		windowRows = flag.Int64("window-rows", 0, "keygen evaluation window in rows for -stream (0 = default 64Ki, positive = rows per window; byte-neutral)")
 		spillDir   = flag.String("spill-dir", "", "directory for windowed row-set spill files (-stream only; default: a temp dir removed on exit)")
 		gzip       = flag.Bool("gzip", false, "gzip the streamed CSVs (-stream only; writes .csv.gz)")
 		noValidate = flag.Bool("no-validate", false, "skip workload validation after a -stream run (drops the validation columns from memory too)")
@@ -124,10 +122,7 @@ func main() {
 		defer cancel()
 	}
 
-	opts := mirage.Options{
-		Seed: *seed, BatchSize: *batch, SampleSize: *sample, Parallelism: *par,
-		NoKeygenCache: !*kgCache, NoKeygenWarmStart: !*kgWarm,
-	}
+	opts := mirage.Options{Seed: *seed, BatchSize: *batch, SampleSize: *sample, Parallelism: *par}
 	so := streamOpts{
 		enabled: *stream, shardRows: *shardRows, gzip: *gzip, noValidate: *noValidate,
 		windowRows: *windowRows, spillDir: *spillDir,

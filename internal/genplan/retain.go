@@ -2,42 +2,49 @@ package genplan
 
 import "github.com/dbhammer/mirage/internal/relalg"
 
-// RetainedColumns computes, per table, the set of columns the key generator
-// genuinely reads or writes after non-key materialization: every FK unit
-// column (written by keygen, read by later waves' join views and by export)
-// plus every column any join constraint's input view references — predicate
-// columns, projected FK columns, group-by columns, and the FK columns of
-// nested joins. Out-of-core generation retains exactly this set in memory;
-// everything else (the wide non-key payload) is regenerated shard by shard
-// at export time. Primary keys are never listed: they are dense 1..Rows
-// domains the engine addresses positionally.
-func (p *Problem) RetainedColumns() map[string]map[string]bool {
-	return p.retained(true)
-}
-
-// RetainedColumnsWindowed is the retained set under windowed engine
-// evaluation: predicate columns are dropped, because the windowed engine
-// re-pulls them chunk by chunk through the table's ChunkSource instead of
-// binding whole columns. What remains is the FK units keygen writes, the FK
-// columns nested joins probe (joins still bind full columns — they are one
-// int64 column per join, not the wide payload), and projection/group-by
-// columns (the shapes the windowed selection path cannot stream).
+// RetainedColumnsWindowed computes, per table, the set of columns the key
+// generator genuinely reads or writes after non-key materialization.
+// Out-of-core generation retains exactly this set in memory; everything
+// else (the wide non-key payload) is regenerated shard by shard at export
+// time. It holds the FK units keygen writes (read by later waves' join views
+// and by export) plus what the join constraints' input views bind as whole
+// columns: the FK columns nested joins probe (one int64 column per join, not
+// the wide payload) and projection/group-by columns (the shapes the windowed
+// selection path cannot stream). Predicate columns are absent: the windowed
+// engine re-pulls them chunk by chunk through the table's ChunkSource.
+// Primary keys are never listed: they are dense 1..Rows domains the engine
+// addresses positionally.
 func (p *Problem) RetainedColumnsWindowed() map[string]map[string]bool {
-	return p.retained(false)
+	out := make(map[string]map[string]bool, len(p.Schema.Tables))
+	for _, u := range p.Units {
+		if out[u.Table] == nil {
+			out[u.Table] = make(map[string]bool)
+		}
+		out[u.Table][u.FKCol] = true
+	}
+	roots := make([]*relalg.View, 0, 2*len(p.Joins))
+	for _, jc := range p.Joins {
+		roots = append(roots, jc.LeftView, jc.RightView)
+	}
+	RetainViewColumns(p.Schema, out, false, roots...)
+	return out
 }
 
-func (p *Problem) retained(includePreds bool) map[string]map[string]bool {
-	out := make(map[string]map[string]bool, len(p.Schema.Tables))
+// RetainViewColumns adds to retain every column the view trees reference:
+// projections, group-bys, nested join FK columns and — with includePreds —
+// predicate and arithmetic-expression columns. Column names are
+// schema-unique in this repo's workloads (the DSL relies on it), so each
+// referenced name resolves to its owning table. Nil roots and views shared
+// between trees are visited once.
+func RetainViewColumns(schema *relalg.Schema, retain map[string]map[string]bool, includePreds bool, roots ...*relalg.View) {
 	add := func(table, col string) {
-		if out[table] == nil {
-			out[table] = make(map[string]bool)
+		if retain[table] == nil {
+			retain[table] = make(map[string]bool)
 		}
-		out[table][col] = true
+		retain[table][col] = true
 	}
-	// Column names are schema-unique in this repo's workloads (the DSL
-	// relies on it); resolve each referenced name to its owning table.
 	owner := make(map[string]string)
-	for _, t := range p.Schema.Tables {
+	for _, t := range schema.Tables {
 		for i := range t.Columns {
 			owner[t.Columns[i].Name] = t.Name
 		}
@@ -48,14 +55,11 @@ func (p *Problem) retained(includePreds bool) map[string]map[string]bool {
 		}
 	}
 
-	for _, u := range p.Units {
-		add(u.Table, u.FKCol)
-	}
 	var scratch []string
 	seen := make(map[*relalg.View]bool)
-	visit := func(root *relalg.View) {
+	for _, root := range roots {
 		if root == nil || seen[root] {
-			return
+			continue
 		}
 		root.Walk(func(v *relalg.View) {
 			seen[v] = true
@@ -76,9 +80,4 @@ func (p *Problem) retained(includePreds bool) map[string]map[string]bool {
 			}
 		})
 	}
-	for _, jc := range p.Joins {
-		visit(jc.LeftView)
-		visit(jc.RightView)
-	}
-	return out
 }

@@ -385,13 +385,19 @@ func resolveZeroPoint(pc *pointCons) {
 
 // resolveParams writes resolved values into scalar params and gathers set
 // groups into list params. Bound-row anchors (noReuse) are written last so
-// their value wins shared parameters.
+// their value wins shared parameters. Groups resolve in first-seen point
+// order: two groups may share one in-list parameter (TPC-H q19), and the
+// later group's list must win it on every run, not in map order.
 func resolveParams(points []*pointCons) {
-	groups := make(map[*setGroup]bool)
+	var groups []*setGroup
+	seen := make(map[*setGroup]bool)
 	for pass := 0; pass < 2; pass++ {
 		for _, pc := range points {
 			if pc.group != nil {
-				groups[pc.group] = true
+				if !seen[pc.group] {
+					seen[pc.group] = true
+					groups = append(groups, pc.group)
+				}
 				continue
 			}
 			if (pc.noReuse) != (pass == 1) {
@@ -402,7 +408,7 @@ func resolveParams(points []*pointCons) {
 			}
 		}
 	}
-	for g := range groups {
+	for _, g := range groups {
 		var list []int64
 		for _, m := range g.points {
 			if m.value != 0 && m.value != relalg.NullValue {

@@ -24,20 +24,17 @@ import (
 // disjoint slice range); dst itself is only touched from the calling
 // goroutine.
 //
+// retain is the retention policy: with a nil set every column is stored in
+// dst (the in-memory run); otherwise only the listed columns — plus,
+// transiently, the columns the table's arithmetic constraints sample — are
+// stored, and the primary key is left unmaterialized (it is the dense domain
+// 1..Rows, regenerated on export). Either way every column's layout is
+// built, so Fill can later regenerate any unretained column chunk by chunk
+// with byte-identical content.
+//
 // The returned duration is the data-generation (GD) stage time reported by
 // the Fig. 14/15 experiments.
-func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, batchSize int64, seed int64, workers int) (time.Duration, error) {
-	return tp.MaterializeRetained(ctx, dst, batchSize, seed, workers, nil)
-}
-
-// MaterializeRetained is Materialize under a retention policy: with a nil
-// retain set every column is stored in dst (the in-memory mode); otherwise
-// only the listed columns — plus, transiently, the columns the table's
-// arithmetic constraints sample — are stored, and the primary key is left
-// unmaterialized (it is the dense domain 1..Rows, regenerated on export).
-// Either way every column's layout is built, so Fill can later regenerate
-// any unretained column chunk by chunk with byte-identical content.
-func (tp *TablePlan) MaterializeRetained(ctx context.Context, dst *storage.TableData, batchSize int64, seed int64, workers int, retain map[string]bool) (time.Duration, error) {
+func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, batchSize int64, seed int64, workers int, retain map[string]bool) (time.Duration, error) {
 	start := time.Now()
 	R := tp.Table.Rows
 	if batchSize <= 0 {
@@ -154,8 +151,8 @@ func (tp *TablePlan) accColumns() map[string]bool {
 
 // Fill regenerates rows [lo,hi) of the named non-key column into
 // dst[0:hi-lo], byte-identical to what Materialize stored (or would have
-// stored) for those rows. It requires a prior Materialize/MaterializeRetained
-// call on this plan and is safe for concurrent use across shards.
+// stored) for those rows. It requires a prior Materialize call on this plan
+// and is safe for concurrent use across shards.
 func (tp *TablePlan) Fill(col string, dst []int64, lo, hi int64) error {
 	g, ok := tp.gens[col]
 	if !ok {

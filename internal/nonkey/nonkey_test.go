@@ -33,7 +33,7 @@ func planAndMaterialize(t *testing.T, sels []*genplan.SelCons) (*TablePlan, *sto
 	}
 	db := storage.NewDB(schema)
 	data := db.Table("t")
-	if _, err := tp.Materialize(context.Background(), data, 3, 1, 1); err != nil {
+	if _, err := tp.Materialize(context.Background(), data, 3, 1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := InstantiateACCs(Config{Seed: 1}, tp, data); err != nil {
@@ -273,7 +273,7 @@ func TestTheorem61Property(t *testing.T) {
 		}
 		db := storage.NewDB(schema)
 		data := db.Table("x")
-		if _, err := tp.Materialize(context.Background(), data, 17, int64(trial), 1); err != nil {
+		if _, err := tp.Materialize(context.Background(), data, 17, int64(trial), 1, nil); err != nil {
 			t.Fatalf("trial %d: materialize: %v", trial, err)
 		}
 		for _, sc := range sels {
@@ -319,7 +319,7 @@ func TestACCSamplingErrorBound(t *testing.T) {
 	}
 	db := storage.NewDB(schema)
 	data := db.Table("big")
-	if _, err := tp.Materialize(context.Background(), data, 7000, 5, 1); err != nil {
+	if _, err := tp.Materialize(context.Background(), data, 7000, 5, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := InstantiateACCs(cfg, tp, data); err != nil {
@@ -400,7 +400,7 @@ func TestBatchSizesProduceIdenticalData(t *testing.T) {
 		}
 		db := storage.NewDB(schema)
 		data := db.Table("t")
-		if _, err := tp.Materialize(context.Background(), data, batch, 3, 1); err != nil {
+		if _, err := tp.Materialize(context.Background(), data, batch, 3, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		return append([]int64(nil), data.Col("t1")...)
@@ -409,6 +409,23 @@ func TestBatchSizesProduceIdenticalData(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("batch size changed data at row %d: %d vs %d", i, a[i], b[i])
+		}
+	}
+}
+
+// TestResolveParamsSharedGroupOrder pins the resolution order of two set
+// groups that share one in-list parameter (the shape TPC-H q19 produces):
+// the group seen later in point order writes the list last and wins, on
+// every run. Ranging over a map of groups let either one win.
+func TestResolveParamsSharedGroupOrder(t *testing.T) {
+	for run := 0; run < 200; run++ {
+		p := &relalg.Param{ID: "shared"}
+		first, second := &setGroup{p: p}, &setGroup{p: p}
+		first.points = []*pointCons{{group: first, value: 3}, {group: first, value: 5}}
+		second.points = []*pointCons{{group: second, value: 7}}
+		resolveParams([]*pointCons{first.points[0], second.points[0], first.points[1]})
+		if len(p.List) != 1 || p.List[0] != 7 {
+			t.Fatalf("run %d: shared parameter resolved to %v, want the later group's [7]", run, p.List)
 		}
 	}
 }

@@ -48,7 +48,9 @@ type Fingerprint struct {
 	Workload string `json:"workload,omitempty"`
 	// SchemaHash digests the schema structure and row counts (SchemaFingerprint).
 	SchemaHash string `json:"schema_hash"`
-	// WorkloadHash digests the template set driving generation.
+	// WorkloadHash digests the workload driving generation: every
+	// template's tree, annotated cardinalities and original parameters,
+	// plus the codec set (mirage.RunFingerprint).
 	WorkloadHash string `json:"workload_hash"`
 	Seed         int64  `json:"seed"`
 	BatchSize    int64  `json:"batch_size"`

@@ -7,6 +7,7 @@ package mirage
 // into BENCH_engine.json.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -69,78 +70,12 @@ func (r *MemoryComparison) Format() string {
 }
 
 // RunMemoryComparison runs both arms for one built-in workload at the given
-// scale. Each arm rebuilds its problem from a fresh trace so neither
-// inherits the other's allocations, and both export to a counting sink so
-// disk latency stays out of the throughput numbers.
+// scale, validating the in-memory database as miragegen does. Each arm
+// rebuilds its problem from a fresh trace so neither inherits the other's
+// allocations, and both export to a counting sink so disk latency stays out
+// of the throughput numbers.
 func RunMemoryComparison(name string, sf float64, opts Options) (*MemoryComparison, error) {
-	opts = opts.withDefaults()
-	if opts.Seed == 0 {
-		opts.Seed = 11
-	}
-	res := &MemoryComparison{Workload: name, SF: sf}
-
-	// Arm 1: the in-memory pipeline as miragegen runs it — the original
-	// stays resident, the synthetic database is materialized whole and
-	// validated, then every table is encoded to CSV.
-	{
-		prob, original, err := memoryProblem(name, sf, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		sink := &storage.CountSink{}
-		start := time.Now()
-		peak, err := peakHeapDuring(func() error {
-			gen, err := Generate(prob, opts)
-			if err != nil {
-				return err
-			}
-			res.Rows = int64(gen.DB.TotalRows())
-			if _, err := Validate(gen); err != nil {
-				return err
-			}
-			return exportAllTo(gen.DB, prob.Workload.Codecs, sink)
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.InMem.Total = time.Since(start)
-		res.Bytes = sink.Bytes()
-		res.InMem.PeakHeapMB = float64(peak) / (1 << 20)
-		res.InMem.MBPerSec = mbPerSec(res.Bytes, res.InMem.Total)
-		runtime.KeepAlive(original)
-	}
-
-	// Arm 2: out-of-core streaming under the large-SF recipe. The original
-	// is released after the problem is built; generation retains only what
-	// keygen reads and streams each table as its last dependency wave
-	// commits.
-	{
-		prob, original, err := memoryProblem(name, sf, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		original = nil
-		_ = original
-		sink := &storage.CountSink{}
-		start := time.Now()
-		peak, err := peakHeapDuring(func() error {
-			gen, err := GenerateStream(prob, opts, StreamConfig{Sink: sink})
-			if err != nil {
-				return err
-			}
-			if gen.Export.Bytes != res.Bytes {
-				return fmt.Errorf("mirage: streamed export wrote %d bytes, in-memory wrote %d", gen.Export.Bytes, res.Bytes)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Stream.Total = time.Since(start)
-		res.Stream.PeakHeapMB = float64(peak) / (1 << 20)
-		res.Stream.MBPerSec = mbPerSec(res.Bytes, res.Stream.Total)
-	}
-	return res, nil
+	return runMemoryArms(name, sf, opts, true, 0)
 }
 
 // RunPaperScaleMemory is the paper-regime variant of RunMemoryComparison:
@@ -148,79 +83,93 @@ func RunMemoryComparison(name string, sf float64, opts Options) (*MemoryComparis
 // overhead, with the streamed arm executing under a soft runtime memory
 // limit (debug.SetMemoryLimit — the programmatic GOMEMLIMIT) to prove the
 // whole out-of-core pipeline genuinely runs inside the budget rather than
-// merely averaging below it. Validation is skipped in both arms — the
-// differential grid pins correctness at small scale, and replaying the
-// workload at SF 50+ would dominate the measurement — so each arm is
-// generate + export, and the streamed export's byte count is still checked
-// against the in-memory arm's.
+// merely averaging below it. Validation is skipped — the differential grid
+// pins correctness at small scale, and replaying the workload at SF 50+
+// would dominate the measurement — so each arm is generate + export, and the
+// streamed export's byte count is still checked against the in-memory arm's.
 func RunPaperScaleMemory(name string, sf float64, streamLimit int64, opts Options) (*MemoryComparison, error) {
+	return runMemoryArms(name, sf, opts, false, streamLimit)
+}
+
+// runMemoryArms measures the in-memory arm, then the streamed arm.
+func runMemoryArms(name string, sf float64, opts Options, validate bool, streamLimit int64) (*MemoryComparison, error) {
 	opts = opts.withDefaults()
 	if opts.Seed == 0 {
 		opts.Seed = 11
 	}
 	res := &MemoryComparison{Workload: name, SF: sf}
 
-	// Arm 1: in-memory generate + export, unconstrained, original resident.
-	{
-		prob, original, err := memoryProblem(name, sf, opts.Seed)
+	// Arm 1: the in-memory pipeline as miragegen runs it, unconstrained —
+	// the original stays resident, the synthetic database is materialized
+	// whole and (optionally) validated, then every table is encoded to CSV.
+	var err error
+	res.InMem, err = runMemoryArm(name, sf, opts.Seed, true, 0, func(prob *Problem) error {
+		gen, err := Generate(prob, opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sink := &storage.CountSink{}
-		start := time.Now()
-		peak, err := peakHeapDuring(func() error {
-			gen, err := Generate(prob, opts)
-			if err != nil {
+		res.Rows = int64(gen.DB.TotalRows())
+		if validate {
+			if _, err := Validate(gen); err != nil {
 				return err
 			}
-			res.Rows = int64(gen.DB.TotalRows())
-			return exportAllTo(gen.DB, prob.Workload.Codecs, sink)
-		})
-		if err != nil {
-			return nil, err
 		}
-		res.InMem.Total = time.Since(start)
+		sink := &storage.CountSink{}
+		for _, t := range gen.DB.Schema.Tables {
+			src := storage.TableSource(gen.DB.Table(t.Name))
+			if _, err := storage.StreamTable(context.TODO(), sink, src, prob.Workload.Codecs, 0, opts.Parallelism, nil); err != nil {
+				return err
+			}
+		}
 		res.Bytes = sink.Bytes()
-		res.InMem.PeakHeapMB = float64(peak) / (1 << 20)
-		res.InMem.MBPerSec = mbPerSec(res.Bytes, res.InMem.Total)
-		runtime.KeepAlive(original)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	// Arm 2: out-of-core streaming (windowed evaluation on by default)
-	// under the memory limit. Only this arm runs constrained: the limit
-	// proves the streamed pipeline fits, not that the GC can rescue the
-	// in-memory one.
-	{
-		prob, original, err := memoryProblem(name, sf, opts.Seed)
-		if err != nil {
-			return nil, err
+	// Arm 2: out-of-core streaming under the large-SF recipe. The original
+	// is released after the problem is built; generation retains only what
+	// keygen reads and streams each table as its last dependency wave
+	// commits. Only this arm runs under the memory limit: the limit proves
+	// the streamed pipeline fits, not that the GC can rescue the in-memory
+	// one.
+	res.Stream, err = runMemoryArm(name, sf, opts.Seed, false, streamLimit, func(prob *Problem) error {
+		gen, err := GenerateStream(prob, opts, StreamConfig{Sink: &storage.CountSink{}})
+		if err == nil && gen.Export.Bytes != res.Bytes {
+			err = fmt.Errorf("mirage: streamed export wrote %d bytes, in-memory wrote %d", gen.Export.Bytes, res.Bytes)
 		}
-		original = nil
-		_ = original
-		if streamLimit > 0 {
-			prev := debug.SetMemoryLimit(streamLimit)
-			defer debug.SetMemoryLimit(prev)
-		}
-		sink := &storage.CountSink{}
-		start := time.Now()
-		peak, err := peakHeapDuring(func() error {
-			gen, err := GenerateStream(prob, opts, StreamConfig{Sink: sink})
-			if err != nil {
-				return err
-			}
-			if gen.Export.Bytes != res.Bytes {
-				return fmt.Errorf("mirage: streamed export wrote %d bytes, in-memory wrote %d", gen.Export.Bytes, res.Bytes)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Stream.Total = time.Since(start)
-		res.Stream.PeakHeapMB = float64(peak) / (1 << 20)
-		res.Stream.MBPerSec = mbPerSec(res.Bytes, res.Stream.Total)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.InMem.MBPerSec = mbPerSec(res.Bytes, res.InMem.Total)
+	res.Stream.MBPerSec = mbPerSec(res.Bytes, res.Stream.Total)
 	return res, nil
+}
+
+// runMemoryArm builds a fresh problem, keeps the traced original database
+// reachable through the run only when keepOriginal is set, and times run
+// under the heap watcher — and, with limit > 0, under that soft memory
+// limit.
+func runMemoryArm(name string, sf float64, seed int64, keepOriginal bool, limit int64, run func(*Problem) error) (MemoryArm, error) {
+	prob, original, err := memoryProblem(name, sf, seed)
+	if err != nil {
+		return MemoryArm{}, err
+	}
+	if !keepOriginal {
+		original = nil
+	}
+	if limit > 0 {
+		prev := debug.SetMemoryLimit(limit)
+		defer debug.SetMemoryLimit(prev)
+	}
+	start := time.Now()
+	peak, err := peakHeapDuring(func() error { return run(prob) })
+	total := time.Since(start)
+	runtime.KeepAlive(original)
+	return MemoryArm{PeakHeapMB: float64(peak) / (1 << 20), Total: total}, err
 }
 
 // memoryProblem builds a fresh problem (original trace included) for one arm.
@@ -243,25 +192,6 @@ func memoryProblem(name string, sf float64, seed int64) (*Problem, *storage.DB, 
 		return nil, nil, err
 	}
 	return prob, original, nil
-}
-
-// exportAllTo encodes every table of a materialized database through the
-// sink, mirroring ExportCSVDir against the comparison's counting writers.
-func exportAllTo(db *storage.DB, codecs storage.CodecSet, sink storage.Sink) error {
-	for _, t := range db.Schema.Tables {
-		tw, err := sink.OpenTable(t.Name)
-		if err != nil {
-			return err
-		}
-		if err := storage.ExportCSV(tw, db.Table(t.Name), codecs); err != nil {
-			tw.Abort()
-			return err
-		}
-		if err := tw.Commit(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func mbPerSec(bytes int64, d time.Duration) float64 {

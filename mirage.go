@@ -24,6 +24,12 @@
 //	    ▼
 //	synthetic DB + instantiated workload  ──validate──▶ relative errors
 //
+// Generation is one pipeline under two retention policies: Generate keeps
+// every column in memory (export afterwards with ExportCSVDir), while
+// GenerateStream keeps only the key generator's working set and streams
+// each table's CSV to a sink as soon as its last foreign key is populated.
+// Both export the same bytes for the same seed.
+//
 // Basic use:
 //
 //	w, _ := mirage.NewWorkload(schema, codecs, dslText)
@@ -37,6 +43,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/dbhammer/mirage/internal/engine"
 	"github.com/dbhammer/mirage/internal/fault"
 	"github.com/dbhammer/mirage/internal/faultinject"
 	"github.com/dbhammer/mirage/internal/genplan"
@@ -248,6 +255,16 @@ func Generate(p *Problem, opts Options) (*Result, error) {
 // time GenerateCtx returns, and every committed column is complete: a
 // table's column is either fully materialized or untouched, never torn.
 func GenerateCtx(ctx context.Context, p *Problem, opts Options) (*Result, error) {
+	return generate(ctx, p, opts, nil)
+}
+
+// generate is the one pipeline behind GenerateCtx and GenerateStreamCtx
+// (Fig. 4: non-key generator → key generator → export). With a nil sc it is
+// the in-memory run: retain every column, evaluate over whole columns, export
+// nothing. A non-nil sc narrows retention to keygen's working set, evaluates
+// join-constraint selections over regenerated row windows, and attaches the
+// wave-triggered exporter.
+func generate(ctx context.Context, p *Problem, opts Options, sc *StreamConfig) (*Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	span := obs.Active().StartSpan("generate")
@@ -258,7 +275,7 @@ func GenerateCtx(ctx context.Context, p *Problem, opts Options) (*Result, error)
 	defer events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: "generate"})
 	obs.Active().Gauge("generate_parallelism").Set(int64(opts.Parallelism))
 	db := storage.NewDB(p.Workload.Schema)
-	res := &Result{DB: db, Problem: p, parallelism: opts.Parallelism}
+	res := &Result{DB: db, Problem: p, parallelism: opts.Parallelism, Streamed: sc != nil}
 
 	// Defensive completion: any parameter an eliminated literal left
 	// untouched falls back to its original value — also on error and
@@ -266,31 +283,51 @@ func GenerateCtx(ctx context.Context, p *Problem, opts Options) (*Result, error)
 	// observe a partially instantiated workload.
 	defer relalg.CompleteParams(p.Workload.Templates)
 
-	if err := stageBoundary(ctx, "generate/nonkey"); err != nil {
-		return nil, fmt.Errorf("mirage: %w", err)
+	// A sink failure must unwind generation, not just the exporter.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	// stage brackets one pipeline stage: the boundary check, the span and
+	// its events, panic containment, and a heap sample at the far edge.
+	stage := func(name string, run func(ctx context.Context) error) error {
+		full := "generate/" + name
+		if err := stageBoundary(ctx, full); err != nil {
+			return err
+		}
+		sp := span.Child(name)
+		events.Emit(obs.Event{Type: obs.EventStageStart, Stage: full})
+		err := fault.Guard(full, func() error { return run(obs.ContextWith(ctx, sp)) })
+		sp.End()
+		events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: full})
+		sampleHeap()
+		return err
 	}
+
 	nkCfg := nonkey.Config{SampleSize: opts.SampleSize, Seed: opts.Seed, Parallelism: opts.Parallelism}
+	if sc != nil {
+		nkCfg.Retain = p.Plan.RetainedColumnsWindowed()
+		if sc.RetainForValidate {
+			roots := make([]*relalg.View, len(p.Workload.Templates))
+			for i, q := range p.Workload.Templates {
+				roots[i] = q.Root
+			}
+			genplan.RetainViewColumns(p.Workload.Schema, nkCfg.Retain, true, roots...)
+		}
+	}
 	order, err := p.Workload.Schema.TopologicalOrder()
 	if err != nil {
 		return nil, fmt.Errorf("mirage: %w", err)
 	}
-	nkSpan := span.Child("nonkey")
-	events.Emit(obs.Event{Type: obs.EventStageStart, Stage: "generate/nonkey"})
-	err = fault.Guard("generate/nonkey", func() error {
-		_, nkStats, gerr := nonkey.GenerateTables(obs.ContextWith(ctx, nkSpan), nkCfg, db, order, p.Plan.SelByTable, opts.BatchSize)
-		res.NonKey = nkStats
+	var plans map[string]*nonkey.TablePlan
+	err = stage("nonkey", func(ctx context.Context) error {
+		var gerr error
+		plans, res.NonKey, gerr = nonkey.GenerateTables(ctx, nkCfg, db, order, p.Plan.SelByTable, opts.BatchSize)
 		return gerr
 	})
-	nkSpan.End()
-	events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: "generate/nonkey"})
-	sampleHeap()
 	if err != nil {
 		return nil, fmt.Errorf("mirage: %w", err)
 	}
 
-	if err := stageBoundary(ctx, "generate/keygen"); err != nil {
-		return nil, fmt.Errorf("mirage: %w", err)
-	}
 	kgCfg := keygen.Config{
 		BatchSize:   opts.BatchSize,
 		Seed:        opts.Seed,
@@ -299,19 +336,39 @@ func GenerateCtx(ctx context.Context, p *Problem, opts Options) (*Result, error)
 		NoCache:     opts.NoKeygenCache,
 		NoWarmStart: opts.NoKeygenWarmStart,
 	}
-	kgSpan := span.Child("keygen")
-	events.Emit(obs.Event{Type: obs.EventStageStart, Stage: "generate/keygen"})
-	err = fault.Guard("generate/keygen", func() error {
-		kStats, err := keygen.Populate(obs.ContextWith(ctx, kgSpan), kgCfg, p.Plan, db)
+	var exp *exporter
+	if sc != nil {
+		exp = startExporter(ctx, cancel, span, db, plans, p.Workload.Codecs, *sc, opts.Parallelism)
+		ready := tableReadyWaves(p.Plan)
+		exp.enqueue(ready[-1]) // tables with no FK units stream immediately
+		kgCfg.WaveDone = func(wave int) error { exp.enqueue(ready[wave]); return nil }
+		sources := make(map[string]engine.ChunkSource, len(db.Tables))
+		for name, t := range db.Tables {
+			sources[name] = nonkey.NewPlanSource(t, plans[name])
+		}
+		kgCfg.Window = &engine.WindowConfig{
+			Rows:      sc.WindowRows,
+			Sources:   sources,
+			SpillDir:  sc.SpillDir,
+			SpillRows: sc.SpillRows,
+		}
+	}
+	err = stage("keygen", func(ctx context.Context) error {
+		kStats, err := keygen.Populate(ctx, kgCfg, p.Plan, db)
 		if err != nil {
 			return err
 		}
 		res.Key = *kStats
 		return nil
 	})
-	kgSpan.End()
-	events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: "generate/keygen"})
-	sampleHeap()
+	if exp != nil {
+		// The exporter's failure is the root cause: it cancelled the
+		// context keygen was running under.
+		if eerr := exp.finish(); eerr != nil {
+			return nil, fmt.Errorf("mirage: export: %w", eerr)
+		}
+		res.Export = exp.stats
+	}
 	if err != nil {
 		return nil, fmt.Errorf("mirage: %w", err)
 	}

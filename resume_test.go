@@ -138,9 +138,10 @@ func TestResumeByteIdentical(t *testing.T) {
 	testutil.RunDifferential(t, golden, crashed)
 }
 
-// TestResumeRefusal covers the two ways resume must refuse to proceed: a
-// manifest recorded under different byte-affecting options (fingerprint
-// mismatch), and a committed file that no longer matches its recorded size
+// TestResumeRefusal covers the ways resume must refuse to proceed: a
+// manifest recorded under different byte-affecting options or a different
+// workload behind the same query names (fingerprint mismatch), and a
+// committed file that no longer matches its recorded size
 // or content hash (corruption after the fact).
 func TestResumeRefusal(t *testing.T) {
 	dir := t.TempDir()
@@ -165,6 +166,40 @@ func TestResumeRefusal(t *testing.T) {
 		t.Fatalf("mismatch error does not name the differing field: %v", err)
 	}
 
+	// Workload mismatch under unchanged query names: one predicate literal
+	// of q1.1 differs, everything else (seed included) matches the manifest.
+	// Only a hash over the templates' content can tell the two runs apart.
+	spec, err := workload.ByName("ssb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsl := strings.Replace(spec.DSL, "lo_quantity < 25", "lo_quantity < 24", 1)
+	if dsl == spec.DSL {
+		t.Fatal("SSB DSL no longer holds the literal this test mutates")
+	}
+	schema := spec.NewSchema(0.2)
+	original, err := workload.GenerateOriginal(schema, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorkload(schema, spec.Codecs, dsl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated, err := BuildProblem(original, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = GenerateStream(mutated, Options{Seed: 3}, StreamConfig{
+		Sink: &storage.DirSink{Dir: dir}, Manifest: m,
+	})
+	if !errors.Is(err, storage.ErrManifestMismatch) {
+		t.Fatalf("mutated predicate: err = %v, want ErrManifestMismatch", err)
+	}
+	if !strings.Contains(err.Error(), "workload_hash") {
+		t.Fatalf("mismatch error does not name the workload hash: %v", err)
+	}
+
 	// Corrupted committed file: flip bytes in a committed CSV. Size-preserving
 	// corruption, so only the content hash can catch it.
 	path := filepath.Join(dir, "date.csv")
@@ -178,6 +213,20 @@ func TestResumeRefusal(t *testing.T) {
 	}
 	if err := m.VerifyCommitted(); !errors.Is(err, storage.ErrManifestVerify) {
 		t.Fatalf("corrupted committed file: err = %v, want ErrManifestVerify", err)
+	}
+}
+
+// TestRunFingerprintStableAcrossRun pins that the fingerprint reads nothing
+// generation writes: instantiating the workload's parameters must not change
+// it, or a caller fingerprinting after a run could never resume it.
+func TestRunFingerprintStableAcrossRun(t *testing.T) {
+	prob := streamProblem(t, "tpch", 0.1)
+	before := RunFingerprint(prob, Options{Seed: 3})
+	if _, err := Generate(prob, Options{Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if after := RunFingerprint(prob, Options{Seed: 3}); after != before {
+		t.Fatalf("fingerprint changed across a run:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
 

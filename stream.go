@@ -4,17 +4,11 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sort"
-	"time"
 
-	"github.com/dbhammer/mirage/internal/engine"
-	"github.com/dbhammer/mirage/internal/fault"
 	"github.com/dbhammer/mirage/internal/genplan"
-	"github.com/dbhammer/mirage/internal/keygen"
 	"github.com/dbhammer/mirage/internal/nonkey"
 	"github.com/dbhammer/mirage/internal/obs"
-	"github.com/dbhammer/mirage/internal/relalg"
 	"github.com/dbhammer/mirage/internal/storage"
 )
 
@@ -37,12 +31,11 @@ type StreamConfig struct {
 	// templates reference, so Validate can replay the workload after the
 	// streamed run. Costs memory proportional to the referenced columns.
 	RetainForValidate bool
-	// WindowRows controls windowed engine evaluation, the default for
-	// streamed runs: keygen's join-constraint selections evaluate over
-	// [lo,hi) row windows regenerated on the fly, so predicate columns are
-	// not retained at all. 0 uses engine.DefaultWindowRows, a positive value
-	// sets the window size in rows, and a negative value disables windowed
-	// evaluation (full-column retention, PR 7 behavior).
+	// WindowRows sizes windowed engine evaluation: keygen's join-constraint
+	// selections evaluate over [lo,hi) row windows regenerated on the fly,
+	// so predicate columns are not retained at all. 0 uses
+	// engine.DefaultWindowRows, a positive value sets the window size in
+	// rows, and a negative value is rejected.
 	WindowRows int64
 	// SpillDir is where windowed evaluation spills large row sets
 	// ("" = a private temp directory per engine, removed on completion).
@@ -93,7 +86,9 @@ func GenerateStreamCtx(ctx context.Context, p *Problem, opts Options, sc StreamC
 	if sc.Sink == nil {
 		return nil, fmt.Errorf("mirage: streaming generation requires a sink")
 	}
-	opts = opts.withDefaults()
+	if sc.WindowRows < 0 {
+		return nil, fmt.Errorf("mirage: StreamConfig.WindowRows %d is out of range (0 = default, positive = rows per window)", sc.WindowRows)
+	}
 	if sc.Manifest != nil {
 		// Refuse to resume (or even record) under a manifest describing a
 		// different run: stitching two generations together would silently
@@ -105,130 +100,23 @@ func GenerateStreamCtx(ctx context.Context, p *Problem, opts Options, sc StreamC
 			return nil, fmt.Errorf("mirage: %w", err)
 		}
 	}
-	start := time.Now()
-	span := obs.Active().StartSpan("generate")
-	defer span.End()
-	events := obs.Active().Events()
-	installTracker(p)
-	events.Emit(obs.Event{Type: obs.EventStageStart, Stage: "generate"})
-	defer events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: "generate"})
-	obs.Active().Gauge("generate_parallelism").Set(int64(opts.Parallelism))
-	db := storage.NewDB(p.Workload.Schema)
-	res := &Result{DB: db, Problem: p, parallelism: opts.Parallelism, Streamed: true}
-	defer relalg.CompleteParams(p.Workload.Templates)
-
-	// A sink failure must unwind generation, not just the exporter.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	windowed := sc.WindowRows >= 0
-	retain := p.Plan.RetainedColumns()
-	if windowed {
-		retain = p.Plan.RetainedColumnsWindowed()
-	}
-	if sc.RetainForValidate {
-		for _, q := range p.Workload.Templates {
-			retainViewColumns(p.Workload.Schema, q.Root, retain)
-		}
-	}
-
-	if err := stageBoundary(ctx, "generate/nonkey"); err != nil {
-		return nil, fmt.Errorf("mirage: %w", err)
-	}
-	nkCfg := nonkey.Config{
-		SampleSize: opts.SampleSize, Seed: opts.Seed,
-		Parallelism: opts.Parallelism, Retain: retain,
-	}
-	order, err := p.Workload.Schema.TopologicalOrder()
-	if err != nil {
-		return nil, fmt.Errorf("mirage: %w", err)
-	}
-	var plans map[string]*nonkey.TablePlan
-	nkSpan := span.Child("nonkey")
-	events.Emit(obs.Event{Type: obs.EventStageStart, Stage: "generate/nonkey"})
-	err = fault.Guard("generate/nonkey", func() error {
-		var gerr error
-		plans, res.NonKey, gerr = nonkey.GenerateTables(obs.ContextWith(ctx, nkSpan), nkCfg, db, order, p.Plan.SelByTable, opts.BatchSize)
-		return gerr
-	})
-	nkSpan.End()
-	events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: "generate/nonkey"})
-	if err != nil {
-		return nil, fmt.Errorf("mirage: %w", err)
-	}
-
-	exp := startExporter(ctx, cancel, span, db, plans, p.Workload.Codecs, sc, opts.Parallelism)
-	ready := tableReadyWaves(p.Plan)
-	exp.enqueue(ready[-1]) // tables with no FK units stream immediately
-
-	if err := stageBoundary(ctx, "generate/keygen"); err != nil {
-		exp.close()
-		if eerr := exp.wait(); eerr != nil {
-			return nil, fmt.Errorf("mirage: export: %w", eerr)
-		}
-		return nil, fmt.Errorf("mirage: %w", err)
-	}
-	kgCfg := keygen.Config{
-		BatchSize:   opts.BatchSize,
-		Seed:        opts.Seed,
-		MaxNodes:    opts.CPMaxNodes,
-		Parallelism: opts.Parallelism,
-		NoCache:     opts.NoKeygenCache,
-		NoWarmStart: opts.NoKeygenWarmStart,
-		WaveDone:    func(wave int) error { exp.enqueue(ready[wave]); return nil },
-	}
-	if windowed {
-		sources := make(map[string]engine.ChunkSource, len(db.Tables))
-		for name, t := range db.Tables {
-			sources[name] = nonkey.NewPlanSource(t, plans[name])
-		}
-		kgCfg.Window = &engine.WindowConfig{
-			Rows:      sc.WindowRows,
-			Sources:   sources,
-			SpillDir:  sc.SpillDir,
-			SpillRows: sc.SpillRows,
-		}
-	}
-	kgSpan := span.Child("keygen")
-	events.Emit(obs.Event{Type: obs.EventStageStart, Stage: "generate/keygen"})
-	err = fault.Guard("generate/keygen", func() error {
-		kStats, err := keygen.Populate(obs.ContextWith(ctx, kgSpan), kgCfg, p.Plan, db)
-		if err != nil {
-			return err
-		}
-		res.Key = *kStats
-		return nil
-	})
-	kgSpan.End()
-	events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: "generate/keygen"})
-	exp.close()
-	if eerr := exp.wait(); eerr != nil {
-		// The exporter's failure is the root cause: it cancelled the
-		// context keygen was running under.
-		return nil, fmt.Errorf("mirage: export: %w", eerr)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("mirage: %w", err)
-	}
-	for _, d := range res.Key.Degradations {
-		res.Degradations = append(res.Degradations, Degradation{Stage: "keygen", Unit: d.Unit, Kind: d.Kind, Count: d.Count})
-	}
-	res.Export = exp.stats
-
-	res.Total = time.Since(start)
-	obs.Active().Counter("generate_rows_total").Add(int64(db.TotalRows()))
-	return res, nil
+	return generate(ctx, p, opts, &sc)
 }
 
 // RunFingerprint derives the resume identity of a generation run: the
 // schema structure (tables, row counts, column types and domains), the
-// template set, and every byte-affecting option — seed, batch size, sample
-// size, CP node budget — normalized through the same defaulting generation
-// applies, so an explicit default and an omitted value fingerprint equally.
+// workload's full content, and every byte-affecting option — seed, batch
+// size, sample size, CP node budget — normalized through the same defaulting
+// generation applies, so an explicit default and an omitted value
+// fingerprint equally. The workload hash covers every template's tree with
+// its annotated cardinalities, every parameter's original value, and the
+// codec set, so two workloads that share query names but differ in a
+// predicate, an annotation or a literal never resume into one tree. It reads
+// only what generation leaves alone (never a parameter's instantiated
+// value), so it is the same before and after a run on the same Problem.
 // Byte-neutral knobs (parallelism, shard size, window size) are excluded on
 // purpose: the pipeline's output is identical at any value, so a run may be
-// resumed at, say, a different worker count. Call it before generation (it
-// reads the workload's original parameters) and compare manifests with
+// resumed at, say, a different worker count. Compare manifests with
 // storage.Manifest.Check; the Workload label field is left empty for the
 // caller to fill.
 func RunFingerprint(p *Problem, opts Options) storage.Fingerprint {
@@ -236,7 +124,25 @@ func RunFingerprint(p *Problem, opts Options) storage.Fingerprint {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d;", len(p.Workload.Templates))
 	for _, q := range p.Workload.Templates {
-		fmt.Fprintf(h, "%s;", q.Name)
+		// Render a private copy with its parameters marked uninstantiated:
+		// Format then prints each literal as id~original.
+		q = q.Clone()
+		params := q.Params()
+		for _, pm := range params {
+			pm.Instantiated = false
+		}
+		fmt.Fprintf(h, "%s\n%s", q.Name, q.Root.Format())
+		for _, pm := range params {
+			fmt.Fprintf(h, "%s %d %v %q;", pm.ID, pm.Orig, pm.OrigList, pm.Pattern)
+		}
+	}
+	keys := make([]string, 0, len(p.Workload.Codecs))
+	for k := range p.Workload.Codecs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(h, "%s=%T;", k, p.Workload.Codecs[k])
 	}
 	return storage.Fingerprint{
 		SchemaHash:   storage.SchemaFingerprint(p.Workload.Schema),
@@ -269,47 +175,6 @@ func tableReadyWaves(plan *genplan.Problem) map[int][]string {
 		sort.Strings(ready[wi])
 	}
 	return ready
-}
-
-// retainViewColumns adds every column the view tree references to the
-// retained set (predicates, arithmetic expressions, projections, group-bys,
-// nested join FK columns), resolving owners through the schema's unique
-// column names.
-func retainViewColumns(schema *relalg.Schema, root *relalg.View, retain map[string]map[string]bool) {
-	owner := make(map[string]string)
-	for _, t := range schema.Tables {
-		for i := range t.Columns {
-			owner[t.Columns[i].Name] = t.Name
-		}
-	}
-	add := func(table, col string) {
-		if retain[table] == nil {
-			retain[table] = make(map[string]bool)
-		}
-		retain[table][col] = true
-	}
-	var scratch []string
-	root.Walk(func(v *relalg.View) {
-		if v.Pred != nil {
-			scratch = v.Pred.Columns(scratch[:0])
-			for _, c := range scratch {
-				if t, ok := owner[c]; ok {
-					add(t, c)
-				}
-			}
-		}
-		if v.Join != nil {
-			add(v.Join.FKTable, v.Join.FKCol)
-		}
-		if v.ProjCol != "" {
-			add(v.ProjTable, v.ProjCol)
-		}
-		for _, c := range v.GroupBy {
-			if t, ok := owner[c]; ok {
-				add(t, c)
-			}
-		}
-	})
 }
 
 // exporter streams tables to the sink from a dedicated goroutine, consuming
@@ -374,14 +239,19 @@ func startExporter(ctx context.Context, cancel context.CancelFunc, span *obs.Spa
 				err = sc.Manifest.MarkPending(name, sinkTableFile(sc.Sink, name))
 			}
 			var st storage.StreamStats
-			var sum uint64
+			// The manifest hash taps the content bytes before any sink-side
+			// compression, so it matches manifest verification (which
+			// decompresses .gz on read) and is identical across plain and
+			// gzip sinks.
+			sum := fnv.New64a()
 			if err == nil {
-				st, sum, err = streamTable(ctx, sc, db, plans, codecs, name, workers)
+				src := nonkey.NewPlanSource(db.Table(name), plans[name])
+				st, err = storage.StreamTable(ctx, sc.Sink, src, codecs, sc.ShardRows, workers, sum)
 			}
 			if err == nil && sc.Manifest != nil {
 				// Recorded only after the sink's Commit returned: the
 				// manifest never claims more than the disk holds.
-				err = sc.Manifest.MarkCommitted(name, sinkTableFile(sc.Sink, name), st.Rows, st.Bytes, sum)
+				err = sc.Manifest.MarkCommitted(name, sinkTableFile(sc.Sink, name), st.Rows, st.Bytes, sum.Sum64())
 			}
 			tSpan.End()
 			sampleHeap()
@@ -407,39 +277,10 @@ func (e *exporter) enqueue(tables []string) {
 	}
 }
 
-func (e *exporter) close() { close(e.ch) }
-
-// wait joins the exporter goroutine and returns its first error.
-func (e *exporter) wait() error {
+// finish closes the queue, joins the exporter goroutine and returns its
+// first error.
+func (e *exporter) finish() error {
+	close(e.ch)
 	<-e.done
 	return e.err
-}
-
-// streamTable exports one table through the sink's Commit/Abort protocol,
-// returning the streaming FNV-64a hash of the content bytes for the run
-// manifest. On any failure — including a failed Commit, which with the
-// durable DirSink leaves its .tmp file behind for retry — the writer is
-// aborted so no torn file survives.
-func streamTable(ctx context.Context, sc StreamConfig, db *storage.DB,
-	plans map[string]*nonkey.TablePlan, codecs storage.CodecSet, name string, workers int) (storage.StreamStats, uint64, error) {
-	tw, err := sc.Sink.OpenTable(name)
-	if err != nil {
-		return storage.StreamStats{}, 0, err
-	}
-	src := nonkey.NewPlanSource(db.Table(name), plans[name])
-	// The hash taps the content bytes before any sink-side compression, so
-	// it matches manifest verification (which decompresses .gz on read) and
-	// is identical across plain and gzip sinks. MultiWriter stops at the
-	// sink's error, keeping the hash a prefix of what the sink accepted.
-	h := fnv.New64a()
-	st, err := storage.StreamCSV(ctx, io.MultiWriter(tw, h), src, codecs, sc.ShardRows, workers)
-	if err != nil {
-		tw.Abort()
-		return st, 0, err
-	}
-	if err := tw.Commit(); err != nil {
-		tw.Abort()
-		return st, 0, err
-	}
-	return st, h.Sum64(), nil
 }

@@ -205,6 +205,67 @@ func TestStreamedFaultAbortsCleanly(t *testing.T) {
 	}
 }
 
+// TestExportCSVDirFaultLeavesNoTornFile holds the in-memory export to the
+// streamed export's contract: a fault in the shard pool surfaces as a typed
+// *StageError carrying the injection, and the failed table leaves neither a
+// final nor a temp file, while tables committed before it are complete.
+func TestExportCSVDirFaultLeavesNoTornFile(t *testing.T) {
+	prob := streamProblem(t, "ssb", 0.5)
+	res, err := Generate(prob, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 1 exists only in lineorder: the dimensions fit one export shard.
+	in := faultinject.New(faultinject.Rule{Stage: "export/shard", Item: 1, Action: faultinject.Error})
+	defer faultinject.Activate(in)()
+
+	dir := t.TempDir()
+	err = ExportCSVDir(dir, res.DB, prob.Workload.Codecs)
+	var se *StageError
+	if !errors.As(err, &se) || se.Stage != "export/shard" {
+		t.Fatalf("err = %v, want a *StageError at export/shard", err)
+	}
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("err = %v, want injection provenance", err)
+	}
+	for _, name := range []string{"lineorder.csv", "lineorder.csv.tmp"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s survived the failed export (stat err = %v)", name, err)
+		}
+	}
+	for _, name := range []string{"customer.csv", "date.csv"} {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s, exported before the fault, is missing or empty (err = %v)", name, err)
+		}
+	}
+}
+
+// TestStreamRejectsNegativeWindowRows: the full-column streaming mode is
+// gone, so a negative window is an out-of-range input refused before the
+// sink sees a single call.
+func TestStreamRejectsNegativeWindowRows(t *testing.T) {
+	prob := streamProblem(t, "ssb", 0.1)
+	sink := &openCountingSink{}
+	_, err := GenerateStream(prob, Options{Seed: 3}, StreamConfig{Sink: sink, WindowRows: -1})
+	if err == nil || !strings.Contains(err.Error(), "WindowRows") {
+		t.Fatalf("err = %v, want a WindowRows range error", err)
+	}
+	if sink.opens != 0 {
+		t.Fatalf("sink saw %d OpenTable calls before the rejection", sink.opens)
+	}
+}
+
+// openCountingSink counts OpenTable calls and discards the bytes.
+type openCountingSink struct {
+	storage.CountSink
+	opens int
+}
+
+func (s *openCountingSink) OpenTable(name string) (storage.TableWriter, error) {
+	s.opens++
+	return s.CountSink.OpenTable(name)
+}
+
 // hashSink hashes each committed table's stream, so a smoke run can compare
 // against the in-memory export without materializing files.
 type hashSink struct {

@@ -2,8 +2,8 @@ package mirage
 
 // Differential tests of windowed engine evaluation: a streamed run with any
 // window size must export the same bytes, report the same keygen
-// degradation ledger, and validate to the same statistics as full-column
-// evaluation — which in turn matches the classic in-memory pipeline. Plus
+// degradation ledger, and validate to the same statistics as the in-memory
+// pipeline's full-column evaluation. Plus
 // the regeneration-determinism fuzz (every [lo,hi) chunk re-read equals the
 // first read) and the mid-window fault contract (typed StageError carrying
 // the window index, no torn spill files).
@@ -70,8 +70,7 @@ func TestWindowedMatchesFullColumnGrid(t *testing.T) {
 			return res.Degradations, nil
 		}}
 		testutil.RunDifferential(t, golden,
-			streamArm(t, tc.workload, tc.sf, 4, StreamConfig{WindowRows: -1}), // full-column retention
-			streamArm(t, tc.workload, tc.sf, 1, StreamConfig{}),               // windowed default
+			streamArm(t, tc.workload, tc.sf, 1, StreamConfig{}), // windowed default
 			streamArm(t, tc.workload, tc.sf, 4, StreamConfig{}),
 			streamArm(t, tc.workload, tc.sf, 8, StreamConfig{}),
 			streamArm(t, tc.workload, tc.sf, 4, StreamConfig{WindowRows: 1}),       // pathological
