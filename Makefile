@@ -32,8 +32,9 @@ bench:
 	$(GO) test $(BENCHED) -run '^$$' -bench '$(BENCH)' -benchmem -count 1 \
 		| $(GO) run ./cmd/benchjson -o BENCH_engine.json
 
-# bench-smoke compiles and runs every engine benchmark once — a CI guard that
-# the harness keeps working without paying for stable measurements. (The root
-# figure benchmarks are full pipeline runs; smoke-testing those is `make test`.)
+# bench-smoke compiles and runs every engine benchmark and the column-fill
+# kernel benchmark once — a CI guard that the harnesses keep working without
+# paying for stable measurements. (The root figure benchmarks are full
+# pipeline runs; smoke-testing those is `make test`.)
 bench-smoke:
-	$(GO) test ./internal/engine -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/engine ./internal/nonkey -run '^$$' -bench . -benchtime 1x

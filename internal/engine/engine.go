@@ -249,6 +249,11 @@ func (e *Engine) eval(v *relalg.View, orig bool, res *Result) (*Relation, error)
 		return rel, nil
 
 	case relalg.SelectView:
+		if e.win != nil {
+			if c := e.win.chains[v]; c != nil && c.inner != nil {
+				return e.chainRelation(c, res)
+			}
+		}
 		in, err := e.eval(v.Inputs[0], orig, res)
 		if err != nil {
 			return nil, err

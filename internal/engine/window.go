@@ -12,7 +12,6 @@ package engine
 // evaluation; only residency changes. See DESIGN.md §12.
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -84,18 +83,28 @@ type windowState struct {
 	cfg     WindowConfig
 	rows    int // resolved window size
 	spillAt int // resolved spill threshold; -1 = never spill
-	// ctx is the context of the CollectRowSetCtx call in flight; window
+	// ctx is the context of the CollectRowSetsCtx call in flight; window
 	// gates poll it so cancellation lands mid-evaluation, not only at the
 	// next unit boundary.
 	ctx context.Context
+	// chains holds, for the CollectRowSetsCtx call in flight, the selection
+	// chains its table passes have already evaluated, keyed by the chain's
+	// top selection: eval takes such a view's rows from there instead of
+	// scanning the table again.
+	chains map[*relalg.View]*sharedChain
 	// Window scratch, sized once per engine: one chunk buffer per referenced
-	// column, the window-local row-index indirection, and the selection
-	// vector. Bound predicates hold these slice headers across windows, so
-	// they are refilled in place, never resliced.
+	// column, the window-local row-index indirection, the selection vector
+	// and the survivors' global row indices. Bound predicates hold the first
+	// two's slice headers across windows, so they are refilled in place,
+	// never resliced.
 	chunkBuf [][]int64
 	idxBuf   []int32
 	selWin   []int32
+	outBuf   []int32
 	colBuf   []string
+	// spillBuf is the one byte buffer spilled rows are encoded and decoded
+	// through, a block at a time.
+	spillBuf []byte
 	// fallback caches whole columns materialized for view shapes that cannot
 	// be windowed (selections over join outputs, aggregates over unretained
 	// columns) — a correctness net, counted so regressions are visible.
@@ -190,6 +199,9 @@ func (w *windowState) fill(t *storage.TableData, col string, dst []int64, lo, hi
 		return err
 	}
 	if vals != nil {
+		if err := storage.CheckFillRange(t.Meta.Name, col, int64(len(vals)), len(dst), lo, hi); err != nil {
+			return fmt.Errorf("window: %w", err)
+		}
 		copy(dst, vals[lo:hi])
 		return nil
 	}
@@ -236,6 +248,7 @@ func (w *windowState) ensureScratch(nCols, rows int) {
 	}
 	if len(w.selWin) < rows {
 		w.selWin = make([]int32, rows)
+		w.outBuf = make([]int32, rows)
 	}
 }
 
@@ -258,22 +271,32 @@ func (b windowBinder) ResolveColumn(col string) ([]int64, []int32, error) {
 	return nil, nil, fmt.Errorf("window: column %q not collected for binding", col)
 }
 
-// winRun is one windowed chain evaluation over a single table: the input
-// row-index stream, the bound predicates (bottom-up), per-predicate survivor
-// counts, and the row emitter.
+// chainScan is one selection chain inside a table pass: its selections
+// bottom-up, where its survivors go, and — filled in by the pass — the bound
+// predicates and per-selection survivor counts.
+type chainScan struct {
+	selects []*relalg.View
+	// emit receives a window's surviving global row indices, ascending, in
+	// a scratch slice it must not retain.
+	emit   func(rows []int32) error
+	bound  []relalg.BoundPred
+	counts []int64
+}
+
+// winRun is one pass over the windows of a single table: the input row-index
+// stream, the union of the columns its chains read, and the chains.
 type winRun struct {
 	e      *Engine
 	t      *storage.TableData
 	rows   []int32 // nil = dense identity over [0, tRows)
 	cols   []string
-	bound  []relalg.BoundPred
-	counts []int64
-	emit   func(int32) error
+	chains []*chainScan
 }
 
-// window evaluates one [lo,hi) window over input positions [p0,p1). A panic
-// inside the window body is contained here, so the caller observes a typed
-// StageError carrying the window index.
+// window evaluates one [lo,hi) window over input positions [p0,p1): one gate,
+// one fill per column, then every chain's filters over the same chunk
+// buffers. A panic inside the window body is contained here, so the caller
+// observes a typed StageError carrying the window index.
 func (r *winRun) window(wi, lo, hi, p0, p1 int) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -299,19 +322,26 @@ func (r *winRun) window(wi, lo, hi, p0, p1 int) (err error) {
 			return fault.Wrap(WindowStage, wi, err)
 		}
 	}
-	sel := win.selWin[:nIn]
-	for j := range sel {
-		sel[j] = int32(j)
-	}
-	for k := range r.bound {
-		sel = r.bound[k].FilterBatch(sel)
-		r.counts[k] += int64(len(sel))
-		if len(sel) == 0 {
-			break
+	for _, c := range r.chains {
+		sel := win.selWin[:nIn]
+		for j := range sel {
+			sel[j] = int32(j)
 		}
-	}
-	for _, j := range sel {
-		if err := r.emit(int32(lo) + win.idxBuf[j]); err != nil {
+		for k := range c.bound {
+			sel = c.bound[k].FilterBatch(sel)
+			c.counts[k] += int64(len(sel))
+			if len(sel) == 0 {
+				break
+			}
+		}
+		if len(sel) == 0 {
+			continue
+		}
+		out := win.outBuf[:len(sel)]
+		for j, pos := range sel {
+			out[j] = int32(lo) + win.idxBuf[pos]
+		}
+		if err := c.emit(out); err != nil {
 			return fault.Wrap(WindowStage, wi, err)
 		}
 	}
@@ -320,23 +350,27 @@ func (r *winRun) window(wi, lo, hi, p0, p1 int) (err error) {
 	return nil
 }
 
-// runWindows evaluates the bottom-up selection chain selects over the
-// ascending row indices rows of table t (rows == nil means the dense
-// identity [0, tRows)), one window of the table's row domain at a time, and
-// passes every surviving global row index to emit in ascending order. It
-// returns the per-selection survivor counts — exactly the cardinalities
-// full-column evaluation observes.
-func (e *Engine) runWindows(t *storage.TableData, rows []int32, selects []*relalg.View, orig bool, emit func(int32) error) ([]int64, error) {
+// runWindows makes one pass over table t for all of chains: every chain is a
+// bottom-up selection chain over the ascending row indices rows (rows == nil
+// means the dense identity [0, tRows)). One window of the table's row domain
+// at a time, the union of the chains' columns is filled once, and each chain
+// filters the window and hands its surviving global row indices to its emit
+// in ascending order. Each chain's counts end up holding the per-selection
+// survivor counts — exactly the cardinalities full-column evaluation
+// observes.
+func (e *Engine) runWindows(t *storage.TableData, rows []int32, chains []*chainScan, orig bool) error {
 	win := e.win
 	tRows := t.Rows()
 	table := t.Meta.Name
 
 	cols := win.colBuf[:0]
-	for _, v := range selects {
-		cols = v.Pred.Columns(cols)
+	for _, c := range chains {
+		for _, v := range c.selects {
+			cols = v.Pred.Columns(cols)
+		}
 	}
-	// Dedup in place (chains reference a handful of columns) and check
-	// ownership: a single-table selection can only read its own table.
+	// Dedup in place (a table's chains reference a handful of columns) and
+	// check ownership: a single-table selection can only read its own table.
 	uniq := cols[:0]
 	for _, c := range cols {
 		dup := false
@@ -351,7 +385,7 @@ func (e *Engine) runWindows(t *storage.TableData, rows []int32, selects []*relal
 	win.colBuf = cols
 	for _, c := range cols {
 		if owner, ok := e.owner[c]; !ok || owner != table {
-			return nil, fmt.Errorf("column %q of table %q not in relation [%s]", c, owner, table)
+			return fmt.Errorf("column %q of table %q not in relation [%s]", c, owner, table)
 		}
 	}
 
@@ -364,16 +398,19 @@ func (e *Engine) runWindows(t *storage.TableData, rows []int32, selects []*relal
 	}
 	win.ensureScratch(len(cols), effW)
 	binder := windowBinder{cols: cols, chunks: win.chunkBuf[:len(cols)], idx: win.idxBuf}
-	bound := make([]relalg.BoundPred, len(selects))
-	for k, v := range selects {
-		bp, err := relalg.BindPred(v.Pred, binder, orig)
-		if err != nil {
-			return nil, err
+	for _, c := range chains {
+		c.bound = make([]relalg.BoundPred, len(c.selects))
+		c.counts = make([]int64, len(c.selects))
+		for k, v := range c.selects {
+			bp, err := relalg.BindPred(v.Pred, binder, orig)
+			if err != nil {
+				return err
+			}
+			c.bound[k] = bp
 		}
-		bound[k] = bp
 	}
 
-	run := &winRun{e: e, t: t, rows: rows, cols: cols, bound: bound, counts: make([]int64, len(selects)), emit: emit}
+	run := &winRun{e: e, t: t, rows: rows, cols: cols, chains: chains}
 	p := 0
 	for lo := 0; lo < tRows; lo += effW {
 		hi := lo + effW
@@ -394,16 +431,32 @@ func (e *Engine) runWindows(t *storage.TableData, rows []int32, selects []*relal
 			continue // no candidate rows in this window: skip fills entirely
 		}
 		if err := run.window(lo/effW, lo, hi, p0, p1); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return run.counts, nil
+	return nil
 }
 
-// evalSelectWindowed is eval's SelectView arm under windowed evaluation: the
-// input is a sorted single-table relation, so the predicate runs window by
-// window over regenerated chunks instead of binding whole columns. The
-// output relation, stats, and metrics match the classic path exactly.
+// observeChain records a finished chain's per-selection cardinalities —
+// metrics and res.Stats — the way eval's leaf and selection arms would have.
+func (e *Engine) observeChain(leaf *relalg.View, c *chainScan, tRows int, res *Result) {
+	e.m.opRows[relalg.LeafView].Observe(int64(tRows))
+	res.Stats[leaf] = Stats{Card: int64(tRows), JCC: relalg.CardUnknown, JDC: relalg.CardUnknown}
+	prev := int64(tRows)
+	for k, v := range c.selects {
+		e.m.opRows[v.Kind].Observe(c.counts[k])
+		e.m.filtered.Add(prev - c.counts[k])
+		res.Stats[v] = Stats{Card: c.counts[k], JCC: relalg.CardUnknown, JDC: relalg.CardUnknown}
+		prev = c.counts[k]
+	}
+}
+
+// evalSelectWindowed is eval's SelectView arm under windowed evaluation for a
+// selection no table pass has evaluated (Execute, or a selection over a
+// single-table input that is not a chain): the input is a sorted
+// single-table relation, so the predicate runs window by window over
+// regenerated chunks instead of binding whole columns. The output relation,
+// stats, and metrics match the classic path exactly.
 func (e *Engine) evalSelectWindowed(v *relalg.View, in *Relation, orig bool, res *Result) (*Relation, error) {
 	t, err := e.db.Lookup(in.tables[0])
 	if err != nil {
@@ -411,51 +464,197 @@ func (e *Engine) evalSelectWindowed(v *relalg.View, in *Relation, orig bool, res
 	}
 	tm := e.m.opNS[v.Kind].Start()
 	out := make([]int32, 0, in.Len())
-	rows := in.cols[0]
-	counts, err := e.runWindows(t, rows, []*relalg.View{v}, orig, func(r int32) error {
-		out = append(out, r)
+	c := &chainScan{selects: []*relalg.View{v}, emit: func(rows []int32) error {
+		out = append(out, rows...)
 		return nil
-	})
-	if err != nil {
+	}}
+	if err := e.runWindows(t, in.cols[0], []*chainScan{c}, orig); err != nil {
 		return nil, err
 	}
 	tm.Stop()
 	rel := &Relation{tables: in.tables, cols: [][]int32{out}, n: len(out), sorted: true}
-	e.m.opRows[v.Kind].Observe(counts[0])
-	e.m.filtered.Add(int64(in.Len()) - counts[0])
-	res.Stats[v] = Stats{Card: counts[0], JCC: relalg.CardUnknown, JDC: relalg.CardUnknown}
+	e.m.opRows[v.Kind].Observe(c.counts[0])
+	e.m.filtered.Add(int64(in.Len()) - c.counts[0])
+	res.Stats[v] = Stats{Card: c.counts[0], JCC: relalg.CardUnknown, JDC: relalg.CardUnknown}
 	return rel, nil
 }
 
-// collectChain evaluates a leaf or select-chain view windowed, accumulating
-// the (already distinct, ascending) surviving rows into a RowSet that spills
-// past the threshold. This is CollectRowSetCtx's fast path: the chain output
-// never materializes as a Relation at all.
-func (e *Engine) collectChain(leaf *relalg.View, selects []*relalg.View, orig bool) (*RowSet, error) {
-	t, err := e.db.Lookup(leaf.Table)
-	if err != nil {
+// sharedChain is a selection chain over a base-table leaf found in the views
+// of one CollectRowSetsCtx call. It is evaluated once, in its table's pass,
+// however often it occurs: every request that is this chain gets its own
+// accumulator (so each returned RowSet has exactly one owner), and the joins
+// that contain it share one more, read back by eval and released after the
+// last of them.
+type sharedChain struct {
+	chainScan
+	leaf  *relalg.View
+	tRows int         // the leaf table's row count, known once its pass ran
+	tops  []int       // requests this chain is the whole view of
+	accs  []*rowAccum // one per top, then one for inner when innerRefs > 0
+	// inner is the chain's rows for the innerRefs occurrences under joins.
+	inner     *RowSet
+	innerRefs int
+}
+
+// add is the chain's emit: every accumulator takes the window's survivors.
+func (c *sharedChain) add(rows []int32) error {
+	for _, a := range c.accs {
+		if err := a.add(rows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RowSetRequest names one row set: the distinct rows of Table in View's
+// output.
+type RowSetRequest struct {
+	View  *relalg.View
+	Table string
+}
+
+// collectWindowed is CollectRowSetsCtx on a windowed engine. It finds every
+// selection chain over a base-table leaf in the requests' views — a whole
+// view, or a join's input anywhere inside one — and makes one pass per table
+// over all of that table's chains, so a column is regenerated once per
+// window per call, not once per view. Chain-shaped requests are answered
+// straight from the passes; every other view then evaluates as usual, with
+// eval taking its chains' rows from the passes' results.
+func (e *Engine) collectWindowed(reqs []RowSetRequest, orig bool, res *Result) (_ []*RowSet, err error) {
+	win := e.win
+	sets := make([]*RowSet, len(reqs))
+	win.chains = make(map[*relalg.View]*sharedChain)
+	var tables []string
+	byTable := make(map[string][]*sharedChain)
+	// On any exit nothing of the call stays behind but the returned sets: on
+	// failure every open accumulator is aborted (no torn spill file) and the
+	// sets already sealed are released.
+	defer func() {
+		win.chains = nil
+		for _, chains := range byTable {
+			for _, c := range chains {
+				c.inner.Release() // no-op once its last join has read it
+				if err != nil {
+					for _, a := range c.accs {
+						a.abort()
+					}
+				}
+			}
+		}
+		if err != nil {
+			for _, s := range sets {
+				s.Release()
+			}
+		}
+	}()
+
+	chainOf := func(top, leaf *relalg.View, selects []*relalg.View) *sharedChain {
+		c := win.chains[top]
+		if c == nil {
+			c = &sharedChain{leaf: leaf}
+			c.selects, c.emit = selects, c.add
+			win.chains[top] = c
+			if byTable[leaf.Table] == nil {
+				tables = append(tables, leaf.Table)
+			}
+			byTable[leaf.Table] = append(byTable[leaf.Table], c)
+		}
+		return c
+	}
+	var findInner func(v *relalg.View)
+	findInner = func(v *relalg.View) {
+		if v.Kind == relalg.SelectView {
+			if leaf, selects, ok := relalg.SelectChain(v); ok {
+				chainOf(v, leaf, selects).innerRefs++
+				return
+			}
+		}
+		for _, in := range v.Inputs {
+			findInner(in)
+		}
+	}
+	var general []int // requests that are not a chain over their own table
+	for i, rq := range reqs {
+		leaf, selects, ok := relalg.SelectChain(rq.View)
+		switch {
+		case !ok || leaf.Table != rq.Table:
+			findInner(rq.View)
+			general = append(general, i)
+		case len(selects) == 0:
+			t, err := e.db.Lookup(leaf.Table)
+			if err != nil {
+				return nil, err
+			}
+			e.observeChain(leaf, &chainScan{}, t.Rows(), res)
+			sets[i] = &RowSet{n: t.Rows(), dense: true}
+		default:
+			c := chainOf(rq.View, leaf, selects)
+			c.tops = append(c.tops, i)
+		}
+	}
+
+	for _, table := range tables {
+		t, err := e.db.Lookup(table)
+		if err != nil {
+			return nil, err
+		}
+		chains := byTable[table]
+		scans := make([]*chainScan, len(chains))
+		for i, c := range chains {
+			n := len(c.tops)
+			if c.innerRefs > 0 {
+				n++
+			}
+			for ; n > 0; n-- {
+				c.accs = append(c.accs, &rowAccum{win: win, limit: win.spillAt})
+			}
+			scans[i] = &c.chainScan
+		}
+		tm := e.m.opNS[relalg.SelectView].Start()
+		if err := e.runWindows(t, nil, scans, orig); err != nil {
+			return nil, err
+		}
+		tm.Stop()
+		for _, c := range chains {
+			c.tRows = t.Rows()
+			e.observeChain(c.leaf, &c.chainScan, c.tRows, res)
+			for i, a := range c.accs {
+				s, err := a.finish()
+				if err != nil {
+					return nil, err
+				}
+				if i < len(c.tops) {
+					sets[c.tops[i]] = s
+				} else {
+					c.inner = s
+				}
+			}
+		}
+	}
+
+	for _, i := range general {
+		rows, err := e.collectRows(reqs[i].View, reqs[i].Table, orig, res)
+		if err != nil {
+			return nil, err
+		}
+		sets[i] = &RowSet{mem: rows, n: len(rows)}
+	}
+	return sets, nil
+}
+
+// chainRelation is eval's SelectView arm for a chain a table pass of the
+// collect in flight has already evaluated: the relation is read back from
+// the pass's row set, which is released once its last join has read it.
+func (e *Engine) chainRelation(c *sharedChain, res *Result) (*Relation, error) {
+	rows := make([]int32, 0, c.inner.Len())
+	if err := c.inner.ForEach(func(r int32) { rows = append(rows, r) }); err != nil {
 		return nil, err
 	}
-	n := t.Rows()
-	e.m.opRows[relalg.LeafView].Observe(int64(n))
-	if len(selects) == 0 {
-		return &RowSet{n: n, dense: true}, nil
+	if c.innerRefs--; c.innerRefs == 0 {
+		c.inner.Release()
 	}
-	acc := &rowAccum{win: e.win, limit: e.win.spillAt}
-	tm := e.m.opNS[relalg.SelectView].Start()
-	counts, err := e.runWindows(t, nil, selects, orig, acc.add)
-	if err != nil {
-		acc.abort()
-		return nil, err
-	}
-	tm.Stop()
-	prev := int64(n)
-	for k, v := range selects {
-		e.m.opRows[v.Kind].Observe(counts[k])
-		e.m.filtered.Add(prev - counts[k])
-		prev = counts[k]
-	}
-	return acc.finish()
+	e.observeChain(c.leaf, &c.chainScan, c.tRows, res)
+	return &Relation{tables: []string{c.leaf.Table}, cols: [][]int32{rows}, n: len(rows), sorted: true}, nil
 }
 
 // RowSet is an ascending set of base-table row indices produced by
@@ -479,7 +678,8 @@ func (s *RowSet) Len() int {
 	return s.n
 }
 
-// ForEach streams the rows in ascending order.
+// ForEach streams the rows in ascending order. A spilled set is decoded
+// through its engine's spill buffer, so fn must not call into the engine.
 func (s *RowSet) ForEach(fn func(int32)) error {
 	if s == nil || s.n == 0 {
 		return nil
@@ -496,13 +696,16 @@ func (s *RowSet) ForEach(fn func(int32)) error {
 			return fmt.Errorf("window: spill read: %w", err)
 		}
 		defer f.Close()
-		br := bufio.NewReaderSize(f, 1<<16)
-		var b4 [4]byte
-		for i := 0; i < s.n; i++ {
-			if _, err := io.ReadFull(br, b4[:]); err != nil {
+		buf := s.win.spillBlock()
+		for left := s.n; left > 0; {
+			n := min(left, len(buf)/4)
+			if _, err := io.ReadFull(f, buf[:4*n]); err != nil {
 				return fmt.Errorf("window: spill read: %w", err)
 			}
-			fn(int32(binary.LittleEndian.Uint32(b4[:])))
+			for i := 0; i < n; i++ {
+				fn(int32(binary.LittleEndian.Uint32(buf[4*i:])))
+			}
+			left -= n
 		}
 		return nil
 	}
@@ -528,8 +731,17 @@ func (s *RowSet) Release() {
 }
 
 // spillFlushRows is how many buffered rows a spilling accumulator writes out
-// at a time once the spill file is open.
+// at a time once the spill file is open; it is also the block spilled rows
+// are read back in.
 const spillFlushRows = 16 * 1024
+
+// spillBlock returns the engine's spill I/O buffer, one block of rows long.
+func (w *windowState) spillBlock() []byte {
+	if w.spillBuf == nil {
+		w.spillBuf = make([]byte, 4*spillFlushRows)
+	}
+	return w.spillBuf
+}
 
 // rowAccum accumulates ascending row indices, spilling to disk once the
 // in-memory prefix exceeds the threshold. The spill file holds every row on
@@ -539,14 +751,13 @@ type rowAccum struct {
 	mem   []int32
 	n     int
 	f     *os.File
-	bw    *bufio.Writer
 	path  string
 	limit int // spill threshold in rows; < 0 = never spill
 }
 
-func (a *rowAccum) add(r int32) error {
-	a.n++
-	a.mem = append(a.mem, r)
+func (a *rowAccum) add(rows []int32) error {
+	a.n += len(rows)
+	a.mem = append(a.mem, rows...)
 	switch {
 	case a.f != nil:
 		if len(a.mem) >= spillFlushRows {
@@ -568,20 +779,25 @@ func (a *rowAccum) startSpill() error {
 		return err
 	}
 	a.f, a.path = f, f.Name()
-	a.bw = bufio.NewWriterSize(f, 1<<16)
 	a.win.spills[a.path] = true
 	a.win.m.spillFiles.Inc()
 	a.win.m.events.Emit(obs.Event{Type: obs.EventSpill, Table: filepath.Base(a.path), Rows: int64(a.n)})
 	return a.flushMem()
 }
 
+// flushMem appends the buffered rows to the spill file as little-endian
+// int32, a block per write.
 func (a *rowAccum) flushMem() error {
-	var b4 [4]byte
-	for _, r := range a.mem {
-		binary.LittleEndian.PutUint32(b4[:], uint32(r))
-		if _, err := a.bw.Write(b4[:]); err != nil {
+	buf := a.win.spillBlock()
+	for rows := a.mem; len(rows) > 0; {
+		n := min(len(rows), len(buf)/4)
+		for i, r := range rows[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], uint32(r))
+		}
+		if _, err := a.f.Write(buf[:4*n]); err != nil {
 			return err
 		}
+		rows = rows[n:]
 	}
 	a.win.m.spillBytes.Add(int64(4 * len(a.mem)))
 	a.mem = a.mem[:0]
@@ -591,13 +807,11 @@ func (a *rowAccum) flushMem() error {
 // finish seals the accumulated set into a RowSet.
 func (a *rowAccum) finish() (*RowSet, error) {
 	if a.f == nil {
-		return &RowSet{mem: a.mem, n: a.n, win: a.win}, nil
+		rs := &RowSet{mem: a.mem, n: a.n, win: a.win}
+		a.mem = nil
+		return rs, nil
 	}
 	if err := a.flushMem(); err != nil {
-		a.abort()
-		return nil, err
-	}
-	if err := a.bw.Flush(); err != nil {
 		a.abort()
 		return nil, err
 	}
@@ -606,11 +820,12 @@ func (a *rowAccum) finish() (*RowSet, error) {
 		return nil, err
 	}
 	rs := &RowSet{n: a.n, path: a.path, win: a.win}
-	a.f = nil
+	a.f, a.mem = nil, nil
 	return rs, nil
 }
 
 // abort discards the accumulator, removing a partially written spill file.
+// After finish it does nothing.
 func (a *rowAccum) abort() {
 	if a.f != nil {
 		a.f.Close()

@@ -26,10 +26,11 @@ import (
 // source instead of storage in the windowed fixtures.
 var paperT1 = []int64{4, 4, 4, 3, 3, 5, 1, 2}
 
-// mapSource serves columns from full in-memory slices, counting fills.
+// mapSource serves columns from full in-memory slices, counting fills per
+// (column, window start).
 type mapSource struct {
 	cols  map[string][]int64
-	fills int
+	fills map[string]int
 }
 
 func (s *mapSource) Fill(col string, dst []int64, lo, hi int64) error {
@@ -37,7 +38,10 @@ func (s *mapSource) Fill(col string, dst []int64, lo, hi int64) error {
 	if !ok {
 		return fmt.Errorf("mapSource: no column %s", col)
 	}
-	s.fills++
+	if s.fills == nil {
+		s.fills = make(map[string]int)
+	}
+	s.fills[fmt.Sprintf("%s@%d", col, lo)]++
 	copy(dst, vals[lo:hi])
 	return nil
 }
@@ -228,43 +232,57 @@ func TestWindowedFallbackColumn(t *testing.T) {
 // TestWindowedFaultStageError injects an error, a panic, and a context
 // cancellation mid-evaluation and checks each surfaces as a typed
 // StageError at the engine/window stage with the faulted window's index in
-// the item field — and that no spill file survives the failure.
+// the item field — and that no spill file survives the failure, before the
+// engine is even closed. The fault lands in window 1 of a table pass that
+// feeds one accumulator (a single request) or several (the shared scan of
+// sharedScanRequests); with a 1-row spill threshold the ones with survivors
+// in window 0 have already spilled.
 func TestWindowedFaultStageError(t *testing.T) {
 	for _, action := range []faultinject.Action{faultinject.Error, faultinject.Panic} {
-		in := faultinject.New(faultinject.Rule{Stage: WindowStage, Item: 1, Action: action})
-		deactivate := faultinject.Activate(in)
+		for _, shared := range []bool{false, true} {
+			name := fmt.Sprintf("action %v shared=%v", action, shared)
+			in := faultinject.New(faultinject.Rule{Stage: WindowStage, Item: 1, Action: action})
+			deactivate := faultinject.Activate(in)
 
-		db, src := windowedPaperDB()
-		dir := t.TempDir()
-		eng, err := NewWindowed(db, WindowConfig{
-			Rows: 3, Sources: map[string]ChunkSource{"t": src},
-			SpillDir: dir, SpillRows: 1,
-		})
-		if err != nil {
+			db, src := windowedPaperDB()
+			dir := t.TempDir()
+			eng, err := NewWindowed(db, WindowConfig{
+				Rows: 3, Sources: map[string]ChunkSource{"t": src},
+				SpillDir: dir, SpillRows: 1,
+			})
+			if err != nil {
+				deactivate()
+				t.Fatal(err)
+			}
+			reqs := []RowSetRequest{{View: selChainT(1, -1), Table: "t"}}
+			if shared {
+				reqs, _ = sharedScanRequests()
+			}
+			_, err = eng.CollectRowSetsCtx(context.Background(), reqs, false)
 			deactivate()
-			t.Fatal(err)
-		}
-		_, err = eng.CollectRowSet(selChainT(1, -1), "t", false)
-		deactivate()
-		if err == nil {
-			t.Fatalf("action %v: injected window fault did not fail the collect", action)
-		}
-		var se *fault.StageError
-		if !errors.As(err, &se) || se.Stage != WindowStage || se.Item != 1 {
-			t.Fatalf("action %v: err = %v, want StageError{%s, 1}", action, err, WindowStage)
-		}
-		if !errors.Is(err, faultinject.ErrInjected) {
-			t.Fatalf("action %v: err = %v, want injection provenance", action, err)
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ents) != 0 {
-			t.Fatalf("action %v: torn spill files left behind: %v", action, ents)
+			if err == nil {
+				t.Fatalf("%s: injected window fault did not fail the collect", name)
+			}
+			var se *fault.StageError
+			if !errors.As(err, &se) || se.Stage != WindowStage || se.Item != 1 {
+				t.Fatalf("%s: err = %v, want StageError{%s, 1}", name, err, WindowStage)
+			}
+			if !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("%s: err = %v, want injection provenance", name, err)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ents) != 0 {
+				t.Fatalf("%s: torn spill files left behind: %v", name, ents)
+			}
+			if len(eng.win.spills) != 0 {
+				t.Fatalf("%s: engine still tracks spill files %v", name, eng.win.spills)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -331,6 +349,134 @@ func TestWindowedExecuteMatchesClassic(t *testing.T) {
 		want, got := wantRes.Stats[viewsC[i]], gotRes.Stats[viewsW[i]]
 		if want != got {
 			t.Errorf("view %d: windowed stats %+v, classic %+v", i, got, want)
+		}
+	}
+}
+
+// sharedScanRequests is the multi-request fixture: five chains over t (one
+// view requested twice, one two selections deep, one selecting nothing), the
+// bare t leaf, and a join-shaped view — asked for both of its tables — whose
+// FK-side input is a chain over t that is also requested on its own, and
+// whose PK-side input is a chain over s. selects lists every selection view
+// in the requests, bottom-up within a chain.
+func sharedScanRequests() (reqs []RowSetRequest, selects []*relalg.View) {
+	a := selChainT(2, -1)
+	b := selChainT(1, 3)
+	c := selChainT(99, -1)
+	d := selChainT(3, -1)
+	selS := &relalg.View{Kind: relalg.SelectView, Inputs: []*relalg.View{{Kind: relalg.LeafView, Table: "s"}},
+		Pred: &relalg.UnaryPred{Col: "s1", Op: relalg.OpLt, P: instParam(4)}}
+	join := &relalg.View{Kind: relalg.JoinView,
+		Join:   &relalg.JoinSpec{PKTable: "s", FKTable: "t", FKCol: "t_fk", Type: relalg.EquiJoin},
+		Inputs: []*relalg.View{selS, d}}
+	reqs = []RowSetRequest{
+		{View: a, Table: "t"},
+		{View: b, Table: "t"},
+		{View: c, Table: "t"},
+		{View: a, Table: "t"},
+		{View: &relalg.View{Kind: relalg.LeafView, Table: "t"}, Table: "t"},
+		{View: join, Table: "t"},
+		{View: d, Table: "t"},
+		{View: join, Table: "s"},
+	}
+	return reqs, []*relalg.View{a, b.Inputs[0], b, c, d, selS}
+}
+
+// TestCollectRowSetsSharedScan holds the multi-request entry point against
+// two oracles — one CollectRowSet call per request on a fresh windowed
+// engine, and the classic engine over the fully materialized database — at
+// window sizes 1, 3 and far past the table, with spilling forced and off:
+// same row sets, same per-selection survivor counts. The counting chunk
+// source then proves the point of the shared scan: however many chains read
+// a column, each (column, window) of a table is filled exactly once per
+// call.
+func TestCollectRowSetsSharedScan(t *testing.T) {
+	classic, err := New(testutil.PaperDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range []int64{1, 3, 1 << 20} {
+		for _, spill := range []int{1, -1} {
+			name := fmt.Sprintf("window=%d spill=%d", rows, spill)
+			newEngine := func() (*Engine, *mapSource) {
+				db := storage.NewDB(testutil.PaperSchema())
+				db.Table("s").FillPK(4)
+				db.Table("t").FillPK(8)
+				db.Table("t").SetCol("t_fk", []int64{1, 2, 2, 3, 1, 2, 4, 4})
+				src := &mapSource{cols: map[string][]int64{
+					"s1": {1, 2, 3, 4}, "t1": paperT1, "t2": {2, 2, 2, 1, 3, 3, 4, 4},
+				}}
+				eng, err := NewWindowed(db, WindowConfig{
+					Rows: rows, Sources: map[string]ChunkSource{"s": src, "t": src},
+					SpillDir: t.TempDir(), SpillRows: spill,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng, src
+			}
+
+			reqs, selects := sharedScanRequests()
+			eng, src := newEngine()
+			res := &Result{Stats: make(map[*relalg.View]Stats)}
+			sets, err := eng.collectRowSets(context.Background(), reqs, false, res)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(eng.win.fallback) != 0 {
+				t.Fatalf("%s: shared scan fell back to whole columns %v", name, eng.win.fallback)
+			}
+			fills := src.fills
+			spilled := 0
+			for _, set := range sets {
+				if set.path != "" {
+					spilled++
+				}
+			}
+			if (spill > 0) != (spilled > 0) {
+				t.Fatalf("%s: %d of %d sets spilled", name, spilled, len(sets))
+			}
+
+			wantRes := &Result{Stats: make(map[*relalg.View]Stats)}
+			for i, rq := range reqs {
+				got := collectSet(t, sets[i])
+				want, err := classic.collectRows(rq.View, rq.Table, false, wantRes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				single, _ := newEngine()
+				set, err := single.CollectRowSet(rq.View, rq.Table, false)
+				if err != nil {
+					t.Fatalf("%s request %d alone: %v", name, i, err)
+				}
+				alone := collectSet(t, set)
+				if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(alone) != fmt.Sprint(want) {
+					t.Errorf("%s request %d: shared scan %v, alone %v, classic %v", name, i, got, alone, want)
+				}
+				if err := single.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, v := range selects {
+				if res.Stats[v] != wantRes.Stats[v] {
+					t.Errorf("%s selection %d (%s): shared scan counted %+v, classic %+v", name, i, v.Pred, res.Stats[v], wantRes.Stats[v])
+				}
+			}
+
+			// One fill per (column, window) per table pass: t's pass reads t1
+			// and t2 for five chains, s's pass reads s1 for one.
+			windows := func(n int64) int64 { return (n + min(rows, n) - 1) / min(rows, n) }
+			if want := int(2*windows(8) + windows(4)); len(fills) != want {
+				t.Errorf("%s: %d distinct (column, window) fills, want %d: %v", name, len(fills), want, fills)
+			}
+			for key, n := range fills {
+				if n != 1 {
+					t.Errorf("%s: %s filled %d times in one call", name, key, n)
+				}
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -34,10 +34,16 @@ type ColumnGen struct {
 	lo, hi, val, before []int64
 	pinned              int64 // total pinned rows
 
-	// Free-pool CDF over the remaining multiset: vals ascending with
-	// nonzero remaining count, cum[i] = count of pool elements with value
-	// <= vals[i]; cum[len-1] == rows - pinned.
-	vals, cum []int64
+	// Free-pool CDF over the remaining multiset: values ascending with
+	// nonzero remaining count, pool[i].cum = count of pool elements with
+	// value <= pool[i].val; pool[len-1].cum == rows - pinned. One array, so
+	// a lookup touches one cache line for both.
+	pool []poolEntry
+	// idx is the rank→value index over pool: idx[k>>shift] is the first j
+	// with pool[j].cum > (k>>shift)<<shift, so the value of rank k is a
+	// short forward walk from there. Built only for Feistel-addressed pools.
+	idx   []int32
+	shift uint
 
 	perm feistel
 	// small replaces the Feistel permutation with the explicitly shuffled
@@ -46,6 +52,8 @@ type ColumnGen struct {
 	// the memory cost is bounded by the limit.
 	small []int64
 }
+
+type poolEntry struct{ cum, val int64 }
 
 // smallPermLimit is the free-pool size up to which ColumnGen stores an
 // explicit permutation (≤ 32 KiB per column) instead of the Feistel
@@ -89,8 +97,7 @@ func newColumnGen(tp *TablePlan, cp *ColumnPlan, seed int64) (*ColumnGen, error)
 	for v, c := range remaining {
 		if c > 0 {
 			free += c
-			g.vals = append(g.vals, int64(v+1))
-			g.cum = append(g.cum, free)
+			g.pool = append(g.pool, poolEntry{cum: free, val: int64(v + 1)})
 		}
 	}
 	if g.pinned+free != g.rows {
@@ -110,11 +117,32 @@ func newColumnGen(tp *TablePlan, cp *ColumnPlan, seed int64) (*ColumnGen, error)
 		g.small = pool
 	} else {
 		g.perm = newFeistel(uint64(free), uint64(key))
+		g.buildIndex(free)
 	}
 	return g, nil
 }
 
-// At returns the value of row r. Pure and safe for concurrent use.
+// buildIndex buckets the free ranks [0,free) into at most len(pool)
+// power-of-two-wide buckets and records where in pool each bucket starts. A
+// bucket then spans one to two values on average, and the index adds at most
+// a quarter to the layout's footprint: one int32 per 16-byte pool entry.
+func (g *ColumnGen) buildIndex(free int64) {
+	for (free-1)>>g.shift >= int64(len(g.pool)) {
+		g.shift++
+	}
+	g.idx = make([]int32, (free-1)>>g.shift+1)
+	j := 0
+	for b := range g.idx {
+		for g.pool[j].cum <= int64(b)<<g.shift {
+			j++
+		}
+		g.idx[b] = int32(j)
+	}
+}
+
+// At returns the value of row r: the scalar definition of the layout. It is
+// the oracle the kernel tests hold Fill against and has no production caller
+// — Materialize, export and windowed keygen all go through Fill.
 func (g *ColumnGen) At(r int64) int64 {
 	// Pinned range containing r?
 	i := sort.Search(len(g.lo), func(i int) bool { return g.hi[i] > r })
@@ -130,14 +158,75 @@ func (g *ColumnGen) At(r int64) int64 {
 		return g.small[rank]
 	}
 	k := int64(g.perm.apply(uint64(rank)))
-	j := sort.Search(len(g.cum), func(j int) bool { return g.cum[j] > k })
-	return g.vals[j]
+	j := sort.Search(len(g.pool), func(j int) bool { return g.pool[j].cum > k })
+	return g.pool[j].val
 }
 
-// Fill writes rows [lo,hi) of the column into dst[0:hi-lo].
+// Fill writes rows [lo,hi) of the column into dst[0:hi-lo]; the caller
+// guarantees 0 <= lo <= hi <= rows and len(dst) >= hi-lo. It walks the pinned
+// blocks once: one search finds the first block ending past lo, then pinned
+// runs are written run-length and each free run costs one free-rank
+// computation, because consecutive free rows have consecutive ranks.
 func (g *ColumnGen) Fill(dst []int64, lo, hi int64) {
-	for r := lo; r < hi; r++ {
-		dst[r-lo] = g.At(r)
+	i := sort.Search(len(g.lo), func(i int) bool { return g.hi[i] > lo })
+	for r := lo; r < hi; {
+		// i is the first block ending past r (zero-Card blocks drop out here).
+		for i < len(g.lo) && g.hi[i] <= r {
+			i++
+		}
+		end := hi
+		if i < len(g.lo) && g.lo[i] <= r {
+			if g.hi[i] < end {
+				end = g.hi[i]
+			}
+			run, v := dst[r-lo:end-lo], g.val[i]
+			for j := range run {
+				run[j] = v
+			}
+		} else {
+			if i < len(g.lo) && g.lo[i] < end {
+				end = g.lo[i]
+			}
+			rank := r
+			if i > 0 {
+				rank -= g.before[i-1] + (g.hi[i-1] - g.lo[i-1])
+			}
+			g.fillFree(dst[r-lo:end-lo], rank)
+		}
+		r = end
+	}
+}
+
+// fillBlock is how many ranks the permutation is run over at a time: small
+// enough for the rank array to live on the stack and in L1, large enough to
+// amortize the per-block loop set-up.
+const fillBlock = 256
+
+// fillFree writes the values of free ranks [rank, rank+len(dst)) into dst.
+func (g *ColumnGen) fillFree(dst []int64, rank int64) {
+	if g.small != nil {
+		copy(dst, g.small[rank:])
+		return
+	}
+	var ks [fillBlock]uint64
+	idx, pool, shift := g.idx, g.pool, g.shift&63
+	for len(dst) > 0 {
+		n := len(dst)
+		if n > fillBlock {
+			n = fillBlock
+		}
+		for j := range ks[:n] {
+			ks[j] = uint64(rank) + uint64(j)
+		}
+		g.perm.applyBatch(ks[:n])
+		for j, k := range ks[:n] {
+			i := idx[k>>shift]
+			for pool[i].cum <= int64(k) {
+				i++
+			}
+			dst[j] = pool[i].val
+		}
+		dst, rank = dst[n:], rank+int64(n)
 	}
 }
 
@@ -178,16 +267,59 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// applyBatch replaces every xs[j] (at most fillBlock of them) by
+// apply(xs[j]). One branch-free pass encrypts all cells with the keys in
+// locals, so the CPU overlaps the cells' multiply chains instead of waiting
+// out one cell's cycle walk; only the cells that landed outside [0,n) are
+// then re-encrypted, until none remain — the same walk, cell by cell, as
+// apply. A pass keeps n/4^half of its cells, so a column costs 4^half/n in
+// [1,4) passes per cell.
+func (f *feistel) applyBatch(xs []uint64) {
+	if f.n < 2 {
+		return
+	}
+	half, mask, n := f.half&63, f.mask, f.n
+	k0, k1, k2, k3 := f.keys[0], f.keys[1], f.keys[2], f.keys[3]
+	var pend [fillBlock]uint16 // cells still outside [0,n)
+	np := 0
+	for j, x := range xs {
+		x = encrypt(x, half, mask, k0, k1, k2, k3)
+		xs[j] = x
+		pend[np] = uint16(j) // written either way, kept only if x is outside
+		if x >= n {
+			np++
+		}
+	}
+	for np > 0 {
+		m := 0
+		for _, j := range pend[:np] {
+			x := encrypt(xs[j], half, mask, k0, k1, k2, k3)
+			xs[j] = x
+			pend[m] = j
+			if x >= n {
+				m++
+			}
+		}
+		np = m
+	}
+}
+
+// encrypt is one pass of the 4-round network over the 2*half-bit domain.
+func encrypt(x uint64, half uint, mask, k0, k1, k2, k3 uint64) uint64 {
+	l, r := x>>half, x&mask
+	l, r = r, l^(mix64(r^k0)&mask)
+	l, r = r, l^(mix64(r^k1)&mask)
+	l, r = r, l^(mix64(r^k2)&mask)
+	l, r = r, l^(mix64(r^k3)&mask)
+	return l<<half | r
+}
+
 func (f feistel) apply(x uint64) uint64 {
 	if f.n < 2 {
 		return x
 	}
 	for {
-		l, r := x>>f.half, x&f.mask
-		for _, k := range f.keys {
-			l, r = r, l^(mix64(r^k)&f.mask)
-		}
-		x = l<<f.half | r
+		x = encrypt(x, f.half, f.mask, f.keys[0], f.keys[1], f.keys[2], f.keys[3])
 		if x < f.n {
 			return x
 		}

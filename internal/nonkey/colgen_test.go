@@ -1,0 +1,276 @@
+package nonkey
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"github.com/dbhammer/mirage/internal/relalg"
+	"github.com/dbhammer/mirage/internal/storage"
+)
+
+// genLayout builds a one-column table plan with the given bound blocks, in
+// which column "c" has exactly free free cells spread over domain values by
+// rng. Block i pins "c" (to a value drawn by rng) when pins[i] is set; the
+// other blocks carry an item for another column only, so their head rows are
+// free cells of "c" and count towards free.
+func genLayout(rng *rand.Rand, cards []int64, pins []bool, free int64, domain int) (*TablePlan, *ColumnPlan) {
+	counts := make([]int64, domain)
+	rows := free
+	blocks := make([]BoundBlock, len(cards))
+	for i, card := range cards {
+		it := BoundItem{Col: "other", Value: 1}
+		if pins[i] {
+			it = BoundItem{Col: "c", Value: int64(rng.Intn(domain)) + 1}
+			counts[it.Value-1] += card
+			rows += card
+		}
+		blocks[i] = BoundBlock{Items: []BoundItem{it}, Card: card}
+	}
+	for i := int64(0); i < free; i++ {
+		counts[rng.Intn(domain)]++
+	}
+	col := &relalg.Column{Name: "c", Kind: relalg.NonKey, DomainSize: int64(domain)}
+	tbl := &relalg.Table{Name: "t", Rows: rows}
+	cp := &ColumnPlan{Col: col, Rows: rows, Counts: counts}
+	return &TablePlan{Table: tbl, Cols: map[string]*ColumnPlan{"c": cp}, Bound: blocks}, cp
+}
+
+// TestColumnGenFillMatchesAt holds the batch kernel against the scalar
+// definition: over randomized layouts — pinned blocks with Card 0, adjacent
+// blocks, blocks the column does not pin; free pools of 0, 1, smallPermLimit,
+// smallPermLimit+1 and ~1e5 cells; domains of 1, 2, ~sqrt(rows) and ~rows
+// values — every Fill over a poisoned [lo,hi) equals At row by row, writes
+// nothing past hi-lo, and a full read's multiset equals Counts. Ranges start
+// and end at, just inside and just outside every block edge, and their
+// lengths straddle the permutation block size.
+func TestColumnGenFillMatchesAt(t *testing.T) {
+	const poison = int64(-1) << 62
+	rng := rand.New(rand.NewSource(20))
+	for _, free := range []int64{0, 1, smallPermLimit, smallPermLimit + 1, 100_003} {
+		for di := 0; di < 4; di++ {
+			for rep := 0; rep < 3; rep++ {
+				nBlocks := 1 + rng.Intn(6)
+				cards, pins := make([]int64, nBlocks), make([]bool, nBlocks)
+				unpinned := int64(0)
+				for i := range cards {
+					switch rng.Intn(4) {
+					case 0: // Card 0: an empty block between its neighbours
+					case 1:
+						cards[i] = 1 + rng.Int63n(3)
+					default:
+						cards[i] = 1 + rng.Int63n(3*fillBlock)
+					}
+					pins[i] = rng.Intn(3) > 0
+					if !pins[i] {
+						if cards[i] > free-unpinned {
+							cards[i] = free - unpinned
+						}
+						unpinned += cards[i]
+					}
+				}
+				var pinned int64
+				for i := range cards {
+					if pins[i] {
+						pinned += cards[i]
+					}
+				}
+				rows := pinned + free
+				domain := []int{1, 2, int(math.Sqrt(float64(rows))) + 1, int(rows) + 1}[di]
+				tp, cp := genLayout(rng, cards, pins, free, domain)
+				name := fmt.Sprintf("free=%d domain=%d cards=%v pins=%v", free, domain, cards, pins)
+				g, err := newColumnGen(tp, cp, 7)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if g.rows != rows {
+					t.Fatalf("%s: layout has %d rows, want %d", name, g.rows, rows)
+				}
+
+				want := make([]int64, rows)
+				got := make([]int64, rows)
+				seen := make([]int64, domain)
+				for r := range want {
+					want[r] = g.At(int64(r))
+					got[r] = poison
+				}
+				g.Fill(got, 0, rows)
+				for r, v := range got {
+					if v != want[r] {
+						t.Fatalf("%s: full Fill row %d = %d, At = %d", name, r, v, want[r])
+					}
+					seen[v-1]++
+				}
+				for v := range seen {
+					if seen[v] != cp.Counts[v] {
+						t.Fatalf("%s: value %d appears %d times, Counts says %d", name, v+1, seen[v], cp.Counts[v])
+					}
+				}
+
+				// Range edges worth hitting: table ends and every block edge,
+				// each one row either side.
+				edges := []int64{0, rows}
+				var off int64
+				for _, c := range cards {
+					edges = append(edges, off, off+c)
+					off += c
+				}
+				pick := func() int64 {
+					var r int64
+					if rng.Intn(2) == 0 {
+						r = edges[rng.Intn(len(edges))] + int64(rng.Intn(3)) - 1
+					} else {
+						r = rng.Int63n(rows + 1)
+					}
+					if r < 0 {
+						r = 0
+					}
+					return min(r, rows)
+				}
+				lengths := []int64{0, 1, fillBlock - 1, fillBlock, fillBlock + 1, 2*fillBlock - 1, 2*fillBlock + 1}
+				buf := make([]int64, rows+1)
+				for i := 0; i < 200; i++ {
+					lo := pick()
+					hi := pick()
+					if rng.Intn(2) == 0 {
+						hi = lo + lengths[rng.Intn(len(lengths))]
+					}
+					if hi < lo {
+						lo, hi = hi, lo
+					}
+					hi = min(hi, rows)
+					dst := buf[:hi-lo+1] // one cell of slack: Fill must not touch it
+					for j := range dst {
+						dst[j] = poison
+					}
+					g.Fill(dst, lo, hi)
+					for j, v := range dst[:hi-lo] {
+						if v != want[lo+int64(j)] {
+							t.Fatalf("%s: Fill[%d,%d) row %d = %d, At = %d", name, lo, hi, lo+int64(j), v, want[lo+int64(j)])
+						}
+					}
+					if dst[hi-lo] != poison {
+						t.Fatalf("%s: Fill[%d,%d) wrote past its range", name, lo, hi)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFillRejectsBadRange: a range outside the table or a destination
+// shorter than the range is an error naming table, column and range, and
+// dst is left untouched — for retained columns, the primary key and
+// regenerated columns alike.
+func TestFillRejectsBadRange(t *testing.T) {
+	const poison = int64(-7)
+	rng := rand.New(rand.NewSource(1))
+	tp, _ := genLayout(rng, []int64{3}, []bool{true}, 2*smallPermLimit, 5)
+	rows := tp.Table.Rows
+	tp.Table.Columns = []relalg.Column{
+		{Name: "pk", Kind: relalg.PrimaryKey},
+		*tp.Cols["c"].Col,
+		{Name: "kept", Kind: relalg.NonKey, DomainSize: 1},
+	}
+	g, err := newColumnGen(tp, tp.Cols["c"], 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp.gens = map[string]*ColumnGen{"c": g}
+	td := storage.NewTableData(tp.Table)
+	td.SetRows(int(rows))
+	td.SetCol("kept", make([]int64, rows))
+	src := NewPlanSource(td, tp)
+
+	type filler interface {
+		Fill(col string, dst []int64, lo, hi int64) error
+	}
+	cases := []struct {
+		name string
+		f    filler
+		col  string
+	}{
+		{"source/regenerated", src, "c"},
+		{"source/retained", src, "kept"},
+		{"source/pk", src, "pk"},
+		{"plan", tp, "c"},
+	}
+	ranges := []struct {
+		lo, hi int64
+		n      int
+	}{
+		{-1, 4, 8},              // negative lo
+		{5, 4, 8},               // lo > hi
+		{rows - 2, rows + 1, 8}, // past the table
+		{rows + 1, rows + 2, 8},
+		{0, 8, 7}, // short dst
+	}
+	for _, c := range cases {
+		for _, r := range ranges {
+			dst := make([]int64, r.n)
+			for j := range dst {
+				dst[j] = poison
+			}
+			err := c.f.Fill(c.col, dst, r.lo, r.hi)
+			if err == nil {
+				t.Fatalf("%s: Fill[%d,%d) into %d cells succeeded", c.name, r.lo, r.hi, r.n)
+			}
+			for _, part := range []string{"t." + c.col, fmt.Sprintf("[%d,%d)", r.lo, r.hi)} {
+				if !strings.Contains(err.Error(), part) {
+					t.Errorf("%s: error %q does not name %s", c.name, err, part)
+				}
+			}
+			for j, v := range dst {
+				if v != poison {
+					t.Fatalf("%s: rejected Fill[%d,%d) wrote dst[%d]", c.name, r.lo, r.hi, j)
+				}
+			}
+		}
+		// The edges themselves are valid: empty ranges and the last row.
+		dst := make([]int64, 1)
+		for _, r := range [][2]int64{{0, 0}, {rows, rows}, {rows - 1, rows}} {
+			if err := c.f.Fill(c.col, dst, r[0], r[1]); err != nil {
+				t.Errorf("%s: Fill[%d,%d): %v", c.name, r[0], r[1], err)
+			}
+		}
+	}
+}
+
+// BenchmarkColumnGenFill is the kernel's number outside the benchmark driver:
+// ns/cell of regenerating one column in engine-window-sized chunks. 600 k rows
+// is TPC-H lineitem at the benchmark's SF 10; 270 k rows sits just above
+// 4^9, the permutation's worst case (3.9 passes per cell). The last layout is
+// dominated by pinned runs.
+func BenchmarkColumnGenFill(b *testing.B) {
+	const chunk = 64 * 1024
+	run := func(name string, tp *TablePlan, cp *ColumnPlan) {
+		b.Run(name, func(b *testing.B) {
+			g, err := newColumnGen(tp, cp, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst := make([]int64, chunk)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for lo := int64(0); lo < g.rows; lo += chunk {
+					g.Fill(dst, lo, min(lo+chunk, g.rows))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*g.rows), "ns/cell")
+		})
+	}
+	for _, rows := range []int64{270_000, 600_000} {
+		for _, domain := range []int{7, 50, 2_500, 100_000} {
+			tp, cp := genLayout(rand.New(rand.NewSource(1)), nil, nil, rows, domain)
+			run(fmt.Sprintf("rows=%d/domain=%d", rows, domain), tp, cp)
+		}
+	}
+	cards, pins := make([]int64, 64), make([]bool, 64)
+	for i := range cards {
+		cards[i], pins[i] = 8_000, i%2 == 0
+	}
+	tp, cp := genLayout(rand.New(rand.NewSource(1)), cards, pins, 300_000, 50)
+	run("pinned-heavy/rows=556000/domain=50", tp, cp)
+}

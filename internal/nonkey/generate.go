@@ -154,6 +154,14 @@ func (tp *TablePlan) accColumns() map[string]bool {
 // stored) for those rows. It requires a prior Materialize call on this plan
 // and is safe for concurrent use across shards.
 func (tp *TablePlan) Fill(col string, dst []int64, lo, hi int64) error {
+	if err := storage.CheckFillRange(tp.Table.Name, col, tp.Table.Rows, len(dst), lo, hi); err != nil {
+		return fmt.Errorf("nonkey: %w", err)
+	}
+	return tp.fill(col, dst, lo, hi)
+}
+
+// fill is Fill for a range the caller has already checked.
+func (tp *TablePlan) fill(col string, dst []int64, lo, hi int64) error {
 	g, ok := tp.gens[col]
 	if !ok {
 		return fmt.Errorf("nonkey: table %s: no layout for column %s (not materialized yet?)", tp.Table.Name, col)

@@ -32,11 +32,15 @@ func (s *PlanSource) Meta() *relalg.Table { return s.t.Meta }
 // NumRows returns the table's row count.
 func (s *PlanSource) NumRows() int64 { return int64(s.t.Rows()) }
 
-// Fill writes rows [lo,hi) of the named column into dst.
+// Fill writes rows [lo,hi) of the named column into dst[0:hi-lo]. A range
+// outside the table or longer than dst is an error and leaves dst untouched.
 func (s *PlanSource) Fill(col string, dst []int64, lo, hi int64) error {
 	vals, err := s.t.Lookup(col)
 	if err != nil {
 		return err
+	}
+	if err := storage.CheckFillRange(s.t.Meta.Name, col, s.NumRows(), len(dst), lo, hi); err != nil {
+		return fmt.Errorf("nonkey: %w", err)
 	}
 	if vals != nil {
 		copy(dst, vals[lo:hi])
@@ -51,5 +55,5 @@ func (s *PlanSource) Fill(col string, dst []int64, lo, hi int64) error {
 	if s.plan == nil {
 		return fmt.Errorf("nonkey: table %s has no generation plan for column %s", s.t.Meta.Name, col)
 	}
-	return s.plan.Fill(col, dst, lo, hi)
+	return s.plan.fill(col, dst, lo, hi)
 }

@@ -86,11 +86,31 @@ type dirTableWriter struct {
 	renamed  bool
 }
 
+// maxFileWrite bounds one write(2) to the table file. The exporter hands over
+// whole encoded shards (about 4 MiB), and the page cache sizes its folios by
+// the length of the write: the larger the call, the higher the order it
+// allocates, and the more kernel CPU time that costs, swinging run to run.
+// Measured on ext4, Linux 6.18, 200 MiB written and then fsynced, five times
+// per size (all of it sys time): calls of 32 or 64 KiB 52–128 ms, 128 KiB
+// 45–262 ms, 256 KiB 144–461 ms, 512 KiB 0.43–1.18 s; 64 MiB in calls of
+// 1–4 MiB 0.03–1.5 s with the fsync after it up to 1 s instead of 0.08 s.
+const maxFileWrite = 64 << 10
+
 func (w *dirTableWriter) Write(p []byte) (int, error) {
 	if w.gz != nil {
 		return w.gz.Write(p)
 	}
-	return w.f.Write(p)
+	n := 0
+	for len(p) > maxFileWrite {
+		m, err := w.f.Write(p[:maxFileWrite])
+		n += m
+		if err != nil {
+			return n, err
+		}
+		p = p[maxFileWrite:]
+	}
+	m, err := w.f.Write(p)
+	return n + m, err
 }
 
 // Commit finalizes the table durably: flush the compressor, fsync and close

@@ -29,6 +29,18 @@ type RowSource interface {
 	Fill(col string, dst []int64, lo, hi int64) error
 }
 
+// CheckFillRange is the argument check of a Fill(col, dst, lo, hi) call on a
+// table of rows rows: the range must lie inside the table and fit dst. The
+// chunk regenerators need it — a column layout asked for rows past its table
+// does not fail, it makes up valid-looking values.
+func CheckFillRange(table, col string, rows int64, dstLen int, lo, hi int64) error {
+	if lo < 0 || lo > hi || hi > rows || int64(dstLen) < hi-lo {
+		return fmt.Errorf("fill %s.%s [%d,%d) into %d cells: range must lie in [0,%d] and fit the destination",
+			table, col, lo, hi, dstLen, rows)
+	}
+	return nil
+}
+
 // TableSource adapts a fully materialized table as a RowSource, so the
 // streaming writer can also serve in-memory databases (and the golden tests
 // can compare both paths over identical data).

@@ -241,6 +241,33 @@ func TestDirSinkCommitAndAbort(t *testing.T) {
 	}
 }
 
+// TestDirSinkLargeWrite: a Write longer than maxFileWrite reaches the file
+// whole and in order, and reports the full length, whether or not the length
+// is a multiple of the piece size.
+func TestDirSinkLargeWrite(t *testing.T) {
+	for _, n := range []int{maxFileWrite, maxFileWrite + 1, 3 * maxFileWrite, 3*maxFileWrite + 17} {
+		dir := t.TempDir()
+		tw, err := (&DirSink{Dir: dir}).OpenTable("big")
+		if err != nil {
+			t.Fatalf("OpenTable: %v", err)
+		}
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = byte(i*31 + i>>8)
+		}
+		if m, err := tw.Write(want); m != n || err != nil {
+			t.Fatalf("Write(%d bytes) = %d, %v", n, m, err)
+		}
+		if err := tw.Commit(); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "big.csv"))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes written, file has %d (%v), equal=%v", n, len(got), err, bytes.Equal(got, want))
+		}
+	}
+}
+
 func TestDirSinkGzip(t *testing.T) {
 	dir := t.TempDir()
 	sink := &DirSink{Dir: dir, Gzip: true}

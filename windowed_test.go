@@ -178,38 +178,43 @@ func TestFillChunkDeterminismFuzz(t *testing.T) {
 	}
 }
 
-// TestWindowedFaultNoTornSpills injects a panic into window 2 of the
+// TestWindowedFaultNoTornSpills injects a panic and an error into the
 // windowed CS stage during a streamed run and asserts the contract: the run
 // fails with a typed StageError carrying the engine/window stage and the
 // window index, the failure has injection provenance, and no spill file
-// survives in the spill directory.
+// survives in the spill directory. Window 2 is the historical case; window 1
+// also lands in table passes that feed several accumulators at once (the
+// joins of an SSB unit select on the same dimension table), some of them
+// spilled since window 0 at the 8-row threshold.
 func TestWindowedFaultNoTornSpills(t *testing.T) {
 	for _, action := range []faultinject.Action{faultinject.Panic, faultinject.Error} {
-		in := faultinject.New(faultinject.Rule{Stage: engine.WindowStage, Item: 2, Action: action})
-		deactivate := faultinject.Activate(in)
+		for _, item := range []int{2, 1} {
+			in := faultinject.New(faultinject.Rule{Stage: engine.WindowStage, Item: item, Action: action})
+			deactivate := faultinject.Activate(in)
 
-		prob := streamProblem(t, "ssb", 0.2)
-		spillDir := t.TempDir()
-		_, err := GenerateStream(prob, Options{Seed: 3, Parallelism: 4}, StreamConfig{
-			Sink: &storage.CountSink{}, WindowRows: 64, SpillDir: spillDir, SpillRows: 8,
-		})
-		deactivate()
-		if err == nil {
-			t.Fatalf("action %v: injected window fault did not fail the run", action)
-		}
-		var se *fault.StageError
-		if !errors.As(err, &se) || se.Stage != engine.WindowStage || se.Item != 2 {
-			t.Fatalf("action %v: err = %v, want StageError{%s, 2}", action, err, engine.WindowStage)
-		}
-		if !errors.Is(err, faultinject.ErrInjected) {
-			t.Fatalf("action %v: err = %v, want injection provenance", action, err)
-		}
-		ents, rerr := os.ReadDir(spillDir)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		if len(ents) != 0 {
-			t.Fatalf("action %v: torn spill files left behind: %v", action, ents)
+			prob := streamProblem(t, "ssb", 0.2)
+			spillDir := t.TempDir()
+			_, err := GenerateStream(prob, Options{Seed: 3, Parallelism: 4}, StreamConfig{
+				Sink: &storage.CountSink{}, WindowRows: 64, SpillDir: spillDir, SpillRows: 8,
+			})
+			deactivate()
+			if err == nil {
+				t.Fatalf("action %v window %d: injected window fault did not fail the run", action, item)
+			}
+			var se *fault.StageError
+			if !errors.As(err, &se) || se.Stage != engine.WindowStage || se.Item != item {
+				t.Fatalf("action %v: err = %v, want StageError{%s, %d}", action, err, engine.WindowStage, item)
+			}
+			if !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("action %v window %d: err = %v, want injection provenance", action, item, err)
+			}
+			ents, rerr := os.ReadDir(spillDir)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if len(ents) != 0 {
+				t.Fatalf("action %v window %d: torn spill files left behind: %v", action, item, ents)
+			}
 		}
 	}
 }
