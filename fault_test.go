@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dbhammer/mirage/internal/engine"
 	"github.com/dbhammer/mirage/internal/faultinject"
 	"github.com/dbhammer/mirage/internal/keygen"
 	"github.com/dbhammer/mirage/internal/nonkey"
@@ -230,6 +231,36 @@ func TestKeygenCancelLeavesNoTornColumns(t *testing.T) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 	checkColumnsCompleteOrAbsent(t, db)
+}
+
+// TestGenerateCtxCancelMidCS: an in-memory run makes the same gated table
+// passes as a streamed one, so an interrupt or a fault lands inside an FK
+// unit's CS stage — in window 1 of the first pass over SSB's fact table —
+// instead of waiting for the unit boundary. Cancel, panic and error all come
+// back as *StageError{engine/window, 1}.
+func TestGenerateCtxCancelMidCS(t *testing.T) {
+	for _, action := range []faultinject.Action{faultinject.Cancel, faultinject.Panic, faultinject.Error} {
+		// SF 2: lineorder's 120 000 rows span two default windows.
+		prob := streamProblem(t, "ssb", 2)
+		ctx, cancel := context.WithCancel(context.Background())
+		in := faultinject.New(faultinject.Rule{Stage: engine.WindowStage, Item: 1, Action: action})
+		in.BindCancel(cancel)
+		deactivate := faultinject.Activate(in)
+		_, err := GenerateCtx(ctx, prob, Options{Seed: 3})
+		deactivate()
+		cancel()
+		var se *StageError
+		if !errors.As(err, &se) || se.Stage != engine.WindowStage || se.Item != 1 {
+			t.Fatalf("action %v: err = %v, want StageError{%s, 1}", action, err, engine.WindowStage)
+		}
+		if action == faultinject.Cancel {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancel: err = %v, want wrapped context.Canceled", err)
+			}
+		} else if !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("action %v: err = %v, want injection provenance", action, err)
+		}
+	}
 }
 
 // TestMidRunCancelTPCH is the headline robustness check: cancel a TPC-H

@@ -1,21 +1,29 @@
 package engine
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"github.com/dbhammer/mirage/internal/relalg"
 	"github.com/dbhammer/mirage/internal/storage"
 )
 
-// allocDB builds a two-table instance large enough that any per-row
+// allocDB builds a three-table instance (t references s references u) large
+// enough that any per-row
 // allocation would dominate the per-operator constant.
 const allocRows = 100_000
 
 func allocDB(t testing.TB) *storage.DB {
 	t.Helper()
 	schema := &relalg.Schema{Tables: []*relalg.Table{
+		{Name: "u", Rows: allocRows / 100, Columns: []relalg.Column{
+			{Name: "u_pk", Kind: relalg.PrimaryKey},
+			{Name: "u1", Kind: relalg.NonKey, DomainSize: 100},
+		}},
 		{Name: "s", Rows: allocRows / 4, Columns: []relalg.Column{
 			{Name: "s_pk", Kind: relalg.PrimaryKey},
+			{Name: "s_fk", Kind: relalg.ForeignKey, Refs: "u"},
 			{Name: "s1", Kind: relalg.NonKey, DomainSize: 100},
 		}},
 		{Name: "t", Rows: allocRows, Columns: []relalg.Column{
@@ -28,13 +36,23 @@ func allocDB(t testing.TB) *storage.DB {
 		t.Fatal(err)
 	}
 	db := storage.NewDB(schema)
+	u := db.Table("u")
+	u.FillPK(allocRows / 100)
+	u1 := make([]int64, allocRows/100)
+	for i := range u1 {
+		u1[i] = int64(i%100) + 1
+	}
+	u.SetCol("u1", u1)
 	s := db.Table("s")
 	s.FillPK(allocRows / 4)
 	s1 := make([]int64, allocRows/4)
+	sfk := make([]int64, allocRows/4)
 	for i := range s1 {
 		s1[i] = int64(i%100) + 1
+		sfk[i] = int64(i%(allocRows/100)) + 1
 	}
 	s.SetCol("s1", s1)
+	s.SetCol("s_fk", sfk)
 	tt := db.Table("t")
 	tt.FillPK(allocRows)
 	fk := make([]int64, allocRows)
@@ -96,7 +114,11 @@ func TestJoinAllocsPerRow(t *testing.T) {
 }
 
 // TestCollectRowsAllocs asserts row-set materialization allocates only the
-// bitset and the exact-size result slice.
+// bitset and the exact-size result slice — and that the production entry
+// point materializes nothing at all for a join-shaped request: a 2-join view
+// over all three tables, asked for its 100k-row table through
+// CollectRowSetsCtx, stays inside a byte budget that the base relation of
+// that table alone (4 bytes a row, before any join output) would break.
 func TestCollectRowsAllocs(t *testing.T) {
 	db := allocDB(t)
 	e, err := New(db)
@@ -114,4 +136,41 @@ func TestCollectRowsAllocs(t *testing.T) {
 	if allocs > 40 {
 		t.Errorf("CollectRows over %d rows: %.0f allocs/op, want <= 40", allocRows, allocs)
 	}
+
+	// (σ(u) ⋈ σ(s)) ⋈ σ(t): a tenth of t passes its own chain, and a share of
+	// those the two joins.
+	us := join(relalg.EquiJoin, "u",
+		sel(leaf("u"), unary("u1", relalg.OpLe, pv("p1", 50))),
+		sel(leaf("s"), unary("s1", relalg.OpLe, pv("p2", 50))), "s", "s_fk")
+	ust := join(relalg.EquiJoin, "s", us,
+		sel(leaf("t"), unary("t1", relalg.OpLe, pv("p3", 10))), "t", "t_fk")
+	reqs := []RowSetRequest{{View: ust, Table: "t"}}
+	want, err := e.CollectRows(ust, "t", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSets := func() {
+		sets, err := e.CollectRowSetsCtx(context.Background(), reqs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sets[0].Len() != len(want) || len(want) == 0 {
+			t.Fatalf("reduction returned %d rows, CollectRows %d", sets[0].Len(), len(want))
+		}
+		sets[0].Release()
+	}
+	runSets() // warm the window scratch and the staging buffer
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, runSets)
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once more
+	if allocs > 100 {
+		t.Errorf("2-join row set over %d rows: %.0f allocs/op, want <= 100 (per request and per chain only)", allocRows, allocs)
+	}
+	if perRun > 4*allocRows {
+		t.Errorf("2-join row set over %d rows: %d B/op, want <= %d — something row-sized was materialized", allocRows, perRun, 4*allocRows)
+	}
+	t.Logf("2-join row set: %.0f allocs/op, %d B/op, %d rows", allocs, perRun, len(want))
 }

@@ -91,8 +91,10 @@ func BenchmarkSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectRows times the keygen-side row-set materialization over a
-// join view (Section 5's V_l / V_r sets), the hot loop of FK population.
+// BenchmarkCollectRows times the materializing definition of a row set —
+// CollectRows, the oracle — over the first join view of the workload.
+// BenchmarkCollectRowsUnit (bench_unit_test.go) times what keygen actually
+// runs: a whole FK unit's requests through CollectRowSetsCtx.
 func BenchmarkCollectRows(b *testing.B) {
 	spec, err := workload.ByName("ssb")
 	if err != nil {

@@ -59,10 +59,12 @@ type Engine struct {
 	// m holds the obs handles resolved once at construction; with telemetry
 	// disabled every handle is nil and recording degenerates to nil checks.
 	m engineMetrics
-	// win is non-nil for windowed engines (NewWindowed): selection chains
-	// evaluate over [lo,hi) row windows regenerated through chunk sources
-	// instead of binding whole columns. Classic engines pay one nil check.
-	win *windowState
+	// win is the table-pass state every engine has: CollectRowSetsCtx scans
+	// base tables window by window on both kinds of engine. windowed is set by
+	// NewWindowed only: eval then runs single-table selections over windows
+	// too, and columns absent from storage regenerate through chunk sources.
+	win      *windowState
+	windowed bool
 }
 
 // engineMetrics caches the per-operator-type telemetry handles: self-time
@@ -75,6 +77,9 @@ type engineMetrics struct {
 	execs    *obs.Counter
 	filtered *obs.Counter
 	joined   *obs.Counter
+	// materialized counts row-set requests answered by evaluating the view
+	// (the eval fallback of CollectRowSetsCtx) instead of by reduction.
+	materialized *obs.Counter
 }
 
 // opLabel names each view kind in metric labels.
@@ -100,6 +105,7 @@ func newEngineMetrics() engineMetrics {
 	m.execs = reg.Counter("engine_executes_total")
 	m.filtered = reg.Counter("engine_rows_filtered_total")
 	m.joined = reg.Counter("engine_rows_joined_total")
+	m.materialized = reg.Counter("engine_rowset_materialized_total")
 	return m
 }
 
@@ -117,7 +123,10 @@ func New(db *storage.DB) (*Engine, error) {
 			owner[name] = t.Name
 		}
 	}
-	return &Engine{db: db, owner: owner, m: newEngineMetrics()}, nil
+	// A classic engine's table passes read materialized columns in place, at
+	// the default window, and never spill.
+	win := newWindowState(WindowConfig{SpillRows: -1})
+	return &Engine{db: db, owner: owner, m: newEngineMetrics(), win: win}, nil
 }
 
 // DB returns the underlying database.
@@ -187,7 +196,7 @@ func (e *Engine) columnData(t *storage.TableData, col string) ([]int64, error) {
 	if err != nil || vals != nil {
 		return vals, err
 	}
-	if e.win == nil {
+	if !e.windowed {
 		return vals, nil
 	}
 	key := t.Meta.Name + "." + col
@@ -249,16 +258,11 @@ func (e *Engine) eval(v *relalg.View, orig bool, res *Result) (*Relation, error)
 		return rel, nil
 
 	case relalg.SelectView:
-		if e.win != nil {
-			if c := e.win.chains[v]; c != nil && c.inner != nil {
-				return e.chainRelation(c, res)
-			}
-		}
 		in, err := e.eval(v.Inputs[0], orig, res)
 		if err != nil {
 			return nil, err
 		}
-		if e.win != nil && len(in.tables) == 1 && in.sorted {
+		if e.windowed && len(in.tables) == 1 && in.sorted {
 			return e.evalSelectWindowed(v, in, orig, res)
 		}
 		tm := e.m.opNS[v.Kind].Start()

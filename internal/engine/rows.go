@@ -9,13 +9,15 @@ import (
 
 // CollectRows executes a view subtree and returns the distinct row indices
 // of one base table appearing (non-padded) in its output, in ascending
-// order. The key generator uses this to materialize the PK-side and FK-side
-// row sets of every join view on the partially generated database
-// (Section 5's V_l / V_r, including views that are earlier join outputs).
+// order — the definition of a row set (Section 5's V_l / V_r, including views
+// that are earlier join outputs), for any view shape: the view is evaluated
+// into a relation, and the table's column of it deduplicated over a bitset
+// whose ascending walk yields the result sorted.
 //
-// Distinct tracking runs over a bitset sized by the base table, and the
-// ascending bit walk yields the result already sorted — the row-at-a-time
-// engine's seen-map plus sort is gone.
+// It is the materializing definition and the test oracle. No production code
+// calls it: the key generator asks through CollectRowSetsCtx, which answers
+// by window passes and semi-join reduction and comes here only for view
+// shapes it cannot reduce.
 func (e *Engine) CollectRows(root *relalg.View, table string, orig bool) ([]int32, error) {
 	return e.collectRows(root, table, orig, &Result{Stats: make(map[*relalg.View]Stats)})
 }
@@ -43,40 +45,24 @@ func (e *Engine) collectRows(root *relalg.View, table string, orig bool, res *Re
 	return seen.appendSet(make([]int32, 0, n)), nil
 }
 
-// CollectRowSetsCtx is CollectRows for all the row sets one consumer needs —
-// every input view of an FK unit's joins — with out-of-core semantics. On a
-// windowed engine the requests are evaluated together: each base table is
-// scanned once, window by window, for all the selection chains over it in
-// any of the views, and a view that is such a chain over the requested
-// table streams into a (possibly disk-spilled) RowSet without ever
-// materializing the predicate columns or an intermediate relation. Every
-// other shape evaluates as CollectRows does, its chains taken from the
-// scans, and is wrapped in an in-memory set; a classic engine evaluates
-// each request that way. ctx is polled at every window boundary, so
+// CollectRowSetsCtx returns, for all the row sets one consumer needs — every
+// input view of an FK unit's joins — what CollectRows defines, without
+// building the views. The requests are answered together, the same way on
+// every engine: each base table is scanned once, window by window, for all
+// the selection chains over it in any of the views; a view that is such a
+// chain over the requested table streams straight into its RowSet; a view
+// that joins chains by equi-joins, no table twice, is answered by semi-join
+// reduction over the scans' results (reduce.go); and only a view outside that
+// class — none of the built-in workloads produces one, and
+// engine_rowset_materialized_total counts them — is evaluated as CollectRows
+// does. A windowed engine regenerates the columns storage does not hold and
+// spills large sets to disk; a classic engine reads its columns in place and
+// keeps every set in memory. ctx is polled at every window boundary, so
 // cancellation lands mid-evaluation. The sets come back in request order and
 // the caller must Release each one once its rows are consumed; on error
 // nothing is left to release.
 func (e *Engine) CollectRowSetsCtx(ctx context.Context, reqs []RowSetRequest, orig bool) ([]*RowSet, error) {
 	return e.collectRowSets(ctx, reqs, orig, &Result{Stats: make(map[*relalg.View]Stats)})
-}
-
-// collectRowSets is CollectRowSetsCtx recording every evaluated view's
-// cardinality in res.
-func (e *Engine) collectRowSets(ctx context.Context, reqs []RowSetRequest, orig bool, res *Result) ([]*RowSet, error) {
-	if e.win != nil {
-		e.win.ctx = ctx
-		defer func() { e.win.ctx = nil }()
-		return e.collectWindowed(reqs, orig, res)
-	}
-	sets := make([]*RowSet, len(reqs))
-	for i, rq := range reqs {
-		rows, err := e.collectRows(rq.View, rq.Table, orig, res)
-		if err != nil {
-			return nil, err
-		}
-		sets[i] = &RowSet{mem: rows, n: len(rows)}
-	}
-	return sets, nil
 }
 
 // CollectRowSet is the one-request case of CollectRowSetsCtx without a

@@ -1,15 +1,18 @@
 package engine
 
-// Windowed evaluation: the out-of-core mode of the engine. A classic engine
-// binds whole column slices, which forces the streaming pipeline to retain
-// every column a join-constraint view reads. A windowed engine instead
-// evaluates selection chains over [lo,hi) row windows of the base table:
-// each referenced column is regenerated chunk by chunk through the table's
-// ChunkSource (the same regeneration path storage.RowSource.Fill uses for
-// export), predicates filter window-local positions, and only the surviving
-// row indices accumulate — spilling to disk past a threshold. The produced
-// row sets, relations, and statistics are identical to full-column
-// evaluation; only residency changes. See DESIGN.md §12.
+// Window passes: how every engine answers CollectRowSetsCtx, and the
+// out-of-core mode of the engine. Selection chains evaluate over [lo,hi) row
+// windows of their base table, one pass per table for all of its chains: a
+// column that is materialized in storage is bound whole and read in place
+// through the window's row indices, any other is regenerated chunk by chunk
+// through the table's ChunkSource (the same regeneration path
+// storage.RowSource.Fill uses for export), and only the surviving row
+// indices accumulate — spilling to disk past a threshold on a windowed
+// engine. A classic engine (New) has every column materialized, so its
+// passes copy nothing and never spill; a windowed engine (NewWindowed) lets
+// the streaming pipeline retain only keygen's working set. The produced row
+// sets, relations, and statistics are identical to full-column evaluation;
+// only residency changes. See DESIGN.md §12.
 
 import (
 	"context"
@@ -76,9 +79,9 @@ type windowMetrics struct {
 	events     *obs.Journal
 }
 
-// windowState is the per-engine windowed-evaluation state: configuration,
-// reusable window scratch, and the ledger of outstanding spill files. Like
-// the rest of the engine it is single-goroutine.
+// windowState is the per-engine table-pass state: configuration, reusable
+// window scratch, and the ledger of outstanding spill files. Like the rest
+// of the engine it is single-goroutine.
 type windowState struct {
 	cfg     WindowConfig
 	rows    int // resolved window size
@@ -87,21 +90,21 @@ type windowState struct {
 	// gates poll it so cancellation lands mid-evaluation, not only at the
 	// next unit boundary.
 	ctx context.Context
-	// chains holds, for the CollectRowSetsCtx call in flight, the selection
-	// chains its table passes have already evaluated, keyed by the chain's
-	// top selection: eval takes such a view's rows from there instead of
-	// scanning the table again.
-	chains map[*relalg.View]*sharedChain
-	// Window scratch, sized once per engine: one chunk buffer per referenced
-	// column, the window-local row-index indirection, the selection vector
-	// and the survivors' global row indices. Bound predicates hold the first
-	// two's slice headers across windows, so they are refilled in place,
-	// never resliced.
+	// Window scratch, sized once per engine: one chunk buffer per regenerated
+	// column, the window's candidate rows as table row indices (rowBuf) and
+	// as window-local offsets into the chunk buffers (idxBuf), the selection
+	// vector and the survivors' row indices. Bound predicates hold the slice
+	// headers of the first three across windows, so they are refilled in
+	// place, never resliced.
 	chunkBuf [][]int64
+	rowBuf   []int32
 	idxBuf   []int32
 	selWin   []int32
 	outBuf   []int32
 	colBuf   []string
+	// stage is where a reduction's answer accumulates before it is sealed
+	// exact-size (see reduce.go); reused from request to request.
+	stage []int32
 	// spillBuf is the one byte buffer spilled rows are encoded and decoded
 	// through, a block at a time.
 	spillBuf []byte
@@ -115,16 +118,23 @@ type windowState struct {
 	m        windowMetrics
 }
 
-// NewWindowed builds an engine that evaluates selection chains over row
-// windows, pulling unmaterialized columns through cfg.Sources. Everything
-// else — joins, projections, aggregates, statistics — behaves exactly like
-// New; generated row sets and stats are identical. Callers must Close the
-// engine to release spill files.
+// NewWindowed builds an engine that pulls unmaterialized columns through
+// cfg.Sources, a window at a time, and spills large row sets: besides the
+// table passes every engine makes, Execute's single-table selections run
+// over windows too. Everything else — joins, projections, aggregates,
+// statistics — behaves exactly like New; generated row sets and stats are
+// identical. Callers must Close the engine to release spill files.
 func NewWindowed(db *storage.DB, cfg WindowConfig) (*Engine, error) {
 	e, err := New(db)
 	if err != nil {
 		return nil, err
 	}
+	e.win, e.windowed = newWindowState(cfg), true
+	return e, nil
+}
+
+// newWindowState resolves cfg's defaults into a table-pass state.
+func newWindowState(cfg WindowConfig) *windowState {
 	w := int(cfg.Rows)
 	if w <= 0 {
 		w = DefaultWindowRows
@@ -146,20 +156,16 @@ func NewWindowed(db *storage.DB, cfg WindowConfig) (*Engine, error) {
 			events:     reg.Events(),
 		}
 	}
-	e.win = win
-	return e, nil
+	return win
 }
 
-// Windowed reports whether the engine evaluates over row windows.
-func (e *Engine) Windowed() bool { return e.win != nil }
+// Windowed reports whether the engine was built by NewWindowed.
+func (e *Engine) Windowed() bool { return e.windowed }
 
 // Close releases windowed-evaluation resources: any outstanding spill files
 // and, when the engine created its own spill directory, the directory
 // itself. Classic engines have nothing to release. Safe to call repeatedly.
 func (e *Engine) Close() error {
-	if e.win == nil {
-		return nil
-	}
 	var first error
 	for p := range e.win.spills {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) && first == nil {
@@ -176,35 +182,25 @@ func (e *Engine) Close() error {
 	return first
 }
 
-// gate is the per-window fault point: context cancellation and injected
-// faults surface as StageErrors carrying the window index.
+// gate is the per-window fault point: injected faults and context
+// cancellation surface as StageErrors carrying the window index. The context
+// is polled after the injection point, so an injected cancel is reported by
+// the window it landed in.
 func (w *windowState) gate(wi int) error {
+	if err := faultinject.Fire(WindowStage, wi); err != nil {
+		return fault.Wrap(WindowStage, wi, err)
+	}
 	if w.ctx != nil {
 		if err := w.ctx.Err(); err != nil {
 			return fault.Wrap(WindowStage, wi, err)
 		}
 	}
-	if err := faultinject.Fire(WindowStage, wi); err != nil {
-		return fault.Wrap(WindowStage, wi, err)
-	}
 	return nil
 }
 
-// fill loads rows [lo,hi) of one column into dst: materialized columns are
-// copied from storage, everything else is regenerated through the table's
-// chunk source.
+// fill regenerates rows [lo,hi) of a column that is not materialized in
+// storage into dst, through the table's chunk source.
 func (w *windowState) fill(t *storage.TableData, col string, dst []int64, lo, hi int64) error {
-	vals, err := t.Lookup(col)
-	if err != nil {
-		return err
-	}
-	if vals != nil {
-		if err := storage.CheckFillRange(t.Meta.Name, col, int64(len(vals)), len(dst), lo, hi); err != nil {
-			return fmt.Errorf("window: %w", err)
-		}
-		copy(dst, vals[lo:hi])
-		return nil
-	}
 	src := w.cfg.Sources[t.Meta.Name]
 	if src == nil {
 		return fmt.Errorf("window: column %s.%s is not materialized and the table has no chunk source", t.Meta.Name, col)
@@ -232,40 +228,43 @@ func (w *windowState) ensureSpillDir() (string, error) {
 	return dir, nil
 }
 
-// ensureScratch sizes the window scratch for nCols referenced columns and a
-// window of w rows.
-func (w *windowState) ensureScratch(nCols, rows int) {
-	for len(w.chunkBuf) < nCols {
-		w.chunkBuf = append(w.chunkBuf, nil)
-	}
-	for i := 0; i < nCols; i++ {
-		if len(w.chunkBuf[i]) < rows {
-			w.chunkBuf[i] = make([]int64, rows)
-		}
-	}
-	if len(w.idxBuf) < rows {
+// ensureScratch sizes the window's row-index scratch for a window of rows
+// rows.
+func (w *windowState) ensureScratch(rows int) {
+	if len(w.rowBuf) < rows {
+		w.rowBuf = make([]int32, rows)
 		w.idxBuf = make([]int32, rows)
-	}
-	if len(w.selWin) < rows {
 		w.selWin = make([]int32, rows)
 		w.outBuf = make([]int32, rows)
 	}
 }
 
-// windowBinder resolves predicate columns against the per-window scratch:
-// vals is the column's chunk buffer (refilled every window) and idx the
-// window-local row indirection. Bound once per evaluation, valid across all
-// windows because the slice headers never change.
+// chunk returns the k-th chunk buffer, at least rows long.
+func (w *windowState) chunk(k, rows int) []int64 {
+	for len(w.chunkBuf) <= k {
+		w.chunkBuf = append(w.chunkBuf, nil)
+	}
+	if len(w.chunkBuf[k]) < rows {
+		w.chunkBuf[k] = make([]int64, rows)
+	}
+	return w.chunkBuf[k]
+}
+
+// windowBinder resolves predicate columns for one table pass. A materialized
+// column is its whole storage slice, read through the window's table row
+// indices — nothing is copied; a regenerated one is its chunk buffer
+// (refilled every window), read through the window-local offsets. Bound once
+// per pass, valid across all windows because the slice headers never change.
 type windowBinder struct {
-	cols   []string
-	chunks [][]int64
-	idx    []int32
+	cols []string
+	vals [][]int64
+	idx  [][]int32
 }
 
 func (b windowBinder) ResolveColumn(col string) ([]int64, []int32, error) {
 	for i, c := range b.cols {
 		if c == col {
-			return b.chunks[i], b.idx, nil
+			return b.vals[i], b.idx[i], nil
 		}
 	}
 	return nil, nil, fmt.Errorf("window: column %q not collected for binding", col)
@@ -284,17 +283,18 @@ type chainScan struct {
 }
 
 // winRun is one pass over the windows of a single table: the input row-index
-// stream, the union of the columns its chains read, and the chains.
+// stream, the columns its chains read that have to be regenerated (the k-th
+// into chunk buffer k), and the chains.
 type winRun struct {
 	e      *Engine
 	t      *storage.TableData
 	rows   []int32 // nil = dense identity over [0, tRows)
-	cols   []string
+	regen  []string
 	chains []*chainScan
 }
 
 // window evaluates one [lo,hi) window over input positions [p0,p1): one gate,
-// one fill per column, then every chain's filters over the same chunk
+// one fill per regenerated column, then every chain's filters over the same
 // buffers. A panic inside the window body is contained here, so the caller
 // observes a typed StageError carrying the window index.
 func (r *winRun) window(wi, lo, hi, p0, p1 int) (err error) {
@@ -308,16 +308,20 @@ func (r *winRun) window(wi, lo, hi, p0, p1 int) (err error) {
 		return err
 	}
 	nIn := p1 - p0
+	cand := win.rowBuf[:nIn]
 	if r.rows == nil {
-		for j := 0; j < nIn; j++ {
-			win.idxBuf[j] = int32(j)
+		for j := range cand {
+			cand[j] = int32(lo + j)
 		}
 	} else {
-		for j := 0; j < nIn; j++ {
-			win.idxBuf[j] = r.rows[p0+j] - int32(lo)
+		copy(cand, r.rows[p0:p1])
+	}
+	if len(r.regen) > 0 {
+		for j, row := range cand {
+			win.idxBuf[j] = row - int32(lo)
 		}
 	}
-	for ci, c := range r.cols {
+	for ci, c := range r.regen {
 		if err := win.fill(r.t, c, win.chunkBuf[ci][:hi-lo], int64(lo), int64(hi)); err != nil {
 			return fault.Wrap(WindowStage, wi, err)
 		}
@@ -339,7 +343,7 @@ func (r *winRun) window(wi, lo, hi, p0, p1 int) (err error) {
 		}
 		out := win.outBuf[:len(sel)]
 		for j, pos := range sel {
-			out[j] = int32(lo) + win.idxBuf[pos]
+			out[j] = cand[pos]
 		}
 		if err := c.emit(out); err != nil {
 			return fault.Wrap(WindowStage, wi, err)
@@ -353,11 +357,11 @@ func (r *winRun) window(wi, lo, hi, p0, p1 int) (err error) {
 // runWindows makes one pass over table t for all of chains: every chain is a
 // bottom-up selection chain over the ascending row indices rows (rows == nil
 // means the dense identity [0, tRows)). One window of the table's row domain
-// at a time, the union of the chains' columns is filled once, and each chain
-// filters the window and hands its surviving global row indices to its emit
-// in ascending order. Each chain's counts end up holding the per-selection
-// survivor counts — exactly the cardinalities full-column evaluation
-// observes.
+// at a time, the chains' regenerated columns are filled once each
+// (materialized ones are read where they are), and each chain filters the
+// window and hands its surviving global row indices to its emit in ascending
+// order. Each chain's counts end up holding the per-selection survivor
+// counts — exactly the cardinalities full-column evaluation observes.
 func (e *Engine) runWindows(t *storage.TableData, rows []int32, chains []*chainScan, orig bool) error {
 	win := e.win
 	tRows := t.Rows()
@@ -396,8 +400,24 @@ func (e *Engine) runWindows(t *storage.TableData, rows []int32, chains []*chainS
 	if effW < 1 {
 		effW = 1
 	}
-	win.ensureScratch(len(cols), effW)
-	binder := windowBinder{cols: cols, chunks: win.chunkBuf[:len(cols)], idx: win.idxBuf}
+	win.ensureScratch(effW)
+	binder := windowBinder{cols: cols, vals: make([][]int64, len(cols)), idx: make([][]int32, len(cols))}
+	var regen []string
+	for i, c := range cols {
+		vals, err := t.Lookup(c)
+		switch {
+		case err != nil:
+			return err
+		case vals == nil:
+			binder.vals[i], binder.idx[i] = win.chunk(len(regen), effW), win.idxBuf
+			regen = append(regen, c)
+		default:
+			if err := storage.CheckFillRange(table, c, int64(len(vals)), tRows, 0, int64(tRows)); err != nil {
+				return fmt.Errorf("window: %w", err)
+			}
+			binder.vals[i], binder.idx[i] = vals, win.rowBuf
+		}
+	}
 	for _, c := range chains {
 		c.bound = make([]relalg.BoundPred, len(c.selects))
 		c.counts = make([]int64, len(c.selects))
@@ -410,7 +430,7 @@ func (e *Engine) runWindows(t *storage.TableData, rows []int32, chains []*chainS
 		}
 	}
 
-	run := &winRun{e: e, t: t, rows: rows, cols: cols, chains: chains}
+	run := &winRun{e: e, t: t, rows: rows, regen: regen, chains: chains}
 	p := 0
 	for lo := 0; lo < tRows; lo += effW {
 		hi := lo + effW
@@ -482,9 +502,9 @@ func (e *Engine) evalSelectWindowed(v *relalg.View, in *Relation, orig bool, res
 // sharedChain is a selection chain over a base-table leaf found in the views
 // of one CollectRowSetsCtx call. It is evaluated once, in its table's pass,
 // however often it occurs: every request that is this chain gets its own
-// accumulator (so each returned RowSet has exactly one owner), and the joins
-// that contain it share one more, read back by eval and released after the
-// last of them.
+// accumulator (so each returned RowSet has exactly one owner), and the
+// join-shaped views that contain it share one more, read by their reductions
+// and released after the last of them.
 type sharedChain struct {
 	chainScan
 	leaf  *relalg.View
@@ -513,31 +533,31 @@ type RowSetRequest struct {
 	Table string
 }
 
-// collectWindowed is CollectRowSetsCtx on a windowed engine. It finds every
-// selection chain over a base-table leaf in the requests' views — a whole
-// view, or a join's input anywhere inside one — and makes one pass per table
-// over all of that table's chains, so a column is regenerated once per
-// window per call, not once per view. Chain-shaped requests are answered
-// straight from the passes; every other view then evaluates as usual, with
-// eval taking its chains' rows from the passes' results.
-func (e *Engine) collectWindowed(reqs []RowSetRequest, orig bool, res *Result) (_ []*RowSet, err error) {
+// collectRowSets is CollectRowSetsCtx recording every evaluated selection's
+// cardinality in res. It finds every selection chain over a base-table leaf
+// in the requests' views — a whole view, or a join's input anywhere inside a
+// reducible one — and makes one pass per table over all of that table's
+// chains, so a column is read or regenerated once per window per call, not
+// once per view. Chain-shaped requests are answered straight from the passes,
+// reducible join-shaped ones by semi-join reduction over the passes' results
+// (reduce.go), and whatever is left by evaluating the view.
+func (e *Engine) collectRowSets(ctx context.Context, reqs []RowSetRequest, orig bool, res *Result) (_ []*RowSet, err error) {
 	win := e.win
+	win.ctx = ctx
 	sets := make([]*RowSet, len(reqs))
-	win.chains = make(map[*relalg.View]*sharedChain)
+	chains := make(map[*relalg.View]*sharedChain)
 	var tables []string
 	byTable := make(map[string][]*sharedChain)
 	// On any exit nothing of the call stays behind but the returned sets: on
 	// failure every open accumulator is aborted (no torn spill file) and the
 	// sets already sealed are released.
 	defer func() {
-		win.chains = nil
-		for _, chains := range byTable {
-			for _, c := range chains {
-				c.inner.Release() // no-op once its last join has read it
-				if err != nil {
-					for _, a := range c.accs {
-						a.abort()
-					}
+		win.ctx = nil
+		for _, c := range chains {
+			c.inner.Release() // no-op once its last reduction has read it
+			if err != nil {
+				for _, a := range c.accs {
+					a.abort()
 				}
 			}
 		}
@@ -549,11 +569,11 @@ func (e *Engine) collectWindowed(reqs []RowSetRequest, orig bool, res *Result) (
 	}()
 
 	chainOf := func(top, leaf *relalg.View, selects []*relalg.View) *sharedChain {
-		c := win.chains[top]
+		c := chains[top]
 		if c == nil {
 			c = &sharedChain{leaf: leaf}
 			c.selects, c.emit = selects, c.add
-			win.chains[top] = c
+			chains[top] = c
 			if byTable[leaf.Table] == nil {
 				tables = append(tables, leaf.Table)
 			}
@@ -561,25 +581,30 @@ func (e *Engine) collectWindowed(reqs []RowSetRequest, orig bool, res *Result) (
 		}
 		return c
 	}
+	// findInner registers the chains under the joins of a reducible view,
+	// where every selection is the top of one.
 	var findInner func(v *relalg.View)
 	findInner = func(v *relalg.View) {
 		if v.Kind == relalg.SelectView {
-			if leaf, selects, ok := relalg.SelectChain(v); ok {
-				chainOf(v, leaf, selects).innerRefs++
-				return
-			}
+			leaf, selects, _ := relalg.SelectChain(v)
+			chainOf(v, leaf, selects).innerRefs++
+			return
 		}
 		for _, in := range v.Inputs {
 			findInner(in)
 		}
 	}
-	var general []int // requests that are not a chain over their own table
+	var reduced, materialized []int // requests that are not a chain over their own table
 	for i, rq := range reqs {
 		leaf, selects, ok := relalg.SelectChain(rq.View)
 		switch {
 		case !ok || leaf.Table != rq.Table:
-			findInner(rq.View)
-			general = append(general, i)
+			if reducible(rq.View) {
+				findInner(rq.View)
+				reduced = append(reduced, i)
+			} else {
+				materialized = append(materialized, i)
+			}
 		case len(selects) == 0:
 			t, err := e.db.Lookup(leaf.Table)
 			if err != nil {
@@ -598,9 +623,9 @@ func (e *Engine) collectWindowed(reqs []RowSetRequest, orig bool, res *Result) (
 		if err != nil {
 			return nil, err
 		}
-		chains := byTable[table]
-		scans := make([]*chainScan, len(chains))
-		for i, c := range chains {
+		tc := byTable[table]
+		scans := make([]*chainScan, len(tc))
+		for i, c := range tc {
 			n := len(c.tops)
 			if c.innerRefs > 0 {
 				n++
@@ -615,15 +640,15 @@ func (e *Engine) collectWindowed(reqs []RowSetRequest, orig bool, res *Result) (
 			return nil, err
 		}
 		tm.Stop()
-		for _, c := range chains {
+		for _, c := range tc {
 			c.tRows = t.Rows()
-			e.observeChain(c.leaf, &c.chainScan, c.tRows, res)
 			for i, a := range c.accs {
 				s, err := a.finish()
 				if err != nil {
 					return nil, err
 				}
 				if i < len(c.tops) {
+					e.observeChain(c.leaf, &c.chainScan, c.tRows, res)
 					sets[c.tops[i]] = s
 				} else {
 					c.inner = s
@@ -632,29 +657,22 @@ func (e *Engine) collectWindowed(reqs []RowSetRequest, orig bool, res *Result) (
 		}
 	}
 
-	for _, i := range general {
+	for _, i := range reduced {
+		tm := e.m.opNS[relalg.JoinView].Start()
+		if sets[i], err = e.reduceRowSet(reqs[i], chains, res); err != nil {
+			return nil, err
+		}
+		tm.Stop()
+	}
+	for _, i := range materialized {
 		rows, err := e.collectRows(reqs[i].View, reqs[i].Table, orig, res)
 		if err != nil {
 			return nil, err
 		}
+		e.m.materialized.Inc()
 		sets[i] = &RowSet{mem: rows, n: len(rows)}
 	}
 	return sets, nil
-}
-
-// chainRelation is eval's SelectView arm for a chain a table pass of the
-// collect in flight has already evaluated: the relation is read back from
-// the pass's row set, which is released once its last join has read it.
-func (e *Engine) chainRelation(c *sharedChain, res *Result) (*Relation, error) {
-	rows := make([]int32, 0, c.inner.Len())
-	if err := c.inner.ForEach(func(r int32) { rows = append(rows, r) }); err != nil {
-		return nil, err
-	}
-	if c.innerRefs--; c.innerRefs == 0 {
-		c.inner.Release()
-	}
-	e.observeChain(c.leaf, &c.chainScan, c.tRows, res)
-	return &Relation{tables: []string{c.leaf.Table}, cols: [][]int32{rows}, n: len(rows), sorted: true}, nil
 }
 
 // RowSet is an ascending set of base-table row indices produced by
@@ -681,36 +699,79 @@ func (s *RowSet) Len() int {
 // ForEach streams the rows in ascending order. A spilled set is decoded
 // through its engine's spill buffer, so fn must not call into the engine.
 func (s *RowSet) ForEach(fn func(int32)) error {
-	if s == nil || s.n == 0 {
-		return nil
-	}
-	if s.dense {
+	switch {
+	case s == nil || s.n == 0:
+	case s.dense:
 		for r := int32(0); int(r) < s.n; r++ {
 			fn(r)
 		}
-		return nil
+	case s.path != "":
+		return s.readSpill(spillFlushRows, func(raw []byte) error {
+			for i := 0; i < len(raw); i += 4 {
+				fn(int32(binary.LittleEndian.Uint32(raw[i:])))
+			}
+			return nil
+		})
+	default:
+		for _, r := range s.mem {
+			fn(r)
+		}
 	}
-	if s.path != "" {
-		f, err := os.Open(s.path)
-		if err != nil {
+	return nil
+}
+
+// blocks streams the rows in ascending order, at most len(buf) at a time. The
+// slice fn receives is read-only and valid only during the call: an in-memory
+// set hands out its own storage, dense and spilled sets are staged in buf.
+func (s *RowSet) blocks(buf []int32, fn func(rows []int32) error) error {
+	switch {
+	case s == nil || s.n == 0:
+	case s.dense:
+		for lo := 0; lo < s.n; lo += len(buf) {
+			b := buf[:min(len(buf), s.n-lo)]
+			for j := range b {
+				b[j] = int32(lo + j)
+			}
+			if err := fn(b); err != nil {
+				return err
+			}
+		}
+	case s.path != "":
+		return s.readSpill(len(buf), func(raw []byte) error {
+			b := buf[:len(raw)/4]
+			for i := range b {
+				b[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+			}
+			return fn(b)
+		})
+	default:
+		for lo := 0; lo < len(s.mem); lo += len(buf) {
+			if err := fn(s.mem[lo:min(lo+len(buf), len(s.mem))]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// readSpill reads a spilled set's file through the engine's spill buffer and
+// hands fn the raw little-endian rows, at most maxRows of them at a time.
+func (s *RowSet) readSpill(maxRows int, fn func(raw []byte) error) error {
+	f, err := os.Open(s.path)
+	if err != nil {
+		return fmt.Errorf("window: spill read: %w", err)
+	}
+	defer f.Close()
+	buf := s.win.spillBlock()
+	for left := s.n; left > 0; {
+		n := min(left, len(buf)/4, maxRows)
+		if _, err := io.ReadFull(f, buf[:4*n]); err != nil {
 			return fmt.Errorf("window: spill read: %w", err)
 		}
-		defer f.Close()
-		buf := s.win.spillBlock()
-		for left := s.n; left > 0; {
-			n := min(left, len(buf)/4)
-			if _, err := io.ReadFull(f, buf[:4*n]); err != nil {
-				return fmt.Errorf("window: spill read: %w", err)
-			}
-			for i := 0; i < n; i++ {
-				fn(int32(binary.LittleEndian.Uint32(buf[4*i:])))
-			}
-			left -= n
+		if err := fn(buf[:4*n]); err != nil {
+			return err
 		}
-		return nil
-	}
-	for _, r := range s.mem {
-		fn(r)
+		left -= n
 	}
 	return nil
 }
@@ -753,6 +814,9 @@ type rowAccum struct {
 	f     *os.File
 	path  string
 	limit int // spill threshold in rows; < 0 = never spill
+	// staged marks mem as borrowed scratch (windowState.stage): finish copies
+	// the rows out instead of handing the buffer on.
+	staged bool
 }
 
 func (a *rowAccum) add(rows []int32) error {
@@ -804,12 +868,17 @@ func (a *rowAccum) flushMem() error {
 	return nil
 }
 
-// finish seals the accumulated set into a RowSet.
+// finish seals the accumulated set into a RowSet. An in-memory set is cut to
+// its exact size: it lives until its consumer releases it, append's growth
+// slack would live as long.
 func (a *rowAccum) finish() (*RowSet, error) {
 	if a.f == nil {
-		rs := &RowSet{mem: a.mem, n: a.n, win: a.win}
+		mem := a.mem
+		if a.staged || cap(mem) > len(mem) {
+			mem = append(make([]int32, 0, len(mem)), mem...)
+		}
 		a.mem = nil
-		return rs, nil
+		return &RowSet{mem: mem, n: a.n, win: a.win}, nil
 	}
 	if err := a.flushMem(); err != nil {
 		a.abort()

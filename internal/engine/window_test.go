@@ -1,7 +1,7 @@
 package engine
 
-// Unit tests of windowed evaluation: chain collection must match classic
-// full-column evaluation at every window size (including the 1-row
+// Unit tests of window passes: chain collection must match full-column
+// evaluation at every window size (including the 1-row
 // pathological window and the clamp edge where the window exceeds the
 // table), spilled row sets must round-trip and clean up after themselves,
 // the whole-column fallback must regenerate unmaterialized columns
@@ -17,6 +17,7 @@ import (
 
 	"github.com/dbhammer/mirage/internal/fault"
 	"github.com/dbhammer/mirage/internal/faultinject"
+	"github.com/dbhammer/mirage/internal/obs"
 	"github.com/dbhammer/mirage/internal/relalg"
 	"github.com/dbhammer/mirage/internal/storage"
 	"github.com/dbhammer/mirage/internal/testutil"
@@ -236,73 +237,139 @@ func TestWindowedFallbackColumn(t *testing.T) {
 // engine is even closed. The fault lands in window 1 of a table pass that
 // feeds one accumulator (a single request) or several (the shared scan of
 // sharedScanRequests); with a 1-row spill threshold the ones with survivors
-// in window 0 have already spilled.
+// in window 0 have already spilled. A classic engine makes the same passes
+// behind the same gate — over materialized columns, never spilling — so its
+// arm expects the same typed errors.
 func TestWindowedFaultStageError(t *testing.T) {
-	for _, action := range []faultinject.Action{faultinject.Error, faultinject.Panic} {
-		for _, shared := range []bool{false, true} {
-			name := fmt.Sprintf("action %v shared=%v", action, shared)
-			in := faultinject.New(faultinject.Rule{Stage: WindowStage, Item: 1, Action: action})
-			deactivate := faultinject.Activate(in)
+	for _, classic := range []bool{false, true} {
+		for _, action := range []faultinject.Action{faultinject.Error, faultinject.Panic} {
+			for _, shared := range []bool{false, true} {
+				name := fmt.Sprintf("classic=%v action %v shared=%v", classic, action, shared)
+				in := faultinject.New(faultinject.Rule{Stage: WindowStage, Item: 1, Action: action})
+				deactivate := faultinject.Activate(in)
 
-			db, src := windowedPaperDB()
-			dir := t.TempDir()
-			eng, err := NewWindowed(db, WindowConfig{
-				Rows: 3, Sources: map[string]ChunkSource{"t": src},
-				SpillDir: dir, SpillRows: 1,
-			})
-			if err != nil {
+				dir := t.TempDir()
+				var eng *Engine
+				var err error
+				if classic {
+					if eng, err = New(testutil.PaperDB()); err == nil {
+						eng.win.rows = 3 // the 8-row table fits one default window
+					}
+				} else {
+					db, src := windowedPaperDB()
+					eng, err = NewWindowed(db, WindowConfig{
+						Rows: 3, Sources: map[string]ChunkSource{"t": src},
+						SpillDir: dir, SpillRows: 1,
+					})
+				}
+				if err != nil {
+					deactivate()
+					t.Fatal(err)
+				}
+				reqs := []RowSetRequest{{View: selChainT(1, -1), Table: "t"}}
+				if shared {
+					reqs, _ = sharedScanRequests()
+				}
+				_, err = eng.CollectRowSetsCtx(context.Background(), reqs, false)
 				deactivate()
-				t.Fatal(err)
-			}
-			reqs := []RowSetRequest{{View: selChainT(1, -1), Table: "t"}}
-			if shared {
-				reqs, _ = sharedScanRequests()
-			}
-			_, err = eng.CollectRowSetsCtx(context.Background(), reqs, false)
-			deactivate()
-			if err == nil {
-				t.Fatalf("%s: injected window fault did not fail the collect", name)
-			}
-			var se *fault.StageError
-			if !errors.As(err, &se) || se.Stage != WindowStage || se.Item != 1 {
-				t.Fatalf("%s: err = %v, want StageError{%s, 1}", name, err, WindowStage)
-			}
-			if !errors.Is(err, faultinject.ErrInjected) {
-				t.Fatalf("%s: err = %v, want injection provenance", name, err)
-			}
-			ents, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ents) != 0 {
-				t.Fatalf("%s: torn spill files left behind: %v", name, ents)
-			}
-			if len(eng.win.spills) != 0 {
-				t.Fatalf("%s: engine still tracks spill files %v", name, eng.win.spills)
-			}
-			if err := eng.Close(); err != nil {
-				t.Fatal(err)
+				if err == nil {
+					t.Fatalf("%s: injected window fault did not fail the collect", name)
+				}
+				var se *fault.StageError
+				if !errors.As(err, &se) || se.Stage != WindowStage || se.Item != 1 {
+					t.Fatalf("%s: err = %v, want StageError{%s, 1}", name, err, WindowStage)
+				}
+				if !errors.Is(err, faultinject.ErrInjected) {
+					t.Fatalf("%s: err = %v, want injection provenance", name, err)
+				}
+				ents, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ents) != 0 {
+					t.Fatalf("%s: torn spill files left behind: %v", name, ents)
+				}
+				if len(eng.win.spills) != 0 {
+					t.Fatalf("%s: engine still tracks spill files %v", name, eng.win.spills)
+				}
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
 
-	// Cancellation: the pre-canceled context must fail the very first
-	// window with the same typed error shape.
-	db, src := windowedPaperDB()
-	eng, err := NewWindowed(db, WindowConfig{Rows: 3, Sources: map[string]ChunkSource{"t": src}})
-	if err != nil {
-		t.Fatal(err)
+		// Cancellation: the pre-canceled context must fail the very first
+		// window with the same typed error shape.
+		var eng *Engine
+		var err error
+		if classic {
+			eng, err = New(testutil.PaperDB())
+		} else {
+			db, src := windowedPaperDB()
+			eng, err = NewWindowed(db, WindowConfig{Rows: 3, Sources: map[string]ChunkSource{"t": src}})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, err = eng.CollectRowSetCtx(ctx, selChainT(1, -1), "t", false)
+		var se *fault.StageError
+		if !errors.As(err, &se) || se.Stage != WindowStage || se.Item != 0 {
+			t.Fatalf("classic=%v cancel: err = %v, want StageError{%s, 0}", classic, err, WindowStage)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("classic=%v cancel: err = %v, want context.Canceled in chain", classic, err)
+		}
 	}
-	defer eng.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = eng.CollectRowSetCtx(ctx, selChainT(1, -1), "t", false)
-	var se *fault.StageError
-	if !errors.As(err, &se) || se.Stage != WindowStage || se.Item != 0 {
-		t.Fatalf("cancel: err = %v, want StageError{%s, 0}", err, WindowStage)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancel: err = %v, want context.Canceled in chain", err)
+}
+
+// TestReductionFaultNoTornSpill lands the fault in a reduction instead of a
+// table pass: s fits one window, so window 1 first occurs while the
+// join-shaped request's answer is being reduced from t's chain rows — after
+// window 0's survivors have spilled at the 1-row threshold. The typed error
+// is the same and the half-written answer leaves no file behind.
+func TestReductionFaultNoTornSpill(t *testing.T) {
+	for _, action := range []faultinject.Action{faultinject.Error, faultinject.Panic} {
+		in := faultinject.New(faultinject.Rule{Stage: WindowStage, Item: 1, Action: action})
+		deactivateFault := faultinject.Activate(in)
+		reg := obs.NewRegistry()
+		disableObs := obs.Enable(reg)
+		deactivate := func() { deactivateFault(); disableObs() }
+		dir := t.TempDir()
+		db, _ := windowedPaperDB()
+		eng, err := NewWindowed(db, WindowConfig{Rows: 4, SpillDir: dir, SpillRows: 1})
+		if err != nil {
+			deactivate()
+			t.Fatal(err)
+		}
+		// σ_{s1<4}(s) ⋈ t: s's pass is window 0 only, t is a bare leaf (no
+		// pass), and the reduction of t's rows runs windows 0 and 1.
+		selS := &relalg.View{Kind: relalg.SelectView, Inputs: []*relalg.View{{Kind: relalg.LeafView, Table: "s"}},
+			Pred: &relalg.UnaryPred{Col: "s1", Op: relalg.OpLt, P: instParam(4)}}
+		join := &relalg.View{Kind: relalg.JoinView,
+			Join:   &relalg.JoinSpec{PKTable: "s", FKTable: "t", FKCol: "t_fk", Type: relalg.EquiJoin},
+			Inputs: []*relalg.View{selS, {Kind: relalg.LeafView, Table: "t"}}}
+		_, err = eng.CollectRowSetCtx(context.Background(), join, "t", false)
+		deactivate()
+		var se *fault.StageError
+		if !errors.As(err, &se) || se.Stage != WindowStage || se.Item != 1 || !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("action %v: err = %v, want injected StageError{%s, 1}", action, err, WindowStage)
+		}
+		if n := reg.Snapshot().Counters["engine_spill_files_total"]; n != 2 {
+			t.Fatalf("action %v: %d spill files opened before the fault, want s's chain rows and the answer", action, n)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 0 || len(eng.win.spills) != 0 {
+			t.Fatalf("action %v: torn spill files left behind: %v / %v", action, ents, eng.win.spills)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -384,14 +451,15 @@ func sharedScanRequests() (reqs []RowSetRequest, selects []*relalg.View) {
 
 // TestCollectRowSetsSharedScan holds the multi-request entry point against
 // two oracles — one CollectRowSet call per request on a fresh windowed
-// engine, and the classic engine over the fully materialized database — at
+// engine, and CollectRows, the materializing definition, per request — at
 // window sizes 1, 3 and far past the table, with spilling forced and off:
-// same row sets, same per-selection survivor counts. The counting chunk
-// source then proves the point of the shared scan: however many chains read
-// a column, each (column, window) of a table is filled exactly once per
-// call.
+// same row sets (the join-shaped requests' by reduction), same
+// per-selection survivor counts; and a classic engine given the same
+// requests in one call answers the same. The counting chunk source then
+// proves the point of the shared scan: however many chains read a column,
+// each (column, window) of a table is filled exactly once per call.
 func TestCollectRowSetsSharedScan(t *testing.T) {
-	classic, err := New(testutil.PaperDB())
+	oracle, err := New(testutil.PaperDB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,12 +505,29 @@ func TestCollectRowSetsSharedScan(t *testing.T) {
 				t.Fatalf("%s: %d of %d sets spilled", name, spilled, len(sets))
 			}
 
+			classic, err := New(testutil.PaperDB())
+			if err != nil {
+				t.Fatal(err)
+			}
+			classic.win.rows = int(rows)
+			classicRes := &Result{Stats: make(map[*relalg.View]Stats)}
+			classicSets, err := classic.collectRowSets(context.Background(), reqs, false, classicRes)
+			if err != nil {
+				t.Fatalf("%s: classic engine: %v", name, err)
+			}
+
 			wantRes := &Result{Stats: make(map[*relalg.View]Stats)}
 			for i, rq := range reqs {
 				got := collectSet(t, sets[i])
-				want, err := classic.collectRows(rq.View, rq.Table, false, wantRes)
+				want, err := oracle.collectRows(rq.View, rq.Table, false, wantRes)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if classicSets[i].path != "" {
+					t.Errorf("%s request %d: classic engine spilled", name, i)
+				}
+				if onClassic := collectSet(t, classicSets[i]); fmt.Sprint(onClassic) != fmt.Sprint(want) {
+					t.Errorf("%s request %d: classic engine %v, CollectRows %v", name, i, onClassic, want)
 				}
 				single, _ := newEngine()
 				set, err := single.CollectRowSet(rq.View, rq.Table, false)
@@ -451,15 +536,15 @@ func TestCollectRowSetsSharedScan(t *testing.T) {
 				}
 				alone := collectSet(t, set)
 				if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(alone) != fmt.Sprint(want) {
-					t.Errorf("%s request %d: shared scan %v, alone %v, classic %v", name, i, got, alone, want)
+					t.Errorf("%s request %d: shared scan %v, alone %v, CollectRows %v", name, i, got, alone, want)
 				}
 				if err := single.Close(); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i, v := range selects {
-				if res.Stats[v] != wantRes.Stats[v] {
-					t.Errorf("%s selection %d (%s): shared scan counted %+v, classic %+v", name, i, v.Pred, res.Stats[v], wantRes.Stats[v])
+				if res.Stats[v] != wantRes.Stats[v] || classicRes.Stats[v] != wantRes.Stats[v] {
+					t.Errorf("%s selection %d (%s): shared scan counted %+v, classic engine %+v, eval %+v", name, i, v.Pred, res.Stats[v], classicRes.Stats[v], wantRes.Stats[v])
 				}
 			}
 

@@ -2,6 +2,8 @@ package keygen
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -263,6 +265,83 @@ func TestPartitioning(t *testing.T) {
 	}
 	if len(parts[1].rows) != 2 || parts[1].rows[0] != 1 || parts[1].rows[1] != 4 {
 		t.Fatalf("mask-1 rows = %v", parts[1].rows)
+	}
+}
+
+// partitionByRow is partition as it was before it looked parts up per mask
+// run and counted before filling — one map lookup and one append per row —
+// kept as TestPartitionOrder's reference.
+func partitionByRow(masks []uint64) []*part {
+	byMask := make(map[uint64]*part)
+	var order []uint64
+	for r, mk := range masks {
+		p, ok := byMask[mk]
+		if !ok {
+			p = &part{mask: mk}
+			byMask[mk] = p
+			order = append(order, mk)
+		}
+		p.rows = append(p.rows, int32(r))
+	}
+	slices.Sort(order)
+	out := make([]*part, 0, len(order))
+	for _, mk := range order {
+		out = append(out, byMask[mk])
+	}
+	return out
+}
+
+// TestPartitionOrder pins partition's output — ascending masks, ascending
+// rows inside each part — to the row-at-a-time reference on random mask
+// vectors: long runs (what status vectors look like), short runs, every row
+// its own part, one part, and none.
+func TestPartitionOrder(t *testing.T) {
+	cases := []struct {
+		name    string
+		rows    int
+		masks   int  // distinct mask values drawn from
+		meanRun int  // expected run length of equal masks
+		highBit bool // odd masks also carry bit 63
+	}{
+		{name: "empty"},
+		{name: "one row", rows: 1, masks: 1, meanRun: 1},
+		{name: "one part", rows: 1000, masks: 1, meanRun: 1},
+		{name: "long runs", rows: 20000, masks: 9, meanRun: 500},
+		{name: "short runs", rows: 5000, masks: 4, meanRun: 2},
+		{name: "no runs", rows: 3000, masks: 64, meanRun: 1},
+		{name: "all distinct", rows: 500, masks: 1 << 20, meanRun: 1},
+		{name: "bit 63 set", rows: 4000, masks: 7, meanRun: 30, highBit: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.rows)*31 + int64(tc.masks)))
+			masks := make([]uint64, tc.rows)
+			var cur uint64
+			for r := range masks {
+				if r == 0 || rng.Intn(tc.meanRun) == 0 {
+					cur = uint64(rng.Intn(tc.masks))
+					if tc.highBit && cur%2 == 1 {
+						cur |= 1 << 63
+					}
+				}
+				masks[r] = cur
+			}
+			got, want := partition(masks), partitionByRow(masks)
+			if len(got) != len(want) {
+				t.Fatalf("%d parts, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i].mask != want[i].mask {
+					t.Fatalf("part %d: mask %#x, want %#x", i, got[i].mask, want[i].mask)
+				}
+				if !slices.Equal(got[i].rows, want[i].rows) {
+					t.Fatalf("part %d (mask %#x): rows differ from the reference", i, got[i].mask)
+				}
+				if cap(got[i].rows) != len(got[i].rows) {
+					t.Errorf("part %d: cap %d for %d rows, want exact size", i, cap(got[i].rows), len(got[i].rows))
+				}
+			}
+		})
 	}
 }
 

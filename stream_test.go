@@ -11,10 +11,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/dbhammer/mirage/internal/faultinject"
+	"github.com/dbhammer/mirage/internal/relalg"
 	"github.com/dbhammer/mirage/internal/storage"
 	"github.com/dbhammer/mirage/internal/workload"
 )
@@ -22,6 +24,13 @@ import (
 // streamProblem builds a fresh problem for one generation run (problems are
 // single-use: generation instantiates the workload's parameters).
 func streamProblem(t *testing.T, name string, sf float64) *Problem {
+	t.Helper()
+	return streamProblemWithout(t, name, sf, "")
+}
+
+// streamProblemWithout is streamProblem minus the templates whose name
+// starts with prefix ("" drops none).
+func streamProblemWithout(t *testing.T, name string, sf float64, prefix string) *Problem {
 	t.Helper()
 	spec, err := workload.ByName(name)
 	if err != nil {
@@ -35,6 +44,11 @@ func streamProblem(t *testing.T, name string, sf float64) *Problem {
 	w, err := NewWorkload(schema, spec.Codecs, spec.DSL)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if prefix != "" {
+		w.Templates = slices.DeleteFunc(w.Templates, func(q *relalg.AQT) bool {
+			return strings.HasPrefix(q.Name, prefix)
+		})
 	}
 	prob, err := BuildProblem(original, w)
 	if err != nil {

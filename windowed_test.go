@@ -185,14 +185,22 @@ func TestFillChunkDeterminismFuzz(t *testing.T) {
 // survives in the spill directory. Window 2 is the historical case; window 1
 // also lands in table passes that feed several accumulators at once (the
 // joins of an SSB unit select on the same dimension table), some of them
-// spilled since window 0 at the 8-row threshold.
+// spilled since window 0 at the 8-row threshold. The third case faults a
+// reduction instead of a pass: without the Q1 flight no template selects on
+// lineorder, so the fact table is never scanned by a pass and window 100 —
+// past every dimension's last window — first occurs in wave 1, while a
+// join-shaped request's answer is being reduced from lineorder's rows, a
+// hundred windows of survivors into its spill file.
 func TestWindowedFaultNoTornSpills(t *testing.T) {
 	for _, action := range []faultinject.Action{faultinject.Panic, faultinject.Error} {
-		for _, item := range []int{2, 1} {
+		for _, item := range []int{2, 1, 100} {
 			in := faultinject.New(faultinject.Rule{Stage: engine.WindowStage, Item: item, Action: action})
 			deactivate := faultinject.Activate(in)
 
 			prob := streamProblem(t, "ssb", 0.2)
+			if item == 100 {
+				prob = ssbWithoutQ1(t, 0.2)
+			}
 			spillDir := t.TempDir()
 			_, err := GenerateStream(prob, Options{Seed: 3, Parallelism: 4}, StreamConfig{
 				Sink: &storage.CountSink{}, WindowRows: 64, SpillDir: spillDir, SpillRows: 8,
@@ -217,6 +225,21 @@ func TestWindowedFaultNoTornSpills(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ssbWithoutQ1 is the SSB problem minus its first query flight, the only
+// templates with a selection on the fact table.
+func ssbWithoutQ1(t *testing.T, sf float64) *Problem {
+	t.Helper()
+	prob := streamProblemWithout(t, "ssb", sf, "ssb_q1_")
+	for _, q := range prob.Workload.Templates {
+		q.Root.Walk(func(v *relalg.View) {
+			if leaf, selects, ok := relalg.SelectChain(v); ok && leaf.Table == "lineorder" && len(selects) > 0 {
+				t.Fatalf("%s still selects on lineorder", q.Name)
+			}
+		})
+	}
+	return prob
 }
 
 // TestWindowedStreamingSmoke is the CI windowed race job: a default

@@ -3,6 +3,8 @@ package mirage
 import (
 	"testing"
 
+	"github.com/dbhammer/mirage/internal/obs"
+	"github.com/dbhammer/mirage/internal/storage"
 	"github.com/dbhammer/mirage/internal/workload"
 )
 
@@ -97,6 +99,49 @@ func TestTPCDSEndToEnd(t *testing.T) {
 		// under 10% (see EXPERIMENTS.md).
 		if r.RelError > 0.12 {
 			t.Errorf("%s: relative error %.6f, want <= 0.12", r.Query, r.RelError)
+		}
+	}
+}
+
+// TestRowSetsNeverMaterialized pins the traffic claim keygen's CS stage is
+// built on: every row-set request of the three built-in workloads is a
+// selection chain or a tree of equi-joins over chains, so the engine answers
+// all of them by table passes and semi-join reduction and never evaluates a
+// view (engine_rowset_materialized_total stays 0), in memory and streamed. A
+// rewrite or DSL change that starts putting outer joins or selections over
+// joins inside join-constraint views turns this red instead of silently
+// tripling CS time. The streamed runs also log how many columns fell back to
+// whole-column regeneration.
+func TestRowSetsNeverMaterialized(t *testing.T) {
+	for _, wl := range []struct {
+		name string
+		sf   float64
+	}{{"ssb", 0.2}, {"tpch", 0.5}, {"tpcds", 0.05}} {
+		for _, streamed := range []bool{false, true} {
+			prob := streamProblem(t, wl.name, wl.sf)
+			reg := obs.NewRegistry()
+			disable := obs.Enable(reg)
+			var err error
+			if streamed {
+				_, err = GenerateStream(prob, Options{Seed: 3}, StreamConfig{Sink: &storage.CountSink{}})
+			} else {
+				_, err = Generate(prob, Options{Seed: 3})
+			}
+			disable()
+			if err != nil {
+				t.Fatalf("%s streamed=%v: %v", wl.name, streamed, err)
+			}
+			c := reg.Snapshot().Counters
+			if c["engine_windows_total"] == 0 {
+				t.Errorf("%s streamed=%v: no window ran — the CS stage did not reach the engine", wl.name, streamed)
+			}
+			if n := c["engine_rowset_materialized_total"]; n != 0 {
+				t.Errorf("%s streamed=%v: %d row-set requests were answered by evaluating their view", wl.name, streamed, n)
+			}
+			if streamed {
+				t.Logf("%s streamed: engine_window_fallbacks_total = %d, engine_windows_total = %d",
+					wl.name, c["engine_window_fallbacks_total"], c["engine_windows_total"])
+			}
 		}
 	}
 }
