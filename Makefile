@@ -1,5 +1,5 @@
 GO      ?= go
-BENCH   ?= BenchmarkExecuteWorkload|BenchmarkSelection|BenchmarkCollectRows|BenchmarkStageBreakdown|BenchmarkKeygenAblation|BenchmarkStreamingMemory|BenchmarkPaperScaleMemory|BenchmarkExportThroughput
+BENCH   ?= BenchmarkExecuteWorkload|BenchmarkSelection|BenchmarkCollectRows|BenchmarkStageBreakdown|BenchmarkStreamingMemory|BenchmarkPaperScaleMemory|BenchmarkExportThroughput
 BENCHED  = ./internal/engine .
 
 .PHONY: build test race bench bench-smoke
@@ -16,9 +16,8 @@ race:
 # bench refreshes the "current" snapshot of BENCH_engine.json: the executor
 # micro-benchmarks (ns/op, allocs/op, B/op, rows/sec) plus the root
 # BenchmarkStageBreakdown, whose per-stage span metrics (build_ms, nonkey_ms,
-# keygen_ms, ...) give the file a stage-latency trajectory, and the keygen
-# ablation grid (cache x warm-start), whose keygen_ms metrics record what
-# each fast-path layer buys, and the out-of-core benchmarks, whose metrics
+# keygen_ms, ...) give the file a stage-latency trajectory, and the
+# out-of-core benchmarks, whose metrics
 # record peak heap per generation mode (inmem_peak_mb, stream_peak_mb,
 # peak_ratio_x) and export throughput of the reference and streaming encoders
 # (mb_per_s).

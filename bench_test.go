@@ -122,7 +122,7 @@ func sfLabel(sf float64) string {
 func BenchmarkFig13SSB(b *testing.B)  { benchFig13(b, "ssb") }
 func BenchmarkFig13TPCH(b *testing.B) { benchFig13(b, "tpch") }
 
-// Fig. 14: batch size vs stage times and memory (the CP-rounds knee).
+// Fig. 14: batch size vs stage times, rounds and memory.
 
 func BenchmarkFig14TPCH(b *testing.B) {
 	for i := 0; i < b.N; i++ {

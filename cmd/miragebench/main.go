@@ -43,8 +43,6 @@ func main() {
 		metricsFmt = flag.String("metrics-format", "json", "telemetry report format: json or prom")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /metrics, /progress and /events on this address (e.g. :6060)")
 		traceOut   = flag.String("trace", "", "write a Perfetto/Chrome trace-event file of the experiment's span tree and events to this path")
-		kgCache    = flag.Bool("keygen-cache", true, "memoize keygen CP solutions within each run (byte-neutral; off only for ablations)")
-		kgWarm     = flag.Bool("keygen-warm", true, "warm-start per-batch CP rounds from the transportation split (byte-neutral)")
 	)
 	flag.Parse()
 
@@ -86,10 +84,7 @@ func main() {
 		defer cancel()
 	}
 
-	cfg := experiments.Config{
-		Ctx: ctx, SF: *sf, Seed: *seed, Parallelism: *par,
-		NoKeygenCache: !*kgCache, NoKeygenWarmStart: !*kgWarm,
-	}
+	cfg := experiments.Config{Ctx: ctx, SF: *sf, Seed: *seed, Parallelism: *par}
 	err := run(*exp, *name, cfg, *sfsFlag, *batches, *counts)
 	if reg != nil && *metrics != "" {
 		if werr := reg.WriteFile(*metrics, *metricsFmt); werr != nil {
@@ -179,10 +174,7 @@ func run(exp, name string, cfg experiments.Config, sfsFlag, batches, counts stri
 			fmt.Println(r.FormatFig16())
 		}
 	case "mem":
-		r, err := mirage.RunMemoryComparison(name, cfg.SF, mirage.Options{
-			Seed: cfg.Seed, Parallelism: cfg.Parallelism,
-			NoKeygenCache: cfg.NoKeygenCache, NoKeygenWarmStart: cfg.NoKeygenWarmStart,
-		})
+		r, err := mirage.RunMemoryComparison(name, cfg.SF, mirage.Options{Seed: cfg.Seed, Parallelism: cfg.Parallelism})
 		if err != nil {
 			return err
 		}

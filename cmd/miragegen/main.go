@@ -109,9 +109,9 @@ func main() {
 		defer obs.StartSampler(0)()
 	}
 
-	// SIGINT cancels the pipeline context: workers stop claiming items, CP
-	// searches abort between nodes, and the run unwinds with a wrapped
-	// context.Canceled instead of dying mid-write. A second SIGINT kills the
+	// SIGINT cancels the pipeline context: workers stop claiming items,
+	// solves and batch loops stop at their next poll, and the run unwinds
+	// with a wrapped context.Canceled instead of dying mid-write. A second SIGINT kills the
 	// process the usual way (signal.NotifyContext restores default handling
 	// once the context is canceled).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -282,7 +282,7 @@ func run(ctx context.Context, name string, sf float64, opts mirage.Options, out 
 			return err
 		}
 	}
-	fmt.Printf("generated %d rows in %v (nonkey GD %v | key CS %v CP %v PF %v, %d CP rounds)\n",
+	fmt.Printf("generated %d rows in %v (nonkey GD %v | key CS %v CP %v PF %v, %d rounds)\n",
 		res.DB.TotalRows(), res.Total.Round(1e6),
 		res.NonKey.GenTime.Round(1e6), res.Key.CSTime.Round(1e6),
 		res.Key.CPTime.Round(1e6), res.Key.PFTime.Round(1e6), res.Key.CPRounds)

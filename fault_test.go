@@ -125,68 +125,37 @@ func TestInjectedStageCancel(t *testing.T) {
 	}
 }
 
-// TestInjectedCPErrorPropagates: a non-budget error injected into the batch
-// CP solver is terminal and keeps both its StageError location and its
+// TestInjectedKeygenErrorPropagates: an error (not a panic) injected into an
+// FK wave worker is terminal and keeps both its StageError location and its
 // injection provenance through every wrapping layer.
-func TestInjectedCPErrorPropagates(t *testing.T) {
+func TestInjectedKeygenErrorPropagates(t *testing.T) {
 	prob := paperProblem(t)
-	in := faultinject.New(faultinject.Rule{Stage: "cp/solve", Item: faultinject.AnyItem, Action: faultinject.Error})
+	in := faultinject.New(faultinject.Rule{Stage: "keygen/wave", Item: faultinject.AnyItem, Action: faultinject.Error})
 	defer faultinject.Activate(in)()
 
 	_, err := Generate(prob, Options{Seed: 42})
 	if err == nil {
-		t.Fatal("injected CP error did not fail generation")
+		t.Fatal("injected keygen error did not fail generation")
 	}
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected provenance", err)
 	}
 	var se *StageError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want *StageError", err)
+	if !errors.As(err, &se) || se.Stage != "keygen/wave" {
+		t.Fatalf("err = %v, want *StageError at keygen/wave", err)
 	}
 }
 
-// TestInjectedCPExhaustDegradesGracefully: forcing every per-batch CP search
-// to exhaust its node budget must NOT fail generation — the transportation
-// split already witnesses feasibility, so the pipeline records cp-budget
-// degradations and produces a valid database.
-func TestInjectedCPExhaustDegradesGracefully(t *testing.T) {
-	prob := paperProblem(t)
-	in := faultinject.New(faultinject.Rule{Stage: "cp/solve", Action: faultinject.CPExhaust})
-	defer faultinject.Activate(in)()
-
-	res, err := Generate(prob, Options{Seed: 42})
-	if err != nil {
-		t.Fatalf("CP exhaustion must degrade, not fail: %v", err)
-	}
-	if err := res.DB.Check(); err != nil {
-		t.Fatalf("degraded run produced an invalid database: %v", err)
-	}
-	found := false
-	for _, d := range res.Degradations {
-		if d.Kind == "cp-budget" && d.Stage == "keygen" && d.Count > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Degradations = %+v, want a cp-budget entry", res.Degradations)
-	}
-	if len(in.Fired()) == 0 {
-		t.Fatal("CPExhaust rule never fired")
-	}
-}
-
-// TestDegradationsEmptyOnCleanRun: the ledger reports only real events.
+// TestDegradationsEmptyOnCleanRun: the ledger reports only real events, and
+// the paper problem is solved exactly — no resize, no restart.
 func TestDegradationsEmptyOnCleanRun(t *testing.T) {
 	prob := paperProblem(t)
 	res, err := Generate(prob, Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range res.Degradations {
-		if d.Kind == "cp-budget" {
-			t.Fatalf("clean paper run should need no cp-budget fallback: %+v", d)
-		}
+	if len(res.Degradations) != 0 {
+		t.Fatalf("clean paper run should degrade nowhere: %+v", res.Degradations)
 	}
 }
 

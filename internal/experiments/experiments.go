@@ -45,11 +45,6 @@ type Config struct {
 	// sequential). The generated database is byte-identical either way;
 	// only the stage timings change.
 	Parallelism int
-	// NoKeygenCache / NoKeygenWarmStart disable the key generator's
-	// byte-neutral fast paths, for ablation runs that want the cold solver
-	// on every unit and batch round.
-	NoKeygenCache     bool
-	NoKeygenWarmStart bool
 }
 
 func (c Config) withDefaults() Config {
@@ -172,10 +167,7 @@ func (s *scenario) runMirage(cfg Config, limit int) (*MirageRun, error) {
 		return nil, err
 	}
 	run.NonKey = nkStats
-	kgCfg := keygen.Config{
-		BatchSize: cfg.BatchSize, Seed: cfg.Seed, Parallelism: cfg.Parallelism,
-		NoCache: cfg.NoKeygenCache, NoWarmStart: cfg.NoKeygenWarmStart,
-	}
+	kgCfg := keygen.Config{BatchSize: cfg.BatchSize, Seed: cfg.Seed, Parallelism: cfg.Parallelism}
 	kStats, err := keygen.Populate(cfg.Ctx, kgCfg, plan, db)
 	if err != nil {
 		return nil, err

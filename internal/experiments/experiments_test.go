@@ -82,9 +82,9 @@ func TestRunFig14BatchKnee(t *testing.T) {
 	if len(r.Points) != 2 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
-	// Smaller batches mean more CP rounds (Fig. 14's trade-off).
+	// Smaller batches mean more population rounds.
 	if r.Points[0].CPRounds <= r.Points[1].CPRounds {
-		t.Errorf("CP rounds: batch %d -> %d, batch %d -> %d; smaller batches must run more rounds",
+		t.Errorf("rounds: batch %d -> %d, batch %d -> %d; smaller batches must run more rounds",
 			r.Points[0].BatchSize, r.Points[0].CPRounds, r.Points[1].BatchSize, r.Points[1].CPRounds)
 	}
 	if !strings.Contains(r.Format(), "rounds") {

@@ -2,14 +2,13 @@
 // generation pipeline, in the spirit of the chaos tooling production data
 // systems use to rehearse failure: tests (and only tests) activate an
 // Injector whose rules force a panic in a chosen worker item, fail a chosen
-// stage with a chosen error, cancel the run at a stage boundary, or exhaust
-// the CP solver's node budget — all chosen deterministically, optionally
-// derived from a seed.
+// stage with a chosen error, or cancel the run at a stage boundary — all
+// chosen deterministically, optionally derived from a seed.
 //
 // The harness is disabled by default and costs one atomic pointer load per
 // instrumented *work item* (never per row) when off: pipeline code calls
-// Fire(stage, item) at item granularity and CPMaxNodes at solve granularity,
-// and both return immediately while no Injector is active.
+// Fire(stage, item) at item granularity, which returns immediately while no
+// Injector is active.
 package faultinject
 
 import (
@@ -39,9 +38,6 @@ const (
 	// Cancel invokes the context.CancelFunc bound to the injector, modeling
 	// an operator Ctrl-C or deadline firing at a stage boundary.
 	Cancel
-	// CPExhaust clamps the CP solver's node budget to one node, forcing
-	// every search to exhaust (cp.ErrSearchLimit) instead of solving.
-	CPExhaust
 	// Flaky makes Fire fail the first Rule.Times matching calls with a
 	// *transient* error (fault.Transient reports true), then succeed forever
 	// after — the model of a flaky disk or network sink that retry/backoff
@@ -57,8 +53,6 @@ func (a Action) String() string {
 		return "error"
 	case Cancel:
 		return "cancel"
-	case CPExhaust:
-		return "cp-exhaust"
 	case Flaky:
 		return "flaky"
 	}
@@ -69,12 +63,11 @@ func (a Action) String() string {
 const AnyItem = -1
 
 // Rule arms one fault. Panic/Error/Cancel rules are one-shot: they fire on
-// the first match and disarm, so a retrying pipeline (e.g. the joint-CP
-// fallback) observes exactly one fault. CPExhaust rules stay armed for the
-// injector's lifetime; Flaky rules fire Times times, then disarm.
+// the first match and disarm, so a retrying pipeline observes exactly one
+// fault. Flaky rules fire Times times, then disarm.
 type Rule struct {
 	// Stage matches the instrumentation point's stage name exactly
-	// (e.g. "keygen/wave", "nonkey/tables", "generate/keygen", "cp/solve").
+	// (e.g. "keygen/wave", "nonkey/tables", "generate/keygen").
 	Stage string
 	// Item is the work-item index the rule fires at, or AnyItem.
 	Item int
@@ -194,9 +187,6 @@ func Activate(in *Injector) func() {
 	return func() { active.CompareAndSwap(in, nil) }
 }
 
-// Enabled reports whether an injector is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // Fire is the instrumentation point pipeline code calls once per work item
 // (item = AnyItem for stage boundaries). With no active injector it returns
 // nil immediately. A matching Panic rule panics with an error value wrapping
@@ -215,7 +205,7 @@ func (in *Injector) fire(stage string, item int) error {
 	in.mu.Lock()
 	for i := range in.rules {
 		r := &in.rules[i]
-		if !in.armed[i] || r.Action == CPExhaust || r.Stage != stage {
+		if !in.armed[i] || r.Stage != stage {
 			continue
 		}
 		if r.Item != AnyItem && r.Item != item {
@@ -253,27 +243,4 @@ func (in *Injector) fire(stage string, item int) error {
 	}
 	in.mu.Unlock()
 	return nil
-}
-
-// CPMaxNodes returns the node budget the CP solver should run with: the
-// given budget normally, or 1 while a CPExhaust rule targeting the stage is
-// armed (forcing cp.ErrSearchLimit through the solver's real exhaustion
-// path). CPExhaust rules stay armed across solves.
-func CPMaxNodes(stage string, budget int) int {
-	in := active.Load()
-	if in == nil {
-		return budget
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for i := range in.rules {
-		if in.rules[i].Action == CPExhaust && in.rules[i].Stage == stage {
-			if len(in.fired) == 0 || in.fired[len(in.fired)-1] != stage+":cp-exhaust" {
-				in.fired = append(in.fired, stage+":cp-exhaust")
-				obs.Active().CounterL("faults_injected_total", "stage", stage).Inc()
-			}
-			return 1
-		}
-	}
-	return budget
 }

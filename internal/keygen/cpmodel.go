@@ -1,15 +1,12 @@
 package keygen
 
 import (
-	"context"
-	"fmt"
-
-	"github.com/dbhammer/mirage/internal/cp"
 	"github.com/dbhammer/mirage/internal/genplan"
 	"github.com/dbhammer/mirage/internal/relalg"
 )
 
-// cellVar is one (S-partition, T-partition) pair with its CP variables:
+// cellVar is one (S-partition, T-partition) pair. The solution carries three
+// values per cell:
 //
 //	x — foreign keys in T_j populated from S_i (PF of Section 5.2);
 //	d — distinct primary keys of S_i used for them (PF^d);
@@ -28,13 +25,14 @@ import (
 // superset of its own (so the reuse is invisible to every join the cell
 // touches). Setting f = d recovers the paper's disjoint model.
 type cellVar struct {
-	si, tj  int
-	x, d, f cp.VarID
+	si, tj int
 	// jdcMask is the set of JDC-constrained joins the cell participates in.
 	jdcMask uint64
 }
 
-// kgModel is the CP formulation of one unit's join constraints.
+// kgModel is one unit's join-constraint system (Equations 3–5 plus the
+// validity constraints of Section 5.2, in the generalized fresh/reuse form):
+// the partition cells and their indexes. solveTwoPhase solves it.
 type kgModel struct {
 	joins          []*genplan.JoinCons
 	njcc, njdc     []int64 // effective (possibly resized) constraints
@@ -42,28 +40,14 @@ type kgModel struct {
 	cells          []cellVar
 	byT            [][]int // tj -> cell indices (ordered by si)
 	byS            [][]int // si -> cell indices (ordered by tj)
-	m              *cp.Model
-	err            error
 }
 
 // bit reports whether partition p participates in join k.
 func bit(p *part, k int) bool { return p.mask&(1<<uint(k)) != 0 }
 
-func popcount(m uint64) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
-}
-
-// buildModel assembles Equations 3–5 plus the validity constraints of
-// Section 5.2 (composability, expressibility, coverability) in the
-// generalized fresh/reuse form.
-func buildModel(cfg Config, joins []*genplan.JoinCons, sParts, tParts []*part, rsetSizes, njcc, njdc []int64) *kgModel {
-	kg := &kgModel{joins: joins, njcc: njcc, njdc: njdc, sParts: sParts, tParts: tParts, m: cp.NewModel()}
-	kg.m.MaxNodes = cfg.MaxNodes
+// buildModel lays out one cell per (S partition, T partition) pair.
+func buildModel(joins []*genplan.JoinCons, sParts, tParts []*part, njcc, njdc []int64) *kgModel {
+	kg := &kgModel{joins: joins, njcc: njcc, njdc: njdc, sParts: sParts, tParts: tParts}
 	kg.byT = make([][]int, len(tParts))
 	kg.byS = make([][]int, len(sParts))
 
@@ -76,284 +60,16 @@ func buildModel(cfg Config, joins []*genplan.JoinCons, sParts, tParts []*part, r
 
 	for j, tp := range tParts {
 		for i, sp := range sParts {
-			rows := int64(len(tp.rows))
-			supply := int64(len(sp.rows))
-			x := kg.m.NewVar(fmt.Sprintf("x_%d_%d", i, j), 0, rows)
-			dMax := supply
-			if rows < dMax {
-				dMax = rows
-			}
-			d := kg.m.NewVar(fmt.Sprintf("d_%d_%d", i, j), 0, dMax)
-			mask := (sp.mask & tp.mask) & jdcMaskAll
-			fMax := dMax
-			if mask == 0 {
-				// Cells outside every JDC join never need fresh keys: any
-				// key of S_i serves them without touching a distinct count.
-				fMax = 0
-			}
-			f := kg.m.NewVar(fmt.Sprintf("f_%d_%d", i, j), 0, fMax)
-			kg.m.SetBranchHigh(x)
-			// Label cells of one T partition together, most-constrained
-			// partitions first: coverage equalities then close one at a
-			// time and join-sum propagation localizes backtracking.
-			kg.m.SetPriority(x, (64-popcount(tp.mask))*1024+j)
-			kg.m.SetPriority(d, 1<<20)
-			kg.m.SetPriority(f, 1<<21)
 			idx := len(kg.cells)
-			kg.cells = append(kg.cells, cellVar{si: i, tj: j, x: x, d: d, f: f, jdcMask: mask})
+			kg.cells = append(kg.cells, cellVar{si: i, tj: j, jdcMask: (sp.mask & tp.mask) & jdcMaskAll})
 			kg.byT[j] = append(kg.byT[j], idx)
 			kg.byS[i] = append(kg.byS[i], idx)
-			// Composability and expressibility.
-			kg.m.AddLe(d, x)
-			kg.m.AddLe(f, d)
-			kg.m.AddImplication(x, d)
-		}
-	}
-
-	// Coverage: every foreign key of T_j is populated by exactly one PK.
-	for j, tp := range tParts {
-		vars := make([]cp.VarID, 0, len(kg.byT[j]))
-		for _, ci := range kg.byT[j] {
-			vars = append(vars, kg.cells[ci].x)
-		}
-		kg.addSum(vars, cp.Eq, int64(len(tp.rows)), "coverage")
-	}
-
-	// Per-join populating rules (Equations 3 and 4).
-	for k := range joins {
-		var in, compl, fin []cp.VarID
-		for ci, c := range kg.cells {
-			sIn := bit(sParts[c.si], k)
-			tIn := bit(tParts[c.tj], k)
-			if !tIn {
-				continue
-			}
-			if sIn {
-				in = append(in, c.x)
-				fin = append(fin, kg.cells[ci].f)
-			} else {
-				compl = append(compl, c.x)
-			}
-		}
-		if njcc[k] != relalg.CardUnknown {
-			kg.addSum(in, cp.Eq, njcc[k], "jcc")
-			kg.addSum(compl, cp.Eq, rsetSizes[k]-njcc[k], "jcc-complement")
-		}
-		if njdc[k] != relalg.CardUnknown {
-			kg.addSum(fin, cp.Eq, njdc[k], "jdc")
-		}
-	}
-
-	// Reuse availability: a cell's d distinct keys are its fresh keys plus
-	// keys introduced by cells (same S partition) whose JDC-join set is a
-	// superset of its own: Σ_{j' : mask' ⊇ mask} f_{ij'} ≥ d_ij.
-	// Coverability: a partition cannot introduce more fresh keys than it
-	// has rows: Σ_j f_ij ≤ |S_i|.
-	for i, sp := range sParts {
-		var all []cp.VarID
-		for _, ci := range kg.byS[i] {
-			all = append(all, kg.cells[ci].f)
-		}
-		if len(all) > 0 {
-			kg.addSum(all, cp.Le, int64(len(sp.rows)), "coverability")
-		}
-		for _, ci := range kg.byS[i] {
-			c := kg.cells[ci]
-			if c.jdcMask == 0 {
-				continue
-			}
-			var pool []cp.VarID
-			for _, cj := range kg.byS[i] {
-				if kg.cells[cj].jdcMask&c.jdcMask == c.jdcMask && kg.cells[cj].jdcMask != 0 {
-					pool = append(pool, kg.cells[cj].f)
-				}
-			}
-			kg.addReuse(pool, c.d)
 		}
 	}
 	return kg
 }
 
-// addReuse encodes Σ pool − d ≥ 0: a cell's distinct keys cannot exceed the
-// fresh keys introduced by cells whose JDC-join set covers its own (itself
-// included).
-func (kg *kgModel) addReuse(pool []cp.VarID, d cp.VarID) {
-	if kg.err != nil || len(pool) == 0 {
-		return
-	}
-	coefs := make([]int64, len(pool)+1)
-	for i := range pool {
-		coefs[i] = 1
-	}
-	coefs[len(pool)] = -1
-	kg.m.AddLinear(coefs, append(append([]cp.VarID(nil), pool...), d), cp.Ge, 0)
-}
-
-// addSum adds a checked sum constraint; an empty variable list is only
-// consistent with a zero (Eq) or non-negative (Le) right-hand side.
-func (kg *kgModel) addSum(vars []cp.VarID, rel cp.Rel, rhs int64, what string) {
-	if kg.err != nil {
-		return
-	}
-	if len(vars) == 0 {
-		switch rel {
-		case cp.Eq:
-			if rhs != 0 {
-				kg.err = fmt.Errorf("%s constraint needs %d rows but no partition cells participate", what, rhs)
-			}
-		case cp.Ge:
-			if rhs > 0 {
-				kg.err = fmt.Errorf("%s constraint needs %d rows but no partition cells participate", what, rhs)
-			}
-		}
-		return
-	}
-	if (rel == cp.Eq || rel == cp.Ge) && rhs < 0 {
-		kg.err = fmt.Errorf("%s constraint has negative requirement %d", what, rhs)
-		return
-	}
-	kg.m.AddSum(vars, rel, rhs)
-}
-
 // solution holds per-cell values of the solved model.
 type solution struct {
 	x, d, f []int64
-}
-
-// solve runs the CP solver and extracts per-cell values.
-func (kg *kgModel) solve(ctx context.Context) (*solution, error) {
-	if kg.err != nil {
-		return nil, kg.err
-	}
-	assign, _, err := kg.m.SolveCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	sol := &solution{
-		x: make([]int64, len(kg.cells)),
-		d: make([]int64, len(kg.cells)),
-		f: make([]int64, len(kg.cells)),
-	}
-	for ci, c := range kg.cells {
-		sol.x[ci] = assign.Value(c.x)
-		sol.d[ci] = assign.Value(c.d)
-		sol.f[ci] = assign.Value(c.f)
-	}
-	return sol, nil
-}
-
-// batchCP is the reusable per-batch CP model of one unit: the populating-
-// rule structure at batch scale, built once per unit and re-solved each
-// round by updating bounds, right-hand sides, and (optionally) value hints
-// in place. The structure — variables, coverage sums, per-join in/compl
-// sums — is identical across rounds; only the constants change, following
-// the paper's observation that successive batches perturb rather than
-// replace the constraint system.
-type batchCP struct {
-	m         *cp.Model
-	xs        []cp.VarID  // per cell
-	coverage  []cp.ConsID // per T partition
-	inCons    []cp.ConsID // per join (-1 when no cells participate)
-	complCons []cp.ConsID
-	inCells   [][]int // per join: cells behind inCons / complCons
-	complCell [][]int
-}
-
-// newBatchCP assembles the batch model skeleton with placeholder constants.
-func (kg *kgModel) newBatchCP(cfg Config) *batchCP {
-	b := &batchCP{m: cp.NewModel()}
-	b.m.MaxNodes = cfg.MaxNodes
-	if b.m.MaxNodes == 0 || b.m.MaxNodes > 4_000 {
-		// The transportation split already witnesses feasibility; the
-		// bounded solve keeps the per-round CP stage honest (Fig. 14)
-		// without letting pathological instances dominate generation.
-		b.m.MaxNodes = 4_000
-	}
-	b.xs = make([]cp.VarID, len(kg.cells))
-	for ci := range kg.cells {
-		b.xs[ci] = b.m.NewVar("x", 0, 0) // bounds set per round
-		b.m.SetBranchHigh(b.xs[ci])
-		b.m.SetPriority(b.xs[ci], (64-popcount(kg.tParts[kg.cells[ci].tj].mask))*1024+kg.cells[ci].tj)
-	}
-	b.coverage = make([]cp.ConsID, len(kg.tParts))
-	for j := range kg.tParts {
-		vars := make([]cp.VarID, 0, len(kg.byT[j]))
-		for _, ci := range kg.byT[j] {
-			vars = append(vars, b.xs[ci])
-		}
-		b.coverage[j] = b.m.AddSum(vars, cp.Eq, 0)
-	}
-	b.inCons = make([]cp.ConsID, len(kg.joins))
-	b.complCons = make([]cp.ConsID, len(kg.joins))
-	b.inCells = make([][]int, len(kg.joins))
-	b.complCell = make([][]int, len(kg.joins))
-	for k := range kg.joins {
-		var in, compl []cp.VarID
-		for ci, c := range kg.cells {
-			if !bit(kg.tParts[c.tj], k) {
-				continue
-			}
-			if bit(kg.sParts[c.si], k) {
-				in = append(in, b.xs[ci])
-				b.inCells[k] = append(b.inCells[k], ci)
-			} else {
-				compl = append(compl, b.xs[ci])
-				b.complCell[k] = append(b.complCell[k], ci)
-			}
-		}
-		b.inCons[k], b.complCons[k] = -1, -1
-		if len(in) > 0 {
-			b.inCons[k] = b.m.AddSum(in, cp.Eq, 0)
-		}
-		if len(compl) > 0 {
-			b.complCons[k] = b.m.AddSum(compl, cp.Eq, 0)
-		}
-	}
-	return b
-}
-
-// solveRound re-solves the batch model against one round's split. With warm
-// true the transportation split itself is installed as a complete value
-// hint: it satisfies every batch constraint by construction, so the solver's
-// complete-hint fast path verifies it in one node instead of searching —
-// sound only because the batch solution is discarded either way.
-func (b *batchCP) solveRound(ctx context.Context, kg *kgModel, xSplit, tCounts []int64, warm bool) error {
-	for ci := range kg.cells {
-		b.m.SetBounds(b.xs[ci], 0, tCounts[kg.cells[ci].tj])
-	}
-	for j := range b.coverage {
-		b.m.SetRHS(b.coverage[j], tCounts[j])
-	}
-	for k := range b.inCons {
-		if b.inCons[k] >= 0 {
-			var sum int64
-			for _, ci := range b.inCells[k] {
-				sum += xSplit[ci]
-			}
-			b.m.SetRHS(b.inCons[k], sum)
-		}
-		if b.complCons[k] >= 0 {
-			var sum int64
-			for _, ci := range b.complCell[k] {
-				sum += xSplit[ci]
-			}
-			b.m.SetRHS(b.complCons[k], sum)
-		}
-	}
-	if warm {
-		for ci := range kg.cells {
-			b.m.SetHint(b.xs[ci], xSplit[ci])
-		}
-	} else {
-		b.m.ClearHints()
-	}
-	_, _, err := b.m.SolveCtx(ctx)
-	return err
-}
-
-// solveBatchCP solves one per-batch instance cold (no hints, fresh model) —
-// the pre-reuse entry point, kept for ablations and tests; production
-// rounds go through newBatchCP/solveRound.
-func (kg *kgModel) solveBatchCP(ctx context.Context, cfg Config, xSplit []int64, tCounts []int64) error {
-	return kg.newBatchCP(cfg).solveRound(ctx, kg, xSplit, tCounts, false)
 }

@@ -67,6 +67,7 @@ func webshopLikeDB(t *testing.T) (*storage.DB, *genplan.Problem) {
 
 func TestComponentScopedKeyBudgets(t *testing.T) {
 	db, prob := webshopLikeDB(t)
+	checkTwoPhase(t, unitModel(t, db, prob.Units[0].Joins), Config{Seed: 4})
 	st, err := Populate(context.Background(), Config{Seed: 4}, prob, db)
 	if err != nil {
 		t.Fatal(err)

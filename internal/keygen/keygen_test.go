@@ -111,6 +111,7 @@ func TestPopulatePaperExample(t *testing.T) {
 	if st.Partitions == 0 || st.Cells == 0 || st.CPRounds == 0 {
 		t.Errorf("stats not recorded: %+v", st)
 	}
+	checkTwoPhase(t, paperModel(t), Config{Seed: 1})
 }
 
 func TestPopulateWithSmallBatches(t *testing.T) {
@@ -124,7 +125,16 @@ func TestPopulateWithSmallBatches(t *testing.T) {
 		checkJoin(t, db, jc)
 	}
 	if st.CPRounds != 3 { // ceil(8/3)
-		t.Errorf("CP rounds = %d, want 3", st.CPRounds)
+		t.Errorf("rounds = %d, want 3", st.CPRounds)
+	}
+	// The batch size decides how many rounds write the column, never what
+	// they write.
+	whole := freshPaperDB()
+	if _, err := Populate(context.Background(), Config{Seed: 1}, problemWith(joins), whole); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := db.Table("t").Col("t_fk"), whole.Table("t").Col("t_fk"); !slices.Equal(got, want) {
+		t.Errorf("t_fk at BatchSize 3 = %v, in one round %v", got, want)
 	}
 }
 

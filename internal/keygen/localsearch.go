@@ -37,7 +37,7 @@ type xTarget struct {
 // restart attempts consumed (≥ 1) for the degradation ledger. The repair
 // loop polls ctx, so a deadline or cancellation lands between (or inside)
 // attempts; only context interruption yields a non-nil error.
-func (kg *kgModel) solveXLocal(ctx context.Context, cfg Config, rsetSizes []int64) (x []int64, residual []int64, attempts int, err error) {
+func (kg *kgModel) solveXLocal(ctx context.Context, cfg Config) (x []int64, residual []int64, attempts int, err error) {
 	targets := make([]xTarget, len(kg.joins))
 	for k := range kg.joins {
 		switch {

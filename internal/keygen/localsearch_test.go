@@ -9,23 +9,31 @@ package keygen
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/dbhammer/mirage/internal/engine"
+	"github.com/dbhammer/mirage/internal/genplan"
+	"github.com/dbhammer/mirage/internal/storage"
 	"github.com/dbhammer/mirage/internal/testutil"
 )
 
 // paperModel builds the paper-example unit's kgModel for white-box tests.
-func paperModel(t testing.TB) (*kgModel, []int64, Config) {
+func paperModel(t testing.TB) *kgModel {
 	t.Helper()
-	db := testutil.PaperDB()
+	return unitModel(t, testutil.PaperDB(), paperJoins())
+}
+
+// unitModel builds the kgModel populateUnit would build for joins on db,
+// except that no join is dropped as implied or duplicate.
+func unitModel(t testing.TB, db *storage.DB, joins []*genplan.JoinCons) *kgModel {
+	t.Helper()
 	eng, err := engine.New(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joins := paperJoins()
-	cfg := Config{Seed: 1}
-	sRows, tRows := db.Table("s").Rows(), db.Table("t").Rows()
+	spec := joins[0].Spec
+	sRows, tRows := db.Table(spec.PKTable).Rows(), db.Table(spec.FKTable).Rows()
 	sMask := make([]uint64, sRows)
 	tMask := make([]uint64, tRows)
 	rset := make([]int64, len(joins))
@@ -48,16 +56,65 @@ func paperModel(t testing.TB) (*kgModel, []int64, Config) {
 		rset[k] = int64(len(rs))
 		lset[k] = int64(len(ls))
 	}
-	sParts, tParts := partition(sMask), partition(tMask)
-	st := &Stats{}
-	njcc, njdc := resizeConstraints(st, joins, lset, rset, int64(sRows))
-	return buildModel(cfg, joins, sParts, tParts, rset, njcc, njdc), rset, cfg
+	njcc, njdc := resizeConstraints(&Stats{}, joins, lset, rset, int64(sRows))
+	return buildModel(joins, partition(sMask), partition(tMask), njcc, njdc)
+}
+
+// checkTwoPhase solves kg and asserts what populateFKs relies on in the
+// result: per cell 0 ≤ f ≤ d ≤ x, x > 0 ⇒ d > 0, d ≤ |S_i| and no fresh key
+// outside a JDC join; exact coverage per T partition; and, per S partition,
+// fresh keys within |S_i| for each connected component of overlapping JDC
+// masks (components never meet in a join, so allocateKeys lets their key
+// ranges alias). The join sums are not re-checked: residual clamping may
+// have relaxed them, and checkJoin covers them end to end.
+func checkTwoPhase(t testing.TB, kg *kgModel, cfg Config) {
+	t.Helper()
+	sol, _, _, err := kg.solveTwoPhase(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, c := range kg.cells {
+		x, d, f := sol.x[ci], sol.d[ci], sol.f[ci]
+		supply := int64(len(kg.sParts[c.si].rows))
+		if f < 0 || f > d || d > x || (x > 0 && d == 0) || d > supply || (c.jdcMask == 0 && f != 0) {
+			t.Fatalf("cell %d (S_%d,T_%d): x=%d d=%d f=%d, |S_i|=%d, jdcMask=%b", ci, c.si, c.tj, x, d, f, supply, c.jdcMask)
+		}
+	}
+	for j, tp := range kg.tParts {
+		var sum int64
+		for _, ci := range kg.byT[j] {
+			sum += sol.x[ci]
+		}
+		if sum != int64(len(tp.rows)) {
+			t.Fatalf("T_%d: cells cover %d of %d rows", j, sum, len(tp.rows))
+		}
+	}
+	for i, sp := range kg.sParts {
+		var masks []uint64
+		for _, ci := range kg.byS[i] {
+			if m := kg.cells[ci].jdcMask; m != 0 && !slices.Contains(masks, m) {
+				masks = append(masks, m)
+			}
+		}
+		comp := componentsOf(masks)
+		fresh := make(map[int]int64)
+		for _, ci := range kg.byS[i] {
+			if m := kg.cells[ci].jdcMask; m != 0 {
+				fresh[comp[m]] += sol.f[ci]
+			}
+		}
+		for _, n := range fresh {
+			if n > int64(len(sp.rows)) {
+				t.Fatalf("S_%d: %d fresh keys in one component, supply %d", i, n, len(sp.rows))
+			}
+		}
+	}
 }
 
 // newTestState builds a cold repair state over the paper model.
 func newTestState(t testing.TB, seed int64) *repairState {
 	t.Helper()
-	kg, _, _ := paperModel(t)
+	kg := paperModel(t)
 	targets := make([]xTarget, len(kg.joins))
 	for k := range kg.joins {
 		switch {

@@ -2,12 +2,9 @@ package keygen
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
-
-	"github.com/dbhammer/mirage/internal/cp"
 )
 
 // allocateKeys chooses, for every cell, the distinct primary keys of S_i
@@ -170,9 +167,10 @@ func buildStreams(kg *kgModel, sol *solution, keys [][]int64) ([][]int64, error)
 }
 
 // populateFKs splits the global solution across batches (north-west corner
-// transportation split: exact totals per cell and per batch), solves each
-// batch's own CP instance, and returns the foreign-key column content for
-// the caller to commit after the unit's wave joins.
+// transportation split: exact totals per cell and per batch) and returns the
+// foreign-key column content for the caller to commit after the unit's wave
+// joins. The split consumes every cell's stream in order, so the batch size
+// cannot change the content.
 func populateFKs(ctx context.Context, cfg Config, st *Stats, tRows int, kg *kgModel, sol *solution) ([]int64, error) {
 	tParts := kg.tParts
 
@@ -200,11 +198,8 @@ func populateFKs(ctx context.Context, cfg Config, st *Stats, tRows int, kg *kgMo
 	streamPos := make([]int64, len(kg.cells))
 	partPtr := make([]int, len(tParts))
 
-	// Per-round scratch and the reusable batch CP model: rounds share one
-	// constraint skeleton (only bounds/right-hand sides change), one split
-	// buffer, and one row buffer per partition — the batch loop allocates
-	// nothing per round at steady state.
-	bm := kg.newBatchCP(cfg)
+	// Per-round scratch: one split buffer and one row buffer per partition —
+	// the batch loop allocates nothing per round at steady state.
 	tCounts := make([]int64, len(tParts))
 	xSplit := make([]int64, len(kg.cells))
 	batchRows := make([][]int32, len(tParts))
@@ -268,47 +263,6 @@ func populateFKs(ctx context.Context, cfg Config, st *Stats, tRows int, kg *kgMo
 			}
 		}
 		st.PFTime += time.Since(pfStart)
-
-		// Per-batch CP round (Fig. 14's CP stage). The split itself is a
-		// valid solution of the batch instance, so a search-limit abort
-		// only means the timing sample ended early; population proceeds
-		// from the split either way — recorded as a cp-budget degradation.
-		// Context interruptions, by contrast, are terminal.
-		//
-		// The round's solution is discarded by design, so two fast paths
-		// apply: the memo replays the outcome of a structurally identical
-		// (gcd-rescaled) earlier round, and otherwise the warm start hands
-		// the solver the split as a complete value hint, which it verifies
-		// in one node. Both are bypassed under fault injection (Populate
-		// clears Cache and sets NoWarmStart).
-		cpStart := time.Now()
-		var (
-			memoKey []uint64
-			scale   int64
-			hit     bool
-			budget  bool
-		)
-		if cfg.Cache != nil {
-			memoKey, scale = batchKey(cfg, kg, xSplit, tCounts)
-			budget, hit = cfg.Cache.lookupBatch(memoKey, scale)
-		}
-		if hit {
-			if budget {
-				st.CPBudget++
-			}
-		} else {
-			err := bm.solveRound(ctx, kg, xSplit, tCounts, !cfg.NoWarmStart)
-			if err != nil {
-				if !errors.Is(err, cp.ErrSearchLimit) {
-					return nil, fmt.Errorf("batch CP at row %d: %w", lo, err)
-				}
-				st.CPBudget++
-			}
-			if memoKey != nil {
-				cfg.Cache.storeBatch(memoKey, errors.Is(err, cp.ErrSearchLimit))
-			}
-		}
-		st.CPTime += time.Since(cpStart)
 		st.CPRounds++
 	}
 	return vals, nil

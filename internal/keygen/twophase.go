@@ -1,35 +1,25 @@
 package keygen
 
-import (
-	"cmp"
-	"context"
-	"fmt"
-	"slices"
+import "context"
 
-	"github.com/dbhammer/mirage/internal/cp"
-)
-
-// solveTwoPhase decomposes the unit's CP into an aggregated x-system and a
+// solveTwoPhase decomposes the unit's system into the x-system and a
 // cell-level d/f-system.
 //
 // The joint model of Section 5.2 treats every (S-partition, T-partition)
 // pair as a variable, but within one T partition all S partitions whose
 // status masks agree on the T partition's joins are interchangeable — a
-// symmetry that poisons backtracking search. Phase 1 therefore aggregates
-// cells by (T partition, restricted S mask) and solves the x-system there
-// (small, symmetry-free); the aggregate solution is split evenly across the
-// group's S partitions, which is exact for every join-cardinality sum.
-// Phase 2 solves the distinct/fresh system at cell level with x fixed —
-// tiny, because fresh variables exist only where JDC-constrained joins see
-// the cell. If phase 2 is infeasible under the chosen split, the caller
-// falls back to the joint model.
+// symmetry that poisons backtracking search. Phase 1 therefore solves the
+// x-system by min-conflicts local search (solveXLocal). Phase 2 assigns the
+// distinct/fresh counts at cell level with x fixed (solveDFLocal) — tiny,
+// because fresh values exist only where JDC-constrained joins see the cell.
+// What either phase cannot meet is clamped by Section 6's resize rule.
 //
 // Besides the solution it reports the restarts taken (local-search attempts
 // beyond the first) and the constraints resized, for the degradation
 // ledger. The only error it returns is a context interruption.
-func (kg *kgModel) solveTwoPhase(ctx context.Context, cfg Config, rsetSizes []int64) (*solution, int, int, error) {
+func (kg *kgModel) solveTwoPhase(ctx context.Context, cfg Config) (*solution, int, int, error) {
 	resized := 0
-	x, residual, attempts, err := kg.solveXLocal(ctx, cfg, rsetSizes)
+	x, residual, attempts, err := kg.solveXLocal(ctx, cfg)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -45,135 +35,4 @@ func (kg *kgModel) solveTwoPhase(ctx context.Context, cfg Config, rsetSizes []in
 	sol, dfResid := kg.solveDFLocal(x)
 	resized += dfResid
 	return sol, restarts, resized, nil
-}
-
-// groupKey identifies one aggregated variable: a T partition and the S-mask
-// restricted to that partition's joins.
-type groupKey struct {
-	tj    int
-	rmask uint64
-}
-
-// solveXAggregated solves the aggregated x-system and splits it to cells.
-func (kg *kgModel) solveXAggregated(ctx context.Context, cfg Config, rsetSizes []int64) ([]int64, error) {
-	if kg.err != nil {
-		return nil, kg.err
-	}
-	m := cp.NewModel()
-	m.MaxNodes = cfg.MaxNodes
-	if m.MaxNodes == 0 || m.MaxNodes > 200_000 {
-		m.MaxNodes = 200_000
-	}
-
-	// Build groups: for each T partition, S partitions collapse by their
-	// mask restricted to the T partition's join set.
-	type group struct {
-		key   groupKey
-		cells []int // member cell indices
-		v     cp.VarID
-	}
-	groups := make(map[groupKey]*group)
-	var order []*group
-	for j, tp := range kg.tParts {
-		for _, ci := range kg.byT[j] {
-			c := kg.cells[ci]
-			key := groupKey{tj: j, rmask: kg.sParts[c.si].mask & tp.mask}
-			g, ok := groups[key]
-			if !ok {
-				g = &group{key: key}
-				groups[key] = g
-				order = append(order, g)
-			}
-			g.cells = append(g.cells, ci)
-		}
-	}
-	slices.SortFunc(order, func(a, b *group) int {
-		if c := cmp.Compare(a.key.tj, b.key.tj); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.key.rmask, b.key.rmask)
-	})
-	for gi, g := range order {
-		cap := int64(len(kg.tParts[g.key.tj].rows))
-		g.v = m.NewVar(fmt.Sprintf("z%d", gi), 0, cap)
-		m.SetBranchHigh(g.v)
-		m.SetPriority(g.v, (64-popcount(kg.tParts[g.key.tj].mask))*1024+g.key.tj)
-	}
-	// Coverage per T partition.
-	byT := make([][]*group, len(kg.tParts))
-	for _, g := range order {
-		byT[g.key.tj] = append(byT[g.key.tj], g)
-	}
-	for j, tp := range kg.tParts {
-		var vars []cp.VarID
-		for _, g := range byT[j] {
-			vars = append(vars, g.v)
-		}
-		if len(vars) > 0 {
-			m.AddSum(vars, cp.Eq, int64(len(tp.rows)))
-		} else if len(tp.rows) > 0 {
-			return nil, fmt.Errorf("internal: T partition %d has rows but no cells", j)
-		}
-	}
-	// Join sums.
-	for k := range kg.joins {
-		var in, compl []cp.VarID
-		for _, g := range order {
-			if !bit(kg.tParts[g.key.tj], k) {
-				continue
-			}
-			if g.key.rmask&(1<<uint(k)) != 0 {
-				in = append(in, g.v)
-			} else {
-				compl = append(compl, g.v)
-			}
-		}
-		if kg.njcc[k] != kg.unknown() {
-			if err := addSumOrCheck(m, in, kg.njcc[k]); err != nil {
-				return nil, fmt.Errorf("jcc: %w", err)
-			}
-			if err := addSumOrCheck(m, compl, rsetSizes[k]-kg.njcc[k]); err != nil {
-				return nil, fmt.Errorf("jcc-complement: %w", err)
-			}
-		}
-		if kg.njdc[k] != kg.unknown() && len(in) > 0 {
-			// The in-side must carry at least the distinct requirement.
-			m.AddSum(in, cp.Ge, kg.njdc[k])
-		}
-	}
-	sol, _, err := m.SolveCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	// Split each group's mass evenly over its member cells (largest
-	// remainder); any split preserves every aggregated sum.
-	x := make([]int64, len(kg.cells))
-	for _, g := range order {
-		total := sol.Value(g.v)
-		n := int64(len(g.cells))
-		base, rem := total/n, total%n
-		for idx, ci := range g.cells {
-			x[ci] = base
-			if int64(idx) < rem {
-				x[ci]++
-			}
-		}
-	}
-	return x, nil
-}
-
-func (kg *kgModel) unknown() int64 { return -1 }
-
-func addSumOrCheck(m *cp.Model, vars []cp.VarID, rhs int64) error {
-	if len(vars) == 0 {
-		if rhs != 0 {
-			return fmt.Errorf("requires %d rows but no cells participate", rhs)
-		}
-		return nil
-	}
-	if rhs < 0 {
-		return fmt.Errorf("negative requirement %d", rhs)
-	}
-	m.AddSum(vars, cp.Eq, rhs)
-	return nil
 }

@@ -99,6 +99,7 @@ func TestWitnessDerivedConstraintsProperty(t *testing.T) {
 		if len(joins) == 0 {
 			continue
 		}
+		checkTwoPhase(t, unitModel(t, db, joins), Config{Seed: int64(trial)})
 		// Clear the FK column and regenerate.
 		tData.SetCol("t_fk", nil)
 		prob := &genplan.Problem{Schema: schema, Units: []*genplan.Unit{{Table: "t", FKCol: "t_fk", Joins: joins}}}

@@ -46,7 +46,7 @@ const (
 	// is unwinding when it appears.
 	EventExportError EventType = "export_error"
 	// EventDegradation mirrors one keygen degradation-ledger entry (Unit,
-	// Kind: resize/restarts/joint-fallback/cp-budget, Count).
+	// Kind: resize/restarts, Count).
 	EventDegradation EventType = "degradation"
 	// EventSinkRetry records one transient sink failure being retried
 	// (Stage: sink op, Count: attempt ordinal, Err); EventSinkGiveup records

@@ -15,13 +15,13 @@
 //	reg := obs.Active()                  // one atomic load; nil when disabled
 //	c := reg.Counter("keygen_units")     // nil registry -> nil handle
 //	c.Add(3)                             // nil handle -> no-op
-//	t := reg.Histogram("cp_solve_ns").Start() // nil -> zero Timer, no time.Now
+//	t := reg.Histogram("keygen_cp_ns").Start() // nil -> zero Timer, no time.Now
 //	...
 //	t.Stop()                             // zero Timer -> no-op
 //
 // With no registry installed the entire chain is one atomic load plus nil
 // checks — zero allocations and zero clock reads, enforced by
-// testing.AllocsPerRun in obs_test.go. Hot packages (engine, cp, relalg)
+// testing.AllocsPerRun in obs_test.go. Hot packages (engine, relalg)
 // take all wall-clock readings through Timer for exactly this reason; CI
 // greps them for direct time.Now calls.
 //

@@ -55,7 +55,6 @@ type Fingerprint struct {
 	Seed         int64  `json:"seed"`
 	BatchSize    int64  `json:"batch_size"`
 	SampleSize   int    `json:"sample_size"`
-	CPMaxNodes   int    `json:"cp_max_nodes"`
 }
 
 // diff lists the fields where f and g disagree, in a stable order.
@@ -72,7 +71,6 @@ func (f Fingerprint) diff(g Fingerprint) []string {
 	add("seed", f.Seed, g.Seed)
 	add("batch_size", f.BatchSize, g.BatchSize)
 	add("sample_size", f.SampleSize, g.SampleSize)
-	add("cp_max_nodes", f.CPMaxNodes, g.CPMaxNodes)
 	return out
 }
 

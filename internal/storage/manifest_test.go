@@ -132,6 +132,31 @@ func TestManifestVerifyCommitted(t *testing.T) {
 			t.Fatalf("gzip=%v: clean verify failed: %v", gz, err)
 		}
 
+		// A manifest from before cp_max_nodes left the fingerprint (no
+		// reachable search read it) still steers a resume.
+		mpath := filepath.Join(dir, ManifestName)
+		b, err := os.ReadFile(mpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := strings.Replace(string(b), `"seed":`, `"cp_max_nodes": 7, "seed":`, 1)
+		if old == string(b) {
+			t.Fatalf("manifest has no seed field to anchor on: %s", b)
+		}
+		if err := os.WriteFile(mpath, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadManifest(dir)
+		if err != nil {
+			t.Fatalf("gzip=%v: manifest with cp_max_nodes: %v", gz, err)
+		}
+		if err := loaded.Check(testFingerprint()); err != nil {
+			t.Fatalf("gzip=%v: manifest with cp_max_nodes: %v", gz, err)
+		}
+		if err := loaded.VerifyCommitted(); err != nil {
+			t.Fatalf("gzip=%v: manifest with cp_max_nodes: %v", gz, err)
+		}
+
 		// Corruption — append a byte (gzip: corrupt the compressed stream).
 		path := filepath.Join(dir, sink.TableFile("tbl"))
 		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)

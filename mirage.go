@@ -69,8 +69,6 @@ type Options struct {
 	// Seed makes generation deterministic; same seed, same database —
 	// regardless of Parallelism (see below).
 	Seed int64
-	// CPMaxNodes bounds each constraint-programming search.
-	CPMaxNodes int
 	// Parallelism is the number of workers the pipeline's hot paths run
 	// on: independent tables (non-key generation), independent columns and
 	// batch fills within a table, FK units of one dependency wave, and
@@ -80,16 +78,6 @@ type Options struct {
 	// shared sequential source — the generated database and instantiated
 	// parameters are byte-identical at any worker count.
 	Parallelism int
-	// NoKeygenCache disables the key generator's CP solution memoization
-	// (on by default). The cache is per-run and byte-neutral: hits replay
-	// the exact solution the deterministic solver would recompute, so this
-	// flag trades solve time only, never output.
-	NoKeygenCache bool
-	// NoKeygenWarmStart disables warm-started per-batch CP rounds (value
-	// hints seeded from the transportation split). Hints only attach to
-	// solves whose solutions are discarded, so this flag too is
-	// byte-neutral.
-	NoKeygenWarmStart bool
 }
 
 func (o Options) withDefaults() Options {
@@ -198,9 +186,8 @@ type Result struct {
 	Key    keygen.Stats
 	// Degradations lists every graceful-degradation event generation took
 	// instead of failing: join constraints resized to achievable values
-	// (Section 6), local-search restarts, two-phase→joint CP fallbacks,
-	// and per-batch CP rounds that ran out of node budget. An empty list
-	// means the run needed no fallback at all.
+	// (Section 6) and local-search restarts. An empty list means the run
+	// needed no fallback at all.
 	Degradations []Degradation
 	// Total is the end-to-end generation wall time.
 	Total time.Duration
@@ -222,11 +209,8 @@ type Degradation struct {
 	// Unit locates the event (an FK unit such as "lineitem.l_orderkey").
 	Unit string
 	// Kind is the fallback taken: "resize" (constraints clamped to their
-	// achievable range), "restarts" (x-system local-search restarts beyond
-	// the first attempt), "joint-fallback" (two-phase decomposition
-	// abandoned for the joint CP model), or "cp-budget" (a per-batch CP
-	// round exhausted its node budget; population proceeded from the
-	// transportation split).
+	// achievable range) or "restarts" (x-system local-search restarts
+	// beyond the first attempt).
 	Kind string
 	// Count is the number of occurrences within the unit.
 	Count int
@@ -247,11 +231,11 @@ func Generate(p *Problem, opts Options) (*Result, error) {
 }
 
 // GenerateCtx is Generate under a context. Cancellation and deadline expiry
-// propagate through every layer — worker pools stop claiming items, CP
-// searches abort between nodes, batch loops stop between batches — and the
-// returned error wraps context.Canceled / context.DeadlineExceeded. A panic
-// in any stage or worker is contained into a *StageError (never a process
-// crash). Whatever the failure, all worker goroutines have exited by the
+// propagate through every layer — worker pools stop claiming items, the
+// local search polls between repairs, batch loops stop between batches —
+// and the returned error wraps context.Canceled / context.DeadlineExceeded.
+// A panic in any stage or worker is contained into a *StageError (never a
+// process crash). Whatever the failure, all worker goroutines have exited by the
 // time GenerateCtx returns, and every committed column is complete: a
 // table's column is either fully materialized or untouched, never torn.
 func GenerateCtx(ctx context.Context, p *Problem, opts Options) (*Result, error) {
@@ -331,10 +315,7 @@ func generate(ctx context.Context, p *Problem, opts Options, sc *StreamConfig) (
 	kgCfg := keygen.Config{
 		BatchSize:   opts.BatchSize,
 		Seed:        opts.Seed,
-		MaxNodes:    opts.CPMaxNodes,
 		Parallelism: opts.Parallelism,
-		NoCache:     opts.NoKeygenCache,
-		NoWarmStart: opts.NoKeygenWarmStart,
 	}
 	var exp *exporter
 	if sc != nil {

@@ -108,7 +108,7 @@ func TestEndToEndSmallBatches(t *testing.T) {
 		}
 	}
 	if res.Key.CPRounds < 4 { // 8 rows / batch 2 = 4 rounds
-		t.Errorf("CP rounds = %d, want >= 4 with batch size 2", res.Key.CPRounds)
+		t.Errorf("rounds = %d, want >= 4 with batch size 2", res.Key.CPRounds)
 	}
 }
 

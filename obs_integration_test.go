@@ -162,7 +162,6 @@ func TestRunReportGoldenSSB(t *testing.T) {
 		"nonkey_rows_total",
 		"keygen_waves_total",
 		"keygen_units_total",
-		"cp_solves_total",
 		"engine_executes_total",
 		"validate_queries_total",
 	} {
@@ -182,7 +181,6 @@ func TestRunReportGoldenSSB(t *testing.T) {
 
 	// Histograms with samples.
 	for _, name := range []string{
-		"cp_solve_ns",
 		"validate_query_ns",
 		"nonkey_layout_ns",
 		"nonkey_fill_ns",

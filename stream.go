@@ -106,7 +106,7 @@ func GenerateStreamCtx(ctx context.Context, p *Problem, opts Options, sc StreamC
 // RunFingerprint derives the resume identity of a generation run: the
 // schema structure (tables, row counts, column types and domains), the
 // workload's full content, and every byte-affecting option — seed, batch
-// size, sample size, CP node budget — normalized through the same defaulting
+// size, sample size — normalized through the same defaulting
 // generation applies, so an explicit default and an omitted value
 // fingerprint equally. The workload hash covers every template's tree with
 // its annotated cardinalities, every parameter's original value, and the
@@ -150,7 +150,6 @@ func RunFingerprint(p *Problem, opts Options) storage.Fingerprint {
 		Seed:         opts.Seed,
 		BatchSize:    opts.BatchSize,
 		SampleSize:   opts.SampleSize,
-		CPMaxNodes:   opts.CPMaxNodes,
 	}
 }
 
