@@ -159,18 +159,68 @@ func TestDegradationsEmptyOnCleanRun(t *testing.T) {
 	}
 }
 
-// TestInjectedBuildProblemPanicContained covers the trace/rewrite stage.
+// TestInjectedBuildProblemPanicContained covers the trace/rewrite stage: on
+// the paper workload, and on SSB's 13 templates traced by two workers, where
+// a panic or an error injected into template 7 comes back as
+// *StageError{build/template, 7} and an interrupt landing there as a wrapped
+// context.Canceled, each with every worker joined.
 func TestInjectedBuildProblemPanicContained(t *testing.T) {
 	w, err := NewWorkload(testutil.PaperSchema(), nil, testutil.PaperWorkload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := faultinject.New(faultinject.Rule{Stage: "build/template", Item: 1, Action: faultinject.Panic})
-	defer faultinject.Activate(in)()
+	deactivate := faultinject.Activate(in)
 	_, err = BuildProblem(testutil.PaperDB(), w)
+	deactivate()
 	var se *StageError
 	if !errors.As(err, &se) || se.Stage != "build/template" || se.Item != 1 {
 		t.Fatalf("err = %v, want *StageError at build/template[1]", err)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	spec, err := workload.ByName("ssb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := spec.NewSchema(0.2)
+	original, err := workload.GenerateOriginal(schema, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	for _, action := range []faultinject.Action{faultinject.Panic, faultinject.Error, faultinject.Cancel} {
+		w, err := NewWorkload(schema, spec.Codecs, spec.DSL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(w.Templates) != 13 {
+			t.Fatalf("SSB has %d templates, want 13", len(w.Templates))
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		in := faultinject.New(faultinject.Rule{Stage: "build/template", Item: 7, Action: action})
+		in.BindCancel(cancel)
+		deactivate := faultinject.Activate(in)
+		_, err = BuildProblemCtx(ctx, original, w)
+		deactivate()
+		cancel()
+		if action == faultinject.Cancel {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancel: err = %v, want wrapped context.Canceled", err)
+			}
+		} else if !errors.As(err, &se) || se.Stage != "build/template" || se.Item != 7 || !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("action %v: err = %v, want injected *StageError at build/template[7]", action, err)
+		}
+		if got := in.Fired(); len(got) != 1 {
+			t.Fatalf("action %v: Fired() = %v, want exactly one fault", action, got)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("action %v: goroutines: %d before, %d after", action, baseline, runtime.NumGoroutine())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

@@ -56,13 +56,16 @@ type Engine struct {
 	// evaluated; operators finish with it before their parent runs, so one
 	// buffer serves the whole tree.
 	selBuf []int32
+	// ident backs the rows [0, n) Count reads a bare leaf as; never written
+	// through.
+	ident []int32
 	// m holds the obs handles resolved once at construction; with telemetry
 	// disabled every handle is nil and recording degenerates to nil checks.
 	m engineMetrics
-	// win is the table-pass state every engine has: CollectRowSetsCtx scans
-	// base tables window by window on both kinds of engine. windowed is set by
-	// NewWindowed only: eval then runs single-table selections over windows
-	// too, and columns absent from storage regenerate through chunk sources.
+	// win is the table-pass state every engine has: CollectRowSetsCtx and
+	// Count scan base tables window by window on both kinds of engine.
+	// windowed is set by NewWindowed only: columns absent from storage then
+	// regenerate through chunk sources.
 	win      *windowState
 	windowed bool
 }
@@ -78,8 +81,10 @@ type engineMetrics struct {
 	filtered *obs.Counter
 	joined   *obs.Counter
 	// materialized counts row-set requests answered by evaluating the view
-	// (the eval fallback of CollectRowSetsCtx) instead of by reduction.
-	materialized *obs.Counter
+	// (the eval fallback of CollectRowSetsCtx) instead of by reduction, and
+	// countMaterialized the templates Count evaluated instead of counting.
+	materialized      *obs.Counter
+	countMaterialized *obs.Counter
 }
 
 // opLabel names each view kind in metric labels.
@@ -106,6 +111,7 @@ func newEngineMetrics() engineMetrics {
 	m.filtered = reg.Counter("engine_rows_filtered_total")
 	m.joined = reg.Counter("engine_rows_joined_total")
 	m.materialized = reg.Counter("engine_rowset_materialized_total")
+	m.countMaterialized = reg.Counter("engine_count_materialized_total")
 	return m
 }
 
@@ -134,7 +140,9 @@ func (e *Engine) DB() *storage.DB { return e.db }
 
 // Execute runs the template and returns per-view stats. orig selects the
 // original parameter values (tracing the production database) instead of the
-// instantiated ones (validating the synthetic database).
+// instantiated ones (validating the synthetic database). It materializes
+// every operator's output: it is the query whose latency validation times
+// (Fig. 12), and the oracle and fallback of Count, which annotation uses.
 func (e *Engine) Execute(q *relalg.AQT, orig bool) (*Result, error) {
 	res := &Result{Stats: make(map[*relalg.View]Stats)}
 	e.m.execs.Inc()
@@ -188,8 +196,8 @@ func (e *Engine) bindColumn(rel *Relation, col string) (colBinding, error) {
 // straight from storage (the classic engine's only path). Under windowed
 // evaluation an unmaterialized column is regenerated whole through the
 // table's chunk source and cached for the engine's lifetime — the
-// correctness fallback for shapes that cannot be windowed (predicates over
-// join outputs, aggregates over dropped columns), counted in
+// correctness fallback for every read outside a table pass (Execute's
+// operators, Count's projections and group-bys), counted in
 // engine_window_fallbacks_total so regressions are visible.
 func (e *Engine) columnData(t *storage.TableData, col string) ([]int64, error) {
 	vals, err := t.Lookup(col)
@@ -261,9 +269,6 @@ func (e *Engine) eval(v *relalg.View, orig bool, res *Result) (*Relation, error)
 		in, err := e.eval(v.Inputs[0], orig, res)
 		if err != nil {
 			return nil, err
-		}
-		if e.windowed && len(in.tables) == 1 && in.sorted {
-			return e.evalSelectWindowed(v, in, orig, res)
 		}
 		tm := e.m.opNS[v.Kind].Start()
 		bound, err := relalg.BindPred(v.Pred, relationBinder{e: e, rel: in}, orig)
@@ -624,20 +629,26 @@ func (e *Engine) aggregate(in *Relation, groupBy []string) (int64, error) {
 		}
 		cols[gi] = c
 	}
-	type key struct {
-		a, b int64
-	}
-	groups := make(map[key]struct{})
+	groups := make(map[groupKey]struct{})
 	for i := 0; i < in.Len(); i++ {
-		var k key
-		k.a = cols[0].at(i)
-		// Fold any further grouping columns into b with a simple
-		// order-sensitive hash; collisions only perturb the (already
-		// unconstrained) aggregate cardinality.
+		k := groupKey{a: cols[0].at(i)}
 		for _, c := range cols[1:] {
-			k.b = k.b*1000003 + c.at(i)
+			k = k.fold(c.at(i))
 		}
 		groups[k] = struct{}{}
 	}
 	return int64(len(groups)), nil
+}
+
+// groupKey is what an aggregate groups a tuple by: its first grouping value,
+// with every further one folded into b by a simple order-sensitive hash.
+// Collisions only perturb the (already unconstrained) aggregate cardinality;
+// aggregate and Count fold alike, so they perturb it identically.
+type groupKey struct {
+	a, b int64
+}
+
+func (k groupKey) fold(v int64) groupKey {
+	k.b = k.b*1000003 + v
+	return k
 }

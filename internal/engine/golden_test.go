@@ -32,8 +32,9 @@ type queryStats struct {
 }
 
 // executeGolden runs every template of the scenario with original parameters
-// and flattens the per-view stats in deterministic walk order.
-func executeGolden(t *testing.T, name string) []queryStats {
+// — through Count when count is set, else through Execute — and flattens the
+// per-view stats in deterministic walk order.
+func executeGolden(t *testing.T, name string, count bool) []queryStats {
 	t.Helper()
 	spec, err := workload.ByName(name)
 	if err != nil {
@@ -49,7 +50,11 @@ func executeGolden(t *testing.T, name string) []queryStats {
 	}
 	var out []queryStats
 	for _, q := range templates {
-		res, err := eng.Execute(q, true)
+		run := eng.Execute
+		if count {
+			run = func(q *relalg.AQT, orig bool) (*Result, error) { return eng.Count(q, orig, nil) }
+		}
+		res, err := run(q, true)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, q.Name, err)
 		}
@@ -68,15 +73,26 @@ func executeGolden(t *testing.T, name string) []queryStats {
 
 // TestGoldenStatsEquivalence asserts the engine reproduces, bit for bit, the
 // per-view Stats (Card/JCC/JDC) recorded from the pre-vectorization
-// row-at-a-time executor on the SSB and TPC-H workloads. Regenerate with
-// `go test ./internal/engine -run Golden -update` only when a semantic change
-// is intended.
+// row-at-a-time executor on the SSB and TPC-H workloads, and so does the
+// counting path. Regenerate with `go test ./internal/engine -run Golden
+// -update` only when a semantic change is intended.
 func TestGoldenStatsEquivalence(t *testing.T) {
-	for _, name := range []string{"ssb", "tpch"} {
-		t.Run(name, func(t *testing.T) {
-			got := executeGolden(t, name)
+	for _, tc := range []struct {
+		name  string
+		count bool
+	}{{"ssb", false}, {"tpch", false}, {"ssb", true}, {"tpch", true}} {
+		name := tc.name
+		sub := name
+		if tc.count {
+			sub += "-count"
+		}
+		t.Run(sub, func(t *testing.T) {
+			got := executeGolden(t, name, tc.count)
 			path := filepath.Join("testdata", fmt.Sprintf("golden_stats_%s.json", name))
 			if *updateGolden {
+				if tc.count {
+					return
+				}
 				blob, err := json.MarshalIndent(got, "", "\t")
 				if err != nil {
 					t.Fatal(err)

@@ -13,11 +13,6 @@ type Relation struct {
 	tables []string
 	cols   [][]int32
 	n      int
-	// sorted marks a single-table relation whose row indices are ascending
-	// and distinct (base relations and anything selection-filtered from
-	// them). The windowed engine requires this to stream a selection over
-	// row windows; join outputs lose it.
-	sorted bool
 }
 
 // newBaseRelation covers rows [0, n) of a single table.
@@ -26,7 +21,7 @@ func newBaseRelation(table string, n int) *Relation {
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	return &Relation{tables: []string{table}, cols: [][]int32{idx}, n: n, sorted: true}
+	return &Relation{tables: []string{table}, cols: [][]int32{idx}, n: n}
 }
 
 // Len returns the tuple count.
@@ -58,7 +53,7 @@ func (r *Relation) rowIdx(table string, i int) int32 {
 // relation: one exact-size batch copy per column, no per-tuple bookkeeping.
 // The table list is shared — it is immutable after construction.
 func (r *Relation) gather(sel []int32) *Relation {
-	out := &Relation{tables: r.tables, cols: make([][]int32, len(r.cols)), n: len(sel), sorted: r.sorted}
+	out := &Relation{tables: r.tables, cols: make([][]int32, len(r.cols)), n: len(sel)}
 	for t, src := range r.cols {
 		dst := make([]int32, len(sel))
 		for k, pos := range sel {

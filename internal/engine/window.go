@@ -108,9 +108,9 @@ type windowState struct {
 	// spillBuf is the one byte buffer spilled rows are encoded and decoded
 	// through, a block at a time.
 	spillBuf []byte
-	// fallback caches whole columns materialized for view shapes that cannot
-	// be windowed (selections over join outputs, aggregates over unretained
-	// columns) — a correctness net, counted so regressions are visible.
+	// fallback caches whole columns materialized for reads outside a table
+	// pass (columnData) — a correctness net, counted so regressions are
+	// visible.
 	fallback map[string][]int64
 	spillDir string
 	ownDir   bool
@@ -118,12 +118,11 @@ type windowState struct {
 	m        windowMetrics
 }
 
-// NewWindowed builds an engine that pulls unmaterialized columns through
-// cfg.Sources, a window at a time, and spills large row sets: besides the
-// table passes every engine makes, Execute's single-table selections run
-// over windows too. Everything else — joins, projections, aggregates,
-// statistics — behaves exactly like New; generated row sets and stats are
-// identical. Callers must Close the engine to release spill files.
+// NewWindowed builds an engine whose table passes pull unmaterialized
+// columns through cfg.Sources, a window at a time, and spill large row sets.
+// Everything else behaves exactly like New — Execute regenerates a column it
+// needs whole (columnData's counted fallback) — and generated row sets and
+// stats are identical. Callers must Close the engine to release spill files.
 func NewWindowed(db *storage.DB, cfg WindowConfig) (*Engine, error) {
 	e, err := New(db)
 	if err != nil {
@@ -469,34 +468,6 @@ func (e *Engine) observeChain(leaf *relalg.View, c *chainScan, tRows int, res *R
 		res.Stats[v] = Stats{Card: c.counts[k], JCC: relalg.CardUnknown, JDC: relalg.CardUnknown}
 		prev = c.counts[k]
 	}
-}
-
-// evalSelectWindowed is eval's SelectView arm under windowed evaluation for a
-// selection no table pass has evaluated (Execute, or a selection over a
-// single-table input that is not a chain): the input is a sorted
-// single-table relation, so the predicate runs window by window over
-// regenerated chunks instead of binding whole columns. The output relation,
-// stats, and metrics match the classic path exactly.
-func (e *Engine) evalSelectWindowed(v *relalg.View, in *Relation, orig bool, res *Result) (*Relation, error) {
-	t, err := e.db.Lookup(in.tables[0])
-	if err != nil {
-		return nil, err
-	}
-	tm := e.m.opNS[v.Kind].Start()
-	out := make([]int32, 0, in.Len())
-	c := &chainScan{selects: []*relalg.View{v}, emit: func(rows []int32) error {
-		out = append(out, rows...)
-		return nil
-	}}
-	if err := e.runWindows(t, in.cols[0], []*chainScan{c}, orig); err != nil {
-		return nil, err
-	}
-	tm.Stop()
-	rel := &Relation{tables: in.tables, cols: [][]int32{out}, n: len(out), sorted: true}
-	e.m.opRows[v.Kind].Observe(c.counts[0])
-	e.m.filtered.Add(int64(in.Len()) - c.counts[0])
-	res.Stats[v] = Stats{Card: c.counts[0], JCC: relalg.CardUnknown, JDC: relalg.CardUnknown}
-	return rel, nil
 }
 
 // sharedChain is a selection chain over a base-table leaf found in the views

@@ -375,8 +375,9 @@ func TestReductionFaultNoTornSpill(t *testing.T) {
 
 // TestWindowedExecuteMatchesClassic runs a full template-shaped tree
 // (select → join → select over the join) through Execute on both engines
-// and compares every view's stats — the windowed select arm must report
-// the same cardinalities the classic arm measures.
+// and compares every view's stats: Execute has no windowed arm, so the
+// windowed engine regenerates the unretained t1 whole (columnData's counted
+// fallback) and must report the same cardinalities the classic engine does.
 func TestWindowedExecuteMatchesClassic(t *testing.T) {
 	build := func() (*relalg.AQT, []*relalg.View) {
 		leafS := &relalg.View{Kind: relalg.LeafView, Table: "s"}
@@ -401,6 +402,8 @@ func TestWindowedExecuteMatchesClassic(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	reg := obs.NewRegistry()
+	defer obs.Enable(reg)()
 	db, src := windowedPaperDB()
 	eng, err := NewWindowed(db, WindowConfig{Rows: 3, Sources: map[string]ChunkSource{"t": src}})
 	if err != nil {
@@ -417,6 +420,9 @@ func TestWindowedExecuteMatchesClassic(t *testing.T) {
 		if want != got {
 			t.Errorf("view %d: windowed stats %+v, classic %+v", i, got, want)
 		}
+	}
+	if n := reg.Snapshot().Counters["engine_window_fallbacks_total"]; n != 1 {
+		t.Errorf("engine_window_fallbacks_total = %d, want 1 (t1 regenerated whole, once)", n)
 	}
 }
 

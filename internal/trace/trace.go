@@ -20,6 +20,10 @@ import (
 // Annotator labels templates by executing them on one database.
 type Annotator struct {
 	eng *engine.Engine
+	// last is the template AnnotateAQT counted last and memo what counting it
+	// left behind: the trees of its rewritten forest repeat its subtrees.
+	last *relalg.AQT
+	memo *engine.CountMemo
 }
 
 // New builds an annotator over the original database.
@@ -34,12 +38,36 @@ func New(db *storage.DB) (*Annotator, error) {
 // Engine exposes the underlying engine (shared with other pipeline stages).
 func (a *Annotator) Engine() *engine.Engine { return a.eng }
 
-// AnnotateAQT executes the template with its original parameter values and
-// writes the observed cardinality constraints onto every view.
+// AnnotateAQT counts the template with its original parameter values
+// (engine.Count: no join is materialized where per-row multiplicities
+// suffice) and writes the observed cardinality constraints onto every view.
 func (a *Annotator) AnnotateAQT(q *relalg.AQT) error {
+	a.last, a.memo = q, &engine.CountMemo{}
+	return a.annotate(q, a.memo)
+}
+
+// AnnotateForest labels every tree of a rewritten generation forest. Counting
+// reuses what annotating the forest's template left, when that was the last
+// template this annotator annotated.
+func (a *Annotator) AnnotateForest(f *rewrite.Forest) error {
+	memo := a.memo
+	if f.Query != a.last {
+		memo = &engine.CountMemo{}
+	}
+	a.last, a.memo = nil, nil
+	for i, tree := range f.Trees {
+		q := &relalg.AQT{Name: fmt.Sprintf("%s#%d", f.Query.Name, i), Root: tree}
+		if err := a.annotate(q, memo); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (a *Annotator) annotate(q *relalg.AQT, memo *engine.CountMemo) error {
 	reg := obs.Active()
 	tm := reg.Histogram("trace_annotate_ns").Start()
-	res, err := a.eng.Execute(q, true)
+	res, err := a.eng.Count(q, true, memo)
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
@@ -77,15 +105,4 @@ func (a *Annotator) AnnotateAQT(q *relalg.AQT) error {
 		return nil
 	}
 	return annotate(q.Root)
-}
-
-// AnnotateForest labels every tree of a rewritten generation forest.
-func (a *Annotator) AnnotateForest(f *rewrite.Forest) error {
-	for i, tree := range f.Trees {
-		q := &relalg.AQT{Name: fmt.Sprintf("%s#%d", f.Query.Name, i), Root: tree}
-		if err := a.AnnotateAQT(q); err != nil {
-			return err
-		}
-	}
-	return nil
 }

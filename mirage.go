@@ -108,62 +108,57 @@ func BuildProblem(original *storage.DB, w *Workload) (*Problem, error) {
 	return BuildProblemCtx(context.Background(), original, w)
 }
 
-// BuildProblemCtx is BuildProblem under a context: cancellation or deadline
-// expiry is checked between templates, and a panic while tracing or
-// rewriting one template is contained into a *StageError naming the
-// template index instead of crashing the process.
+// BuildProblemCtx is BuildProblem under a context. Templates are traced and
+// rewritten in parallel, on as many workers as validation uses
+// (runtime.GOMAXPROCS), each with its own annotator; every forest lands in
+// its template's slot, so the problem is the same at any worker count.
+// Cancellation stops the pool from claiming further templates, and a failure
+// or panic while tracing or rewriting one template is contained into a
+// *StageError naming the lowest failing template index instead of crashing
+// the process.
 func BuildProblemCtx(ctx context.Context, original *storage.DB, w *Workload) (*Problem, error) {
 	span := obs.Active().StartSpan("build")
 	defer span.End()
 	events := obs.Active().Events()
 	events.Emit(obs.Event{Type: obs.EventStageStart, Stage: "build"})
 	defer events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: "build"})
-	ann, err := trace.New(original)
-	if err != nil {
-		return nil, fmt.Errorf("mirage: %w", err)
-	}
-	rw := rewrite.New(w.Schema)
-	forests := make([]*rewrite.Forest, 0, len(w.Templates))
-	annSpan := span.Child("annotate")
-	for qi, q := range w.Templates {
-		if err := ctx.Err(); err != nil {
-			annSpan.End()
-			return nil, fmt.Errorf("mirage: build problem: %w", err)
-		}
-		qi, q := qi, q
-		err := func() (err error) {
-			var tSpan *obs.Span
-			if annSpan != nil {
-				tSpan = annSpan.Child("template:" + q.Name)
-			}
-			defer tSpan.End()
-			defer func() {
-				if r := recover(); r != nil {
-					err = fault.Recovered("build/template", qi, r)
-				}
-			}()
-			if err := faultinject.Fire("build/template", qi); err != nil {
-				return err
-			}
-			if err := ann.AnnotateAQT(q); err != nil {
-				return fmt.Errorf("annotate %s: %w", q.Name, err)
-			}
-			f, err := rw.Rewrite(q)
-			if err != nil {
-				return err
-			}
-			if err := ann.AnnotateForest(f); err != nil {
-				return fmt.Errorf("annotate forest %s: %w", q.Name, err)
-			}
-			forests = append(forests, f)
-			return nil
-		}()
+	workers := min(parallel.Workers(0), len(w.Templates))
+	anns := make([]*trace.Annotator, workers)
+	for i := range anns {
+		ann, err := trace.New(original)
 		if err != nil {
-			annSpan.End()
 			return nil, fmt.Errorf("mirage: %w", err)
 		}
+		anns[i] = ann
 	}
+	rw := rewrite.New(w.Schema)
+	forests := make([]*rewrite.Forest, len(w.Templates))
+	annSpan := span.Child("annotate")
+	err := parallel.ForEachWorkerCtx(ctx, "build/template", workers, len(w.Templates), func(worker, qi int) error {
+		q := w.Templates[qi]
+		var tSpan *obs.Span
+		if annSpan != nil {
+			tSpan = annSpan.Child("template:" + q.Name)
+		}
+		defer tSpan.End()
+		ann := anns[worker]
+		if err := ann.AnnotateAQT(q); err != nil {
+			return fmt.Errorf("annotate %s: %w", q.Name, err)
+		}
+		f, err := rw.Rewrite(q)
+		if err != nil {
+			return err
+		}
+		if err := ann.AnnotateForest(f); err != nil {
+			return fmt.Errorf("annotate forest %s: %w", q.Name, err)
+		}
+		forests[qi] = f
+		return nil
+	})
 	annSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("mirage: build problem: %w", err)
+	}
 	planSpan := span.Child("genplan")
 	plan, err := genplan.Build(w.Schema, forests)
 	planSpan.End()
