@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/dbhammer/mirage"
 	"github.com/dbhammer/mirage/internal/experiments"
 	"github.com/dbhammer/mirage/internal/obs"
 	"github.com/dbhammer/mirage/internal/obshttp"
@@ -30,7 +29,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1, fig11, fig12, fig13, fig14, fig15, fig16, mem, all")
+		exp        = flag.String("exp", "all", "experiment: table1, fig11, fig12, fig13, fig14, fig15, fig16, all")
 		name       = flag.String("workload", "tpch", "scenario for per-workload figures: ssb, tpch, tpcds")
 		sf         = flag.Float64("sf", 1, "scale factor")
 		seed       = flag.Int64("seed", 11, "seed")
@@ -173,12 +172,6 @@ func run(exp, name string, cfg experiments.Config, sfsFlag, batches, counts stri
 		} else {
 			fmt.Println(r.FormatFig16())
 		}
-	case "mem":
-		r, err := mirage.RunMemoryComparison(name, cfg.SF, mirage.Options{Seed: cfg.Seed, Parallelism: cfg.Parallelism})
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
 	case "all":
 		if err := run("table1", name, cfg, sfsFlag, batches, counts); err != nil {
 			return err

@@ -8,9 +8,9 @@ import (
 )
 
 // benchSF sizes the benchmark databases (SF here ≈ official SF / 100, as in
-// the root harness): 0.5 keeps a full workload pass in the millisecond range
-// so `make bench` finishes quickly while still being dominated by executor
-// inner loops rather than setup.
+// the experiments): 0.5 keeps a full workload pass in the millisecond range
+// so `go test -bench` finishes quickly while still being dominated by
+// executor inner loops rather than setup.
 const benchSF = 0.5
 
 // benchScenario materializes one workload once per benchmark and reports the
@@ -42,9 +42,8 @@ func benchScenario(b *testing.B, name string) (*Engine, []*relalg.AQT, int64) {
 }
 
 // BenchmarkExecuteWorkload times one full execution pass over every template
-// of a scenario (the engine's role in tracing and validation). `make bench`
-// records its ns/op, allocs/op and rows/sec into BENCH_engine.json so later
-// PRs have a trajectory to compare against.
+// of a scenario (the engine's role in tracing and validation), reporting
+// ns/op, allocs/op and rows/sec.
 func BenchmarkExecuteWorkload(b *testing.B) {
 	for _, name := range []string{"ssb", "tpch"} {
 		b.Run(name, func(b *testing.B) {

@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section 8). Each experiment has a Run function returning a
 // structured result plus a Format method printing the same rows/series the
-// paper reports; cmd/miragebench and the repository's benchmarks both build
-// on these.
+// paper reports; cmd/miragebench builds on these. Mirage itself runs through
+// the root package's pipeline (BuildProblemCtx, GenerateCtx, ValidateCtx),
+// the same calls miragegen makes.
 //
 // Scale note: the paper runs SF=200..1000 on a 2×Xeon server; this repo's
 // workloads are scaled 100× down, so SF here corresponds to paper-SF/100 in
@@ -17,15 +18,12 @@ import (
 	"strings"
 	"time"
 
+	"github.com/dbhammer/mirage"
 	"github.com/dbhammer/mirage/internal/baseline"
 	"github.com/dbhammer/mirage/internal/engine"
-	"github.com/dbhammer/mirage/internal/genplan"
 	"github.com/dbhammer/mirage/internal/keygen"
 	"github.com/dbhammer/mirage/internal/nonkey"
-	"github.com/dbhammer/mirage/internal/parallel"
 	"github.com/dbhammer/mirage/internal/relalg"
-	"github.com/dbhammer/mirage/internal/rewrite"
-	"github.com/dbhammer/mirage/internal/sqlparse"
 	"github.com/dbhammer/mirage/internal/storage"
 	"github.com/dbhammer/mirage/internal/trace"
 	"github.com/dbhammer/mirage/internal/validate"
@@ -36,9 +34,11 @@ import (
 type Config struct {
 	// Ctx bounds the whole experiment run: cancellation or deadline expiry
 	// propagates into generation and validation. Nil means Background.
-	Ctx        context.Context
-	SF         float64
-	Seed       int64
+	Ctx  context.Context
+	SF   float64
+	Seed int64
+	// BatchSize and SampleSize are mirage.Options' fields of the same name
+	// (0 = the pipeline's defaults).
 	BatchSize  int64
 	SampleSize int
 	// Parallelism is the generation worker count (0 = GOMAXPROCS, 1 =
@@ -57,16 +57,10 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 11
 	}
-	if c.BatchSize == 0 {
-		c.BatchSize = keygen.DefaultBatchSize
-	}
-	if c.SampleSize == 0 {
-		c.SampleSize = nonkey.DefaultSampleSize
-	}
 	return c
 }
 
-// scenario bundles everything needed to run one benchmark end to end.
+// scenario bundles everything needed to run one experiment end to end.
 type scenario struct {
 	spec     *workload.Spec
 	schema   *relalg.Schema
@@ -91,27 +85,24 @@ func load(name string, cfg Config) (*scenario, error) {
 	return &scenario{spec: spec, schema: schema, original: original, ann: ann}, nil
 }
 
-// templates parses and annotates a fresh template set.
+// templates parses and annotates a fresh template set for the baselines.
 func (s *scenario) templates() ([]*relalg.AQT, error) {
-	p, err := sqlparse.NewParser(s.schema, s.spec.Codecs)
+	w, err := mirage.NewWorkload(s.schema, s.spec.Codecs, s.spec.DSL)
 	if err != nil {
 		return nil, err
 	}
-	qs, err := p.ParseWorkload(s.spec.DSL)
-	if err != nil {
-		return nil, err
-	}
-	for _, q := range qs {
+	for _, q := range w.Templates {
 		if err := s.ann.AnnotateAQT(q); err != nil {
 			return nil, err
 		}
 	}
-	return qs, nil
+	return w.Templates, nil
 }
 
 // MirageRun is one full Mirage generation with stage statistics.
 type MirageRun struct {
-	DB        *storage.DB
+	DB *storage.DB
+	// Templates are the instantiated templates the run validated.
 	Templates []*relalg.AQT
 	Reports   []validate.Report
 	NonKey    nonkey.Stats
@@ -121,69 +112,46 @@ type MirageRun struct {
 	PeakMemMB float64
 }
 
-// runMirage executes the full pipeline over an optional template subset.
+// runMirage runs the product pipeline — mirage.BuildProblemCtx, GenerateCtx
+// and ValidateCtx, the calls miragegen makes — over the workload's first
+// limit templates (0 = all).
 func (s *scenario) runMirage(cfg Config, limit int) (*MirageRun, error) {
-	if cfg.Ctx == nil {
-		cfg.Ctx = context.Background()
-	}
-	qs, err := s.templates()
+	w, err := mirage.NewWorkload(s.schema, s.spec.Codecs, s.spec.DSL)
 	if err != nil {
 		return nil, err
 	}
-	if limit > 0 && limit < len(qs) {
-		qs = qs[:limit]
+	if limit > 0 && limit < len(w.Templates) {
+		w.Templates = w.Templates[:limit]
 	}
-	rw := rewrite.New(s.schema)
-	var forests []*rewrite.Forest
-	for _, q := range qs {
-		f, err := rw.Rewrite(q)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.ann.AnnotateForest(f); err != nil {
-			return nil, err
-		}
-		forests = append(forests, f)
-	}
-	plan, err := genplan.Build(s.schema, forests)
+	prob, err := mirage.BuildProblemCtx(cfg.Ctx, s.original, w)
 	if err != nil {
 		return nil, err
 	}
 
-	run := &MirageRun{Templates: qs}
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
-
-	db := storage.NewDB(s.schema)
-	nkCfg := nonkey.Config{SampleSize: cfg.SampleSize, Seed: cfg.Seed, Parallelism: cfg.Parallelism}
-	order, err := s.schema.TopologicalOrder()
+	res, err := mirage.GenerateCtx(cfg.Ctx, prob, mirage.Options{
+		Seed:        cfg.Seed,
+		BatchSize:   cfg.BatchSize,
+		SampleSize:  cfg.SampleSize,
+		Parallelism: cfg.Parallelism,
+	})
 	if err != nil {
 		return nil, err
 	}
-	_, nkStats, err := nonkey.GenerateTables(cfg.Ctx, nkCfg, db, order, plan.SelByTable, cfg.BatchSize)
-	if err != nil {
-		return nil, err
-	}
-	run.NonKey = nkStats
-	kgCfg := keygen.Config{BatchSize: cfg.BatchSize, Seed: cfg.Seed, Parallelism: cfg.Parallelism}
-	kStats, err := keygen.Populate(cfg.Ctx, kgCfg, plan, db)
-	if err != nil {
-		return nil, err
-	}
-	run.Key = *kStats
-	run.Total = time.Since(start)
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
-	run.PeakMemMB = float64(after.HeapAlloc) / (1 << 20)
-	if run.PeakMemMB < float64(before.HeapAlloc)/(1<<20) {
-		run.PeakMemMB = float64(before.HeapAlloc) / (1 << 20)
-	}
-	run.DB = db
 
-	relalg.CompleteParams(qs)
-	run.Reports, err = validate.WorkloadParallelCtx(cfg.Ctx, db, qs, parallel.Workers(cfg.Parallelism))
+	run := &MirageRun{
+		DB:        res.DB,
+		Templates: res.Problem.Workload.Templates,
+		NonKey:    res.NonKey,
+		Key:       res.Key,
+		Total:     res.Total,
+		PeakMemMB: float64(max(before.HeapAlloc, after.HeapAlloc)) / (1 << 20),
+	}
+	run.Reports, err = mirage.ValidateCtx(cfg.Ctx, res)
 	return run, err
 }
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"github.com/dbhammer/mirage/internal/obs"
 )
 
 // tiny keeps the experiment smoke tests fast.
@@ -71,6 +73,33 @@ func TestRunFig11SSBShape(t *testing.T) {
 	}
 	if !strings.Contains(r.Format(), "MEAN") {
 		t.Error("Format output incomplete")
+	}
+}
+
+// TestRunFig11ObservesPipeline pins that the experiments run the product
+// pipeline: a registry enabled around a figure run records the same stage
+// spans a miragegen run does.
+func TestRunFig11ObservesPipeline(t *testing.T) {
+	reg := obs.NewRegistry()
+	disable := obs.Enable(reg)
+	_, err := RunFig11("ssb", tiny())
+	disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := map[string]*obs.SpanNode{}
+	for _, s := range reg.Snapshot().Spans {
+		roots[s.Name] = s
+	}
+	for _, name := range []string{"build", "generate", "validate"} {
+		if roots[name] == nil {
+			t.Fatalf("no %s root span", name)
+		}
+	}
+	for _, stage := range []string{"nonkey", "keygen"} {
+		if roots["generate"].Find(stage) == nil {
+			t.Errorf("no generate/%s span", stage)
+		}
 	}
 }
 

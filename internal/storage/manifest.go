@@ -39,9 +39,11 @@ var ErrManifestVerify = errors.New("storage: committed table failed verification
 // Fingerprint identifies a generation run for resume purposes: two runs with
 // equal fingerprints produce byte-identical exports, so a manifest written
 // by one can safely steer the other. Only byte-affecting inputs participate
-// — parallelism, shard size, and window size are deliberately absent because
-// the pipeline's output is byte-identical at any value of them (a run may be
-// resumed at a different worker count).
+// — parallelism, batch size, shard size, and window size are deliberately
+// absent because the pipeline's output is byte-identical at any value of them
+// (a run may be resumed at a different worker count or batch size). A
+// manifest written before a field left the fingerprint still loads: the
+// decoder ignores the stale key.
 type Fingerprint struct {
 	// Workload is a caller-owned label (e.g. the scenario name); compared
 	// like every other field, but not derivable by the pipeline itself.
@@ -53,7 +55,6 @@ type Fingerprint struct {
 	// plus the codec set (mirage.RunFingerprint).
 	WorkloadHash string `json:"workload_hash"`
 	Seed         int64  `json:"seed"`
-	BatchSize    int64  `json:"batch_size"`
 	SampleSize   int    `json:"sample_size"`
 }
 
@@ -69,7 +70,6 @@ func (f Fingerprint) diff(g Fingerprint) []string {
 	add("schema_hash", f.SchemaHash, g.SchemaHash)
 	add("workload_hash", f.WorkloadHash, g.WorkloadHash)
 	add("seed", f.Seed, g.Seed)
-	add("batch_size", f.BatchSize, g.BatchSize)
 	add("sample_size", f.SampleSize, g.SampleSize)
 	return out
 }

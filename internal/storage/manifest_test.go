@@ -13,7 +13,7 @@ import (
 func testFingerprint() Fingerprint {
 	return Fingerprint{
 		Workload: "ssb", SchemaHash: "00000000deadbeef", WorkloadHash: "00000000cafef00d",
-		Seed: 3, BatchSize: 70000, SampleSize: 40000,
+		Seed: 3, SampleSize: 40000,
 	}
 }
 
@@ -132,14 +132,14 @@ func TestManifestVerifyCommitted(t *testing.T) {
 			t.Fatalf("gzip=%v: clean verify failed: %v", gz, err)
 		}
 
-		// A manifest from before cp_max_nodes left the fingerprint (no
-		// reachable search read it) still steers a resume.
+		// A manifest from before cp_max_nodes and batch_size left the
+		// fingerprint (both are byte-neutral) still steers a resume.
 		mpath := filepath.Join(dir, ManifestName)
 		b, err := os.ReadFile(mpath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := strings.Replace(string(b), `"seed":`, `"cp_max_nodes": 7, "seed":`, 1)
+		old := strings.Replace(string(b), `"seed":`, `"cp_max_nodes": 7, "batch_size": 70000, "seed":`, 1)
 		if old == string(b) {
 			t.Fatalf("manifest has no seed field to anchor on: %s", b)
 		}
@@ -148,13 +148,13 @@ func TestManifestVerifyCommitted(t *testing.T) {
 		}
 		loaded, err := LoadManifest(dir)
 		if err != nil {
-			t.Fatalf("gzip=%v: manifest with cp_max_nodes: %v", gz, err)
+			t.Fatalf("gzip=%v: manifest with cp_max_nodes/batch_size: %v", gz, err)
 		}
 		if err := loaded.Check(testFingerprint()); err != nil {
-			t.Fatalf("gzip=%v: manifest with cp_max_nodes: %v", gz, err)
+			t.Fatalf("gzip=%v: manifest with cp_max_nodes/batch_size: %v", gz, err)
 		}
 		if err := loaded.VerifyCommitted(); err != nil {
-			t.Fatalf("gzip=%v: manifest with cp_max_nodes: %v", gz, err)
+			t.Fatalf("gzip=%v: manifest with cp_max_nodes/batch_size: %v", gz, err)
 		}
 
 		// Corruption — append a byte (gzip: corrupt the compressed stream).

@@ -25,13 +25,14 @@ import (
 
 // manifestStream runs one manifest-tracked streamed SSB run into dir: a
 // fresh manifest when none exists, the full verify-then-resume protocol
-// (Check fingerprint, VerifyCommitted) when one does.
-func manifestStream(dir string, shardRows int64, resume bool) (*Result, error) {
+// (Check fingerprint, VerifyCommitted) when one does. batchSize 0 is the
+// default.
+func manifestStream(dir string, shardRows, batchSize int64, resume bool) (*Result, error) {
 	prob, err := buildStreamProblem("ssb", 0.2)
 	if err != nil {
 		return nil, err
 	}
-	opts := Options{Seed: 3}
+	opts := Options{Seed: 3, BatchSize: batchSize}
 	fp := RunFingerprint(prob, opts)
 	fp.Workload = "ssb"
 	var m *storage.Manifest
@@ -80,24 +81,31 @@ func buildStreamProblem(name string, sf float64) (*Problem, error) {
 // pool, after all four dimensions committed), scribble torn state over the
 // in-flight table, resume, and require the final tree — every CSV plus
 // manifest.json itself — byte-identical to an uninterrupted run. The resumed
-// arm uses a different shard size on purpose: byte-neutral knobs are outside
-// the fingerprint, so resuming at different parallelism/sharding is legal.
+// arms use a different shard size, and one of them a different batch size, on
+// purpose: byte-neutral knobs are outside the fingerprint, so resuming at
+// different sharding or batching is legal.
 func TestResumeByteIdentical(t *testing.T) {
 	golden := testutil.DiffArm{
 		Name: "uninterrupted",
 		Run: func(dir string) (any, error) {
-			_, err := manifestStream(dir, 500, false)
+			_, err := manifestStream(dir, 500, 0, false)
 			return nil, err
 		},
 	}
-	crashed := testutil.DiffArm{
-		Name: "crash+resume",
+	testutil.RunDifferential(t, golden, crashThenResume("crash+resume", 0), crashThenResume("crash+resume at batch 1000", 1000))
+}
+
+// crashThenResume is a differential arm that crashes a default-batch streamed
+// run mid-export and resumes it at resumeBatch (0 = the default).
+func crashThenResume(name string, resumeBatch int64) testutil.DiffArm {
+	return testutil.DiffArm{
+		Name: name,
 		Run: func(dir string) (any, error) {
 			// Shard item 20 exists only in lineorder (24 shards at SF 0.2 /
 			// 500 rows); the dimensions (≤6 shards) commit before it fails.
 			in := faultinject.New(faultinject.Rule{Stage: "export/shard", Item: 20, Action: faultinject.Error})
 			deactivate := faultinject.Activate(in)
-			_, err := manifestStream(dir, 500, false)
+			_, err := manifestStream(dir, 500, 0, false)
 			deactivate()
 			if err == nil {
 				return nil, fmt.Errorf("injected export fault did not fail the run")
@@ -122,7 +130,7 @@ func TestResumeByteIdentical(t *testing.T) {
 					return nil, err
 				}
 			}
-			res, err := manifestStream(dir, 700, true)
+			res, err := manifestStream(dir, 700, resumeBatch, true)
 			if err != nil {
 				return nil, err
 			}
@@ -135,7 +143,6 @@ func TestResumeByteIdentical(t *testing.T) {
 			return nil, nil
 		},
 	}
-	testutil.RunDifferential(t, golden, crashed)
 }
 
 // TestResumeRefusal covers the ways resume must refuse to proceed: a
@@ -145,7 +152,7 @@ func TestResumeByteIdentical(t *testing.T) {
 // or content hash (corruption after the fact).
 func TestResumeRefusal(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := manifestStream(dir, 500, false); err != nil {
+	if _, err := manifestStream(dir, 500, 0, false); err != nil {
 		t.Fatalf("seeding run: %v", err)
 	}
 
@@ -306,7 +313,7 @@ func TestCrashResumeSIGKILL(t *testing.T) {
 	}
 	cmd.Wait()
 
-	res, err := manifestStream(dir, 500, true)
+	res, err := manifestStream(dir, 500, 0, true)
 	if err != nil {
 		t.Fatalf("resume after SIGKILL: %v", err)
 	}

@@ -105,18 +105,18 @@ func GenerateStreamCtx(ctx context.Context, p *Problem, opts Options, sc StreamC
 
 // RunFingerprint derives the resume identity of a generation run: the
 // schema structure (tables, row counts, column types and domains), the
-// workload's full content, and every byte-affecting option — seed, batch
-// size, sample size — normalized through the same defaulting
-// generation applies, so an explicit default and an omitted value
-// fingerprint equally. The workload hash covers every template's tree with
-// its annotated cardinalities, every parameter's original value, and the
-// codec set, so two workloads that share query names but differ in a
-// predicate, an annotation or a literal never resume into one tree. It reads
-// only what generation leaves alone (never a parameter's instantiated
-// value), so it is the same before and after a run on the same Problem.
-// Byte-neutral knobs (parallelism, shard size, window size) are excluded on
-// purpose: the pipeline's output is identical at any value, so a run may be
-// resumed at, say, a different worker count. Compare manifests with
+// workload's full content, and every byte-affecting option — seed and sample
+// size — normalized through the same defaulting generation applies, so an
+// explicit default and an omitted value fingerprint equally. The workload
+// hash covers every template's tree with its annotated cardinalities, every
+// parameter's original value, and the codec set, so two workloads that share
+// query names but differ in a predicate, an annotation or a literal never
+// resume into one tree. It reads only what generation leaves alone (never a
+// parameter's instantiated value), so it is the same before and after a run
+// on the same Problem. Byte-neutral knobs (parallelism, batch size, shard
+// size, window size) are excluded on purpose: the pipeline's output is
+// identical at any value, so a run may be resumed at, say, a different
+// worker count or batch size. Compare manifests with
 // storage.Manifest.Check; the Workload label field is left empty for the
 // caller to fill.
 func RunFingerprint(p *Problem, opts Options) storage.Fingerprint {
@@ -148,7 +148,6 @@ func RunFingerprint(p *Problem, opts Options) storage.Fingerprint {
 		SchemaHash:   storage.SchemaFingerprint(p.Workload.Schema),
 		WorkloadHash: fmt.Sprintf("%016x", h.Sum64()),
 		Seed:         opts.Seed,
-		BatchSize:    opts.BatchSize,
 		SampleSize:   opts.SampleSize,
 	}
 }
