@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+
+	"github.com/dbhammer/mirage/internal/relalg"
 )
 
 // exportChunkRows is the in-memory export's chunk: the rows ExportCSV
@@ -27,19 +30,92 @@ func appendHeader(dst []byte, names []string) []byte {
 	return append(dst, '\n')
 }
 
-// appendRows appends CSV lines for rows [lo,hi): cols[i][r-lo] rendered
-// through decs[i]. StreamCSV and the reference encoder ExportCSV both
-// encode through this one function, which is what makes their bytes
-// identical.
-func appendRows(dst []byte, decs []Codec, cols [][]int64, lo, hi int) []byte {
-	for r := lo; r < hi; r++ {
+// appendRows appends CSV lines for rows [0,n): cols[i][r] rendered through
+// decs[i], one codec call per cell. It is the body of the reference encoder
+// ExportCSV and has no production caller; StreamCSV renders the same bytes
+// through a rowEncoder.
+func appendRows(dst []byte, decs []Codec, cols [][]int64, n int) []byte {
+	for r := 0; r < n; r++ {
 		for i := range cols {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = decs[i].AppendDecode(dst, cols[i][r-lo])
+			dst = decs[i].AppendDecode(dst, cols[i][r])
 		}
 		dst = append(dst, '\n')
+	}
+	return dst
+}
+
+// maxRenderDomain bounds the columns StreamCSV renders through a render
+// table: a non-key column gets one when 0 < DomainSize ≤ maxRenderDomain
+// and DomainSize ≤ the table's rows, so a table never costs more codec
+// calls than the cells it serves, nor more than 64Ki entries.
+const maxRenderDomain = 1 << 16
+
+// renderTable holds the CSV bytes of every in-domain value of one column:
+// for v in [1, d], arena[off[v-1]:off[v]] is the codec's AppendDecode(v)
+// followed by the column's separator. The zero table (d = 0) serves no
+// value.
+type renderTable struct {
+	d     uint64
+	arena []byte
+	off   []uint32
+}
+
+func newRenderTable(dec Codec, d int64, sep byte) renderTable {
+	off := make([]uint32, d+1)
+	var arena []byte
+	for v := int64(1); v <= d; v++ {
+		arena = append(dec.AppendDecode(arena, v), sep)
+		if uint64(len(arena)) > math.MaxUint32 {
+			return renderTable{} // offsets would overflow: stay on the codec
+		}
+		off[v] = uint32(len(arena))
+	}
+	return renderTable{d: uint64(d), arena: arena, off: off}
+}
+
+// rowEncoder is StreamCSV's encoder. A cell of a column with a render table
+// whose value lies in [1, D] is one copy of the table's entry; every other
+// cell — key columns, Null, 0, negatives, values past D, columns without a
+// table — goes through the codec as in appendRows. Each entry is produced by
+// the very codec call appendRows makes for that value, so the bytes equal
+// appendRows'. Workers share one rowEncoder read-only.
+type rowEncoder struct {
+	decs []Codec
+	seps []byte // ',' after every column but the last, '\n' after it
+	tabs []renderTable
+}
+
+func newRowEncoder(meta *relalg.Table, codecs CodecSet, rows int64) *rowEncoder {
+	n := len(meta.Columns)
+	e := &rowEncoder{decs: make([]Codec, n), seps: make([]byte, n), tabs: make([]renderTable, n)}
+	for i := range meta.Columns {
+		c := &meta.Columns[i]
+		e.decs[i] = codecs.For(meta.Name, c.Name)
+		e.seps[i] = ','
+		if i == n-1 {
+			e.seps[i] = '\n'
+		}
+		if c.Kind == relalg.NonKey && c.DomainSize > 0 && c.DomainSize <= maxRenderDomain && c.DomainSize <= rows {
+			e.tabs[i] = newRenderTable(e.decs[i], c.DomainSize, e.seps[i])
+		}
+	}
+	return e
+}
+
+// appendRows appends the CSV lines of rows [0,n) of cols.
+func (e *rowEncoder) appendRows(dst []byte, cols [][]int64, n int) []byte {
+	for r := 0; r < n; r++ {
+		for i, col := range cols {
+			v := col[r]
+			if t := &e.tabs[i]; uint64(v-1) < t.d {
+				dst = append(dst, t.arena[t.off[v-1]:t.off[v]]...)
+				continue
+			}
+			dst = append(e.decs[i].AppendDecode(dst, v), e.seps[i])
+		}
 	}
 	return dst
 }
@@ -78,7 +154,7 @@ func ExportCSV(w io.Writer, t *TableData, codecs CodecSet) error {
 		for i := range cols {
 			window[i] = cols[i][lo:hi]
 		}
-		buf = appendRows(buf, decs, window, lo, hi)
+		buf = appendRows(buf, decs, window, hi-lo)
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}

@@ -56,8 +56,8 @@ func (s tableSource) Fill(col string, dst []int64, lo, hi int64) error {
 	if err != nil {
 		return err
 	}
-	if int64(len(vals)) < hi {
-		return fmt.Errorf("storage: table %s: column %s has %d rows, need %d", s.t.Meta.Name, col, len(vals), hi)
+	if err := CheckFillRange(s.t.Meta.Name, col, int64(len(vals)), len(dst), lo, hi); err != nil {
+		return err
 	}
 	copy(dst, vals[lo:hi])
 	return nil
@@ -74,10 +74,12 @@ type StreamStats struct {
 // encoded in parallel on up to workers goroutines (stage "export/shard", so
 // the pool's cancellation, panic containment and fault injection apply),
 // then committed to w strictly in shard order by a single writer goroutine.
-// The bytes are therefore identical at any worker count and any shard size,
-// and — because both paths share the appendRows encoder — identical to
-// ExportCSV over the same data. Peak memory is O(workers × shardRows), not
-// O(table).
+// The bytes are therefore identical at any worker count and any shard size.
+// Cells render through per-column render tables built once per call (see
+// rowEncoder), whose entries are the codec calls ExportCSV makes per cell,
+// so the bytes are also identical to ExportCSV over the same data. Peak
+// memory is O(workers × shardRows) plus at most 64Ki entries per column,
+// not O(table).
 func StreamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet, shardRows int64, workers int) (StreamStats, error) {
 	meta := src.Meta()
 	n := src.NumRows()
@@ -88,12 +90,11 @@ func StreamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet,
 		shardRows = n // scratch is sized by shardRows; never above the table
 	}
 	workers = parallel.Workers(workers)
-	decs := make([]Codec, len(meta.Columns))
 	names := make([]string, len(meta.Columns))
 	for i := range meta.Columns {
 		names[i] = meta.Columns[i].Name
-		decs[i] = codecs.For(meta.Name, meta.Columns[i].Name)
 	}
+	enc := newRowEncoder(meta, codecs, n)
 
 	reg := obs.Active()
 	shardH := reg.Histogram("export_shard_ns")
@@ -187,7 +188,7 @@ func StreamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet,
 			}
 		}
 		bp := bufPool.Get().(*[]byte)
-		*bp = appendRows((*bp)[:0], decs, window[wk], int(lo), int(hi))
+		*bp = enc.appendRows((*bp)[:0], window[wk], int(hi-lo))
 		tm.Stop()
 		select {
 		case ch <- shard{i, bp}:

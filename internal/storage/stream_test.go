@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,6 +142,233 @@ func TestStreamCSVMatchesExportCSV(t *testing.T) {
 			if st.Shards != wantShards {
 				t.Fatalf("StreamCSV shards = %d, want %d", st.Shards, wantShards)
 			}
+		}
+	}
+}
+
+// oracleCol is one column of a render-table oracle table: its codec and
+// declared domain, and whether StreamCSV must render it through a table.
+type oracleCol struct {
+	kind   relalg.ColKind
+	codec  Codec
+	domain int64
+	table  bool
+}
+
+// oracleValues are n values of a domain-d column: mostly in [1, d], both
+// ends included, with Null, 0, a negative and d+1 sprinkled in — the values
+// a render table must leave to the codec.
+func oracleValues(n int, d int64) []int64 {
+	specials := []int64{1, d, Null, 0, -3, d + 1}
+	vals := make([]int64, n)
+	for i := range vals {
+		if i%11 == 0 {
+			vals[i] = specials[(i/11)%len(specials)]
+			continue
+		}
+		vals[i] = int64(i*2654435761)%d + 1
+	}
+	return vals
+}
+
+// TestStreamCSVRenderTablesMatchExportCSV is the render-table oracle:
+// StreamCSV must equal the per-cell reference encoder byte for byte whether
+// a column renders through a table or through its codec, with every codec
+// kind as the last column (whose separator is '\n'), at both ends of the
+// table bound and past it.
+func TestStreamCSVRenderTablesMatchExportCSV(t *testing.T) {
+	long := NewDictCodec([]string{"a dictionary entry past sixteen bytes", "x", "another string of some length"})
+	date := DateCodec{Start: time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC), StepDays: 3}
+	dec := DecimalCodec{Base: -5000, Step: 13, Scale: 2}
+	ints := IntCodec{Base: -300, Step: 7}
+	pk := oracleCol{relalg.PrimaryKey, IntCodec{}, 0, false}
+	// small lays out the 3000-row cases: a column whose domain exceeds the
+	// rows, a long-string dict, then last.
+	small := func(last oracleCol) []oracleCol {
+		return []oracleCol{pk, {relalg.NonKey, dec, 4000, false}, {relalg.NonKey, long, 3, true}, last}
+	}
+	cases := []struct {
+		name string
+		rows int
+		cols []oracleCol // the first is the primary key
+	}{
+		{"bounds", maxRenderDomain + 5, []oracleCol{
+			pk,
+			{relalg.ForeignKey, IntCodec{}, 10, false}, // keys stay on the codec whatever they declare
+			{relalg.NonKey, ints, 1, true},
+			{relalg.NonKey, ints, maxRenderDomain, true},
+			{relalg.NonKey, dec, maxRenderDomain + 1, false},
+			{relalg.NonKey, long, 3, true},
+			{relalg.NonKey, date, 2526, true},
+		}},
+		{"last int", 3000, small(oracleCol{relalg.NonKey, ints, 50, true})},
+		{"last decimal", 3000, small(oracleCol{relalg.NonKey, dec, 1000, true})},
+		{"last date", 3000, small(oracleCol{relalg.NonKey, date, 2526, true})},
+		{"last dict", 3000, small(oracleCol{relalg.NonKey, long, 3, true})},
+		{"last over rows", 3000, small(oracleCol{relalg.NonKey, date, 5000, false})},
+	}
+	for _, tc := range cases {
+		name := tc.name
+		meta := &relalg.Table{Name: "o"}
+		codecs := CodecSet{}
+		for i, c := range tc.cols {
+			col := relalg.Column{Name: fmt.Sprintf("c%d", i), Kind: c.kind, DomainSize: c.domain}
+			meta.Columns = append(meta.Columns, col)
+			codecs[codecs.Key("o", col.Name)] = c.codec
+		}
+		td := NewTableData(meta)
+		td.FillPK(tc.rows)
+		for i, c := range tc.cols[1:] {
+			td.SetCol(meta.Columns[i+1].Name, oracleValues(tc.rows, max(c.domain, 1)))
+		}
+		enc := newRowEncoder(meta, codecs, int64(tc.rows))
+		for i, c := range tc.cols {
+			if got := enc.tabs[i].d > 0; got != c.table {
+				t.Fatalf("%s: column %d (domain %d) has a render table: %v, want %v", name, i, c.domain, got, c.table)
+			}
+		}
+		var want bytes.Buffer
+		if err := ExportCSV(&want, td, codecs); err != nil {
+			t.Fatalf("%s: ExportCSV: %v", name, err)
+		}
+		for _, workers := range []int{1, 4} {
+			for _, shardRows := range []int64{7, 1024, 1 << 20} {
+				var got bytes.Buffer
+				if _, err := StreamCSV(context.Background(), &got, TableSource(td), codecs, shardRows, workers); err != nil {
+					t.Fatalf("%s: StreamCSV(workers=%d, shard=%d): %v", name, workers, shardRows, err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("%s: StreamCSV(workers=%d, shard=%d): bytes differ from ExportCSV", name, workers, shardRows)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamCSVAllocs pins StreamCSV's encode loop at no per-cell
+// allocation: four times the rows may cost only a few allocations per extra
+// shard (encode buffers, growth), never one per row.
+func TestStreamCSVAllocs(t *testing.T) {
+	codecs := streamCodecs()
+	allocs := func(rows int) float64 {
+		src := TableSource(streamTestTable(rows))
+		return testing.AllocsPerRun(5, func() {
+			if _, err := StreamCSV(context.Background(), io.Discard, src, codecs, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, big := allocs(64<<10), allocs(256<<10)
+	t.Logf("allocations per StreamCSV call: %.0f at 64Ki rows, %.0f at 256Ki", small, big)
+	const perShard = 32
+	if extra := big - small; extra > 3*perShard {
+		t.Fatalf("StreamCSV allocates %.0f at 64Ki rows, %.0f at 256Ki: %.0f more for 3 more shards, want ≤ %d",
+			small, big, extra, 3*perShard)
+	}
+}
+
+// TestTableSourceFillRejectsBadRange: a TableSource Fill outside the table
+// or into a destination shorter than the range fails with CheckFillRange's
+// error and leaves dst untouched.
+func TestTableSourceFillRejectsBadRange(t *testing.T) {
+	const poison = int64(-7)
+	td := streamTestTable(10)
+	src := TableSource(td)
+	for _, r := range []struct {
+		lo, hi int64
+		n      int
+	}{
+		{0, 8, 7},   // short dst
+		{5, 4, 8},   // lo > hi
+		{8, 11, 8},  // past the table
+		{-1, 4, 8},  // negative lo
+		{11, 12, 8}, // wholly past the table
+	} {
+		dst := make([]int64, r.n)
+		for j := range dst {
+			dst[j] = poison
+		}
+		err := src.Fill("w_int", dst, r.lo, r.hi)
+		want := CheckFillRange("w", "w_int", 10, r.n, r.lo, r.hi)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("Fill[%d,%d) into %d cells: err = %v, want %v", r.lo, r.hi, r.n, err, want)
+		}
+		for j, v := range dst {
+			if v != poison {
+				t.Fatalf("rejected Fill[%d,%d) wrote dst[%d]", r.lo, r.hi, j)
+			}
+		}
+	}
+	dst := make([]int64, 1)
+	for _, r := range [][2]int64{{0, 0}, {10, 10}, {9, 10}} {
+		if err := src.Fill("w_int", dst, r[0], r[1]); err != nil {
+			t.Errorf("Fill[%d,%d): %v", r[0], r[1], err)
+		}
+	}
+}
+
+// BenchmarkStreamCSV encodes a lineitem-shaped table — primary key, three
+// foreign keys and TPC-H's lineitem codecs and domains — at 256Ki rows into
+// io.Discard, reporting MB/s of CSV.
+func BenchmarkStreamCSV(b *testing.B) {
+	const rows = 256 << 10
+	epoch := time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC)
+	nonkey := []struct {
+		name   string
+		codec  Codec
+		domain int64
+	}{
+		{"l_quantity", IntCodec{Base: 1}, 50},
+		{"l_extendedprice", DecimalCodec{Base: 90000, Step: 100, Scale: 2}, 10000},
+		{"l_discount", DecimalCodec{Base: 0, Step: 1, Scale: 2}, 11},
+		{"l_tax", DecimalCodec{Base: 0, Step: 1, Scale: 2}, 9},
+		{"l_returnflag", NewDictCodec([]string{"A", "N", "R"}), 3},
+		{"l_linestatus", NewDictCodec([]string{"F", "O"}), 2},
+		{"l_shipdate", DateCodec{Start: epoch}, 2526},
+		{"l_commitdate", DateCodec{Start: epoch}, 2526},
+		{"l_receiptdate", DateCodec{Start: epoch}, 2526},
+		{"l_shipinstruct", NewDictCodec([]string{"COLLECT COD", "DELIVER IN PERSON", "NONE", "TAKE BACK RETURN"}), 4},
+		{"l_shipmode", NewDictCodec([]string{"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"}), 7},
+	}
+	fks := []struct {
+		name string
+		rows int64
+	}{{"l_orderkey", rows / 4}, {"l_partkey", rows / 30}, {"l_suppkey", rows / 600}}
+	meta := &relalg.Table{Name: "lineitem", Columns: []relalg.Column{{Name: "l_pk", Kind: relalg.PrimaryKey}}}
+	for _, fk := range fks {
+		meta.Columns = append(meta.Columns, relalg.Column{Name: fk.name, Kind: relalg.ForeignKey})
+	}
+	codecs := CodecSet{}
+	for _, c := range nonkey {
+		meta.Columns = append(meta.Columns, relalg.Column{Name: c.name, Kind: relalg.NonKey, DomainSize: c.domain})
+		codecs[codecs.Key("lineitem", c.name)] = c.codec
+	}
+	td := NewTableData(meta)
+	td.FillPK(rows)
+	rng := rand.New(rand.NewSource(1))
+	fill := func(name string, d int64) {
+		vals := make([]int64, rows)
+		for i := range vals {
+			vals[i] = rng.Int63n(d) + 1
+		}
+		td.SetCol(name, vals)
+	}
+	for _, fk := range fks {
+		fill(fk.name, fk.rows)
+	}
+	for _, c := range nonkey {
+		fill(c.name, c.domain)
+	}
+	src := TableSource(td)
+	st, err := StreamCSV(context.Background(), io.Discard, src, codecs, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(st.Bytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := StreamCSV(context.Background(), io.Discard, src, codecs, 0, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -381,6 +381,43 @@ func readSinkCSVs(t *testing.T, dir string) map[string]string {
 	return out
 }
 
+// TestStreamedHashOnlyUnderManifest: the exporter hashes the content bytes
+// only when a manifest records the hash. The same run streamed with and
+// without a manifest must leave byte-identical CSV trees, and every hash
+// the manifest run recorded must equal the FNV-64a of its committed file.
+func TestStreamedHashOnlyUnderManifest(t *testing.T) {
+	run := func(withManifest bool) (string, *storage.Manifest) {
+		prob := streamProblem(t, "ssb", 1)
+		opts := Options{Seed: 3}
+		dir := t.TempDir()
+		var m *storage.Manifest
+		if withManifest {
+			m = storage.NewManifest(dir, RunFingerprint(prob, opts))
+		}
+		if _, err := GenerateStream(prob, opts, StreamConfig{Sink: &storage.DirSink{Dir: dir}, Manifest: m}); err != nil {
+			t.Fatal(err)
+		}
+		return dir, m
+	}
+	plainDir, _ := run(false)
+	trackedDir, m := run(true)
+	plain, tracked := readSinkCSVs(t, plainDir), readSinkCSVs(t, trackedDir)
+	if len(plain) != len(tracked) {
+		t.Fatalf("%d tables without a manifest, %d with one", len(plain), len(tracked))
+	}
+	for name, csv := range plain {
+		if tracked[name] != csv {
+			t.Fatalf("table %s: bytes differ between the runs with and without a manifest", name)
+		}
+	}
+	if n := len(m.CommittedTables()); n != len(tracked) {
+		t.Fatalf("manifest commits %d tables, the sink holds %d", n, len(tracked))
+	}
+	if err := m.VerifyCommitted(); err != nil {
+		t.Fatalf("VerifyCommitted: %v", err)
+	}
+}
+
 // TestStreamedFlakySinkRetries is the flaky-device acceptance test: every
 // sink write fails transiently twice before succeeding (injected), the
 // RetrySink absorbs the faults, and the run completes byte-identical with

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"sort"
 
 	"github.com/dbhammer/mirage/internal/genplan"
@@ -240,11 +241,16 @@ func startExporter(ctx context.Context, cancel context.CancelFunc, span *obs.Spa
 			// The manifest hash taps the content bytes before any sink-side
 			// compression, so it matches manifest verification (which
 			// decompresses .gz on read) and is identical across plain and
-			// gzip sinks.
+			// gzip sinks. Only the manifest reads it, so without one the
+			// bytes go unhashed.
 			sum := fnv.New64a()
+			var tap io.Writer
+			if sc.Manifest != nil {
+				tap = sum
+			}
 			if err == nil {
 				src := nonkey.NewPlanSource(db.Table(name), plans[name])
-				st, err = storage.StreamTable(ctx, sc.Sink, src, codecs, sc.ShardRows, workers, sum)
+				st, err = storage.StreamTable(ctx, sc.Sink, src, codecs, sc.ShardRows, workers, tap)
 			}
 			if err == nil && sc.Manifest != nil {
 				// Recorded only after the sink's Commit returned: the
