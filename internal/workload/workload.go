@@ -11,7 +11,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/dbhammer/mirage/internal/relalg"
 	"github.com/dbhammer/mirage/internal/sqlparse"
@@ -67,71 +66,6 @@ func Materialize(spec *Spec, sf float64, seed int64) (*relalg.Schema, *storage.D
 		return nil, nil, nil, fmt.Errorf("workload: materialize %s: %w", spec.Name, err)
 	}
 	return schema, db, templates, nil
-}
-
-// GenerateOriginal materializes the in-production database instance for a
-// scale factor: uniform value distributions over each column's domain and
-// uniformly random (valid) foreign keys, deterministic in the seed.
-//
-// The QAG problem consumes only the cardinality constraints extracted from
-// this instance, so any non-degenerate original produces the same kind of
-// constraint system the real application would.
-func GenerateOriginal(schema *relalg.Schema, seed int64) (*storage.DB, error) {
-	if err := schema.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := schema.TopologicalOrder()
-	if err != nil {
-		return nil, err
-	}
-	db := storage.NewDB(schema)
-	for _, tbl := range order {
-		data := db.Table(tbl.Name)
-		n := int(tbl.Rows)
-		data.FillPK(n)
-		for i := range tbl.Columns {
-			col := &tbl.Columns[i]
-			switch col.Kind {
-			case relalg.NonKey:
-				rng := rand.New(rand.NewSource(seed ^ hash2(tbl.Name, col.Name)))
-				vals := make([]int64, n)
-				d := col.DomainSize
-				// Guarantee domain coverage (|R|_A distinct values), then
-				// fill uniformly.
-				for v := int64(0); v < d && v < int64(n); v++ {
-					vals[v] = v + 1
-				}
-				for r := int(d); r < n; r++ {
-					vals[r] = rng.Int63n(d) + 1
-				}
-				rng.Shuffle(n, func(a, b int) { vals[a], vals[b] = vals[b], vals[a] })
-				data.SetCol(col.Name, vals)
-			case relalg.ForeignKey:
-				refRows := schema.MustTable(col.Refs).Rows
-				rng := rand.New(rand.NewSource(seed ^ hash2(tbl.Name, col.Name) ^ 0x5bd1e995))
-				vals := make([]int64, n)
-				for r := range vals {
-					vals[r] = rng.Int63n(refRows) + 1
-				}
-				data.SetCol(col.Name, vals)
-			}
-		}
-	}
-	if err := db.Check(); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-func hash2(a, b string) int64 {
-	var h int64 = 1469598103934665603
-	for _, s := range []string{a, b} {
-		for i := 0; i < len(s); i++ {
-			h ^= int64(s[i])
-			h *= 1099511628211
-		}
-	}
-	return h
 }
 
 // scale multiplies a base row count by the scale factor with a floor of 1.
