@@ -29,12 +29,11 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1, fig11, fig12, fig13, fig14, fig15, fig16, all")
+		exp        = flag.String("exp", "all", "experiment: table1, fig11, fig12, fig13, fig15, fig16, all")
 		name       = flag.String("workload", "tpch", "scenario for per-workload figures: ssb, tpch, tpcds")
 		sf         = flag.Float64("sf", 1, "scale factor")
 		seed       = flag.Int64("seed", 11, "seed")
 		sfsFlag    = flag.String("sfs", "1,2,4", "comma-separated SF sweep for fig13")
-		batches    = flag.String("batches", "10000,20000,40000,70000,100000", "batch sizes for fig14")
 		counts     = flag.String("counts", "", "query-count sweep for fig15/fig16 (default: workload-sized steps)")
 		par        = flag.Int("parallelism", 0, "generation workers (0 = GOMAXPROCS, 1 = sequential; results are byte-identical at any value)")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); on expiry the pipeline unwinds cleanly")
@@ -84,7 +83,7 @@ func main() {
 	}
 
 	cfg := experiments.Config{Ctx: ctx, SF: *sf, Seed: *seed, Parallelism: *par}
-	err := run(*exp, *name, cfg, *sfsFlag, *batches, *counts)
+	err := run(*exp, *name, cfg, *sfsFlag, *counts)
 	if reg != nil && *metrics != "" {
 		if werr := reg.WriteFile(*metrics, *metricsFmt); werr != nil {
 			fmt.Fprintln(os.Stderr, "miragebench: metrics:", werr)
@@ -118,7 +117,7 @@ func main() {
 	}
 }
 
-func run(exp, name string, cfg experiments.Config, sfsFlag, batches, counts string) error {
+func run(exp, name string, cfg experiments.Config, sfsFlag, counts string) error {
 	switch exp {
 	case "table1":
 		r, err := experiments.RunTable1(cfg)
@@ -148,16 +147,6 @@ func run(exp, name string, cfg experiments.Config, sfsFlag, batches, counts stri
 			return err
 		}
 		fmt.Println(r.Format())
-	case "fig14":
-		bs, err := parseInts(batches)
-		if err != nil {
-			return err
-		}
-		r, err := experiments.RunFig14(name, cfg, bs)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
 	case "fig15", "fig16":
 		cs, err := parseCounts(counts, name)
 		if err != nil {
@@ -173,27 +162,24 @@ func run(exp, name string, cfg experiments.Config, sfsFlag, batches, counts stri
 			fmt.Println(r.FormatFig16())
 		}
 	case "all":
-		if err := run("table1", name, cfg, sfsFlag, batches, counts); err != nil {
+		if err := run("table1", name, cfg, sfsFlag, counts); err != nil {
 			return err
 		}
 		for _, w := range []string{"ssb", "tpch", "tpcds"} {
-			if err := run("fig11", w, cfg, sfsFlag, batches, counts); err != nil {
+			if err := run("fig11", w, cfg, sfsFlag, counts); err != nil {
 				return err
 			}
-			if err := run("fig12", w, cfg, sfsFlag, batches, counts); err != nil {
+			if err := run("fig12", w, cfg, sfsFlag, counts); err != nil {
 				return err
 			}
 		}
-		if err := run("fig13", name, cfg, sfsFlag, batches, counts); err != nil {
+		if err := run("fig13", name, cfg, sfsFlag, counts); err != nil {
 			return err
 		}
-		if err := run("fig14", name, cfg, sfsFlag, batches, counts); err != nil {
+		if err := run("fig15", name, cfg, sfsFlag, counts); err != nil {
 			return err
 		}
-		if err := run("fig15", name, cfg, sfsFlag, batches, counts); err != nil {
-			return err
-		}
-		return run("fig16", name, cfg, sfsFlag, batches, counts)
+		return run("fig16", name, cfg, sfsFlag, counts)
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
@@ -208,18 +194,6 @@ func parseFloats(s string) ([]float64, error) {
 			return nil, err
 		}
 		out = append(out, f)
-	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
 	}
 	return out, nil
 }

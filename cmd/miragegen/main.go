@@ -21,6 +21,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"github.com/dbhammer/mirage"
@@ -35,7 +36,6 @@ func main() {
 		name       = flag.String("workload", "tpch", "scenario: ssb, tpch, or tpcds")
 		sf         = flag.Float64("sf", 1, "scale factor (1 ≈ 1/100 of the official SF=1)")
 		seed       = flag.Int64("seed", 11, "random seed (deterministic output)")
-		batch      = flag.Int64("batch", 0, "batch size in rows (0 = default 70k)")
 		sample     = flag.Int("sample", 0, "ACC sample size (0 = default 40k)")
 		par        = flag.Int("parallelism", 0, "generation workers (0 = GOMAXPROCS, 1 = sequential; output is byte-identical at any value)")
 		out        = flag.String("out", "", "directory for CSV export and workload text (optional)")
@@ -57,6 +57,23 @@ func main() {
 		retryBase  = flag.Duration("retry-base", 0, "first retry backoff delay (0 = default 5ms; doubles per attempt, deterministically jittered)")
 	)
 	flag.Parse()
+
+	// The out-of-core flags steer only -stream runs. Refuse them without
+	// -stream instead of silently running something else: an in-memory
+	// "-resume" would regenerate from scratch over -out's committed tables.
+	if !*stream {
+		var streamOnly []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "resume", "gzip", "shard-rows", "window-rows", "spill-dir", "no-validate", "sink-retries", "retry-base":
+				streamOnly = append(streamOnly, "-"+f.Name)
+			}
+		})
+		if len(streamOnly) > 0 {
+			fmt.Fprintf(os.Stderr, "miragegen: flags valid only with -stream: %s\n", strings.Join(streamOnly, ", "))
+			os.Exit(1)
+		}
+	}
 
 	// Telemetry is opt-in: with none of these flags set no registry is
 	// installed and every instrumentation site in the pipeline stays on its
@@ -110,7 +127,7 @@ func main() {
 	}
 
 	// SIGINT cancels the pipeline context: workers stop claiming items,
-	// solves and batch loops stop at their next poll, and the run unwinds
+	// solves and window passes stop at their next poll, and the run unwinds
 	// with a wrapped context.Canceled instead of dying mid-write. A second SIGINT kills the
 	// process the usual way (signal.NotifyContext restores default handling
 	// once the context is canceled).
@@ -122,7 +139,7 @@ func main() {
 		defer cancel()
 	}
 
-	opts := mirage.Options{Seed: *seed, BatchSize: *batch, SampleSize: *sample, Parallelism: *par}
+	opts := mirage.Options{Seed: *seed, SampleSize: *sample, Parallelism: *par}
 	so := streamOpts{
 		enabled: *stream, shardRows: *shardRows, gzip: *gzip, noValidate: *noValidate,
 		windowRows: *windowRows, spillDir: *spillDir,
@@ -282,10 +299,10 @@ func run(ctx context.Context, name string, sf float64, opts mirage.Options, out 
 			return err
 		}
 	}
-	fmt.Printf("generated %d rows in %v (nonkey GD %v | key CS %v CP %v PF %v, %d rounds)\n",
+	fmt.Printf("generated %d rows in %v (nonkey GD %v | key CS %v CP %v PF %v)\n",
 		res.DB.TotalRows(), res.Total.Round(1e6),
 		res.NonKey.GenTime.Round(1e6), res.Key.CSTime.Round(1e6),
-		res.Key.CPTime.Round(1e6), res.Key.PFTime.Round(1e6), res.Key.CPRounds)
+		res.Key.CPTime.Round(1e6), res.Key.PFTime.Round(1e6))
 	if len(res.Degradations) > 0 {
 		fmt.Printf("degradations (%d):\n", len(res.Degradations))
 		for _, d := range res.Degradations {

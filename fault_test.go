@@ -245,7 +245,7 @@ func TestKeygenCancelLeavesNoTornColumns(t *testing.T) {
 	in.BindCancel(cancel)
 	defer faultinject.Activate(in)()
 
-	_, err = keygen.Populate(ctx, keygen.Config{BatchSize: 2, Seed: 42, Parallelism: 2}, prob.Plan, db)
+	_, err = keygen.Populate(ctx, keygen.Config{Seed: 42, Parallelism: 2}, prob.Plan, db)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}

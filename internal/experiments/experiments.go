@@ -37,9 +37,8 @@ type Config struct {
 	Ctx  context.Context
 	SF   float64
 	Seed int64
-	// BatchSize and SampleSize are mirage.Options' fields of the same name
-	// (0 = the pipeline's defaults).
-	BatchSize  int64
+	// SampleSize is mirage.Options' field of the same name (0 = the
+	// pipeline's default).
 	SampleSize int
 	// Parallelism is the generation worker count (0 = GOMAXPROCS, 1 =
 	// sequential). The generated database is byte-identical either way;
@@ -133,7 +132,6 @@ func (s *scenario) runMirage(cfg Config, limit int) (*MirageRun, error) {
 	runtime.ReadMemStats(&before)
 	res, err := mirage.GenerateCtx(cfg.Ctx, prob, mirage.Options{
 		Seed:        cfg.Seed,
-		BatchSize:   cfg.BatchSize,
 		SampleSize:  cfg.SampleSize,
 		Parallelism: cfg.Parallelism,
 	})

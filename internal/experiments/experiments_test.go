@@ -103,24 +103,6 @@ func TestRunFig11ObservesPipeline(t *testing.T) {
 	}
 }
 
-func TestRunFig14BatchKnee(t *testing.T) {
-	r, err := RunFig14("ssb", tiny(), []int64{1000, 8000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 2 {
-		t.Fatalf("points = %d", len(r.Points))
-	}
-	// Smaller batches mean more population rounds.
-	if r.Points[0].CPRounds <= r.Points[1].CPRounds {
-		t.Errorf("rounds: batch %d -> %d, batch %d -> %d; smaller batches must run more rounds",
-			r.Points[0].BatchSize, r.Points[0].CPRounds, r.Points[1].BatchSize, r.Points[1].CPRounds)
-	}
-	if !strings.Contains(r.Format(), "rounds") {
-		t.Error("Format output incomplete")
-	}
-}
-
 func TestRunFig15QuerySweep(t *testing.T) {
 	r, err := RunFig15("ssb", tiny(), []int{4, 13})
 	if err != nil {

@@ -307,62 +307,6 @@ func (r *Fig13Result) Format() string {
 	return sb.String()
 }
 
-// ---------------------------------------------------------------- Fig. 14
-
-// Fig14Point is one batch-size sample with stage breakdown.
-type Fig14Point struct {
-	BatchSize      int64
-	GD, CS, CP, PF time.Duration
-	CPRounds       int
-	PeakMemMB      float64
-}
-
-// Fig14Result sweeps the batch size (paper: 1M..10M rows; scaled 100x).
-type Fig14Result struct {
-	Workload string
-	Points   []Fig14Point
-}
-
-// RunFig14 reproduces the batch-size experiment.
-func RunFig14(name string, cfg Config, batches []int64) (*Fig14Result, error) {
-	cfg = cfg.withDefaults()
-	res := &Fig14Result{Workload: name}
-	for _, b := range batches {
-		c := cfg
-		c.BatchSize = b
-		s, err := load(name, c)
-		if err != nil {
-			return nil, err
-		}
-		mir, err := s.runMirage(c, 0)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, Fig14Point{
-			BatchSize: b,
-			GD:        mir.NonKey.GenTime,
-			CS:        mir.Key.CSTime,
-			CP:        mir.Key.CPTime,
-			PF:        mir.Key.PFTime,
-			CPRounds:  mir.Key.CPRounds,
-			PeakMemMB: mir.PeakMemMB,
-		})
-	}
-	return res, nil
-}
-
-// Format renders stage times and memory per batch size.
-func (r *Fig14Result) Format() string {
-	var sb strings.Builder
-	sb.WriteString(header(fmt.Sprintf("Fig. 14 (%s) — batch size vs stage time and memory", r.Workload)))
-	fmt.Fprintf(&sb, "%10s %10s %10s %10s %10s %8s %9s\n", "batch", "GD", "CS", "CP", "PF", "rounds", "mem(MB)")
-	for _, p := range r.Points {
-		fmt.Fprintf(&sb, "%10d %10s %10s %10s %10s %8d %9.1f\n",
-			p.BatchSize, fmtDur(p.GD), fmtDur(p.CS), fmtDur(p.CP), fmtDur(p.PF), p.CPRounds, p.PeakMemMB)
-	}
-	return sb.String()
-}
-
 // ---------------------------------------------------------------- Fig. 15/16
 
 // Fig15Point is one query-count sample.

@@ -15,10 +15,9 @@
 //	     local search on the x-system, then a constructive distinct/fresh
 //	     assignment; residuals are clamped by Section 6's resize rule
 //	     (Section 5.2 steps 2–3; the paper hands each batch to a CP solver).
-//	PF — the solution is split across generation batches by an exact
-//	     transportation (north-west corner) split, and foreign keys are
-//	     written with globally disjoint distinct-key allocations so every
-//	     JDC is met exactly across batches.
+//	PF — the solution is written in one pass over each T partition's rows,
+//	     cells taken in order (north-west corner rule), with globally
+//	     disjoint distinct-key allocations so every JDC is met exactly.
 package keygen
 
 import (
@@ -40,9 +39,8 @@ import (
 
 // Config tunes the key generator.
 type Config struct {
-	// BatchSize is the number of FK rows populated per round (the paper's
-	// default is 7M; this repo's scaled default is 70k). Zero populates in
-	// one round.
+	// BatchSize is ignored: every unit's column is populated in one pass.
+	// The field stays because benchmark/replay.go sets it.
 	BatchSize int64
 	// Seed drives random choices (free-row fill). Every random stream is
 	// derived per unit from Seed and the unit's FK column, never from a
@@ -68,15 +66,16 @@ type Config struct {
 	Window *engine.WindowConfig
 }
 
-// DefaultBatchSize mirrors the paper's 7M-row default scaled 100x down.
+// DefaultBatchSize is read by nothing in the pipeline. The constant stays
+// because benchmark/replay.go passes it.
 const DefaultBatchSize = 70_000
 
-// Stats aggregates stage timings for the Fig. 14/15 experiments.
+// Stats aggregates stage timings for the Fig. 15 experiment.
 type Stats struct {
 	CSTime     time.Duration // compute join statuses
 	CPTime     time.Duration // constraint solving (once per unit)
 	PFTime     time.Duration // populate foreign keys
-	CPRounds   int           // population rounds (batches) over all units
+	CPRounds   int           // solved units, one population pass each
 	Partitions int
 	Cells      int
 	// Resized counts join constraints clamped to the achievable range
@@ -148,7 +147,6 @@ func (s *Stats) observe(reg *obs.Registry) {
 	reg.Histogram("keygen_cs_ns").Observe(int64(s.CSTime))
 	reg.Histogram("keygen_cp_ns").Observe(int64(s.CPTime))
 	reg.Histogram("keygen_pf_ns").Observe(int64(s.PFTime))
-	reg.Counter("keygen_cp_rounds_total").Add(int64(s.CPRounds))
 	reg.Counter("keygen_partitions_total").Add(int64(s.Partitions))
 	reg.Counter("keygen_cells_total").Add(int64(s.Cells))
 	reg.Counter("keygen_restarts_total").Add(int64(s.Restarts))
@@ -386,7 +384,7 @@ func populateUnit(ctx context.Context, cfg Config, eng *engine.Engine, db *stora
 	st.CPTime = time.Since(start)
 
 	// PF stage.
-	vals, err := populateFKs(ctx, cfg, st, tRows, model, sol)
+	vals, err := populateFKs(st, tRows, model, sol)
 	if err != nil {
 		return nil, nil, err
 	}

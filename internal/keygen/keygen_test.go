@@ -114,30 +114,6 @@ func TestPopulatePaperExample(t *testing.T) {
 	checkTwoPhase(t, paperModel(t), Config{Seed: 1})
 }
 
-func TestPopulateWithSmallBatches(t *testing.T) {
-	db := freshPaperDB()
-	joins := paperJoins()
-	st, err := Populate(context.Background(), Config{Seed: 1, BatchSize: 3}, problemWith(joins), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, jc := range joins {
-		checkJoin(t, db, jc)
-	}
-	if st.CPRounds != 3 { // ceil(8/3)
-		t.Errorf("rounds = %d, want 3", st.CPRounds)
-	}
-	// The batch size decides how many rounds write the column, never what
-	// they write.
-	whole := freshPaperDB()
-	if _, err := Populate(context.Background(), Config{Seed: 1}, problemWith(joins), whole); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := db.Table("t").Col("t_fk"), whole.Table("t").Col("t_fk"); !slices.Equal(got, want) {
-		t.Errorf("t_fk at BatchSize 3 = %v, in one round %v", got, want)
-	}
-}
-
 func TestPopulateSemiAndAntiConstraints(t *testing.T) {
 	// Semi join: jdc only. Anti join (left): jdc only, derived as |V_l|-card.
 	db := freshPaperDB()
@@ -352,21 +328,6 @@ func TestPartitionOrder(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestBuildStreamsRoundRobin(t *testing.T) {
-	kg := &kgModel{cells: make([]cellVar, 1)}
-	sol := &solution{x: []int64{5}, d: []int64{2}}
-	streams, err := buildStreams(kg, sol, [][]int64{{10, 20}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{10, 20, 10, 20, 10}
-	for i, v := range want {
-		if streams[0][i] != v {
-			t.Fatalf("stream = %v, want %v", streams[0], want)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package keygen
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"time"
@@ -143,127 +142,45 @@ func componentsOf(masks []uint64) map[uint64]int {
 	return out
 }
 
-// buildStreams expands every cell into its FK value sequence: the cell's
-// distinct keys in round-robin order, totaling x values. Round-robin makes
-// every prefix cover the distinct keys as fast as possible, so batch splits
-// retain per-batch key diversity.
-func buildStreams(kg *kgModel, sol *solution, keys [][]int64) ([][]int64, error) {
-	streams := make([][]int64, len(kg.cells))
-	for ci := range kg.cells {
-		x, d := sol.x[ci], int64(len(keys[ci]))
-		if x == 0 {
-			continue
-		}
-		if d == 0 {
-			return nil, fmt.Errorf("cell %d has %d fk slots but no keys", ci, x)
-		}
-		s := make([]int64, x)
-		for n := int64(0); n < x; n++ {
-			s[n] = keys[ci][n%d]
-		}
-		streams[ci] = s
-	}
-	return streams, nil
-}
-
-// populateFKs splits the global solution across batches (north-west corner
-// transportation split: exact totals per cell and per batch) and returns the
-// foreign-key column content for the caller to commit after the unit's wave
-// joins. The split consumes every cell's stream in order, so the batch size
-// cannot change the content.
-func populateFKs(ctx context.Context, cfg Config, st *Stats, tRows int, kg *kgModel, sol *solution) ([]int64, error) {
-	tParts := kg.tParts
-
+// populateFKs writes the unit's solution into its foreign-key column in one
+// pass and returns the column content for the caller to commit after the
+// unit's wave joins. Each T partition's rows, in ascending order, are filled
+// by walking the partition's cells in order (north-west corner rule): a cell
+// takes min(x, rows still unfilled) rows and emits its distinct keys
+// round-robin, so any prefix of a cell's rows covers its keys as fast as
+// possible.
+func populateFKs(st *Stats, tRows int, kg *kgModel, sol *solution) ([]int64, error) {
 	start := time.Now()
 	keys, err := allocateKeys(kg, sol)
 	if err != nil {
 		return nil, err
 	}
-	streams, err := buildStreams(kg, sol, keys)
-	if err != nil {
-		return nil, err
+	vals := make([]int64, tRows)
+	for j, tp := range kg.tParts {
+		rows := tp.rows
+		for _, ci := range kg.byT[j] {
+			if len(rows) == 0 {
+				break
+			}
+			take := min(sol.x[ci], int64(len(rows)))
+			if take == 0 {
+				continue
+			}
+			ks := keys[ci]
+			d := int64(len(ks))
+			if d == 0 {
+				return nil, fmt.Errorf("cell %d has %d fk slots but no keys", ci, sol.x[ci])
+			}
+			for n, r := range rows[:take] {
+				vals[r] = ks[int64(n)%d]
+			}
+			rows = rows[take:]
+		}
+		if len(rows) != 0 {
+			return nil, fmt.Errorf("internal: solution leaves %d unfilled rows in partition T_%d", len(rows), j)
+		}
 	}
 	st.PFTime += time.Since(start)
-
-	vals := make([]int64, tRows)
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = int64(tRows)
-	}
-	if batch <= 0 {
-		batch = 1
-	}
-
-	remaining := append([]int64(nil), sol.x...)
-	streamPos := make([]int64, len(kg.cells))
-	partPtr := make([]int, len(tParts))
-
-	// Per-round scratch: one split buffer and one row buffer per partition —
-	// the batch loop allocates nothing per round at steady state.
-	tCounts := make([]int64, len(tParts))
-	xSplit := make([]int64, len(kg.cells))
-	batchRows := make([][]int32, len(tParts))
-
-	for lo := int64(0); lo < int64(tRows); lo += batch {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		hi := lo + batch
-		if hi > int64(tRows) {
-			hi = int64(tRows)
-		}
-		// Rows of each partition inside this batch.
-		pfStart := time.Now()
-		for j, tp := range tParts {
-			batchRows[j] = batchRows[j][:0]
-			p := partPtr[j]
-			for p < len(tp.rows) && int64(tp.rows[p]) < hi {
-				batchRows[j] = append(batchRows[j], tp.rows[p])
-				p++
-			}
-			partPtr[j] = p
-			tCounts[j] = int64(len(batchRows[j]))
-		}
-		// North-west split: walk each partition's cells in order, taking
-		// from each cell's remaining budget.
-		for ci := range xSplit {
-			xSplit[ci] = 0
-		}
-		for j := range tParts {
-			need := tCounts[j]
-			for _, ci := range kg.byT[j] {
-				if need == 0 {
-					break
-				}
-				take := remaining[ci]
-				if take > need {
-					take = need
-				}
-				if take == 0 {
-					continue
-				}
-				xSplit[ci] = take
-				remaining[ci] -= take
-				need -= take
-			}
-			if need != 0 {
-				return nil, fmt.Errorf("internal: batch split leaves %d unfilled rows in partition T_%d", need, j)
-			}
-		}
-		// Write this batch's foreign keys.
-		for j := range tParts {
-			rows := batchRows[j]
-			r := 0
-			for _, ci := range kg.byT[j] {
-				for n := int64(0); n < xSplit[ci]; n++ {
-					vals[rows[r]] = streams[ci][streamPos[ci]]
-					streamPos[ci]++
-					r++
-				}
-			}
-		}
-		st.PFTime += time.Since(pfStart)
-		st.CPRounds++
-	}
+	st.CPRounds++
 	return vals, nil
 }

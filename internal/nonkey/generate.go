@@ -11,18 +11,21 @@ import (
 	"github.com/dbhammer/mirage/internal/storage"
 )
 
+// fillChunkRows is the row count of one (column, chunk) fill task in
+// Materialize: the unit of fill parallelism within a table.
+const fillChunkRows = 70_000
+
 // Materialize generates the table's primary key and non-key columns into dst
-// in batches of batchSize rows (Section 4.3). Bound-row blocks are written
-// at the head of the table; every other cell receives its column's remaining
-// value multiset through a per-column keyed permutation, so all UCC counts
-// hold exactly while columns stay uncorrelated.
+// (Section 4.3). Bound-row blocks are written at the head of the table; every
+// other cell receives its column's remaining value multiset through a
+// per-column keyed permutation, so all UCC counts hold exactly while columns
+// stay uncorrelated.
 //
 // Column layouts run on up to workers goroutines; each column's permutation
 // is seeded by seed ⊕ colSeed(table, column), so the emitted bytes are
-// independent of layout order, worker count, and batch size. The per-batch
-// fills are parallelized the same way (each (column, batch) chunk writes a
-// disjoint slice range); dst itself is only touched from the calling
-// goroutine.
+// independent of layout order and worker count. The fills are parallelized
+// the same way (each (column, chunk) task writes a disjoint slice range);
+// dst itself is only touched from the calling goroutine.
 //
 // retain is the retention policy: with a nil set every column is stored in
 // dst (the in-memory run); otherwise only the listed columns — plus,
@@ -33,13 +36,10 @@ import (
 // with byte-identical content.
 //
 // The returned duration is the data-generation (GD) stage time reported by
-// the Fig. 14/15 experiments.
-func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, batchSize int64, seed int64, workers int, retain map[string]bool) (time.Duration, error) {
+// the Fig. 15 experiment.
+func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, seed int64, workers int, retain map[string]bool) (time.Duration, error) {
 	start := time.Now()
 	R := tp.Table.Rows
-	if batchSize <= 0 {
-		batchSize = R
-	}
 	var boundRows int64
 	for _, b := range tp.Bound {
 		boundRows += b.Card
@@ -94,8 +94,8 @@ func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, ba
 		}
 	}
 
-	// Emit in batches (the layout above is the GD work, this is the write
-	// path): every (column, batch) chunk fills a disjoint range of that
+	// Emit in chunks (the layout above is the GD work, this is the write
+	// path): every (column, chunk) task fills a disjoint range of that
 	// column's destination slice, so chunks parallelize freely.
 	dst.SetRows(int(R))
 	// The primary key is the dense domain 1..R: regenerable on export, so
@@ -108,19 +108,12 @@ func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, ba
 	for i := range store {
 		out[i] = make([]int64, R)
 	}
-	nBatches := 0
-	if R > 0 {
-		nBatches = int((R + batchSize - 1) / batchSize)
-	}
-	reg.Counter("nonkey_batches_total").Add(int64(nBatches))
-	if err := parallel.ForEachCtx(ctx, "nonkey/fill", workers, len(store)*nBatches, func(t int) error {
+	nChunks := int((R + fillChunkRows - 1) / fillChunkRows)
+	if err := parallel.ForEachCtx(ctx, "nonkey/fill", workers, len(store)*nChunks, func(t int) error {
 		tm := fillH.Start()
-		c, b := t/nBatches, int64(t%nBatches)
-		lo := b * batchSize
-		hi := lo + batchSize
-		if hi > R {
-			hi = R
-		}
+		c, b := t/nChunks, int64(t%nChunks)
+		lo := b * fillChunkRows
+		hi := min(lo+fillChunkRows, R)
 		gens[store[c]].Fill(out[c][lo:hi], lo, hi)
 		tm.Stop()
 		return nil

@@ -12,7 +12,7 @@
 //	distribute — per column, UCCs define an exact integer CDF; point
 //	             constraints are bin-packed into the CDF ranges and every
 //	             parameter is instantiated (Section 4.2).
-//	materialize— column data is generated from the CDF in batches, with
+//	materialize— column data is generated from the CDF in row chunks, with
 //	             bound rows placed at the head of the table (Section 4.3).
 //	arithmetic — ACC parameters are chosen as order statistics of the
 //	             generated data, optionally on a Hoeffding-sized sample

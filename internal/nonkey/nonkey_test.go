@@ -33,7 +33,7 @@ func planAndMaterialize(t *testing.T, sels []*genplan.SelCons) (*TablePlan, *sto
 	}
 	db := storage.NewDB(schema)
 	data := db.Table("t")
-	if _, err := tp.Materialize(context.Background(), data, 3, 1, 1, nil); err != nil {
+	if _, err := tp.Materialize(context.Background(), data, 1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := InstantiateACCs(Config{Seed: 1}, tp, data); err != nil {
@@ -273,7 +273,7 @@ func TestTheorem61Property(t *testing.T) {
 		}
 		db := storage.NewDB(schema)
 		data := db.Table("x")
-		if _, err := tp.Materialize(context.Background(), data, 17, int64(trial), 1, nil); err != nil {
+		if _, err := tp.Materialize(context.Background(), data, int64(trial), 1, nil); err != nil {
 			t.Fatalf("trial %d: materialize: %v", trial, err)
 		}
 		for _, sc := range sels {
@@ -319,7 +319,7 @@ func TestACCSamplingErrorBound(t *testing.T) {
 	}
 	db := storage.NewDB(schema)
 	data := db.Table("big")
-	if _, err := tp.Materialize(context.Background(), data, 7000, 5, 1, nil); err != nil {
+	if _, err := tp.Materialize(context.Background(), data, 5, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := InstantiateACCs(cfg, tp, data); err != nil {
@@ -385,30 +385,6 @@ func TestBestParam(t *testing.T) {
 			if c != tc.achieved {
 				t.Errorf("%v target %d: achieved %d, want %d", tc.op, tc.target, c, tc.achieved)
 			}
-		}
-	}
-}
-
-func TestBatchSizesProduceIdenticalData(t *testing.T) {
-	build := func(batch int64) []int64 {
-		p := par("p", 0)
-		sels := []*genplan.SelCons{selCons(0, "t", unary("t1", relalg.OpLe, p), 4)}
-		schema := testutil.PaperSchema()
-		tp, err := PlanTable(Config{Seed: 3}, schema.MustTable("t"), sels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db := storage.NewDB(schema)
-		data := db.Table("t")
-		if _, err := tp.Materialize(context.Background(), data, batch, 3, 1, nil); err != nil {
-			t.Fatal(err)
-		}
-		return append([]int64(nil), data.Col("t1")...)
-	}
-	a, b := build(2), build(8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("batch size changed data at row %d: %d vs %d", i, a[i], b[i])
 		}
 	}
 }

@@ -19,8 +19,11 @@ import (
 // merged Stats are accumulated in the given table order regardless of
 // completion order, and all randomness is derived per (table, column), so
 // the generated bytes are identical at any worker count.
+//
+// The trailing int64 is ignored; it stays because benchmark/replay.go passes
+// it.
 func GenerateTables(ctx context.Context, cfg Config, db *storage.DB, tables []*relalg.Table,
-	sels map[string][]*genplan.SelCons, batchSize int64) (map[string]*TablePlan, Stats, error) {
+	sels map[string][]*genplan.SelCons, _ int64) (map[string]*TablePlan, Stats, error) {
 	planned := make([]*TablePlan, len(tables))
 	stageSpan := obs.FromContext(ctx)
 	err := parallel.ForEachCtx(ctx, "nonkey/tables", cfg.Parallelism, len(tables), func(i int) error {
@@ -42,7 +45,7 @@ func GenerateTables(ctx context.Context, cfg Config, db *storage.DB, tables []*r
 			}
 		}
 		data := db.Table(tbl.Name)
-		if _, err := tp.Materialize(ctx, data, batchSize, cfg.Seed, cfg.Parallelism, retain); err != nil {
+		if _, err := tp.Materialize(ctx, data, cfg.Seed, cfg.Parallelism, retain); err != nil {
 			return err
 		}
 		if err := InstantiateACCs(cfg, tp, data); err != nil {

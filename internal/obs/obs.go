@@ -2,7 +2,7 @@
 // gauges and log-bucketed histograms collected in a concurrency-safe
 // Registry, plus hierarchical spans (run → stage → wave → unit) recorded
 // into a serializable run trace. Every layer of the generation pipeline —
-// trace annotation, non-key batch fills, keygen dependency waves and units,
+// trace annotation, non-key chunk fills, keygen dependency waves and units,
 // CP solves, the vectorized engine, the worker pool — reports through this
 // one vocabulary; exporters turn a finished run into a structured JSON
 // RunReport or Prometheus text format (see report.go).

@@ -39,9 +39,9 @@ var ErrManifestVerify = errors.New("storage: committed table failed verification
 // Fingerprint identifies a generation run for resume purposes: two runs with
 // equal fingerprints produce byte-identical exports, so a manifest written
 // by one can safely steer the other. Only byte-affecting inputs participate
-// — parallelism, batch size, shard size, and window size are deliberately
-// absent because the pipeline's output is byte-identical at any value of them
-// (a run may be resumed at a different worker count or batch size). A
+// — parallelism, shard size, and window size are deliberately absent because
+// the pipeline's output is byte-identical at any value of them (a run may be
+// resumed at a different worker count or shard size). A
 // manifest written before a field left the fingerprint still loads: the
 // decoder ignores the stale key.
 type Fingerprint struct {

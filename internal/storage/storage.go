@@ -89,18 +89,6 @@ func (t *TableData) SetCol(name string, vals []int64) {
 	t.cols[name] = vals
 }
 
-// AppendCol appends values to the named column (batch generation).
-func (t *TableData) AppendCol(name string, vals ...int64) {
-	c, ok := t.cols[name]
-	if !ok {
-		panic(fmt.Sprintf("storage: unknown column %s.%s", t.Meta.Name, name))
-	}
-	t.cols[name] = append(c, vals...)
-}
-
-// Value returns one cell.
-func (t *TableData) Value(col string, row int) int64 { return t.Col(col)[row] }
-
 // RowReader returns a closure reading the given row across columns, in the
 // shape row-at-a-time predicate evaluation expects. Hot loops should prefer
 // ResolveColumn with relalg's bound evaluation path, which resolves each

@@ -38,14 +38,11 @@ func TestTableDataBasics(t *testing.T) {
 	if s.Rows() != 4 {
 		t.Fatalf("Rows = %d, want 4", s.Rows())
 	}
-	if got := s.Value("s1", 2); got != 30 {
-		t.Fatalf("Value(s1,2) = %d", got)
-	}
 	rr := s.RowReader(1)
 	if rr("s_pk") != 2 || rr("s1") != 20 {
 		t.Fatalf("RowReader row 1 = (%d, %d)", rr("s_pk"), rr("s1"))
 	}
-	s.AppendCol("s1", 50)
+	s.SetCol("s1", []int64{10, 20, 30, 40, 50})
 	if err := s.CheckAligned(); err == nil {
 		t.Fatal("CheckAligned: want misalignment error")
 	}

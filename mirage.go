@@ -19,8 +19,8 @@
 //	    │  genplan  — flatten to selection / join constraints, schedule FKs
 //	    │  nonkey   — decouple LCCs, bin-pack UCC CDFs, materialize columns,
 //	    │             instantiate selection & arithmetic parameters
-//	    │  keygen   — partition by join visibility, solve the CP, populate
-//	    │             foreign keys in batches
+//	    │  keygen   — partition by join visibility, solve the CP once per
+//	    │             FK column, populate it in one pass
 //	    ▼
 //	synthetic DB + instantiated workload  ──validate──▶ relative errors
 //
@@ -61,8 +61,6 @@ import (
 // Options tunes generation. The zero value selects the defaults discussed
 // in Section 8 of the paper, scaled 100x down for laptop-class runs.
 type Options struct {
-	// BatchSize is the number of rows generated per batch (paper: 7M).
-	BatchSize int64
 	// SampleSize caps the rows sampled to instantiate arithmetic
 	// predicates (paper: 4M for δ=0.1% at α=99.9%).
 	SampleSize int
@@ -71,7 +69,7 @@ type Options struct {
 	Seed int64
 	// Parallelism is the number of workers the pipeline's hot paths run
 	// on: independent tables (non-key generation), independent columns and
-	// batch fills within a table, FK units of one dependency wave, and
+	// row-chunk fills within a table, FK units of one dependency wave, and
 	// validation queries. 0 selects runtime.GOMAXPROCS(0); 1 reproduces
 	// the sequential pipeline exactly. Because every random stream is
 	// derived from Seed plus the (table, column) it serves — never from a
@@ -81,9 +79,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.BatchSize == 0 {
-		o.BatchSize = keygen.DefaultBatchSize
-	}
 	if o.SampleSize == 0 {
 		o.SampleSize = nonkey.DefaultSampleSize
 	}
@@ -176,7 +171,7 @@ type Result struct {
 	// Problem holds the instantiated templates (parameters are shared, so
 	// Problem.Workload.Templates now carry concrete values).
 	Problem *Problem
-	// NonKey and Key report the generators' stage timings (Figs. 14-16).
+	// NonKey and Key report the generators' stage timings (Figs. 15-16).
 	NonKey nonkey.Stats
 	Key    keygen.Stats
 	// Degradations lists every graceful-degradation event generation took
@@ -218,7 +213,7 @@ type StageError = fault.StageError
 
 // Generate runs the non-key and key generators, producing the synthetic
 // database and instantiating every template parameter. Tables, columns, FK
-// dependency waves and batch fills run on up to Options.Parallelism
+// dependency waves and row-chunk fills run on up to Options.Parallelism
 // workers; the output is byte-identical at any worker count for a fixed
 // Options.Seed. It is GenerateCtx with a background context.
 func Generate(p *Problem, opts Options) (*Result, error) {
@@ -227,7 +222,7 @@ func Generate(p *Problem, opts Options) (*Result, error) {
 
 // GenerateCtx is Generate under a context. Cancellation and deadline expiry
 // propagate through every layer — worker pools stop claiming items, the
-// local search polls between repairs, batch loops stop between batches —
+// local search polls between repairs, window passes stop between windows —
 // and the returned error wraps context.Canceled / context.DeadlineExceeded.
 // A panic in any stage or worker is contained into a *StageError (never a
 // process crash). Whatever the failure, all worker goroutines have exited by the
@@ -300,18 +295,14 @@ func generate(ctx context.Context, p *Problem, opts Options, sc *StreamConfig) (
 	var plans map[string]*nonkey.TablePlan
 	err = stage("nonkey", func(ctx context.Context) error {
 		var gerr error
-		plans, res.NonKey, gerr = nonkey.GenerateTables(ctx, nkCfg, db, order, p.Plan.SelByTable, opts.BatchSize)
+		plans, res.NonKey, gerr = nonkey.GenerateTables(ctx, nkCfg, db, order, p.Plan.SelByTable, 0)
 		return gerr
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mirage: %w", err)
 	}
 
-	kgCfg := keygen.Config{
-		BatchSize:   opts.BatchSize,
-		Seed:        opts.Seed,
-		Parallelism: opts.Parallelism,
-	}
+	kgCfg := keygen.Config{Seed: opts.Seed, Parallelism: opts.Parallelism}
 	var exp *exporter
 	if sc != nil {
 		exp = startExporter(ctx, cancel, span, db, plans, p.Workload.Codecs, *sc, opts.Parallelism)

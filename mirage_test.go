@@ -83,35 +83,6 @@ func TestEndToEndDeterminism(t *testing.T) {
 	}
 }
 
-// TestEndToEndSmallBatches re-runs generation with tiny batches: batching is
-// a memory knob and must not change correctness.
-func TestEndToEndSmallBatches(t *testing.T) {
-	w, err := NewWorkload(testutil.PaperSchema(), nil, testutil.PaperWorkload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prob, err := BuildProblem(testutil.PaperDB(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Generate(prob, Options{Seed: 42, BatchSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := Validate(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reports {
-		if r.RelError != 0 {
-			t.Errorf("%s: relative error %.4f with batch size 2", r.Query, r.RelError)
-		}
-	}
-	if res.Key.CPRounds < 4 { // 8 rows / batch 2 = 4 rounds
-		t.Errorf("rounds = %d, want >= 4 with batch size 2", res.Key.CPRounds)
-	}
-}
-
 // TestWorkloadClone verifies that cloned workloads instantiate params
 // independently.
 func TestWorkloadClone(t *testing.T) {

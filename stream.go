@@ -114,10 +114,10 @@ func GenerateStreamCtx(ctx context.Context, p *Problem, opts Options, sc StreamC
 // query names but differ in a predicate, an annotation or a literal never
 // resume into one tree. It reads only what generation leaves alone (never a
 // parameter's instantiated value), so it is the same before and after a run
-// on the same Problem. Byte-neutral knobs (parallelism, batch size, shard
-// size, window size) are excluded on purpose: the pipeline's output is
-// identical at any value, so a run may be resumed at, say, a different
-// worker count or batch size. Compare manifests with
+// on the same Problem. Byte-neutral knobs (parallelism, shard size, window
+// size) are excluded on purpose: the pipeline's output is identical at any
+// value, so a run may be resumed at, say, a different worker count or shard
+// size. Compare manifests with
 // storage.Manifest.Check; the Workload label field is left empty for the
 // caller to fill.
 func RunFingerprint(p *Problem, opts Options) storage.Fingerprint {

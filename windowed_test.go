@@ -135,7 +135,7 @@ func TestFillChunkDeterminismFuzz(t *testing.T) {
 		SampleSize: opts.SampleSize, Seed: opts.Seed,
 		Parallelism: opts.Parallelism, Retain: prob.Plan.RetainedColumnsWindowed(),
 	}
-	plans, _, err := nonkey.GenerateTables(context.Background(), nkCfg, db, order, prob.Plan.SelByTable, opts.BatchSize)
+	plans, _, err := nonkey.GenerateTables(context.Background(), nkCfg, db, order, prob.Plan.SelByTable, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
