@@ -35,8 +35,12 @@ func main() {
 	for _, name := range []string{"s", "t"} {
 		t := result.DB.Table(name)
 		fmt.Printf("  %s:", name)
+		vals := make([]int64, t.Rows())
 		for i := range t.Meta.Columns {
-			fmt.Printf(" %s=%v", t.Meta.Columns[i].Name, t.Col(t.Meta.Columns[i].Name))
+			if err := t.Fill(t.Meta.Columns[i].Name, vals, 0, int64(len(vals))); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf(" %s=%v", t.Meta.Columns[i].Name, vals)
 		}
 		fmt.Println()
 	}

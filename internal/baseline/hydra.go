@@ -100,7 +100,6 @@ func (h *Hydra) Generate(templates []*relalg.AQT) (*storage.DB, []Support, error
 	for _, tbl := range h.Schema.Tables {
 		data := db.Table(tbl.Name)
 		n := int(tbl.Rows)
-		data.FillPK(n)
 		for ci := range tbl.Columns {
 			c := &tbl.Columns[ci]
 			switch c.Kind {

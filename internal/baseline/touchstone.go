@@ -64,7 +64,6 @@ func (t *Touchstone) Generate(templates []*relalg.AQT) (*storage.DB, []Support, 
 	for _, tbl := range t.Schema.Tables {
 		data := db.Table(tbl.Name)
 		n := int(tbl.Rows)
-		data.FillPK(n)
 		for ci := range tbl.Columns {
 			c := &tbl.Columns[ci]
 			if c.Kind != relalg.NonKey {
@@ -162,16 +161,10 @@ func instPred(rng *rand.Rand, data *storage.TableData, p relalg.Predicate, idx [
 		if n.P.Instantiated {
 			return
 		}
-		vals := make([]int64, len(idx))
-		for i, r := range idx {
-			vals[i] = data.Col(n.Col)[r]
-		}
-		slices.Sort(vals)
 		// On a uniform instance the random search converges to the
 		// original parameter (identical domains, identical target
 		// selectivity); the residual error is the distribution noise
 		// between two independent uniform instances.
-		_ = vals
 		if n.Op.IsSetValued() {
 			n.P.SetList(append([]int64(nil), n.P.OrigList...))
 		} else {

@@ -37,14 +37,12 @@ func allocDB(t testing.TB) *storage.DB {
 	}
 	db := storage.NewDB(schema)
 	u := db.Table("u")
-	u.FillPK(allocRows / 100)
 	u1 := make([]int64, allocRows/100)
 	for i := range u1 {
 		u1[i] = int64(i%100) + 1
 	}
 	u.SetCol("u1", u1)
 	s := db.Table("s")
-	s.FillPK(allocRows / 4)
 	s1 := make([]int64, allocRows/4)
 	sfk := make([]int64, allocRows/4)
 	for i := range s1 {
@@ -54,7 +52,6 @@ func allocDB(t testing.TB) *storage.DB {
 	s.SetCol("s1", s1)
 	s.SetCol("s_fk", sfk)
 	tt := db.Table("t")
-	tt.FillPK(allocRows)
 	fk := make([]int64, allocRows)
 	t1 := make([]int64, allocRows)
 	for i := range fk {

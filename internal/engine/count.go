@@ -479,9 +479,6 @@ func (c *counter) countView(v *relalg.View, table string, ws []weight, record bo
 	if err != nil {
 		return mult{}, fmt.Errorf("join %s: %w", spec, err)
 	}
-	if fk == nil {
-		return mult{}, fmt.Errorf("join %s: column %s.%s is not materialized", spec, spec.FKTable, spec.FKCol)
-	}
 	nPK := pkTab.Rows()
 
 	l, err := c.count(left, spec.PKTable, ws, record)
@@ -611,9 +608,6 @@ func (c *counter) groups(groupBy []string, paths [][]*relalg.JoinSpec, rows []in
 		vals, err := e.columnData(t, g)
 		if err != nil {
 			return 0, fmt.Errorf("aggregate by %s: %w", g, err)
-		}
-		if vals == nil {
-			return 0, fmt.Errorf("aggregate by %s: column is not materialized", g)
 		}
 		cols[gi].vals = vals
 	}

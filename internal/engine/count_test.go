@@ -172,10 +172,8 @@ func vDB(t *testing.T) *storage.DB {
 		t.Fatal(err)
 	}
 	db := storage.NewDB(schema)
-	db.Table("c").FillPK(3)
 	for name, fk := range map[string][]int64{"a": {1, 1, 2, 3}, "b": {1, 2, 2, storage.Null}} {
 		td := db.Table(name)
-		td.FillPK(4)
 		td.SetCol(name+"_fk", fk)
 		td.SetCol(name+"1", []int64{1, 2, 3, 1})
 	}

@@ -13,9 +13,9 @@
 // Execution is vectorized and allocation-lean: predicates are compiled once
 // per operator into bound form (relalg.BindPred) and filter a selection
 // vector of tuple positions; joins probe a CSR index over the dense PK
-// domain (pk = rowIdx+1 by storage convention) and write into exact-size
-// preallocated output columns; distinct-tracking uses bitsets instead of
-// hash maps. An Engine carries reusable scratch state and therefore must not
+// domain (pk = rowIdx+1: storage derives every key from its row index) and
+// write into exact-size preallocated output columns; distinct-tracking uses
+// bitsets instead of hash maps. An Engine carries reusable scratch state and therefore must not
 // be shared between goroutines — create one engine per worker (see
 // validate.WorkloadParallel and keygen.Populate).
 package engine
@@ -63,11 +63,10 @@ type Engine struct {
 	// disabled every handle is nil and recording degenerates to nil checks.
 	m engineMetrics
 	// win is the table-pass state every engine has: CollectRowSetsCtx and
-	// Count scan base tables window by window on both kinds of engine.
-	// windowed is set by NewWindowed only: columns absent from storage then
-	// regenerate through chunk sources.
-	win      *windowState
-	windowed bool
+	// Count scan base tables window by window on both kinds of engine, and
+	// columns absent from storage are filled through it (NewWindowed's chunk
+	// sources regenerate the ones storage cannot derive).
+	win *windowState
 }
 
 // engineMetrics caches the per-operator-type telemetry handles: self-time
@@ -193,19 +192,16 @@ func (e *Engine) bindColumn(rel *Relation, col string) (colBinding, error) {
 }
 
 // columnData resolves a column's full value slice: materialized columns come
-// straight from storage (the classic engine's only path). Under windowed
-// evaluation an unmaterialized column is regenerated whole through the
-// table's chunk source and cached for the engine's lifetime — the
-// correctness fallback for every read outside a table pass (Execute's
-// operators, Count's projections and group-bys), counted in
+// straight from storage. Any other column — the primary key on every engine,
+// a regenerated one on a windowed engine — is filled whole through the
+// window state and cached for the engine's lifetime: the correctness
+// fallback for every read outside a table pass (Execute's operators,
+// Count's projections and group-bys), counted in
 // engine_window_fallbacks_total so regressions are visible.
 func (e *Engine) columnData(t *storage.TableData, col string) ([]int64, error) {
 	vals, err := t.Lookup(col)
 	if err != nil || vals != nil {
 		return vals, err
-	}
-	if !e.windowed {
-		return vals, nil
 	}
 	key := t.Meta.Name + "." + col
 	if c, ok := e.win.fallback[key]; ok {

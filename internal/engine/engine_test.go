@@ -36,10 +36,8 @@ func paperDB(t *testing.T) *storage.DB {
 	}
 	db := storage.NewDB(schema)
 	s := db.Table("s")
-	s.FillPK(4)
 	s.SetCol("s1", []int64{1, 2, 3, 4})
 	tt := db.Table("t")
-	tt.FillPK(8)
 	tt.SetCol("t_fk", []int64{1, 2, 2, 3, 1, 2, 4, 4})
 	tt.SetCol("t1", []int64{4, 4, 4, 3, 3, 5, 1, 2})
 	tt.SetCol("t2", []int64{2, 2, 2, 1, 3, 3, 4, 4})
@@ -234,12 +232,9 @@ func TestMultiJoinChain(t *testing.T) {
 		}},
 	}}
 	db := storage.NewDB(schema)
-	db.Table("s").FillPK(2)
 	db.Table("s").SetCol("s1", []int64{1, 2})
-	db.Table("t").FillPK(4)
 	db.Table("t").SetCol("t_fk", []int64{1, 1, 2, 2})
 	db.Table("t").SetCol("t1", []int64{1, 2, 1, 2})
-	db.Table("u").FillPK(8)
 	db.Table("u").SetCol("u_fk", []int64{1, 2, 3, 4, 1, 2, 3, 4})
 	db.Table("u").SetCol("u1", []int64{1, 1, 1, 1, 2, 2, 2, 2})
 	e, _ := New(db)

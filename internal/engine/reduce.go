@@ -181,9 +181,6 @@ func (r *reduction) reduce(v *relalg.View, table string, sink func([]int32) erro
 	if err != nil {
 		return fmt.Errorf("join %s: %w", spec, err)
 	}
-	if fkCol == nil {
-		return fmt.Errorf("join %s: column %s.%s is not materialized", spec, spec.FKTable, spec.FKCol)
-	}
 	nPK := int64(pkTab.Rows())
 	set := newBitset(int(nPK))
 	switch {

@@ -121,7 +121,6 @@ func (rs *randSchema) db(all bool) (*storage.DB, map[string]ChunkSource) {
 	sources := make(map[string]ChunkSource)
 	for _, t := range rs.schema.Tables {
 		td := db.Table(t.Name)
-		td.FillPK(int(t.Rows))
 		sources[t.Name] = src
 		for _, c := range t.Columns {
 			if c.Kind == relalg.ForeignKey || (all && c.Kind == relalg.NonKey) {

@@ -56,19 +56,14 @@ func (e *Engine) collectRows(root *relalg.View, table string, orig bool, res *Re
 // class — none of the built-in workloads produces one, and
 // engine_rowset_materialized_total counts them — is evaluated as CollectRows
 // does. A windowed engine regenerates the columns storage does not hold and
-// spills large sets to disk; a classic engine reads its columns in place and
-// keeps every set in memory. ctx is polled at every window boundary, so
-// cancellation lands mid-evaluation. The sets come back in request order and
+// spills large sets to disk; a classic engine reads its stored columns in
+// place, derives a primary key a predicate names, and keeps every set in
+// memory. ctx is polled at every window boundary, so cancellation lands
+// mid-evaluation. The sets come back in request order and
 // the caller must Release each one once its rows are consumed; on error
 // nothing is left to release.
 func (e *Engine) CollectRowSetsCtx(ctx context.Context, reqs []RowSetRequest, orig bool) ([]*RowSet, error) {
 	return e.collectRowSets(ctx, reqs, orig, &Result{Stats: make(map[*relalg.View]Stats)})
-}
-
-// CollectRowSet is the one-request case of CollectRowSetsCtx without a
-// context: a thin wrapper kept for tests, with no production caller.
-func (e *Engine) CollectRowSet(root *relalg.View, table string, orig bool) (*RowSet, error) {
-	return e.CollectRowSetCtx(context.Background(), root, table, orig)
 }
 
 // CollectRowSetCtx is the one-request case of CollectRowSetsCtx.

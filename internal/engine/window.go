@@ -8,8 +8,9 @@ package engine
 // through the table's ChunkSource (the same regeneration path
 // storage.RowSource.Fill uses for export), and only the surviving row
 // indices accumulate — spilling to disk past a threshold on a windowed
-// engine. A classic engine (New) has every column materialized, so its
-// passes copy nothing and never spill; a windowed engine (NewWindowed) lets
+// engine. A classic engine (New) has every non-key and foreign-key column
+// stored, so its passes copy nothing but a primary key a predicate names
+// (storage derives it) and never spill; a windowed engine (NewWindowed) lets
 // the streaming pipeline retain only keygen's working set. The produced row
 // sets, relations, and statistics are identical to full-column evaluation;
 // only residency changes. See DESIGN.md §12.
@@ -128,7 +129,7 @@ func NewWindowed(db *storage.DB, cfg WindowConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.win, e.windowed = newWindowState(cfg), true
+	e.win = newWindowState(cfg)
 	return e, nil
 }
 
@@ -157,9 +158,6 @@ func newWindowState(cfg WindowConfig) *windowState {
 	}
 	return win
 }
-
-// Windowed reports whether the engine was built by NewWindowed.
-func (e *Engine) Windowed() bool { return e.windowed }
 
 // Close releases windowed-evaluation resources: any outstanding spill files
 // and, when the engine created its own spill directory, the directory
@@ -197,12 +195,17 @@ func (w *windowState) gate(wi int) error {
 	return nil
 }
 
-// fill regenerates rows [lo,hi) of a column that is not materialized in
-// storage into dst, through the table's chunk source.
+// fill writes rows [lo,hi) of a column into dst: what storage holds or
+// derives comes from there, any other column through the table's chunk
+// source.
 func (w *windowState) fill(t *storage.TableData, col string, dst []int64, lo, hi int64) error {
+	err := t.Fill(col, dst, lo, hi)
+	if err != storage.ErrNotMaterialized {
+		return err
+	}
 	src := w.cfg.Sources[t.Meta.Name]
 	if src == nil {
-		return fmt.Errorf("window: column %s.%s is not materialized and the table has no chunk source", t.Meta.Name, col)
+		return fmt.Errorf("window: column %s.%s: %w, and the table has no chunk source", t.Meta.Name, col, err)
 	}
 	return src.Fill(col, dst, lo, hi)
 }
@@ -647,7 +650,7 @@ func (e *Engine) collectRowSets(ctx context.Context, reqs []RowSetRequest, orig 
 }
 
 // RowSet is an ascending set of base-table row indices produced by
-// CollectRowSet. Small sets live in memory (or are dense, stored as a
+// CollectRowSetsCtx. Small sets live in memory (or are dense, stored as a
 // count); sets past the spill threshold live in a raw little-endian int32
 // spill file. Consumers stream it with ForEach and must Release it when the
 // rows have been folded into their masks.

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"github.com/dbhammer/mirage/internal/fault"
@@ -53,10 +54,8 @@ func (s *mapSource) Fill(col string, dst []int64, lo, hi int64) error {
 func windowedPaperDB() (*storage.DB, *mapSource) {
 	db := storage.NewDB(testutil.PaperSchema())
 	s := db.Table("s")
-	s.FillPK(4)
 	s.SetCol("s1", []int64{1, 2, 3, 4})
 	t := db.Table("t")
-	t.FillPK(8)
 	t.SetCol("t_fk", []int64{1, 2, 2, 3, 1, 2, 4, 4})
 	t.SetCol("t2", []int64{2, 2, 2, 1, 3, 3, 4, 4})
 	src := &mapSource{cols: map[string][]int64{"t1": paperT1}}
@@ -117,7 +116,7 @@ func TestWindowedCollectMatchesClassic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			set, err := eng.CollectRowSet(v, "t", false)
+			set, err := eng.CollectRowSetCtx(context.Background(), v, "t", false)
 			if err != nil {
 				t.Fatalf("window=%d %s: %v", rows, name, err)
 			}
@@ -150,7 +149,7 @@ func TestRowSetSpillRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := eng.CollectRowSet(selChainT(1, -1), "t", false) // 7 of 8 rows match
+	set, err := eng.CollectRowSetCtx(context.Background(), selChainT(1, -1), "t", false) // 7 of 8 rows match
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +211,7 @@ func TestWindowedFallbackColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	set, err := eng.CollectRowSet(sel, "t", false)
+	set, err := eng.CollectRowSetCtx(context.Background(), sel, "t", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,6 +425,63 @@ func TestWindowedExecuteMatchesClassic(t *testing.T) {
 	}
 }
 
+// TestPrimaryKeyDerivedOnEveryEngine: no engine's database stores a primary
+// key, and both kinds read it the same way — a table pass over a predicate
+// naming it and a whole-column read (a projection) both see 1..Rows, without
+// ever asking a chunk source (the windowed fixture's source has no t_pk).
+// Each column read whole is filled once and cached.
+func TestPrimaryKeyDerivedOnEveryEngine(t *testing.T) {
+	windowedDB, src := windowedPaperDB()
+	engines := []struct {
+		name string
+		db   *storage.DB
+		cfg  *WindowConfig
+		// whole is the number of columns the projection query reads whole:
+		// t_pk, plus t1 where it is regenerated.
+		whole int64
+	}{
+		{"classic", testutil.PaperDB(), nil, 1},
+		{"windowed", windowedDB, &WindowConfig{Rows: 3, Sources: map[string]ChunkSource{"t": src}}, 2},
+	}
+	for _, tc := range engines {
+		reg := obs.NewRegistry()
+		restore := obs.Enable(reg)
+		var eng *Engine
+		var err error
+		if tc.cfg == nil {
+			eng, err = New(tc.db)
+		} else {
+			eng, err = NewWindowed(tc.db, *tc.cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := &relalg.View{Kind: relalg.LeafView, Table: "t"}
+		set, err := eng.CollectRowSetCtx(context.Background(), sel(leaf, unary("t_pk", relalg.OpGt, pv("p", 5))), "t", false)
+		if err != nil {
+			t.Fatalf("%s: table pass over t_pk: %v", tc.name, err)
+		}
+		if got := collectSet(t, set); !slices.Equal(got, []int32{5, 6, 7}) {
+			t.Errorf("%s: rows with t_pk > 5 = %v, want [5 6 7]", tc.name, got)
+		}
+		for range 2 {
+			root := proj(sel(leaf, unary("t1", relalg.OpGt, pv("p", 2))), "t", "t_pk")
+			res, err := eng.Execute(&relalg.AQT{Name: "q", Root: root}, false)
+			if err != nil {
+				t.Fatalf("%s: projection on t_pk: %v", tc.name, err)
+			}
+			if got := res.Stats[root].Card; got != 6 {
+				t.Errorf("%s: distinct t_pk over t1 > 2 = %d, want 6", tc.name, got)
+			}
+		}
+		if n := reg.Snapshot().Counters["engine_window_fallbacks_total"]; n != tc.whole {
+			t.Errorf("%s: engine_window_fallbacks_total = %d, want %d", tc.name, n, tc.whole)
+		}
+		eng.Close()
+		restore()
+	}
+}
+
 // sharedScanRequests is the multi-request fixture: five chains over t (one
 // view requested twice, one two selections deep, one selecting nothing), the
 // bare t leaf, and a join-shaped view — asked for both of its tables — whose
@@ -456,7 +512,7 @@ func sharedScanRequests() (reqs []RowSetRequest, selects []*relalg.View) {
 }
 
 // TestCollectRowSetsSharedScan holds the multi-request entry point against
-// two oracles — one CollectRowSet call per request on a fresh windowed
+// two oracles — one CollectRowSetCtx call per request on a fresh windowed
 // engine, and CollectRows, the materializing definition, per request — at
 // window sizes 1, 3 and far past the table, with spilling forced and off:
 // same row sets (the join-shaped requests' by reduction), same
@@ -474,8 +530,6 @@ func TestCollectRowSetsSharedScan(t *testing.T) {
 			name := fmt.Sprintf("window=%d spill=%d", rows, spill)
 			newEngine := func() (*Engine, *mapSource) {
 				db := storage.NewDB(testutil.PaperSchema())
-				db.Table("s").FillPK(4)
-				db.Table("t").FillPK(8)
 				db.Table("t").SetCol("t_fk", []int64{1, 2, 2, 3, 1, 2, 4, 4})
 				src := &mapSource{cols: map[string][]int64{
 					"s1": {1, 2, 3, 4}, "t1": paperT1, "t2": {2, 2, 2, 1, 3, 3, 4, 4},
@@ -536,7 +590,7 @@ func TestCollectRowSetsSharedScan(t *testing.T) {
 					t.Errorf("%s request %d: classic engine %v, CollectRows %v", name, i, onClassic, want)
 				}
 				single, _ := newEngine()
-				set, err := single.CollectRowSet(rq.View, rq.Table, false)
+				set, err := single.CollectRowSetCtx(context.Background(), rq.View, rq.Table, false)
 				if err != nil {
 					t.Fatalf("%s request %d alone: %v", name, i, err)
 				}

@@ -12,8 +12,8 @@ import "github.com/dbhammer/mirage/internal/relalg"
 // the wide payload) and projection/group-by columns (the shapes the windowed
 // selection path cannot stream). Predicate columns are absent: the windowed
 // engine re-pulls them chunk by chunk through the table's ChunkSource.
-// Primary keys are never listed: they are dense 1..Rows domains the engine
-// addresses positionally.
+// A primary key may be listed (a projection over it) but is never stored:
+// storage derives it from the row index, in every mode.
 func (p *Problem) RetainedColumnsWindowed() map[string]map[string]bool {
 	out := make(map[string]map[string]bool, len(p.Schema.Tables))
 	for _, u := range p.Units {

@@ -30,14 +30,12 @@ func webshopLikeDB(t *testing.T) (*storage.DB, *genplan.Problem) {
 	}}
 	db := storage.NewDB(schema)
 	u := db.Table("users")
-	u.FillPK(100)
 	ux := make([]int64, 100)
 	for i := range ux {
 		ux[i] = int64(i%2 + 1)
 	}
 	u.SetCol("u_x", ux)
 	o := db.Table("orders")
-	o.FillPK(1000)
 	status := make([]int64, 1000)
 	for i := range status {
 		status[i] = int64(i%4 + 1)
@@ -131,14 +129,12 @@ func TestPopulateManyJoinsStaysFast(t *testing.T) {
 	}}
 	db := storage.NewDB(schema)
 	d := db.Table("dim")
-	d.FillPK(200)
 	da := make([]int64, 200)
 	for i := range da {
 		da[i] = int64(i%10 + 1)
 	}
 	d.SetCol("d_a", da)
 	f := db.Table("fact")
-	f.FillPK(5000)
 	fb := make([]int64, 5000)
 	for i := range fb {
 		fb[i] = int64(i%20 + 1)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -160,15 +161,12 @@ func TestColumnGenFillMatchesAt(t *testing.T) {
 	}
 }
 
-// TestFillRejectsBadRange: a range outside the table or a destination
-// shorter than the range is an error naming table, column and range, and
-// dst is left untouched — for retained columns, the primary key and
-// regenerated columns alike.
-func TestFillRejectsBadRange(t *testing.T) {
-	const poison = int64(-7)
+// fillFixture is a table of a primary key "pk", a regenerated column "c"
+// and a stored column "kept", with c's layout built.
+func fillFixture(t *testing.T) (*TablePlan, *storage.TableData) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	tp, _ := genLayout(rng, []int64{3}, []bool{true}, 2*smallPermLimit, 5)
-	rows := tp.Table.Rows
 	tp.Table.Columns = []relalg.Column{
 		{Name: "pk", Kind: relalg.PrimaryKey},
 		*tp.Cols["c"].Col,
@@ -180,8 +178,61 @@ func TestFillRejectsBadRange(t *testing.T) {
 	}
 	tp.gens = map[string]*ColumnGen{"c": g}
 	td := storage.NewTableData(tp.Table)
-	td.SetRows(int(rows))
-	td.SetCol("kept", make([]int64, rows))
+	td.SetCol("kept", make([]int64, tp.Table.Rows))
+	return tp, td
+}
+
+// TestPlanSourceServesTheDerivedKey: a PlanSource serves the primary key
+// through storage's TableData.Fill, the one place the key rule lives, over
+// any range.
+func TestPlanSourceServesTheDerivedKey(t *testing.T) {
+	tp, td := fillFixture(t)
+	rows := tp.Table.Rows
+	src := NewPlanSource(td, tp)
+	rng := rand.New(rand.NewSource(2))
+	for range 200 {
+		lo := rng.Int63n(rows + 1)
+		hi := lo + rng.Int63n(min(rows-lo, 5000)+1)
+		got, want := make([]int64, hi-lo), make([]int64, hi-lo)
+		if err := src.Fill("pk", got, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		if err := td.Fill("pk", want, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("PlanSource.Fill(pk, [%d,%d)) differs from TableData.Fill", lo, hi)
+		}
+	}
+}
+
+// TestPlanSourceFillAllocs pins PlanSource.Fill at zero allocations for a
+// regenerated column and for the primary key: it runs once per export shard
+// and per engine window refill, so an error value built per call to say
+// "not stored here" would allocate on every one.
+func TestPlanSourceFillAllocs(t *testing.T) {
+	tp, td := fillFixture(t)
+	src := NewPlanSource(td, tp)
+	dst := make([]int64, 4096)
+	for _, col := range []string{"c", "pk"} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := src.Fill(col, dst, 1000, 1000+int64(len(dst))); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("PlanSource.Fill(%s) allocates %.0f times per call, want 0", col, n)
+		}
+	}
+}
+
+// TestFillRejectsBadRange: a range outside the table or a destination
+// shorter than the range is an error naming table, column and range, and
+// dst is left untouched — for retained columns, the primary key and
+// regenerated columns alike.
+func TestFillRejectsBadRange(t *testing.T) {
+	const poison = int64(-7)
+	tp, td := fillFixture(t)
+	rows := tp.Table.Rows
 	src := NewPlanSource(td, tp)
 
 	type filler interface {

@@ -15,11 +15,11 @@ import (
 // Materialize: the unit of fill parallelism within a table.
 const fillChunkRows = 70_000
 
-// Materialize generates the table's primary key and non-key columns into dst
-// (Section 4.3). Bound-row blocks are written at the head of the table; every
-// other cell receives its column's remaining value multiset through a
-// per-column keyed permutation, so all UCC counts hold exactly while columns
-// stay uncorrelated.
+// Materialize generates the table's non-key columns into dst (Section 4.3;
+// the primary key is never stored, dst derives it). Bound-row blocks are
+// written at the head of the table; every other cell receives its column's
+// remaining value multiset through a per-column keyed permutation, so all
+// UCC counts hold exactly while columns stay uncorrelated.
 //
 // Column layouts run on up to workers goroutines; each column's permutation
 // is seeded by seed ⊕ colSeed(table, column), so the emitted bytes are
@@ -27,13 +27,11 @@ const fillChunkRows = 70_000
 // the same way (each (column, chunk) task writes a disjoint slice range);
 // dst itself is only touched from the calling goroutine.
 //
-// retain is the retention policy: with a nil set every column is stored in
-// dst (the in-memory run); otherwise only the listed columns — plus,
-// transiently, the columns the table's arithmetic constraints sample — are
-// stored, and the primary key is left unmaterialized (it is the dense domain
-// 1..Rows, regenerated on export). Either way every column's layout is
-// built, so Fill can later regenerate any unretained column chunk by chunk
-// with byte-identical content.
+// retain is the retention policy: with a nil set every non-key column is
+// stored in dst (the in-memory run); otherwise only the listed ones — plus,
+// transiently, the columns the table's arithmetic constraints sample — are.
+// Either way every column's layout is built, so Fill can later regenerate
+// any unretained column chunk by chunk with byte-identical content.
 //
 // The returned duration is the data-generation (GD) stage time reported by
 // the Fig. 15 experiment.
@@ -97,13 +95,6 @@ func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, se
 	// Emit in chunks (the layout above is the GD work, this is the write
 	// path): every (column, chunk) task fills a disjoint range of that
 	// column's destination slice, so chunks parallelize freely.
-	dst.SetRows(int(R))
-	// The primary key is the dense domain 1..R: regenerable on export, so
-	// out-of-core mode materializes it only when explicitly retained (a
-	// predicate naming it — rare, but then the engine must read it).
-	if retain == nil || retain[tp.Table.PrimaryKey().Name] {
-		dst.FillPK(int(R))
-	}
 	out := make([][]int64, len(store))
 	for i := range store {
 		out[i] = make([]int64, R)

@@ -125,44 +125,32 @@ func (e *rowEncoder) appendRows(dst []byte, cols [][]int64, n int) []byte {
 // tests compare StreamCSV against, and has no production caller: every
 // export, in-memory or streamed, goes through StreamTable.
 func ExportCSV(w io.Writer, t *TableData, codecs CodecSet) error {
+	n := int64(t.Rows())
 	names := make([]string, len(t.Meta.Columns))
+	decs := make([]Codec, len(t.Meta.Columns))
+	window := make([][]int64, len(t.Meta.Columns))
 	for i := range t.Meta.Columns {
 		names[i] = t.Meta.Columns[i].Name
+		decs[i] = codecs.For(t.Meta.Name, names[i])
+		window[i] = make([]int64, min(exportChunkRows, n))
 	}
-	n := t.Rows()
-	cols := make([][]int64, len(t.Meta.Columns))
-	decs := make([]Codec, len(t.Meta.Columns))
-	for i := range t.Meta.Columns {
-		c := &t.Meta.Columns[i]
-		vals, err := t.Lookup(c.Name)
-		if err != nil {
-			return err
-		}
-		if vals == nil && n > 0 {
-			return fmt.Errorf("storage: export %s: column %s not materialized", t.Meta.Name, c.Name)
-		}
-		cols[i] = vals
-		decs[i] = codecs.For(t.Meta.Name, c.Name)
+	if _, err := w.Write(appendHeader(nil, names)); err != nil {
+		return err
 	}
-	buf := appendHeader(nil, names)
-	window := make([][]int64, len(cols))
-	for lo := 0; ; lo += exportChunkRows {
-		hi := lo + exportChunkRows
-		if hi > n {
-			hi = n
+	var buf []byte
+	for lo := int64(0); lo < n; lo += exportChunkRows {
+		hi := min(lo+exportChunkRows, n)
+		for i, name := range names {
+			if err := t.Fill(name, window[i], lo, hi); err != nil {
+				return fmt.Errorf("storage: export %s.%s: %w", t.Meta.Name, name, err)
+			}
 		}
-		for i := range cols {
-			window[i] = cols[i][lo:hi]
-		}
-		buf = appendRows(buf, decs, window, hi-lo)
+		buf = appendRows(buf[:0], decs, window, int(hi-lo))
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
-		buf = buf[:0]
-		if hi == n {
-			return nil
-		}
 	}
+	return nil
 }
 
 // ExportDir writes every table of a materialized database as

@@ -3,9 +3,13 @@
 // Mirage. Every column stores cardinality-space int64 values (Section 4.2);
 // value codecs translate between those integers and the display values
 // (dates, decimals, dictionary strings) at import/export boundaries only.
+// Primary keys are never stored: a table's key is its row number plus one
+// (Section 4.3), and TableData.Fill, the one place that rule lives, derives
+// it for every reader.
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -17,15 +21,13 @@ import (
 // the same NULL conventions as parameter boundaries.
 const Null int64 = math.MinInt64
 
-// TableData holds one table's rows in columnar form. Column slices are
-// row-aligned; primary-key columns hold 1..Rows() by convention.
+// TableData holds one table's rows in columnar form. Its row count is
+// Meta.Rows; materialized column slices are that long and row-aligned.
+// The primary key is never stored: row r's key is r+1 (auto-incrementing
+// integers, Section 4.3), and Fill derives it.
 type TableData struct {
 	Meta *relalg.Table
 	cols map[string][]int64
-	// rows is the declared row count for tables generated out-of-core,
-	// where only a subset of columns is materialized (the rest are
-	// regenerated on export). Zero means "derive from the columns".
-	rows int
 }
 
 // NewTableData allocates an empty table for the given metadata.
@@ -37,26 +39,8 @@ func NewTableData(meta *relalg.Table) *TableData {
 	return &TableData{Meta: meta, cols: cols}
 }
 
-// Rows returns the table's row count: the declared count when SetRows was
-// called (out-of-core tables materialize only a column subset), otherwise
-// the length of the first materialized column.
-func (t *TableData) Rows() int {
-	if t.rows > 0 {
-		return t.rows
-	}
-	for i := range t.Meta.Columns {
-		if c := t.cols[t.Meta.Columns[i].Name]; c != nil {
-			return len(c)
-		}
-	}
-	return 0
-}
-
-// SetRows declares the table's row count independently of which columns are
-// materialized. Generators running in out-of-core mode call it so that row
-// counts (join domains, FK ranges) stay visible while payload columns are
-// never stored.
-func (t *TableData) SetRows(n int) { t.rows = n }
+// Rows returns the table's row count, Meta.Rows.
+func (t *TableData) Rows() int { return int(t.Meta.Rows) }
 
 // Col returns the named column slice. It is the Must variant of Lookup,
 // for generator-internal code whose column names come from the validated
@@ -81,12 +65,19 @@ func (t *TableData) Lookup(name string) ([]int64, error) {
 	return c, nil
 }
 
-// SetCol replaces the named column slice.
+// SetCol replaces the named column slice. The primary key is derived, never
+// stored, so naming it panics as an unknown name does.
 func (t *TableData) SetCol(name string, vals []int64) {
-	if _, ok := t.cols[name]; !ok {
-		panic(fmt.Sprintf("storage: unknown column %s.%s", t.Meta.Name, name))
+	if _, ok := t.cols[name]; !ok || t.isPK(name) {
+		panic(fmt.Sprintf("storage: %s.%s is not a stored column", t.Meta.Name, name))
 	}
 	t.cols[name] = vals
+}
+
+// isPK reports whether col is the table's primary key.
+func (t *TableData) isPK(col string) bool {
+	pk := t.Meta.PrimaryKey()
+	return pk != nil && pk.Name == col
 }
 
 // RowReader returns a closure reading the given row across columns, in the
@@ -94,51 +85,66 @@ func (t *TableData) SetCol(name string, vals []int64) {
 // ResolveColumn with relalg's bound evaluation path, which resolves each
 // column once instead of allocating a closure per row.
 func (t *TableData) RowReader(row int) func(string) int64 {
-	return func(col string) int64 { return t.Col(col)[row] }
+	return func(col string) int64 {
+		var v [1]int64
+		if err := t.Fill(col, v[:], int64(row), int64(row)+1); err != nil {
+			panic(err)
+		}
+		return v[0]
+	}
 }
 
 // ResolveColumn implements relalg.ColumnBinder over the base table: row
 // positions address column values directly (identity indirection, no pads).
+// A column with no stored values — the primary key, or one retention
+// dropped — is an ErrNotMaterialized error naming it.
 func (t *TableData) ResolveColumn(col string) ([]int64, []int32, error) {
-	c, ok := t.cols[col]
-	if !ok {
-		return nil, nil, fmt.Errorf("storage: unknown column %s.%s", t.Meta.Name, col)
+	c, err := t.Lookup(col)
+	if err == nil && c == nil {
+		err = fmt.Errorf("storage: column %s.%s: %w", t.Meta.Name, col, ErrNotMaterialized)
 	}
-	return c, nil, nil
+	return c, nil, err
 }
 
-// FillPK fills the table's primary-key column with 1..n (auto-incrementing
-// integers, Section 4.3) and returns the column.
-func (t *TableData) FillPK(n int) []int64 {
-	pk := t.Meta.PrimaryKey()
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i + 1)
+// ErrNotMaterialized is Fill's error for a column that has no stored values
+// and is not the primary key: the caller has to regenerate it. Fill returns
+// it unwrapped, so that the regenerating callers compare it without an
+// allocation per chunk.
+var ErrNotMaterialized = errors.New("storage: column not materialized")
+
+// Fill writes rows [lo,hi) of the named column into dst[0:hi-lo]: a stored
+// column is copied, the primary key is derived (row r holds r+1), and any
+// other column is ErrNotMaterialized. A range outside the table or longer
+// than dst is an error and leaves dst untouched.
+func (t *TableData) Fill(col string, dst []int64, lo, hi int64) error {
+	vals, err := t.Lookup(col)
+	if err != nil {
+		return err
 	}
-	t.SetCol(pk.Name, vals)
-	return vals
+	if err := CheckFillRange(t.Meta.Name, col, t.Meta.Rows, len(dst), lo, hi); err != nil {
+		return err
+	}
+	switch {
+	case vals != nil:
+		copy(dst, vals[lo:hi])
+	case t.isPK(col):
+		for r := lo; r < hi; r++ {
+			dst[r-lo] = r + 1
+		}
+	default:
+		return ErrNotMaterialized
+	}
+	return nil
 }
 
-// CheckAligned verifies all materialized columns have the same length
-// (unmaterialized columns of out-of-core tables are skipped), and that it
-// matches the declared row count when one is set.
+// CheckAligned verifies that every materialized column holds Meta.Rows
+// values.
 func (t *TableData) CheckAligned() error {
-	n := -1
-	if t.rows > 0 {
-		n = t.rows
-	}
 	for i := range t.Meta.Columns {
 		name := t.Meta.Columns[i].Name
-		if t.cols[name] == nil {
-			continue
-		}
-		if n == -1 {
-			n = len(t.cols[name])
-			continue
-		}
-		if len(t.cols[name]) != n {
+		if c := t.cols[name]; c != nil && len(c) != t.Rows() {
 			return fmt.Errorf("storage: table %s column %s has %d rows, want %d",
-				t.Meta.Name, name, len(t.cols[name]), n)
+				t.Meta.Name, name, len(c), t.Rows())
 		}
 	}
 	return nil
@@ -180,7 +186,7 @@ func (db *DB) Lookup(name string) (*TableData, error) {
 	return t, nil
 }
 
-// TotalRows sums materialized rows across tables.
+// TotalRows sums the tables' row counts.
 func (db *DB) TotalRows() int {
 	n := 0
 	for _, t := range db.Tables {

@@ -33,7 +33,6 @@ func testSchema() *relalg.Schema {
 func TestTableDataBasics(t *testing.T) {
 	db := NewDB(testSchema())
 	s := db.Table("s")
-	s.FillPK(4)
 	s.SetCol("s1", []int64{10, 20, 30, 40})
 	if s.Rows() != 4 {
 		t.Fatalf("Rows = %d, want 4", s.Rows())
@@ -51,7 +50,6 @@ func TestTableDataBasics(t *testing.T) {
 func TestLookupVsMustAccessors(t *testing.T) {
 	db := NewDB(testSchema())
 	s := db.Table("s")
-	s.FillPK(4)
 	s.SetCol("s1", []int64{10, 20, 30, 40})
 
 	if _, err := db.Lookup("nope"); err == nil {
@@ -90,10 +88,9 @@ func TestLookupVsMustAccessors(t *testing.T) {
 
 func TestDBCheckForeignKeys(t *testing.T) {
 	db := NewDB(testSchema())
-	db.Table("s").FillPK(4)
 	db.Table("s").SetCol("s1", []int64{1, 2, 3, 4})
 	tt := db.Table("t")
-	tt.FillPK(3)
+	tt.Meta.Rows = 3
 	tt.SetCol("t1", []int64{1, 1, 2})
 	tt.SetCol("t_fk", []int64{1, 4, Null})
 	if err := db.Check(); err != nil {
@@ -217,7 +214,7 @@ func TestLikeMatch(t *testing.T) {
 func TestExportCSV(t *testing.T) {
 	db := NewDB(testSchema())
 	s := db.Table("s")
-	s.FillPK(2)
+	s.Meta.Rows = 2
 	s.SetCol("s1", []int64{2, 1})
 	codecs := CodecSet{"s.s1": NewDictCodec([]string{"RED", "BLUE"})}
 	var sb strings.Builder

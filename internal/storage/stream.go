@@ -52,15 +52,11 @@ func (s tableSource) Meta() *relalg.Table { return s.t.Meta }
 func (s tableSource) NumRows() int64      { return int64(s.t.Rows()) }
 
 func (s tableSource) Fill(col string, dst []int64, lo, hi int64) error {
-	vals, err := s.t.Lookup(col)
-	if err != nil {
-		return err
+	err := s.t.Fill(col, dst, lo, hi)
+	if err == ErrNotMaterialized {
+		return fmt.Errorf("storage: %s.%s: %w", s.t.Meta.Name, col, err)
 	}
-	if err := CheckFillRange(s.t.Meta.Name, col, int64(len(vals)), len(dst), lo, hi); err != nil {
-		return err
-	}
-	copy(dst, vals[lo:hi])
-	return nil
+	return err
 }
 
 // StreamStats reports one streamed table.

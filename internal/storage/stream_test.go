@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func streamCodecs() CodecSet {
 func streamTestTable(n int) *TableData {
 	db := NewDB(streamSchema())
 	t := db.Table("w")
-	t.FillPK(n)
+	t.Meta.Rows = int64(n)
 	mk := func(domain int64, null int) []int64 {
 		vals := make([]int64, n)
 		for i := range vals {
@@ -117,13 +118,19 @@ func TestAppendDecodeAllocs(t *testing.T) {
 // TestStreamCSVMatchesExportCSV is the byte-identity contract at the storage
 // layer: the sharded parallel writer and the in-memory exporter must emit
 // the same bytes at every worker count and shard size, including shard sizes
-// that don't divide the row count and shards larger than the table.
+// that don't divide the row count and shards larger than the table. Both
+// write the derived primary key: line r carries r+1 in the key column.
 func TestStreamCSVMatchesExportCSV(t *testing.T) {
 	td := streamTestTable(10_000)
 	codecs := streamCodecs()
 	var want strings.Builder
 	if err := ExportCSV(&want, td, codecs); err != nil {
 		t.Fatalf("ExportCSV: %v", err)
+	}
+	for r, line := range strings.Split(want.String(), "\n")[1:10_001] {
+		if key, _, _ := strings.Cut(line, ","); key != fmt.Sprint(r+1) {
+			t.Fatalf("ExportCSV line %d: key %q, want %d", r, key, r+1)
+		}
 	}
 	for _, workers := range []int{1, 4, 8} {
 		for _, shardRows := range []int64{7, 1024, 1 << 20} {
@@ -209,7 +216,7 @@ func TestStreamCSVRenderTablesMatchExportCSV(t *testing.T) {
 	}
 	for _, tc := range cases {
 		name := tc.name
-		meta := &relalg.Table{Name: "o"}
+		meta := &relalg.Table{Name: "o", Rows: int64(tc.rows)}
 		codecs := CodecSet{}
 		for i, c := range tc.cols {
 			col := relalg.Column{Name: fmt.Sprintf("c%d", i), Kind: c.kind, DomainSize: c.domain}
@@ -217,7 +224,6 @@ func TestStreamCSVRenderTablesMatchExportCSV(t *testing.T) {
 			codecs[codecs.Key("o", col.Name)] = c.codec
 		}
 		td := NewTableData(meta)
-		td.FillPK(tc.rows)
 		for i, c := range tc.cols[1:] {
 			td.SetCol(meta.Columns[i+1].Name, oracleValues(tc.rows, max(c.domain, 1)))
 		}
@@ -334,7 +340,7 @@ func BenchmarkStreamCSV(b *testing.B) {
 		name string
 		rows int64
 	}{{"l_orderkey", rows / 4}, {"l_partkey", rows / 30}, {"l_suppkey", rows / 600}}
-	meta := &relalg.Table{Name: "lineitem", Columns: []relalg.Column{{Name: "l_pk", Kind: relalg.PrimaryKey}}}
+	meta := &relalg.Table{Name: "lineitem", Rows: rows, Columns: []relalg.Column{{Name: "l_pk", Kind: relalg.PrimaryKey}}}
 	for _, fk := range fks {
 		meta.Columns = append(meta.Columns, relalg.Column{Name: fk.name, Kind: relalg.ForeignKey})
 	}
@@ -344,7 +350,6 @@ func BenchmarkStreamCSV(b *testing.B) {
 		codecs[codecs.Key("lineitem", c.name)] = c.codec
 	}
 	td := NewTableData(meta)
-	td.FillPK(rows)
 	rng := rand.New(rand.NewSource(1))
 	fill := func(name string, d int64) {
 		vals := make([]int64, rows)
@@ -428,6 +433,78 @@ func TestSetRowsTracksDroppedColumns(t *testing.T) {
 	}
 	if err := td.CheckAligned(); err != nil {
 		t.Fatalf("CheckAligned with dropped column: %v", err)
+	}
+}
+
+// TestFillDerivesPrimaryKey: the primary key is stored nowhere, and Fill
+// derives row r's key as r+1 over any [lo,hi); a bad range is CheckFillRange's
+// error with dst untouched, a stored column is copied, and a column neither
+// stored nor the key is the bare ErrNotMaterialized.
+func TestFillDerivesPrimaryKey(t *testing.T) {
+	const rows, poison = 1000, int64(-7)
+	td := streamTestTable(rows)
+	if td.Col("w_pk") != nil {
+		t.Fatal("the primary key is stored")
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 200 {
+		lo := rng.Int63n(rows + 1)
+		hi := lo + rng.Int63n(rows-lo+1)
+		dst := make([]int64, hi-lo+rng.Int63n(3))
+		if err := td.Fill("w_pk", dst, lo, hi); err != nil {
+			t.Fatalf("Fill(w_pk, [%d,%d)): %v", lo, hi, err)
+		}
+		for j, v := range dst[:hi-lo] {
+			if v != lo+int64(j)+1 {
+				t.Fatalf("Fill(w_pk, [%d,%d)): row %d = %d, want %d", lo, hi, lo+int64(j), v, lo+int64(j)+1)
+			}
+		}
+		if err := td.Fill("w_int", dst, lo, hi); err != nil || !slices.Equal(dst[:hi-lo], td.Col("w_int")[lo:hi]) {
+			t.Fatalf("Fill(w_int, [%d,%d)) = %v, does not copy the stored column", lo, hi, err)
+		}
+	}
+	for _, r := range []struct {
+		lo, hi int64
+		n      int
+	}{{0, 8, 7}, {5, 4, 8}, {rows - 2, rows + 1, 8}, {-1, 4, 8}, {rows + 1, rows + 2, 8}} {
+		dst := []int64{poison, poison, poison, poison, poison, poison, poison, poison}[:r.n]
+		err := td.Fill("w_pk", dst, r.lo, r.hi)
+		want := CheckFillRange("w", "w_pk", rows, r.n, r.lo, r.hi)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("Fill(w_pk, [%d,%d)) into %d cells: err = %v, want %v", r.lo, r.hi, r.n, err, want)
+		}
+		if slices.ContainsFunc(dst, func(v int64) bool { return v != poison }) {
+			t.Fatalf("rejected Fill(w_pk, [%d,%d)) wrote dst", r.lo, r.hi)
+		}
+	}
+	td.SetCol("w_dec", nil)
+	if err := td.Fill("w_dec", make([]int64, 4), 0, 4); err != ErrNotMaterialized {
+		t.Fatalf("Fill(dropped column) = %v, want ErrNotMaterialized itself", err)
+	}
+	if err := td.Fill("nope", make([]int64, 4), 0, 4); err == nil || errors.Is(err, ErrNotMaterialized) {
+		t.Fatalf("Fill(unknown column) = %v, want an unknown-column error", err)
+	}
+}
+
+// TestResolveColumnRefusesUnmaterialized: binding a column that has no
+// stored values — one out-of-core retention dropped, or the primary key — is
+// an ErrNotMaterialized error naming it, never a nil slice that the bound
+// predicate would index out of range.
+func TestResolveColumnRefusesUnmaterialized(t *testing.T) {
+	td := streamTestTable(100)
+	td.SetCol("w_dec", nil) // dropped by out-of-core retention
+	for _, col := range []string{"w_dec", "w_pk"} {
+		vals, _, err := td.ResolveColumn(col)
+		if !errors.Is(err, ErrNotMaterialized) || !strings.Contains(err.Error(), "w."+col) || vals != nil {
+			t.Errorf("ResolveColumn(%s) = %d values, %v; want ErrNotMaterialized naming w.%s", col, len(vals), err, col)
+		}
+	}
+	pred := &relalg.UnaryPred{Col: "w_dec", Op: relalg.OpGt, P: &relalg.Param{Value: 5, Instantiated: true}}
+	if _, err := relalg.BindPred(pred, td, false); !errors.Is(err, ErrNotMaterialized) {
+		t.Errorf("BindPred over a dropped column: err = %v, want ErrNotMaterialized", err)
+	}
+	if vals, _, err := td.ResolveColumn("w_int"); err != nil || len(vals) != 100 {
+		t.Errorf("ResolveColumn(w_int) = %d values, %v; want the stored column", len(vals), err)
 	}
 }
 

@@ -37,10 +37,8 @@ func PaperSchema() *relalg.Schema {
 func PaperDB() *storage.DB {
 	db := storage.NewDB(PaperSchema())
 	s := db.Table("s")
-	s.FillPK(4)
 	s.SetCol("s1", []int64{1, 2, 3, 4})
 	t := db.Table("t")
-	t.FillPK(8)
 	t.SetCol("t_fk", []int64{1, 2, 2, 3, 1, 2, 4, 4})
 	t.SetCol("t1", []int64{4, 4, 4, 3, 3, 5, 1, 2})
 	t.SetCol("t2", []int64{2, 2, 2, 1, 3, 3, 4, 4})

@@ -59,7 +59,6 @@ func generateOriginal(schema *relalg.Schema, seed int64, workers int) (*storage.
 	for _, tbl := range schema.Tables {
 		data := db.Table(tbl.Name)
 		n := int(tbl.Rows)
-		data.FillPK(n)
 		for i := range tbl.Columns {
 			col := &tbl.Columns[i]
 			switch col.Kind {

@@ -40,6 +40,7 @@ package mirage
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -190,6 +191,9 @@ type Result struct {
 	// parallelism records the worker count generation ran with, so
 	// Validate replays the workload at the same width.
 	parallelism int
+	// dropped marks a streamed run without StreamConfig.RetainForValidate:
+	// DB lacks columns the workload reads, so Validate refuses it.
+	dropped bool
 }
 
 // Degradation is one entry of Result.Degradations.
@@ -249,7 +253,8 @@ func generate(ctx context.Context, p *Problem, opts Options, sc *StreamConfig) (
 	defer events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: "generate"})
 	obs.Active().Gauge("generate_parallelism").Set(int64(opts.Parallelism))
 	db := storage.NewDB(p.Workload.Schema)
-	res := &Result{DB: db, Problem: p, parallelism: opts.Parallelism, Streamed: sc != nil}
+	res := &Result{DB: db, Problem: p, parallelism: opts.Parallelism, Streamed: sc != nil,
+		dropped: sc != nil && !sc.RetainForValidate}
 
 	// Defensive completion: any parameter an eliminated literal left
 	// untouched falls back to its original value — also on error and
@@ -395,8 +400,12 @@ func Validate(res *Result) ([]validate.Report, error) {
 
 // ValidateCtx is Validate under a context: cancellation stops the worker
 // pool from claiming further queries and returns the context's error with
-// all goroutines joined.
+// all goroutines joined. A streamed run is validatable only when it set
+// StreamConfig.RetainForValidate; any other is refused before a query runs.
 func ValidateCtx(ctx context.Context, res *Result) ([]validate.Report, error) {
+	if res.dropped {
+		return nil, errors.New("mirage: validate: the streamed run kept only keygen's columns; set StreamConfig.RetainForValidate to validate it")
+	}
 	span := obs.Active().StartSpan("validate")
 	defer span.End()
 	events := obs.Active().Events()

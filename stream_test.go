@@ -175,6 +175,21 @@ func TestStreamedValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesStreamedRunWithoutRetention: a streamed run that kept
+// only keygen's working set cannot replay the workload, and Validate says so
+// up front, naming the option that would have kept the columns, instead of
+// failing inside a query.
+func TestValidateRefusesStreamedRunWithoutRetention(t *testing.T) {
+	res, err := GenerateStream(streamProblem(t, "ssb", 0.2), Options{Seed: 3}, StreamConfig{Sink: &storage.CountSink{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := Validate(res)
+	if err == nil || !strings.Contains(err.Error(), "StreamConfig.RetainForValidate") || reports != nil {
+		t.Fatalf("Validate = %d reports, %v; want a refusal naming StreamConfig.RetainForValidate", len(reports), err)
+	}
+}
+
 // TestStreamedFaultAbortsCleanly injects a failure into the shard encoder
 // pool and asserts the contract on the output directory: the failed table is
 // aborted (no file at all), no .tmp files survive anywhere, and every file
@@ -283,8 +298,9 @@ func residentColumns(db *storage.DB) (map[string]map[string]bool, int64) {
 // column. A refactor that quietly keeps one more column shows up here as a
 // column-set diff, and as a cell count creeping toward the in-memory run's.
 // TPC-H SF 0.5 with every template (q19 included) measures 106 325 streamed
-// vs 533 535 in-memory cells, 5.0×; the benchmark's tpch-stream at SF 10
-// reads 2.13 M vs 10.67 M, also 5.0×.
+// vs 490 205 in-memory cells, 4.6× (no run stores a primary key); the
+// benchmark's nonkey.retained_cells at SF 10 reads 2.13 M vs 9.80 M, also
+// 4.6×.
 func TestStreamedRetentionGuard(t *testing.T) {
 	const sf = 0.5
 	prob := streamProblem(t, "tpch", sf)
