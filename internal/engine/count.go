@@ -335,7 +335,7 @@ func (c *counter) scan(v *relalg.View, record bool) (mult, error) {
 			return nil
 		}
 		tm := e.m.opNS[relalg.SelectView].Start()
-		if err := e.runWindows(t, nil, []*chainScan{cs}, c.orig); err != nil {
+		if err := e.runWindows(t, []*chainScan{cs}, c.orig, 1); err != nil {
 			return mult{}, err
 		}
 		tm.Stop()

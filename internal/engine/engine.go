@@ -17,7 +17,8 @@
 // write into exact-size preallocated output columns; distinct-tracking uses
 // bitsets instead of hash maps. An Engine carries reusable scratch state and therefore must not
 // be shared between goroutines — create one engine per worker (see
-// validate.WorkloadParallel and keygen.Populate).
+// validate.WorkloadParallel and keygen.Populate); SetWidth lets one engine's
+// row-set collection run its windows on several goroutines of its own.
 package engine
 
 import (
@@ -67,6 +68,10 @@ type Engine struct {
 	// columns absent from storage are filled through it (NewWindowed's chunk
 	// sources regenerate the ones storage cannot derive).
 	win *windowState
+	// width is how many goroutines one CollectRowSetsCtx call may evaluate
+	// windows and reduction blocks on (SetWidth); Count and Execute always
+	// use one.
+	width int
 }
 
 // engineMetrics caches the per-operator-type telemetry handles: self-time
@@ -131,8 +136,15 @@ func New(db *storage.DB) (*Engine, error) {
 	// A classic engine's table passes read materialized columns in place, at
 	// the default window, and never spill.
 	win := newWindowState(WindowConfig{SpillRows: -1})
-	return &Engine{db: db, owner: owner, m: newEngineMetrics(), win: win}, nil
+	return &Engine{db: db, owner: owner, m: newEngineMetrics(), win: win, width: 1}, nil
 }
+
+// SetWidth lets CollectRowSetsCtx evaluate up to n windows (and semi-join
+// reduction blocks) at once, each on its own goroutine with its own scratch;
+// n <= 1 evaluates one at a time. The returned row sets, their order and the
+// recorded stats are the same at every width. The engine itself still
+// belongs to one goroutine.
+func (e *Engine) SetWidth(n int) { e.width = max(1, n) }
 
 // DB returns the underlying database.
 func (e *Engine) DB() *storage.DB { return e.db }

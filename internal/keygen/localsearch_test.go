@@ -57,7 +57,7 @@ func unitModel(t testing.TB, db *storage.DB, joins []*genplan.JoinCons) *kgModel
 		lset[k] = int64(len(ls))
 	}
 	njcc, njdc := resizeConstraints(&Stats{}, joins, lset, rset, int64(sRows))
-	return buildModel(joins, partition(sMask), partition(tMask), njcc, njdc)
+	return buildModel(joins, partition(sMask, 1), partition(tMask, 1), njcc, njdc)
 }
 
 // checkTwoPhase solves kg and asserts what populateFKs relies on in the

@@ -58,18 +58,7 @@ func TestWindowedMatchesFullColumnGrid(t *testing.T) {
 		{"tpch", 0.1},
 	}
 	for _, tc := range cases {
-		golden := testutil.DiffArm{Name: "in-memory", Run: func(dir string) (any, error) {
-			prob := streamProblem(t, tc.workload, tc.sf)
-			res, err := Generate(prob, Options{Seed: 3})
-			if err != nil {
-				return nil, err
-			}
-			if err := ExportCSVDir(dir, res.DB, prob.Workload.Codecs); err != nil {
-				return nil, err
-			}
-			return res.Degradations, nil
-		}}
-		testutil.RunDifferential(t, golden,
+		testutil.RunDifferential(t, memArm(t, tc.workload, tc.sf, 0),
 			streamArm(t, tc.workload, tc.sf, 1, StreamConfig{}), // windowed default
 			streamArm(t, tc.workload, tc.sf, 4, StreamConfig{}),
 			streamArm(t, tc.workload, tc.sf, 8, StreamConfig{}),
@@ -79,6 +68,39 @@ func TestWindowedMatchesFullColumnGrid(t *testing.T) {
 			streamArm(t, tc.workload, tc.sf, 4, StreamConfig{WindowRows: 64, SpillRows: 16}),
 		)
 	}
+}
+
+// memArm is the in-memory differential arm: generate at par workers, export
+// every table.
+func memArm(t *testing.T, workload string, sf float64, par int) testutil.DiffArm {
+	return testutil.DiffArm{Name: fmt.Sprintf("in-memory par=%d", par), Run: func(dir string) (any, error) {
+		prob := streamProblem(t, workload, sf)
+		res, err := Generate(prob, Options{Seed: 3, Parallelism: par})
+		if err != nil {
+			return nil, err
+		}
+		if err := ExportCSVDir(dir, res.DB, prob.Workload.Codecs); err != nil {
+			return nil, err
+		}
+		return res.Degradations, nil
+	}}
+}
+
+// TestIntraUnitParallelDeterminism holds the CS stage run inside one FK unit
+// on several goroutines to the bytes of the one-goroutine run. SSB's dependency
+// waves hold one unit each, so at parallelism 4 every unit collects its row
+// sets, folds its status masks and partitions them on four goroutines: in
+// memory over lineorder's two default windows, and streamed over 4Ki-row
+// windows whose row sets spill past 1Ki rows. Both must export what the
+// in-memory run at parallelism 1 does.
+func TestIntraUnitParallelDeterminism(t *testing.T) {
+	const sf = 1.5 // lineorder's 90 000 rows span two default windows
+	small := StreamConfig{WindowRows: 4096, SpillRows: 1024}
+	testutil.RunDifferential(t, memArm(t, "ssb", sf, 1),
+		memArm(t, "ssb", sf, 4),
+		streamArm(t, "ssb", sf, 1, small),
+		streamArm(t, "ssb", sf, 4, small),
+	)
 }
 
 // TestWindowedValidationMatches replays the workload on a windowed streamed
