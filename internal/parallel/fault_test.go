@@ -10,22 +10,31 @@ import (
 
 	"github.com/dbhammer/mirage/internal/fault"
 	"github.com/dbhammer/mirage/internal/faultinject"
+	"github.com/dbhammer/mirage/internal/obs"
 )
 
 // TestFailFastStopsClaiming: after the first error no further items are
-// claimed. Items other than the failing one block until the error has been
-// returned to the pool, so anything executed beyond that point was claimed
-// into the abort window — a handful of in-flight items at most, never the
-// rest of the range.
+// claimed. Items other than the failing one block until the pool has
+// recorded the error — it counts an item only after that — so anything
+// executed beyond that point was claimed into the abort window — a handful
+// of in-flight items at most, never the rest of the range.
 func TestFailFastStopsClaiming(t *testing.T) {
 	const n = 10000
 	boom := errors.New("boom")
+	reg := obs.NewRegistry()
+	defer obs.Enable(reg)()
+	counted := reg.CounterL("parallel_items_total", "stage", "test")
 	failed := make(chan struct{})
+	go func() {
+		for counted.Value() == 0 {
+			runtime.Gosched()
+		}
+		close(failed)
+	}()
 	var executed int64
 	err := ForEachCtx(context.Background(), "test", 4, n, func(i int) error {
 		atomic.AddInt64(&executed, 1)
 		if i == 0 {
-			defer close(failed)
 			return boom
 		}
 		<-failed
