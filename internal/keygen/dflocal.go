@@ -14,44 +14,6 @@ import "math/bits"
 // sums. Residual deficits (genuine infeasibility under the chosen x, e.g. a
 // JDC below the number of partition classes that must participate) are
 // returned for constraint accounting.
-// classComponents groups each partition's active class masks into connected
-// components of mask overlap (union-find): masks in different components
-// never co-occur in a join, so their key sets may alias physically.
-func (kg *kgModel) classComponents(classMasks map[int]map[uint64]bool) map[int]map[uint64]int {
-	out := make(map[int]map[uint64]int, len(classMasks))
-	for si, masks := range classMasks {
-		var list []uint64
-		for m := range masks {
-			list = append(list, m)
-		}
-		parent := make([]int, len(list))
-		for i := range parent {
-			parent[i] = i
-		}
-		var find func(int) int
-		find = func(a int) int {
-			for parent[a] != a {
-				parent[a] = parent[parent[a]]
-				a = parent[a]
-			}
-			return a
-		}
-		for i := range list {
-			for j := i + 1; j < len(list); j++ {
-				if list[i]&list[j] != 0 {
-					parent[find(i)] = find(j)
-				}
-			}
-		}
-		m := make(map[uint64]int, len(list))
-		for i, mk := range list {
-			m[mk] = find(i)
-		}
-		out[si] = m
-	}
-	return out
-}
-
 func (kg *kgModel) solveDFLocal(x []int64) (*solution, int) {
 	sol := &solution{x: x, d: make([]int64, len(kg.cells)), f: make([]int64, len(kg.cells))}
 	for ci, c := range kg.cells {
@@ -110,8 +72,16 @@ func (kg *kgModel) solveDFLocal(x []int64) (*solution, int) {
 	// Fresh-key budgets are scoped per (S partition, connected component of
 	// mask-overlapping classes): joins that share no cells in a partition
 	// can reuse the same physical keys freely, so their budgets are
-	// independent (each bounded by |S_i| on its own).
-	comp := kg.classComponents(classMasks)
+	// independent (each bounded by |S_i| on its own). allocateKeys carves
+	// its key blocks over the same components.
+	comp := make(map[int]map[uint64]int, len(classMasks))
+	for si, masks := range classMasks {
+		list := make([]uint64, 0, len(masks))
+		for m := range masks {
+			list = append(list, m)
+		}
+		comp[si] = componentsOf(list)
+	}
 	budget := make(map[[2]int64]int64)
 	compOf := func(ci int) [2]int64 {
 		c := kg.cells[ci]

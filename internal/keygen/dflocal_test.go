@@ -2,6 +2,7 @@ package keygen
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/dbhammer/mirage/internal/engine"
@@ -99,17 +100,38 @@ func TestOverlappingClassesShareBudget(t *testing.T) {
 	}
 }
 
-func TestClassComponents(t *testing.T) {
-	kg := &kgModel{}
-	comps := kg.classComponents(map[int]map[uint64]bool{
-		0: {0b001: true, 0b010: true, 0b110: true},
-	})
-	m := comps[0]
+func TestComponentsOf(t *testing.T) {
+	m := componentsOf([]uint64{0b001, 0b010, 0b110})
 	if m[0b001] == m[0b010] {
 		t.Error("disjoint masks 001 and 010 must land in different components")
 	}
 	if m[0b010] != m[0b110] {
 		t.Error("overlapping masks 010 and 110 must share a component")
+	}
+}
+
+// TestAllocateKeysScopesComponentsLikeDF: allocateKeys carves key blocks
+// over the components solveDFLocal budgets by, those of the active classes.
+// One S row feeds two joins through cells with masks 01 and 10 (x = 1 each);
+// a third cell with mask 11 gets no rows (x = 0). DF gives each class the
+// row's one key, because the classes share no join; the empty cell must not
+// merge them into one component whose single key cannot serve both blocks.
+func TestAllocateKeysScopesComponentsLikeDF(t *testing.T) {
+	sParts := []*part{{mask: 0b11, rows: []int32{0}}}
+	tParts := []*part{{mask: 0b01, rows: []int32{0}}, {mask: 0b10, rows: []int32{1}}, {mask: 0b11, rows: []int32{2}}}
+	kg := buildModel(make([]*genplan.JoinCons, 2), sParts, tParts, []int64{1, 1}, []int64{1, 1})
+	sol, residual := kg.solveDFLocal([]int64{1, 1, 0})
+	if residual != 0 || !slices.Equal(sol.f, []int64{1, 1, 0}) {
+		t.Fatalf("DF: f = %v with %d residual joins, want [1 1 0] and none", sol.f, residual)
+	}
+	keys, err := allocateKeys(kg, sol)
+	if err != nil {
+		t.Fatalf("allocateKeys refused what DF budgeted: %v", err)
+	}
+	for ci, want := range [][]int64{{1}, {1}, nil} {
+		if !slices.Equal(keys[ci], want) {
+			t.Errorf("cell %d: keys %v, want %v", ci, keys[ci], want)
+		}
 	}
 }
 

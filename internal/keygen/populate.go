@@ -17,13 +17,16 @@ func allocateKeys(kg *kgModel, sol *solution) ([][]int64, error) {
 	keys := make([][]int64, len(kg.cells))
 	for i, sp := range kg.sParts {
 		supply := int64(len(sp.rows))
-		// Group the partition's cells into classes by JDC-join mask and
-		// carve one fresh-key block per class (F_M = Σ f over the class).
+		// Group the partition's active (x > 0) cells into classes by
+		// JDC-join mask and carve one fresh-key block per class (F_M = Σ f
+		// over the class). An empty cell joins nothing, so it must not link
+		// classes into one component: solveDFLocal budgets over the active
+		// classes' components, and so does the carving below.
 		classCells := make(map[uint64][]int)
 		var masks []uint64
 		for _, ci := range kg.byS[i] {
 			m := kg.cells[ci].jdcMask
-			if m == 0 {
+			if m == 0 || sol.x[ci] == 0 {
 				continue
 			}
 			if _, ok := classCells[m]; !ok {
