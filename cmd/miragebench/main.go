@@ -50,10 +50,9 @@ func main() {
 	var reg *obs.Registry
 	if *metrics != "" || *pprofAddr != "" || *traceOut != "" {
 		reg = obs.NewRegistry()
-		defer obs.Enable(reg)()
 	}
 	if *pprofAddr != "" {
-		srv, err := obshttp.Serve(*pprofAddr)
+		srv, err := obshttp.Serve(*pprofAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "miragebench: pprof:", err)
 			os.Exit(1)
@@ -68,13 +67,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "miragebench: pprof and /metrics on http://%s\n", srv.Addr())
 	}
 	if reg != nil {
-		defer obs.StartSampler(0)()
+		defer obs.StartSampler(reg, 0)()
 	}
 
 	// SIGINT cancels the experiment context; generation and validation
 	// unwind cleanly with a wrapped context.Canceled. A second SIGINT kills
 	// the process immediately.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(obs.WithRegistry(context.Background(), reg), os.Interrupt)
 	defer stop()
 	if *timeout > 0 {
 		var cancel context.CancelFunc

@@ -42,8 +42,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); on expiry the pipeline unwinds cleanly")
 		metrics    = flag.String("metrics", "", "write the run's telemetry report to this file")
 		metricsFmt = flag.String("metrics-format", "json", "telemetry report format: json or prom")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. :6060)")
-		progAddr   = flag.String("progress", "", "serve live run progress on this address: /progress (JSON snapshot), /events (SSE tail), plus /metrics and pprof")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, /metrics, /progress (JSON snapshot) and /events (SSE tail) on this address (e.g. :6060)")
 		traceOut   = flag.String("trace", "", "write a Perfetto/Chrome trace-event file (trace.json) of the run's span tree and events to this path")
 		eventsOut  = flag.String("events", "", "tee the run's structured event journal to this file as JSONL")
 		stream     = flag.Bool("stream", false, "out-of-core mode: stream CSVs to -out while generating, retaining only keygen's working set in memory (same bytes as the in-memory path)")
@@ -75,13 +74,12 @@ func main() {
 		}
 	}
 
-	// Telemetry is opt-in: with none of these flags set no registry is
-	// installed and every instrumentation site in the pipeline stays on its
-	// nil fast path.
+	// Telemetry is opt-in: with none of these flags set the run's context
+	// carries no registry and every instrumentation site in the pipeline
+	// stays on its nil fast path.
 	var reg *obs.Registry
-	if *metrics != "" || *pprofAddr != "" || *progAddr != "" || *traceOut != "" || *eventsOut != "" {
+	if *metrics != "" || *pprofAddr != "" || *traceOut != "" || *eventsOut != "" {
 		reg = obs.NewRegistry()
-		defer obs.Enable(reg)()
 	}
 	var eventsFile *os.File
 	if *eventsOut != "" {
@@ -93,37 +91,27 @@ func main() {
 		eventsFile = f
 		reg.Events().TeeTo(f)
 	}
-	// The servers are owned here and shut down on exit — never abandoned to
+	// The server is owned here and shut down on exit — never abandoned to
 	// the process lifetime.
-	var servers []*obshttp.Server
-	serve := func(addr, what string) {
-		srv, err := obshttp.Serve(addr)
+	if *pprofAddr != "" {
+		srv, err := obshttp.Serve(*pprofAddr, reg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "miragegen: %s: %v\n", what, err)
+			fmt.Fprintln(os.Stderr, "miragegen: pprof:", err)
 			os.Exit(1)
 		}
-		servers = append(servers, srv)
-		fmt.Fprintf(os.Stderr, "miragegen: %s on http://%s\n", what, srv.Addr())
-	}
-	if *pprofAddr != "" {
-		serve(*pprofAddr, "pprof and /metrics")
-	}
-	if *progAddr != "" && *progAddr != *pprofAddr {
-		serve(*progAddr, "/progress and /events")
-	}
-	defer func() {
-		for _, srv := range servers {
+		defer func() {
 			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			if err := srv.Shutdown(sctx); err != nil {
 				srv.Close()
 			}
 			cancel()
-		}
-	}()
+		}()
+		fmt.Fprintf(os.Stderr, "miragegen: pprof, /metrics, /progress and /events on http://%s\n", srv.Addr())
+	}
 	if reg != nil {
 		// Periodic heap + rate sampling keeps peak_heap_bytes and the
 		// /progress ETA live between stage boundaries.
-		defer obs.StartSampler(0)()
+		defer obs.StartSampler(reg, 0)()
 	}
 
 	// SIGINT cancels the pipeline context: workers stop claiming items,
@@ -131,7 +119,7 @@ func main() {
 	// with a wrapped context.Canceled instead of dying mid-write. A second SIGINT kills the
 	// process the usual way (signal.NotifyContext restores default handling
 	// once the context is canceled).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(obs.WithRegistry(context.Background(), reg), os.Interrupt)
 	defer stop()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -306,7 +294,7 @@ func run(ctx context.Context, name string, sf float64, opts mirage.Options, out 
 	if len(res.Degradations) > 0 {
 		fmt.Printf("degradations (%d):\n", len(res.Degradations))
 		for _, d := range res.Degradations {
-			fmt.Printf("  %s %s: %s x%d\n", d.Stage, d.Unit, d.Kind, d.Count)
+			fmt.Printf("  keygen %s: %s x%d\n", d.Unit, d.Kind, d.Count)
 		}
 	}
 
@@ -338,7 +326,7 @@ func run(ctx context.Context, name string, sf float64, opts mirage.Options, out 
 		}
 		fmt.Printf("exported CSVs and instantiated workload to %s\n", out)
 	}
-	fmt.Println(summaryLine(res, time.Since(runStart)))
+	fmt.Println(summaryLine(res, time.Since(runStart), obs.From(ctx)))
 	return nil
 }
 
@@ -347,7 +335,7 @@ func run(ctx context.Context, name string, sf float64, opts mirage.Options, out 
 // telemetry disabled, so no run ends silently. The heap figure comes from
 // the registry's sampled high-water mark when telemetry is on, and from a
 // single exit-time ReadMemStats otherwise (a floor, not a true peak).
-func summaryLine(res *mirage.Result, wall time.Duration) string {
+func summaryLine(res *mirage.Result, wall time.Duration, reg *obs.Registry) string {
 	rows := int64(res.DB.TotalRows())
 	bytes := "in-memory"
 	if res.Streamed {
@@ -355,10 +343,10 @@ func summaryLine(res *mirage.Result, wall time.Duration) string {
 		bytes = fmt.Sprintf("%.1f MB written", float64(res.Export.Bytes)/(1<<20))
 	}
 	heap := "peak heap"
-	heapBytes := obs.Active().Gauge("peak_heap_bytes").Value()
+	heapBytes := reg.Gauge("peak_heap_bytes").Value()
 	if heapBytes == 0 {
 		heap = "heap at exit"
-		heapBytes = int64(obs.SampleHeap())
+		heapBytes = int64(obs.SampleHeap(nil))
 	}
 	return fmt.Sprintf("run summary: %d rows, %s, wall %v, %s %.1f MB, %d degradations",
 		rows, bytes, wall.Round(time.Millisecond), heap, float64(heapBytes)/(1<<20), len(res.Degradations))

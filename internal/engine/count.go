@@ -549,7 +549,6 @@ func (c *counter) countView(v *relalg.View, table string, ws []weight, record bo
 	}
 	if record {
 		e.m.opRows[relalg.JoinView].Observe(card)
-		e.m.joined.Add(card)
 		c.res.Stats[v] = Stats{Card: card, JCC: card, JDC: int64(matched.count())}
 	}
 

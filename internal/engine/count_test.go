@@ -221,14 +221,12 @@ func TestCountFallsBack(t *testing.T) {
 		}
 		q := &relalg.AQT{Name: tc.name, Root: tc.root}
 		reg := obs.NewRegistry()
-		disable := obs.Enable(reg)
 		eng, err := New(db)
 		if err != nil {
-			disable()
 			t.Fatal(err)
 		}
+		eng.SetRegistry(reg)
 		checkCountAgainstExecute(t, tc.name, oracle, map[string]*Engine{"classic": eng}, nil, q)
-		disable()
 		want := int64(1)
 		if tc.count {
 			want = 0
@@ -250,11 +248,11 @@ func TestCountMemoReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	defer obs.Enable(reg)()
 	eng, err := New(db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.SetRegistry(reg)
 	selS := sel(leaf("s"), unary("s1", relalg.OpLt, pv("p1", 4)))
 	selT := sel(leaf("t"), unary("t1", relalg.OpGt, pv("p2", 2)))
 	q := &relalg.AQT{Name: "q", Root: join(relalg.EquiJoin, "s", selS, selT, "t", "t_fk")}

@@ -60,8 +60,8 @@ type Engine struct {
 	// ident backs the rows [0, n) Count reads a bare leaf as; never written
 	// through.
 	ident []int32
-	// m holds the obs handles resolved once at construction; with telemetry
-	// disabled every handle is nil and recording degenerates to nil checks.
+	// m holds the obs handles SetRegistry resolved; with telemetry disabled
+	// every handle is nil and recording degenerates to nil checks.
 	m engineMetrics
 	// win is the table-pass state every engine has: CollectRowSetsCtx and
 	// Count scan base tables window by window on both kinds of engine, and
@@ -75,15 +75,13 @@ type Engine struct {
 }
 
 // engineMetrics caches the per-operator-type telemetry handles: self-time
-// and output-cardinality histograms indexed by view kind, plus the
-// rows-filtered / rows-joined counters. Handles are shared across engines
-// (the registry dedupes by name) and every recording op is atomic.
+// and output-cardinality histograms indexed by view kind. Handles are shared
+// across engines (the registry dedupes by name) and every recording op is
+// atomic.
 type engineMetrics struct {
-	opNS     [relalg.MultiView + 1]*obs.Histogram
-	opRows   [relalg.MultiView + 1]*obs.Histogram
-	execs    *obs.Counter
-	filtered *obs.Counter
-	joined   *obs.Counter
+	opNS   [relalg.MultiView + 1]*obs.Histogram
+	opRows [relalg.MultiView + 1]*obs.Histogram
+	execs  *obs.Counter
 	// materialized counts row-set requests answered by evaluating the view
 	// (the eval fallback of CollectRowSetsCtx) instead of by reduction, and
 	// countMaterialized the templates Count evaluated instead of counting.
@@ -101,8 +99,7 @@ var opLabel = [relalg.MultiView + 1]string{
 	relalg.MultiView:   "multi",
 }
 
-func newEngineMetrics() engineMetrics {
-	reg := obs.Active()
+func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	if reg == nil {
 		return engineMetrics{}
 	}
@@ -112,8 +109,6 @@ func newEngineMetrics() engineMetrics {
 		m.opRows[k] = reg.HistogramL("engine_op_rows", "op", opLabel[k])
 	}
 	m.execs = reg.Counter("engine_executes_total")
-	m.filtered = reg.Counter("engine_rows_filtered_total")
-	m.joined = reg.Counter("engine_rows_joined_total")
 	m.materialized = reg.Counter("engine_rowset_materialized_total")
 	m.countMaterialized = reg.Counter("engine_count_materialized_total")
 	return m
@@ -136,7 +131,15 @@ func New(db *storage.DB) (*Engine, error) {
 	// A classic engine's table passes read materialized columns in place, at
 	// the default window, and never spill.
 	win := newWindowState(WindowConfig{SpillRows: -1})
-	return &Engine{db: db, owner: owner, m: newEngineMetrics(), win: win, width: 1}, nil
+	return &Engine{db: db, owner: owner, win: win, width: 1}, nil
+}
+
+// SetRegistry routes the engine's telemetry into reg; nil (the default)
+// records nothing. Whoever builds an engine for a run calls it, because the
+// engine's recording sites have no context to find the run's registry on.
+func (e *Engine) SetRegistry(reg *obs.Registry) {
+	e.m = newEngineMetrics(reg)
+	e.win.m = newWindowMetrics(reg)
 }
 
 // SetWidth lets CollectRowSetsCtx evaluate up to n windows (and semi-join
@@ -287,7 +290,6 @@ func (e *Engine) eval(v *relalg.View, orig bool, res *Result) (*Relation, error)
 		out := in.gather(sel)
 		tm.Stop()
 		e.m.opRows[v.Kind].Observe(int64(out.Len()))
-		e.m.filtered.Add(int64(in.Len() - out.Len()))
 		res.Stats[v] = Stats{Card: int64(out.Len()), JCC: relalg.CardUnknown, JDC: relalg.CardUnknown}
 		return out, nil
 
@@ -307,7 +309,6 @@ func (e *Engine) eval(v *relalg.View, orig bool, res *Result) (*Relation, error)
 		}
 		tm.Stop()
 		e.m.opRows[v.Kind].Observe(int64(out.Len()))
-		e.m.joined.Add(jcc)
 		res.Stats[v] = Stats{Card: int64(out.Len()), JCC: jcc, JDC: jdc}
 		return out, nil
 

@@ -266,7 +266,6 @@ func (sc *scanRun) run(k, wi int) (err error) {
 	s, win := sc.ws[k], sc.r.e.win
 	s.rows = s.blk.stage(s.rowBuf)
 	win.m.windows.Inc()
-	win.m.winRows.Observe(int64(len(s.rows)))
 	for _, t := range sc.tests {
 		if s.rows = t.filter(s.outBuf, s.rows); len(s.rows) == 0 {
 			break

@@ -354,7 +354,6 @@ func TestNonReducibleShapesFallBack(t *testing.T) {
 		}
 		for _, windowed := range []bool{false, true} {
 			reg := obs.NewRegistry()
-			disable := obs.Enable(reg)
 			var eng *Engine
 			if windowed {
 				db, src := windowedPaperDB()
@@ -363,14 +362,13 @@ func TestNonReducibleShapesFallBack(t *testing.T) {
 				eng, err = New(paperDB(t))
 			}
 			if err != nil {
-				disable()
 				t.Fatal(err)
 			}
+			eng.SetRegistry(reg)
 			sets, err := eng.CollectRowSetsCtx(context.Background(), []RowSetRequest{
 				{View: tc.view, Table: tc.table},
 				{View: inner(relalg.EquiJoin), Table: "t"},
 			}, false)
-			disable()
 			if err != nil {
 				t.Fatalf("%s windowed=%v: %v", tc.name, windowed, err)
 			}

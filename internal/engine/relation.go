@@ -44,11 +44,6 @@ func (r *Relation) tableIdx(table string) int {
 // has reports whether the relation covers the given base table.
 func (r *Relation) has(table string) bool { return r.tableIdx(table) >= 0 }
 
-// rowIdx returns tuple i's row index in the given base table.
-func (r *Relation) rowIdx(table string, i int) int32 {
-	return r.cols[r.tableIdx(table)][i]
-}
-
 // gather materializes the tuples selected by sel (positions into r) as a new
 // relation: one exact-size batch copy per column, no per-tuple bookkeeping.
 // The table list is shared — it is immutable after construction.

@@ -212,11 +212,10 @@ func TestWideWindowFault(t *testing.T) {
 	// Cancellation at window 2 fails that window before its round starts:
 	// windows 0 and 1 ran, nothing from 2 on did.
 	reg := obs.NewRegistry()
-	disableObs := obs.Enable(reg)
-	defer disableObs()
 	dir := t.TempDir()
 	eng, src := wideEngine(t, false, dir)
 	defer eng.Close()
+	eng.SetRegistry(reg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	in := faultinject.New(faultinject.Rule{Stage: WindowStage, Item: 2, Action: faultinject.Cancel})

@@ -76,7 +76,6 @@ type WindowConfig struct {
 // disabled) make every recording a no-op.
 type windowMetrics struct {
 	windows    *obs.Counter
-	winRows    *obs.Histogram
 	spillFiles *obs.Counter
 	spillBytes *obs.Counter
 	fallbacks  *obs.Counter
@@ -165,18 +164,20 @@ func newWindowState(cfg WindowConfig) *windowState {
 	} else if spill < 0 {
 		spill = -1
 	}
-	win := &windowState{cfg: cfg, rows: w, spillAt: spill, spills: make(map[string]bool)}
-	if reg := obs.Active(); reg != nil {
-		win.m = windowMetrics{
-			windows:    reg.Counter("engine_windows_total"),
-			winRows:    reg.Histogram("engine_window_rows"),
-			spillFiles: reg.Counter("engine_spill_files_total"),
-			spillBytes: reg.Counter("engine_spill_bytes_total"),
-			fallbacks:  reg.Counter("engine_window_fallbacks_total"),
-			events:     reg.Events(),
-		}
+	return &windowState{cfg: cfg, rows: w, spillAt: spill, spills: make(map[string]bool)}
+}
+
+func newWindowMetrics(reg *obs.Registry) windowMetrics {
+	if reg == nil {
+		return windowMetrics{}
 	}
-	return win
+	return windowMetrics{
+		windows:    reg.Counter("engine_windows_total"),
+		spillFiles: reg.Counter("engine_spill_files_total"),
+		spillBytes: reg.Counter("engine_spill_bytes_total"),
+		fallbacks:  reg.Counter("engine_window_fallbacks_total"),
+		events:     reg.Events(),
+	}
 }
 
 // Close releases windowed-evaluation resources: any outstanding spill files
@@ -474,7 +475,6 @@ func (r *winRun) run(k, wi int) (err error) {
 		s.ends = append(s.ends, len(s.surv))
 	}
 	win.m.windows.Inc()
-	win.m.winRows.Observe(int64(len(cand)))
 	return nil
 }
 
@@ -579,12 +579,9 @@ func (e *Engine) runWindows(t *storage.TableData, chains []*chainScan, orig bool
 func (e *Engine) observeChain(leaf *relalg.View, c *chainScan, tRows int, res *Result) {
 	e.m.opRows[relalg.LeafView].Observe(int64(tRows))
 	res.Stats[leaf] = Stats{Card: int64(tRows), JCC: relalg.CardUnknown, JDC: relalg.CardUnknown}
-	prev := int64(tRows)
 	for k, v := range c.selects {
 		e.m.opRows[v.Kind].Observe(c.counts[k])
-		e.m.filtered.Add(prev - c.counts[k])
 		res.Stats[v] = Stats{Card: c.counts[k], JCC: relalg.CardUnknown, JDC: relalg.CardUnknown}
-		prev = c.counts[k]
 	}
 }
 

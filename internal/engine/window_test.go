@@ -346,15 +346,14 @@ func TestReductionFaultNoTornSpill(t *testing.T) {
 		in := faultinject.New(faultinject.Rule{Stage: WindowStage, Item: 1, Action: action})
 		deactivateFault := faultinject.Activate(in)
 		reg := obs.NewRegistry()
-		disableObs := obs.Enable(reg)
-		deactivate := func() { deactivateFault(); disableObs() }
 		dir := t.TempDir()
 		db, _ := windowedPaperDB()
 		eng, err := NewWindowed(db, WindowConfig{Rows: 4, SpillDir: dir, SpillRows: 1})
 		if err != nil {
-			deactivate()
+			deactivateFault()
 			t.Fatal(err)
 		}
+		eng.SetRegistry(reg)
 		// σ_{s1<4}(s) ⋈ t: s's pass is window 0 only, t is a bare leaf (no
 		// pass), and the reduction of t's rows runs windows 0 and 1.
 		selS := &relalg.View{Kind: relalg.SelectView, Inputs: []*relalg.View{{Kind: relalg.LeafView, Table: "s"}},
@@ -363,7 +362,7 @@ func TestReductionFaultNoTornSpill(t *testing.T) {
 			Join:   &relalg.JoinSpec{PKTable: "s", FKTable: "t", FKCol: "t_fk", Type: relalg.EquiJoin},
 			Inputs: []*relalg.View{selS, {Kind: relalg.LeafView, Table: "t"}}}
 		_, err = eng.CollectRowSetCtx(context.Background(), join, "t", false)
-		deactivate()
+		deactivateFault()
 		var se *fault.StageError
 		if !errors.As(err, &se) || se.Stage != WindowStage || se.Item != 1 || !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("action %v: err = %v, want injected StageError{%s, 1}", action, err, WindowStage)
@@ -414,13 +413,13 @@ func TestWindowedExecuteMatchesClassic(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	defer obs.Enable(reg)()
 	db, src := windowedPaperDB()
 	eng, err := NewWindowed(db, WindowConfig{Rows: 3, Sources: map[string]ChunkSource{"t": src}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	eng.SetRegistry(reg)
 	qw, viewsW := build()
 	gotRes, err := eng.Execute(qw, false)
 	if err != nil {
@@ -457,7 +456,6 @@ func TestPrimaryKeyDerivedOnEveryEngine(t *testing.T) {
 	}
 	for _, tc := range engines {
 		reg := obs.NewRegistry()
-		restore := obs.Enable(reg)
 		var eng *Engine
 		var err error
 		if tc.cfg == nil {
@@ -468,6 +466,7 @@ func TestPrimaryKeyDerivedOnEveryEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.SetRegistry(reg)
 		leaf := &relalg.View{Kind: relalg.LeafView, Table: "t"}
 		set, err := eng.CollectRowSetCtx(context.Background(), sel(leaf, unary("t_pk", relalg.OpGt, pv("p", 5))), "t", false)
 		if err != nil {
@@ -490,7 +489,6 @@ func TestPrimaryKeyDerivedOnEveryEngine(t *testing.T) {
 			t.Errorf("%s: engine_window_fallbacks_total = %d, want %d", tc.name, n, tc.whole)
 		}
 		eng.Close()
-		restore()
 	}
 }
 

@@ -33,7 +33,9 @@ import (
 // Config selects the scenario scale and seeds.
 type Config struct {
 	// Ctx bounds the whole experiment run: cancellation or deadline expiry
-	// propagates into generation and validation. Nil means Background.
+	// propagates into generation and validation, and the registry it
+	// carries (obs.WithRegistry) records the Mirage side's telemetry. Nil
+	// means Background.
 	Ctx  context.Context
 	SF   float64
 	Seed int64

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -77,13 +78,13 @@ func TestRunFig11SSBShape(t *testing.T) {
 }
 
 // TestRunFig11ObservesPipeline pins that the experiments run the product
-// pipeline: a registry enabled around a figure run records the same stage
+// pipeline: a registry on the figure run's context records the same stage
 // spans a miragegen run does.
 func TestRunFig11ObservesPipeline(t *testing.T) {
 	reg := obs.NewRegistry()
-	disable := obs.Enable(reg)
-	_, err := RunFig11("ssb", tiny())
-	disable()
+	cfg := tiny()
+	cfg.Ctx = obs.WithRegistry(context.Background(), reg)
+	_, err := RunFig11("ssb", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

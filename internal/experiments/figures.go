@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -376,9 +375,4 @@ func (r *Fig15Result) FormatFig16() string {
 			p.Queries, fmtDur(p.Decouple), fmtDur(p.Distrib), fmtDur(p.Sample), fmtDur(p.ACC))
 	}
 	return sb.String()
-}
-
-// SortToolRunsByError orders reports for stable display.
-func SortToolRunsByError(reports []validate.Report) {
-	sort.SliceStable(reports, func(i, j int) bool { return reports[i].Query < reports[j].Query })
 }

@@ -13,9 +13,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"syscall"
-
-	"github.com/dbhammer/mirage/internal/faultinject"
-	"github.com/dbhammer/mirage/internal/obs"
 )
 
 // NoItem is the Item value of a StageError that is not scoped to one work
@@ -60,30 +57,11 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// countFailure records one stage failure in telemetry, labeled by
-// provenance: faults planted by internal/faultinject versus organic ones.
-// It runs only when a StageError is first materialized (Wrap's passthrough
-// branch does not re-count), so each failure is tallied exactly once, at its
-// innermost location.
-func countFailure(stage string, err error) {
-	reg := obs.Active()
-	if reg == nil {
-		return
-	}
-	origin := "organic"
-	if errors.Is(err, faultinject.ErrInjected) {
-		origin = "injected"
-	}
-	reg.Counter(obs.Label("stage_failures_total", "stage", stage, "origin", origin)).Inc()
-}
-
 // Recovered converts a recover() value into a StageError carrying the
 // current stack. It must be called from the deferred function that observed
 // the panic, so the stack still shows the panic site.
 func Recovered(stage string, item int, r any) *StageError {
-	se := &StageError{Stage: stage, Item: item, Err: &PanicError{Value: r}, Stack: debug.Stack()}
-	countFailure(stage, se.Err)
-	return se
+	return &StageError{Stage: stage, Item: item, Err: &PanicError{Value: r}, Stack: debug.Stack()}
 }
 
 // Wrap attaches a stage location to an ordinary error. A nil err maps to
@@ -97,7 +75,6 @@ func Wrap(stage string, item int, err error) error {
 	if errors.As(err, &se) {
 		return err
 	}
-	countFailure(stage, err)
 	return &StageError{Stage: stage, Item: item, Err: err}
 }
 

@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"github.com/dbhammer/mirage/internal/obs"
 )
 
 // ErrInjected is the root cause of every injected error and panic, so tests
@@ -217,13 +215,11 @@ func (in *Injector) fire(stage string, item int) error {
 				in.armed[i] = false
 			}
 			in.fired = append(in.fired, fmt.Sprintf("%s[%d]:%s", stage, item, r.Action))
-			obs.Active().CounterL("faults_injected_total", "stage", stage).Inc()
 			in.mu.Unlock()
 			return &injectedError{stage: stage, item: item, cause: r.Err, transient: true}
 		}
 		in.armed[i] = false
 		in.fired = append(in.fired, fmt.Sprintf("%s[%d]:%s", stage, item, r.Action))
-		obs.Active().CounterL("faults_injected_total", "stage", stage).Inc()
 		cancel := in.cancel
 		in.mu.Unlock()
 		switch r.Action {

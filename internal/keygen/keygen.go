@@ -101,7 +101,9 @@ type Stats struct {
 type Degradation struct {
 	// Unit is the FK unit ("table.fk_col") the event occurred in.
 	Unit string
-	// Kind is "resize" or "restarts".
+	// Kind is the fallback taken: "resize" (constraints clamped to their
+	// achievable range) or "restarts" (x-system local-search restarts
+	// beyond the first attempt).
 	Kind string
 	// Count is the number of occurrences within the unit.
 	Count int
@@ -121,10 +123,7 @@ func (s *Stats) Add(s2 Stats) {
 }
 
 // noteDegradations converts the unit-local counters into per-unit ledger
-// entries; populateUnit calls it once, after the unit completes. Each entry
-// is mirrored into the obs registry as keygen_degradations_total{kind=...},
-// so the run report and the Degradations slice speak one vocabulary — the
-// slice API stays intact for callers, the counters serve exporters.
+// entries; populateUnit calls it once, after the unit completes.
 func (s *Stats) noteDegradations(unit string) {
 	for _, d := range []Degradation{
 		{Unit: unit, Kind: "resize", Count: s.Resized},
@@ -132,30 +131,8 @@ func (s *Stats) noteDegradations(unit string) {
 	} {
 		if d.Count > 0 {
 			s.Degradations = append(s.Degradations, d)
-			obs.Active().CounterL("keygen_degradations_total", "kind", d.Kind).Add(int64(d.Count))
-			obs.Active().Events().Emit(obs.Event{
-				Type: obs.EventDegradation, Unit: d.Unit, Kind: d.Kind, Count: int64(d.Count),
-			})
 		}
 	}
-}
-
-// observe mirrors one completed unit's stage timings and footprint into the
-// obs registry; a disabled registry makes every call a no-op.
-func (s *Stats) observe(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Histogram("keygen_cs_ns").Observe(int64(s.CSTime))
-	reg.Histogram("keygen_cp_ns").Observe(int64(s.CPTime))
-	reg.Histogram("keygen_pf_ns").Observe(int64(s.PFTime))
-	reg.Counter("keygen_partitions_total").Add(int64(s.Partitions))
-	reg.Counter("keygen_cells_total").Add(int64(s.Cells))
-	reg.Counter("keygen_restarts_total").Add(int64(s.Restarts))
-	// Per-unit restart histogram: warm-chained attempts should keep this
-	// concentrated at zero; a drifting distribution means the local search
-	// is re-seeding more than the warm start saves.
-	reg.Histogram("keygen_warm_restarts").Observe(int64(s.Restarts))
 }
 
 // Populate fills every foreign-key column of db following the problem's
@@ -176,6 +153,7 @@ func Populate(ctx context.Context, cfg Config, prob *genplan.Problem, db *storag
 	// The vectorized engine keeps per-instance scratch buffers, so each wave
 	// worker needs its own; engines are cheap (an owner map over the schema).
 	workers := parallel.Workers(cfg.Parallelism)
+	reg := obs.From(ctx)
 	engines := make([]*engine.Engine, workers)
 	defer func() {
 		for _, eng := range engines {
@@ -197,18 +175,18 @@ func Populate(ctx context.Context, cfg Config, prob *genplan.Problem, db *storag
 		if err != nil {
 			return nil, err
 		}
+		eng.SetRegistry(reg)
 		engines[w] = eng
 	}
 	total := &Stats{}
-	reg := obs.Active()
 	stageSpan := obs.FromContext(ctx)
 	for wi, wave := range prob.Waves() {
 		var waveSpan *obs.Span
 		if stageSpan != nil {
 			waveSpan = stageSpan.Child("wave:" + strconv.Itoa(wi))
-			reg.Counter("keygen_waves_total").Inc()
-			reg.Counter("keygen_units_total").Add(int64(len(wave)))
 		}
+		reg.Counter("keygen_waves_total").Inc()
+		reg.Counter("keygen_units_total").Add(int64(len(wave)))
 		stats := make([]*Stats, len(wave))
 		cols := make([][]int64, len(wave))
 		width := max(1, workers/len(wave))
@@ -237,7 +215,11 @@ func Populate(ctx context.Context, cfg Config, prob *genplan.Problem, db *storag
 				db.Table(u.Table).SetCol(u.FKCol, cols[i])
 			}
 			if stats[i] != nil {
-				stats[i].observe(reg)
+				for _, d := range stats[i].Degradations {
+					reg.Events().Emit(obs.Event{
+						Type: obs.EventDegradation, Unit: d.Unit, Kind: d.Kind, Count: int64(d.Count),
+					})
+				}
 				total.Add(*stats[i])
 			}
 		}

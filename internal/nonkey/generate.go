@@ -47,7 +47,7 @@ func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, se
 	}
 
 	// Telemetry handles resolved once per table; nil (no-op) when disabled.
-	reg := obs.Active()
+	reg := obs.From(ctx)
 	layoutH := reg.Histogram("nonkey_layout_ns")
 	fillH := reg.Histogram("nonkey_fill_ns")
 	reg.Counter("nonkey_rows_total").Add(R)

@@ -51,7 +51,7 @@ func GenerateTables(ctx context.Context, cfg Config, db *storage.DB, tables []*r
 		if err := InstantiateACCs(cfg, tp, data); err != nil {
 			return err
 		}
-		obs.Active().Events().Emit(obs.Event{Type: obs.EventTableGenerated, Table: tbl.Name, Rows: tbl.Rows})
+		obs.From(ctx).Events().Emit(obs.Event{Type: obs.EventTableGenerated, Table: tbl.Name, Rows: tbl.Rows})
 		// Out-of-core mode: the ACC-sampled columns were materialized only
 		// for parameter instantiation; drop the ones nothing else reads.
 		if cfg.Retain != nil {

@@ -16,8 +16,8 @@ import (
 // subscribers (the /events SSE endpoint) without ever blocking the emitter.
 //
 // The journal lives under the same contract as the rest of internal/obs:
-// with telemetry disabled, obs.Active().Events().Emit(...) is a nil-receiver
-// chain costing one atomic load and zero allocations.
+// with telemetry disabled, obs.From(ctx).Events().Emit(...) is a nil-receiver
+// chain costing one context lookup and zero allocations.
 
 // EventType enumerates the journal's lifecycle events. The catalog (names,
 // fields, emitting sites) is documented in DESIGN.md §14.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"sync"
@@ -221,13 +222,14 @@ func TestJournalConcurrent(t *testing.T) {
 // TestEventsDisabledAllocs extends the PR 4 contract to the journal: the
 // telemetry-off emission chain is allocation-free.
 func TestEventsDisabledAllocs(t *testing.T) {
+	ctx := context.Background()
 	if n := testing.AllocsPerRun(200, func() {
-		Active().Events().Emit(Event{Type: EventWaveDone, Wave: 1, Units: 2})
+		From(ctx).Events().Emit(Event{Type: EventWaveDone, Wave: 1, Units: 2})
 	}); n != 0 {
 		t.Errorf("disabled Emit: %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		Active().Tracker().Sample()
+		From(ctx).Tracker().Sample()
 	}); n != 0 {
 		t.Errorf("disabled Tracker.Sample: %v allocs/op, want 0", n)
 	}

@@ -3,24 +3,28 @@
 // Registry, plus hierarchical spans (run → stage → wave → unit) recorded
 // into a serializable run trace. Every layer of the generation pipeline —
 // trace annotation, non-key chunk fills, keygen dependency waves and units,
-// CP solves, the vectorized engine, the worker pool — reports through this
-// one vocabulary; exporters turn a finished run into a structured JSON
-// RunReport or Prometheus text format (see report.go).
+// the vectorized engine, the worker pool, export — reports through this one
+// vocabulary; exporters turn a finished run into a structured JSON RunReport
+// or Prometheus text format (see report.go).
 //
-// The design constraint is the same one internal/faultinject lives under:
-// telemetry must cost nothing when nobody is looking. A single Registry is
-// installed globally (Enable) behind an atomic pointer, and every handle
-// accessor and recording method is nil-safe:
+// A run's registry rides its context.Context (WithRegistry, From), the same
+// context that already carries cancellation and the current span to every
+// layer, so two runs in one process report into two registries. The engine
+// is the one layer without a context at its recording sites: whoever builds
+// an engine hands it the registry once (engine.Engine.SetRegistry).
 //
-//	reg := obs.Active()                  // one atomic load; nil when disabled
-//	c := reg.Counter("keygen_units")     // nil registry -> nil handle
-//	c.Add(3)                             // nil handle -> no-op
-//	t := reg.Histogram("keygen_cp_ns").Start() // nil -> zero Timer, no time.Now
+// The design constraint: telemetry must cost nothing when nobody is looking.
+// Every handle accessor and recording method is nil-safe:
+//
+//	reg := obs.From(ctx)                         // nil when the run has no registry
+//	c := reg.Counter("keygen_units_total")       // nil registry -> nil handle
+//	c.Add(3)                                     // nil handle -> no-op
+//	t := reg.Histogram("nonkey_fill_ns").Start() // nil -> zero Timer, no time.Now
 //	...
-//	t.Stop()                             // zero Timer -> no-op
+//	t.Stop()                                     // zero Timer -> no-op
 //
-// With no registry installed the entire chain is one atomic load plus nil
-// checks — zero allocations and zero clock reads, enforced by
+// With no registry on the context the entire chain is one context lookup
+// plus nil checks — zero allocations and zero clock reads, enforced by
 // testing.AllocsPerRun in obs_test.go. Hot packages (engine, relalg)
 // take all wall-clock readings through Timer for exactly this reason; CI
 // greps them for direct time.Now calls.
@@ -31,11 +35,12 @@
 //
 // Metric naming: snake_case bases, `_total` suffix for counters, `_ns`
 // suffix for duration histograms. Labels ride in the key in Prometheus form,
-// built by Label: `keygen_degradations_total{kind="resize"}`. Exporters
+// built by Label: `parallel_items_total{stage="keygen/wave"}`. Exporters
 // prefix everything with `mirage_`.
 package obs
 
 import (
+	"context"
 	"math/bits"
 	"sort"
 	"strings"
@@ -95,23 +100,23 @@ func NewRegistry() *Registry {
 	}
 }
 
-// active is the globally installed registry; nil means telemetry is off.
-// A global mirrors faultinject: instrumentation sites deep in the pipeline
-// need no plumbed handle, and the disabled fast path is one atomic load.
-var active atomic.Pointer[Registry]
+// regKey carries the run's registry through the context chain.
+type regKey struct{}
 
-// Enable installs the registry globally and returns the function that
-// uninstalls it. Exactly one registry may be active at a time; concurrent
-// enables are a caller bug.
-func Enable(r *Registry) func() {
-	if !active.CompareAndSwap(nil, r) {
-		panic("obs: a registry is already enabled")
+// WithRegistry returns ctx carrying r as the run's registry. A nil registry
+// returns ctx unchanged (no allocation), keeping disabled runs free.
+func WithRegistry(ctx context.Context, r *Registry) context.Context {
+	if r == nil {
+		return ctx
 	}
-	return func() { active.CompareAndSwap(r, nil) }
+	return context.WithValue(ctx, regKey{}, r)
 }
 
-// Active returns the installed registry, or nil when telemetry is disabled.
-func Active() *Registry { return active.Load() }
+// From returns the context's registry, or nil when telemetry is off.
+func From(ctx context.Context) *Registry {
+	r, _ := ctx.Value(regKey{}).(*Registry)
+	return r
+}
 
 // sinceNS is the registry's monotone clock: nanoseconds since NewRegistry.
 func (r *Registry) sinceNS() int64 { return int64(time.Since(r.start)) }

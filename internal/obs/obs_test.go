@@ -96,28 +96,27 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-func TestEnable(t *testing.T) {
-	if Active() != nil {
-		t.Fatal("no registry should be active at test start")
+// TestWithRegistry: the registry rides the context, so two runs in one
+// process each find their own, and a context without one reports nil.
+func TestWithRegistry(t *testing.T) {
+	ctx := context.Background()
+	if From(ctx) != nil {
+		t.Fatal("a bare context must carry no registry")
 	}
-	r := NewRegistry()
-	disable := Enable(r)
-	if Active() != r {
-		t.Fatal("Active must return the enabled registry")
+	if WithRegistry(ctx, nil) != ctx {
+		t.Fatal("WithRegistry(nil) must return ctx unchanged")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("double Enable must panic")
-			}
-		}()
-		Enable(NewRegistry())
-	}()
-	disable()
-	if Active() != nil {
-		t.Fatal("disable must uninstall the registry")
+	r1, r2 := NewRegistry(), NewRegistry()
+	c1, c2 := WithRegistry(ctx, r1), WithRegistry(ctx, r2)
+	if From(c1) != r1 || From(c2) != r2 {
+		t.Fatal("each context must carry its own registry")
 	}
-	disable() // idempotent: a stale disable never clobbers a newer registry
+	if From(ContextWith(c1, r2.StartSpan("x"))) != r1 {
+		t.Fatal("a span on the context must not change its registry")
+	}
+	if From(WithRegistry(c1, r2)) != r2 {
+		t.Fatal("the innermost registry must win")
+	}
 }
 
 // TestAllocsDisabled pins the tentpole contract: with no registry enabled,
@@ -125,11 +124,12 @@ func TestEnable(t *testing.T) {
 func TestAllocsDisabled(t *testing.T) {
 	ctx := context.Background()
 	cases := map[string]func(){
-		"counter":   func() { Active().Counter("c_total").Inc() },
-		"gauge":     func() { Active().Gauge("g").Set(1) },
-		"timer":     func() { Active().Histogram("h_ns").Start().Stop() },
-		"span":      func() { s := Active().StartSpan("x"); s.Child("y").End(); s.End() },
-		"span-ctx":  func() { _ = ContextWith(ctx, Active().StartSpan("x")) },
+		"counter":   func() { From(ctx).Counter("c_total").Inc() },
+		"gauge":     func() { From(ctx).Gauge("g").Set(1) },
+		"timer":     func() { From(ctx).Histogram("h_ns").Start().Stop() },
+		"span":      func() { s := From(ctx).StartSpan("x"); s.Child("y").End(); s.End() },
+		"span-ctx":  func() { _ = ContextWith(ctx, From(ctx).StartSpan("x")) },
+		"reg-ctx":   func() { _ = WithRegistry(ctx, From(ctx)) },
 		"child-ctx": func() { ChildOf(ctx, "x").End() },
 	}
 	for name, fn := range cases {
@@ -143,7 +143,6 @@ func TestAllocsDisabled(t *testing.T) {
 // handles stays allocation-free; only span creation allocates (bounded).
 func TestAllocsEnabled(t *testing.T) {
 	r := NewRegistry()
-	defer Enable(r)()
 	c := r.Counter("c_total")
 	h := r.Histogram("h_ns")
 	if n := testing.AllocsPerRun(200, func() { c.Inc() }); n != 0 {

@@ -1,5 +1,5 @@
 // Package obshttp serves a running pipeline's live endpoints: net/http/pprof
-// profiles under /debug/pprof/, the active obs registry's Prometheus text
+// profiles under /debug/pprof/, a run's obs registry's Prometheus text
 // exposition under /metrics, the progress tracker's snapshot under /progress,
 // and a live event tail under /events (Server-Sent Events). It lives apart
 // from internal/obs so that the telemetry layer itself — imported by every
@@ -30,13 +30,13 @@ type Server struct {
 	err  error // Serve's exit error, readable after done closes
 }
 
-// Serve binds addr (e.g. ":6060", "localhost:0") and serves the
+// Serve binds addr (e.g. ":6060", "localhost:0") and serves reg's
 // observability endpoints from a background goroutine until Shutdown or
 // Close. It returns the server handle — Addr reports the bound address,
 // useful when addr requested an ephemeral port — or the listen error. The
 // server uses its own mux, so importing this package never mutates
 // http.DefaultServeMux.
-func Serve(addr string) (*Server, error) {
+func Serve(addr string, reg *obs.Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -45,7 +45,7 @@ func Serve(addr string) (*Server, error) {
 		addr: ln.Addr().String(),
 		done: make(chan struct{}),
 		srv: &http.Server{
-			Handler:           Handler(),
+			Handler:           Handler(reg),
 			ReadHeaderTimeout: 10 * time.Second,
 			ReadTimeout:       30 * time.Second,
 			// No WriteTimeout: /events streams for the run's lifetime and
@@ -95,38 +95,40 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Handler returns the observability mux: /debug/pprof/*, /metrics,
+// Handler returns the observability mux over reg: /debug/pprof/*, /metrics,
 // /progress, /events.
-func Handler() http.Handler {
+func Handler(reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/metrics", metrics)
-	mux.HandleFunc("/progress", progress)
-	mux.HandleFunc("/events", events)
+	rt := routes{reg}
+	mux.HandleFunc("/metrics", rt.metrics)
+	mux.HandleFunc("/progress", rt.progress)
+	mux.HandleFunc("/events", rt.events)
 	return mux
 }
 
-// metrics writes the active registry's Prometheus exposition, or 503 when
-// telemetry is disabled (the endpoint exists only if the caller opted in, so
-// a disabled registry here means the run has already torn it down).
-func metrics(w http.ResponseWriter, _ *http.Request) {
-	reg := obs.Active()
-	if reg == nil {
-		http.Error(w, "telemetry disabled: no active registry", http.StatusServiceUnavailable)
+// routes serves one registry's endpoints.
+type routes struct{ reg *obs.Registry }
+
+// metrics writes the registry's Prometheus exposition, or 503 when it is
+// nil.
+func (rt routes) metrics(w http.ResponseWriter, _ *http.Request) {
+	if rt.reg == nil {
+		http.Error(w, "telemetry disabled: no registry", http.StatusServiceUnavailable)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WritePrometheus(w)
+	rt.reg.WritePrometheus(w)
 }
 
 // progress writes the installed tracker's live snapshot as indented JSON, or
 // 503 when no registry/tracker is installed (before a generation run begins).
-func progress(w http.ResponseWriter, _ *http.Request) {
-	tr := obs.Active().Tracker()
+func (rt routes) progress(w http.ResponseWriter, _ *http.Request) {
+	tr := rt.reg.Tracker()
 	if tr == nil {
 		http.Error(w, "no progress tracker: generation has not started", http.StatusServiceUnavailable)
 		return
@@ -138,11 +140,10 @@ func progress(w http.ResponseWriter, _ *http.Request) {
 // events streams the journal as Server-Sent Events: first the ring's
 // retained backlog, then live events as they are emitted, each as one
 // `data: {json}` frame. The stream ends when the client disconnects or the
-// server shuts down. 503 when telemetry is disabled.
-func events(w http.ResponseWriter, r *http.Request) {
-	reg := obs.Active()
-	if reg == nil {
-		http.Error(w, "telemetry disabled: no active registry", http.StatusServiceUnavailable)
+// server shuts down. 503 when the registry is nil.
+func (rt routes) events(w http.ResponseWriter, r *http.Request) {
+	if rt.reg == nil {
+		http.Error(w, "telemetry disabled: no registry", http.StatusServiceUnavailable)
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -158,7 +159,7 @@ func events(w http.ResponseWriter, r *http.Request) {
 	// a long way off, and clients block on the status line until a flush.
 	fl.Flush()
 
-	backlog, ch, cancel := reg.Events().Subscribe(256)
+	backlog, ch, cancel := rt.reg.Events().Subscribe(256)
 	defer cancel()
 	send := func(ev obs.Event) bool {
 		b, err := json.Marshal(ev)

@@ -15,11 +15,11 @@ import (
 )
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler())
-	defer srv.Close()
+	off := httptest.NewServer(Handler(nil))
+	defer off.Close()
 
 	// Disabled: /metrics must answer 503, not lie with an empty exposition.
-	resp, err := http.Get(srv.URL + "/metrics")
+	resp, err := http.Get(off.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	defer obs.Enable(reg)()
+	srv := httptest.NewServer(Handler(reg))
+	defer srv.Close()
 	reg.Counter("live_total").Add(42)
 	resp, err = http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -46,7 +47,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestPprofIndex(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(Handler(nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/pprof/")
 	if err != nil {
@@ -60,7 +61,7 @@ func TestPprofIndex(t *testing.T) {
 }
 
 func TestServeShutdown(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0")
+	srv, err := Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +94,11 @@ func TestServeShutdown(t *testing.T) {
 }
 
 func TestProgressEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler())
-	defer srv.Close()
+	off := httptest.NewServer(Handler(nil))
+	defer off.Close()
 
 	// No registry → 503.
-	resp, err := http.Get(srv.URL + "/progress")
+	resp, err := http.Get(off.URL + "/progress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,8 @@ func TestProgressEndpoint(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	defer obs.Enable(reg)()
+	srv := httptest.NewServer(Handler(reg))
+	defer srv.Close()
 
 	// Registry but no tracker → still 503.
 	resp, err = http.Get(srv.URL + "/progress")
@@ -146,11 +148,9 @@ func TestProgressEndpoint(t *testing.T) {
 }
 
 func TestEventsSSE(t *testing.T) {
-	srv := httptest.NewServer(Handler())
-	defer srv.Close()
-
 	reg := obs.NewRegistry()
-	defer obs.Enable(reg)()
+	srv := httptest.NewServer(Handler(reg))
+	defer srv.Close()
 	j := reg.Events()
 	j.Emit(obs.Event{Type: obs.EventStageStart, Stage: "build"})
 	j.Emit(obs.Event{Type: obs.EventStageFinish, Stage: "build"})

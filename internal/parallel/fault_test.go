@@ -22,7 +22,6 @@ func TestFailFastStopsClaiming(t *testing.T) {
 	const n = 10000
 	boom := errors.New("boom")
 	reg := obs.NewRegistry()
-	defer obs.Enable(reg)()
 	counted := reg.CounterL("parallel_items_total", "stage", "test")
 	failed := make(chan struct{})
 	go func() {
@@ -32,7 +31,7 @@ func TestFailFastStopsClaiming(t *testing.T) {
 		close(failed)
 	}()
 	var executed int64
-	err := ForEachCtx(context.Background(), "test", 4, n, func(i int) error {
+	err := ForEachCtx(obs.WithRegistry(context.Background(), reg), "test", 4, n, func(i int) error {
 		atomic.AddInt64(&executed, 1)
 		if i == 0 {
 			return boom

@@ -81,7 +81,7 @@ func ForEachWorkerCtx(ctx context.Context, stage string, workers, n int, fn func
 	}
 	// Pool telemetry handles, resolved once per pool so the per-item cost is
 	// atomics only. All are nil (no-op, no clock reads) when telemetry is off.
-	reg := obs.Active()
+	reg := obs.From(ctx)
 	itemsC := reg.CounterL("parallel_items_total", "stage", stage)
 	itemH := reg.HistogramL("parallel_item_ns", "stage", stage)
 	busyH := reg.HistogramL("parallel_worker_busy_ns", "stage", stage)

@@ -251,17 +251,6 @@ func (q *AQT) Params() []*Param {
 	return out
 }
 
-// AnnotatedViews returns the views carrying a cardinality constraint.
-func (q *AQT) AnnotatedViews() []*View {
-	var out []*View
-	q.Root.Walk(func(v *View) {
-		if v.Card != CardUnknown {
-			out = append(out, v)
-		}
-	})
-	return out
-}
-
 // Clone deep-copies the template's view tree. Parameters are cloned as well;
 // the returned template owns its Params so that independent generators can
 // instantiate them without interference.

@@ -58,7 +58,8 @@ type RetrySink struct {
 	// concurrent writers.
 	Seed int64
 	// Ctx bounds backoff sleeps (nil = context.Background()); its
-	// cancellation aborts a sleeping retry immediately.
+	// cancellation aborts a sleeping retry immediately. Retries and giveups
+	// are recorded in the registry it carries (obs.From).
 	Ctx context.Context
 	// IsTransient overrides the retry classification (nil = fault.Transient).
 	IsTransient func(error) bool
@@ -103,11 +104,12 @@ func (s *RetrySink) do(stage string, op func() error) error {
 	if isTransient == nil {
 		isTransient = fault.Transient
 	}
+	reg := obs.From(s.ctx())
 	var err error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			obs.Active().Counter("sink_retries_total").Inc()
-			obs.Active().Events().Emit(obs.Event{
+			reg.Counter("sink_retries_total").Inc()
+			reg.Events().Emit(obs.Event{
 				Type: obs.EventSinkRetry, Stage: stage, Count: int64(a), Err: err.Error(),
 			})
 			if serr := s.backoff(a); serr != nil {
@@ -125,8 +127,8 @@ func (s *RetrySink) do(stage string, op func() error) error {
 			return err
 		}
 	}
-	obs.Active().Counter("sink_giveups_total").Inc()
-	obs.Active().Events().Emit(obs.Event{
+	reg.Counter("sink_giveups_total").Inc()
+	reg.Events().Emit(obs.Event{
 		Type: obs.EventSinkGiveup, Stage: stage, Count: int64(attempts), Err: err.Error(),
 	})
 	return fmt.Errorf("storage: %s: giving up after %d attempts: %w", stage, attempts, err)
@@ -153,10 +155,7 @@ func (s *RetrySink) backoff(a int) error {
 		z := splitmix64(uint64(s.Seed) ^ s.retrySeq.Add(1))
 		delay = half + time.Duration(z%uint64(half))
 	}
-	ctx := s.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx := s.ctx()
 	t := time.NewTimer(delay)
 	defer t.Stop()
 	select {
@@ -165,6 +164,14 @@ func (s *RetrySink) backoff(a int) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// ctx is Ctx, or the background context when none is set.
+func (s *RetrySink) ctx() context.Context {
+	if s.Ctx == nil {
+		return context.Background()
+	}
+	return s.Ctx
 }
 
 // splitmix64 is the jitter PRNG finalizer (same construction faultinject

@@ -27,12 +27,12 @@ func TestRetrySinkFlaky(t *testing.T) {
 	for _, stage := range []string{"sink/open", "sink/write", "sink/commit"} {
 		t.Run(stage, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			defer obs.Enable(reg)()
 			in := faultinject.New(faultinject.Rule{Stage: stage, Item: faultinject.AnyItem, Action: faultinject.Flaky, Times: 2})
 			defer faultinject.Activate(in)()
 
 			dir := t.TempDir()
 			sink := fastRetry(&DirSink{Dir: dir})
+			sink.Ctx = obs.WithRegistry(context.Background(), reg)
 			tw, err := sink.OpenTable("tbl")
 			if err != nil {
 				t.Fatalf("OpenTable: %v", err)
@@ -100,11 +100,11 @@ func TestRetrySinkTerminalErrorFailsFast(t *testing.T) {
 
 func TestRetrySinkGivesUp(t *testing.T) {
 	reg := obs.NewRegistry()
-	defer obs.Enable(reg)()
 	cause := fault.MarkTransient(errors.New("still flaky"))
 	fs := &failingSink{err: cause}
 	sink := fastRetry(fs)
 	sink.MaxAttempts = 3
+	sink.Ctx = obs.WithRegistry(context.Background(), reg)
 	_, err := sink.OpenTable("t")
 	if err == nil || !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want wrapped cause", err)

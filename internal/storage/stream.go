@@ -92,11 +92,9 @@ func StreamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet,
 	}
 	enc := newRowEncoder(meta, codecs, n)
 
-	reg := obs.Active()
-	shardH := reg.Histogram("export_shard_ns")
 	// Live counters, advanced per committed shard so mid-table progress is
-	// visible while the table streams (the post-run *_total counters below
-	// stay whole-table, preserving their golden values).
+	// visible while the table streams.
+	reg := obs.From(ctx)
 	liveRows := reg.Counter("export_rows_streamed_total")
 	liveBytes := reg.Counter("export_bytes_streamed_total")
 
@@ -164,7 +162,6 @@ func StreamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet,
 	scratch := make([][][]int64, workers)
 	window := make([][][]int64, workers)
 	err := parallel.ForEachWorkerCtx(cctx, "export/shard", workers, shards, func(wk, i int) error {
-		tm := shardH.Start()
 		lo := int64(i) * shardRows
 		hi := lo + shardRows
 		if hi > n {
@@ -185,7 +182,6 @@ func StreamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet,
 		}
 		bp := bufPool.Get().(*[]byte)
 		*bp = enc.appendRows((*bp)[:0], window[wk], int(hi-lo))
-		tm.Stop()
 		select {
 		case ch <- shard{i, bp}:
 			return nil
@@ -202,8 +198,5 @@ func StreamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet,
 		return stats, err
 	}
 	stats.Rows = n
-	reg.Counter("export_shards_total").Add(int64(shards))
-	reg.Counter("export_rows_total").Add(n)
-	reg.Counter("export_bytes_total").Add(stats.Bytes)
 	return stats, nil
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"github.com/dbhammer/mirage/internal/engine"
-	"github.com/dbhammer/mirage/internal/obs"
 	"github.com/dbhammer/mirage/internal/relalg"
 	"github.com/dbhammer/mirage/internal/rewrite"
 	"github.com/dbhammer/mirage/internal/storage"
@@ -35,7 +34,8 @@ func New(db *storage.DB) (*Annotator, error) {
 	return &Annotator{eng: eng}, nil
 }
 
-// Engine exposes the underlying engine (shared with other pipeline stages).
+// Engine exposes the underlying engine, so whoever runs the annotator can
+// route its telemetry (engine.Engine.SetRegistry).
 func (a *Annotator) Engine() *engine.Engine { return a.eng }
 
 // AnnotateAQT counts the template with its original parameter values
@@ -65,18 +65,9 @@ func (a *Annotator) AnnotateForest(f *rewrite.Forest) error {
 }
 
 func (a *Annotator) annotate(q *relalg.AQT, memo *engine.CountMemo) error {
-	reg := obs.Active()
-	tm := reg.Histogram("trace_annotate_ns").Start()
 	res, err := a.eng.Count(q, true, memo)
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
-	}
-	tm.Stop()
-	reg.Counter("trace_templates_total").Inc()
-	if reg != nil {
-		views := 0
-		q.Root.Walk(func(*relalg.View) { views++ })
-		reg.Counter("trace_views_total").Add(int64(views))
 	}
 	var annotate func(v *relalg.View) error
 	annotate = func(v *relalg.View) error {

@@ -110,17 +110,19 @@ func WorkloadParallelCtx(ctx context.Context, db *storage.DB, templates []*relal
 	if workers < 1 {
 		workers = 1
 	}
+	reg := obs.From(ctx)
 	engines := make([]*engine.Engine, workers)
 	for w := range engines {
 		eng, err := engine.New(db)
 		if err != nil {
 			return nil, err
 		}
+		eng.SetRegistry(reg)
 		engines[w] = eng
 	}
 	reports := make([]Report, len(templates))
-	queriesC := obs.Active().Counter("validate_queries_total")
-	latencyH := obs.Active().Histogram("validate_query_ns")
+	queriesC := reg.Counter("validate_queries_total")
+	latencyH := reg.Histogram("validate_query_ns")
 	if err := parallel.ForEachWorkerCtx(ctx, "validate", workers, len(templates), func(w, i int) error {
 		var sp *obs.Span
 		if parent := obs.FromContext(ctx); parent != nil {

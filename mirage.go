@@ -113,9 +113,10 @@ func BuildProblem(original *storage.DB, w *Workload) (*Problem, error) {
 // *StageError naming the lowest failing template index instead of crashing
 // the process.
 func BuildProblemCtx(ctx context.Context, original *storage.DB, w *Workload) (*Problem, error) {
-	span := obs.Active().StartSpan("build")
+	reg := obs.From(ctx)
+	span := reg.StartSpan("build")
 	defer span.End()
-	events := obs.Active().Events()
+	events := reg.Events()
 	events.Emit(obs.Event{Type: obs.EventStageStart, Stage: "build"})
 	defer events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: "build"})
 	workers := min(parallel.Workers(0), len(w.Templates))
@@ -125,11 +126,13 @@ func BuildProblemCtx(ctx context.Context, original *storage.DB, w *Workload) (*P
 		if err != nil {
 			return nil, fmt.Errorf("mirage: %w", err)
 		}
+		ann.Engine().SetRegistry(reg)
 		anns[i] = ann
 	}
 	rw := rewrite.New(w.Schema)
 	forests := make([]*rewrite.Forest, len(w.Templates))
 	annSpan := span.Child("annotate")
+	annotated := reg.Counter("trace_templates_total")
 	err := parallel.ForEachWorkerCtx(ctx, "build/template", workers, len(w.Templates), func(worker, qi int) error {
 		q := w.Templates[qi]
 		var tSpan *obs.Span
@@ -149,6 +152,7 @@ func BuildProblemCtx(ctx context.Context, original *storage.DB, w *Workload) (*P
 			return fmt.Errorf("annotate forest %s: %w", q.Name, err)
 		}
 		forests[qi] = f
+		annotated.Inc()
 		return nil
 	})
 	annSpan.End()
@@ -175,10 +179,10 @@ type Result struct {
 	// NonKey and Key report the generators' stage timings (Figs. 15-16).
 	NonKey nonkey.Stats
 	Key    keygen.Stats
-	// Degradations lists every graceful-degradation event generation took
-	// instead of failing: join constraints resized to achievable values
+	// Degradations lists every graceful-degradation event key generation
+	// took instead of failing: join constraints resized to achievable values
 	// (Section 6) and local-search restarts. An empty list means the run
-	// needed no fallback at all.
+	// needed no fallback at all. It is Key.Degradations.
 	Degradations []Degradation
 	// Total is the end-to-end generation wall time.
 	Total time.Duration
@@ -196,19 +200,9 @@ type Result struct {
 	dropped bool
 }
 
-// Degradation is one entry of Result.Degradations.
-type Degradation struct {
-	// Stage is the pipeline stage that degraded (currently "keygen").
-	Stage string
-	// Unit locates the event (an FK unit such as "lineitem.l_orderkey").
-	Unit string
-	// Kind is the fallback taken: "resize" (constraints clamped to their
-	// achievable range) or "restarts" (x-system local-search restarts
-	// beyond the first attempt).
-	Kind string
-	// Count is the number of occurrences within the unit.
-	Count int
-}
+// Degradation is one entry of Result.Degradations: an FK unit, the
+// fallback it took and how often.
+type Degradation = keygen.Degradation
 
 // StageError is the typed error the pipeline produces when a stage or
 // worker fails — including recovered panics, which carry the goroutine
@@ -245,13 +239,13 @@ func GenerateCtx(ctx context.Context, p *Problem, opts Options) (*Result, error)
 func generate(ctx context.Context, p *Problem, opts Options, sc *StreamConfig) (*Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
-	span := obs.Active().StartSpan("generate")
+	reg := obs.From(ctx)
+	span := reg.StartSpan("generate")
 	defer span.End()
-	events := obs.Active().Events()
-	installTracker(p)
+	events := reg.Events()
+	installTracker(reg, p)
 	events.Emit(obs.Event{Type: obs.EventStageStart, Stage: "generate"})
 	defer events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: "generate"})
-	obs.Active().Gauge("generate_parallelism").Set(int64(opts.Parallelism))
 	db := storage.NewDB(p.Workload.Schema)
 	res := &Result{DB: db, Problem: p, parallelism: opts.Parallelism, Streamed: sc != nil,
 		dropped: sc != nil && !sc.RetainForValidate}
@@ -278,7 +272,7 @@ func generate(ctx context.Context, p *Problem, opts Options, sc *StreamConfig) (
 		err := fault.Guard(full, func() error { return run(obs.ContextWith(ctx, sp)) })
 		sp.End()
 		events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: full})
-		sampleHeap()
+		sampleHeap(reg)
 		return err
 	}
 
@@ -344,21 +338,19 @@ func generate(ctx context.Context, p *Problem, opts Options, sc *StreamConfig) (
 	if err != nil {
 		return nil, fmt.Errorf("mirage: %w", err)
 	}
-	for _, d := range res.Key.Degradations {
-		res.Degradations = append(res.Degradations, Degradation{Stage: "keygen", Unit: d.Unit, Kind: d.Kind, Count: d.Count})
-	}
+	res.Degradations = res.Key.Degradations
 
 	res.Total = time.Since(start)
-	obs.Active().Counter("generate_rows_total").Add(int64(db.TotalRows()))
+	reg.Counter("generate_rows_total").Add(int64(db.TotalRows()))
 	return res, nil
 }
 
 // sampleHeap records the pipeline's heap high-water mark at stage
 // boundaries — only when telemetry is enabled, so disabled runs never pay
 // the ReadMemStats stop-the-world.
-func sampleHeap() {
-	if obs.Active() != nil {
-		obs.SampleHeap()
+func sampleHeap(reg *obs.Registry) {
+	if reg != nil {
+		obs.SampleHeap(reg)
 	}
 }
 
@@ -366,8 +358,7 @@ func sampleHeap() {
 // schema's planned table shapes (no-op when telemetry is disabled). The
 // tracker feeds the /progress endpoint; SetTracker retires any tracker a
 // previous run under the same registry installed.
-func installTracker(p *Problem) {
-	reg := obs.Active()
+func installTracker(reg *obs.Registry, p *Problem) {
 	if reg == nil {
 		return
 	}
@@ -406,9 +397,10 @@ func ValidateCtx(ctx context.Context, res *Result) ([]validate.Report, error) {
 	if res.dropped {
 		return nil, errors.New("mirage: validate: the streamed run kept only keygen's columns; set StreamConfig.RetainForValidate to validate it")
 	}
-	span := obs.Active().StartSpan("validate")
+	reg := obs.From(ctx)
+	span := reg.StartSpan("validate")
 	defer span.End()
-	events := obs.Active().Events()
+	events := reg.Events()
 	events.Emit(obs.Event{Type: obs.EventStageStart, Stage: "validate"})
 	defer events.Emit(obs.Event{Type: obs.EventStageFinish, Stage: "validate"})
 	return validate.WorkloadParallelCtx(obs.ContextWith(ctx, span), res.DB, res.Problem.Workload.Templates, parallel.Workers(res.parallelism))

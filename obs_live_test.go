@@ -53,12 +53,12 @@ func buildSSBProblem(t *testing.T, sf float64) *Problem {
 
 func TestLiveObservabilityStreamedSSB(t *testing.T) {
 	reg := obs.NewRegistry()
-	defer obs.Enable(reg)()
+	ctx := obs.WithRegistry(context.Background(), reg)
 
 	var jsonl bytes.Buffer
 	reg.Events().TeeTo(&jsonl)
 
-	srv, err := obshttp.Serve("127.0.0.1:0")
+	srv, err := obshttp.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestLiveObservabilityStreamedSSB(t *testing.T) {
 		}
 	}()
 
-	stop := obs.StartSampler(20 * time.Millisecond)
+	stop := obs.StartSampler(reg, 20*time.Millisecond)
 	defer stop()
 
 	prob := buildSSBProblem(t, 0.2)
@@ -107,7 +107,7 @@ func TestLiveObservabilityStreamedSSB(t *testing.T) {
 	if err := manifest.Save(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := GenerateStreamCtx(context.Background(), prob, opts, StreamConfig{
+	res, err := GenerateStreamCtx(ctx, prob, opts, StreamConfig{
 		Sink: &storage.DirSink{Dir: dir}, Manifest: manifest,
 	})
 	if err != nil {
@@ -238,14 +238,15 @@ func TestObservabilityByteNeutral(t *testing.T) {
 		prob := buildSSBProblem(t, 0.1)
 		dir := t.TempDir()
 		opts := Options{Seed: 11, Parallelism: 2}
+		ctx := context.Background()
 		if telemetry {
 			reg := obs.NewRegistry()
-			defer obs.Enable(reg)()
-			defer obs.StartSampler(10 * time.Millisecond)()
+			ctx = obs.WithRegistry(ctx, reg)
+			defer obs.StartSampler(reg, 10*time.Millisecond)()
 			reg.Events().TeeTo(&bytes.Buffer{})
 		}
 		manifest := storage.NewManifest(dir, RunFingerprint(prob, opts))
-		res, err := GenerateStreamCtx(context.Background(), prob, opts, StreamConfig{
+		res, err := GenerateStreamCtx(ctx, prob, opts, StreamConfig{
 			Sink: &storage.DirSink{Dir: dir}, Manifest: manifest,
 		})
 		if err != nil {

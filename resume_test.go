@@ -7,6 +7,7 @@ package mirage
 // don't match.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -423,16 +424,16 @@ func TestStreamedHashOnlyUnderManifest(t *testing.T) {
 func TestStreamedFlakySinkRetries(t *testing.T) {
 	want := goldenCSVs(t, "ssb", 0.2)
 	reg := obs.NewRegistry()
-	defer obs.Enable(reg)()
+	ctx := obs.WithRegistry(context.Background(), reg)
 	in := faultinject.New(faultinject.Rule{Stage: "sink/write", Item: faultinject.AnyItem, Action: faultinject.Flaky, Times: 2})
 	defer faultinject.Activate(in)()
 
 	dir := t.TempDir()
 	sink := &storage.RetrySink{
-		Sink: &storage.DirSink{Dir: dir}, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Seed: 3,
+		Sink: &storage.DirSink{Dir: dir}, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Seed: 3, Ctx: ctx,
 	}
 	prob := streamProblem(t, "ssb", 0.2)
-	res, err := GenerateStream(prob, Options{Seed: 3}, StreamConfig{Sink: sink, ShardRows: 500})
+	res, err := GenerateStreamCtx(ctx, prob, Options{Seed: 3}, StreamConfig{Sink: sink, ShardRows: 500})
 	if err != nil {
 		t.Fatalf("flaky-sink run failed despite retries: %v", err)
 	}

@@ -201,8 +201,8 @@ func startExporter(ctx context.Context, cancel context.CancelFunc, span *obs.Spa
 		ch:   make(chan string, len(db.Tables)),
 		done: make(chan struct{}),
 	}
-	skipped := obs.Active().Counter("resume_tables_skipped_total")
-	events := obs.Active().Events()
+	reg := obs.From(ctx)
+	events := reg.Events()
 	events.Emit(obs.Event{Type: obs.EventStageStart, Stage: "generate/export"})
 	go func() {
 		defer close(exp.done)
@@ -216,7 +216,6 @@ func startExporter(ctx context.Context, cancel context.CancelFunc, span *obs.Spa
 				// caller verified size + content hash before resuming);
 				// re-exporting it would only burn I/O to produce the same
 				// bytes. The span records the skip for the run trace.
-				skipped.Inc()
 				if span != nil {
 					span.Child("export:" + name + " (resume-skip)").End()
 				}
@@ -258,7 +257,7 @@ func startExporter(ctx context.Context, cancel context.CancelFunc, span *obs.Spa
 				err = sc.Manifest.MarkCommitted(name, sinkTableFile(sc.Sink, name), st.Rows, st.Bytes, sum.Sum64())
 			}
 			tSpan.End()
-			sampleHeap()
+			sampleHeap(reg)
 			if err != nil {
 				events.Emit(obs.Event{Type: obs.EventExportError, Table: name, Err: err.Error()})
 				exp.err = fmt.Errorf("table %s: %w", name, err)

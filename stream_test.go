@@ -6,6 +6,7 @@ package mirage
 // leaving torn or temporary files behind.
 
 import (
+	"context"
 	"errors"
 	"hash/fnv"
 	"io/fs"
@@ -26,12 +27,12 @@ import (
 // single-use: generation instantiates the workload's parameters).
 func streamProblem(t *testing.T, name string, sf float64) *Problem {
 	t.Helper()
-	return streamProblemWithout(t, name, sf, "")
+	return streamProblemWithout(context.Background(), t, name, sf, "")
 }
 
 // streamProblemWithout is streamProblem minus the templates whose name
-// starts with prefix ("" drops none).
-func streamProblemWithout(t *testing.T, name string, sf float64, prefix string) *Problem {
+// starts with prefix ("" drops none), built under ctx.
+func streamProblemWithout(ctx context.Context, t *testing.T, name string, sf float64, prefix string) *Problem {
 	t.Helper()
 	spec, err := workload.ByName(name)
 	if err != nil {
@@ -51,7 +52,7 @@ func streamProblemWithout(t *testing.T, name string, sf float64, prefix string) 
 			return strings.HasPrefix(q.Name, prefix)
 		})
 	}
-	prob, err := BuildProblem(original, w)
+	prob, err := BuildProblemCtx(ctx, original, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,7 +253,7 @@ func TestWindowedFaultNoTornSpills(t *testing.T) {
 // templates with a selection on the fact table.
 func ssbWithoutQ1(t *testing.T, sf float64) *Problem {
 	t.Helper()
-	prob := streamProblemWithout(t, "ssb", sf, "ssb_q1_")
+	prob := streamProblemWithout(context.Background(), t, "ssb", sf, "ssb_q1_")
 	for _, q := range prob.Workload.Templates {
 		q.Root.Walk(func(v *relalg.View) {
 			if leaf, selects, ok := relalg.SelectChain(v); ok && leaf.Table == "lineorder" && len(selects) > 0 {

@@ -1,6 +1,7 @@
 package mirage
 
 import (
+	"context"
 	"testing"
 
 	"github.com/dbhammer/mirage/internal/obs"
@@ -158,14 +159,13 @@ func TestRowSetsNeverMaterialized(t *testing.T) {
 		for _, streamed := range []bool{false, true} {
 			prob := streamProblem(t, wl.name, wl.sf)
 			reg := obs.NewRegistry()
-			disable := obs.Enable(reg)
+			ctx := obs.WithRegistry(context.Background(), reg)
 			var err error
 			if streamed {
-				_, err = GenerateStream(prob, Options{Seed: 3}, StreamConfig{Sink: &storage.CountSink{}})
+				_, err = GenerateStreamCtx(ctx, prob, Options{Seed: 3}, StreamConfig{Sink: &storage.CountSink{}})
 			} else {
-				_, err = Generate(prob, Options{Seed: 3})
+				_, err = GenerateCtx(ctx, prob, Options{Seed: 3})
 			}
-			disable()
 			if err != nil {
 				t.Fatalf("%s streamed=%v: %v", wl.name, streamed, err)
 			}
@@ -202,9 +202,7 @@ func TestAnnotationsCounted(t *testing.T) {
 		evaluated int64
 	}{{"ssb", 0.2, 0}, {"tpch", 0.5, 12}, {"tpcds", 0.05, 0}} {
 		reg := obs.NewRegistry()
-		disable := obs.Enable(reg)
-		streamProblem(t, wl.name, wl.sf)
-		disable()
+		streamProblemWithout(obs.WithRegistry(context.Background(), reg), t, wl.name, wl.sf, "")
 		c := reg.Snapshot().Counters
 		if n := c["engine_count_materialized_total"]; n != wl.evaluated {
 			t.Errorf("%s: %d annotated trees were evaluated, want %d", wl.name, n, wl.evaluated)
