@@ -35,15 +35,14 @@
 //
 // Metric naming: snake_case bases, `_total` suffix for counters, `_ns`
 // suffix for duration histograms. Labels ride in the key in Prometheus form,
-// built by Label: `parallel_items_total{stage="keygen/wave"}`. Exporters
-// prefix everything with `mirage_`.
+// built by CounterL/HistogramL: `parallel_items_total{stage="keygen/wave"}`.
+// Exporters prefix everything with `mirage_`.
 package obs
 
 import (
 	"context"
 	"math/bits"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,29 +120,11 @@ func From(ctx context.Context) *Registry {
 // sinceNS is the registry's monotone clock: nanoseconds since NewRegistry.
 func (r *Registry) sinceNS() int64 { return int64(time.Since(r.start)) }
 
-// Label formats a metric key with label pairs in Prometheus form:
-// Label("x_total", "kind", "resize") == `x_total{kind="resize"}`. Pairs are
-// emitted in the given order; callers keep one canonical order per metric.
-// It allocates, so build labeled keys at stage setup, not per item.
-func Label(name string, kv ...string) string {
-	if len(kv) == 0 {
-		return name
-	}
-	var b strings.Builder
-	b.Grow(len(name) + 16)
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i := 0; i+1 < len(kv); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(kv[i])
-		b.WriteString(`="`)
-		b.WriteString(kv[i+1])
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
+// label formats a metric key with one label pair in Prometheus form:
+// label("x_total", "kind", "resize") == `x_total{kind="resize"}`. It
+// allocates, so build labeled keys at stage setup, not per item.
+func label(name, key, val string) string {
+	return name + "{" + key + `="` + val + `"}`
 }
 
 // Counter returns the named monotone counter, creating it on first use.
@@ -167,7 +148,7 @@ func (r *Registry) CounterL(name, key, val string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.Counter(Label(name, key, val))
+	return r.Counter(label(name, key, val))
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -205,7 +186,7 @@ func (r *Registry) HistogramL(name, key, val string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.Histogram(Label(name, key, val))
+	return r.Histogram(label(name, key, val))
 }
 
 // Counter is a monotone int64 counter. The zero value is ready; a nil

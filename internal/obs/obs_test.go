@@ -58,13 +58,13 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestLabel(t *testing.T) {
-	if got := Label("x_total"); got != "x_total" {
-		t.Fatalf("unlabeled = %q", got)
+	want := `x_total{kind="resize"}`
+	if got := label("x_total", "kind", "resize"); got != want {
+		t.Fatalf("label = %q, want %q", got, want)
 	}
-	got := Label("x_total", "kind", "resize", "stage", "keygen")
-	want := `x_total{kind="resize",stage="keygen"}`
-	if got != want {
-		t.Fatalf("Label = %q, want %q", got, want)
+	r := NewRegistry()
+	if r.CounterL("x_total", "kind", "resize") != r.Counter(want) {
+		t.Fatal("CounterL must key its counter by the labeled name")
 	}
 }
 

@@ -180,9 +180,9 @@ const promPrefix = "mirage_"
 
 // WritePrometheus writes every counter, gauge and histogram in Prometheus
 // text exposition format (spans are a trace, not a metric, and are JSON-only).
-// Keys built by Label are already in Prometheus label form, so a key like
-// `keygen_degradations_total{kind="resize"}` exports verbatim under the
-// mirage_ prefix. Output order is deterministic: metric families sorted by
+// Labeled keys (CounterL, HistogramL) are already in Prometheus label form,
+// so a key like `parallel_items_total{stage="keygen/wave"}` exports verbatim
+// under the mirage_ prefix. Output order is deterministic: metric families sorted by
 // name, series sorted by key.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	rep := r.Snapshot()
