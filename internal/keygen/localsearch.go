@@ -38,6 +38,12 @@ type xTarget struct {
 // loop polls ctx, so a deadline or cancellation lands between (or inside)
 // attempts; only context interruption yields a non-nil error.
 func (kg *kgModel) solveXLocal(ctx context.Context, cfg Config) (x []int64, residual []int64, attempts int, err error) {
+	return kg.solveX(ctx, cfg, (*repairState).repair)
+}
+
+// solveX is solveXLocal with the repair loop as a parameter, so a test can
+// run the same attempts, restarts and warm starts around another loop.
+func (kg *kgModel) solveX(ctx context.Context, cfg Config, repair func(*repairState, context.Context) int64) (x []int64, residual []int64, attempts int, err error) {
 	targets := make([]xTarget, len(kg.joins))
 	for k := range kg.joins {
 		switch {
@@ -63,7 +69,7 @@ func (kg *kgModel) solveXLocal(ctx context.Context, cfg Config) (x []int64, resi
 		} else {
 			st.warmStart(bestX)
 		}
-		errSum := st.repair(ctx)
+		errSum := repair(st, ctx)
 		if errSum < bestErr {
 			bestErr = errSum
 			copy(bestX, st.x)
@@ -115,6 +121,10 @@ type repairState struct {
 	bestXBuf    []int64
 	plateau     [16]xMove
 	plateauN    int
+
+	// frozenExits counts the attempts repair ended because no move was
+	// left (see frozen).
+	frozenExits int
 }
 
 // xMove is one candidate transfer between two cells of a T partition.
@@ -262,16 +272,6 @@ func (st *repairState) errAt(k int, inSum, capIn int64) int64 {
 	return d
 }
 
-// totalErr recomputes the aggregate error from the per-join sums; the hot
-// path reads st.curErr instead.
-func (st *repairState) totalErr() int64 {
-	var e int64
-	for k := range st.kg.joins {
-		e += st.errAt(k, st.inSum[k], st.capIn[k])
-	}
-	return e
-}
-
 // apply moves amt rows of one T partition from one cell to another,
 // updating the join sums incrementally.
 func (st *repairState) apply(from, to int, amt int64) {
@@ -324,16 +324,26 @@ func (st *repairState) moveGain(from, to int, amt int64) int64 {
 	return gain
 }
 
+// frozenIdle is the run of consecutive no-move iterations after which repair
+// asks frozen whether any move is left. Asking after every no-move iteration
+// costs more than it saves on units that wander a plateau: there most idle
+// runs are short coin flips against a zero-gain move, and each check scans
+// the full neighbourhood of every violated join.
+const frozenIdle = 32
+
 // repair runs the min-conflicts loop and returns the final total error. It
 // polls ctx every 1024 iterations and stops early on interruption (the best
-// assignment so far is kept; the caller re-checks ctx and propagates).
+// assignment so far is kept; the caller re-checks ctx and propagates). It
+// also stops once the state is frozen, which returns exactly what running
+// on to the stale or iteration limit would: a frozen state never changes
+// again, so neither do best and bestX.
 func (st *repairState) repair(ctx context.Context) int64 {
 	nCells := len(st.kg.cells)
 	cur := st.curErr
 	best := cur
 	bestX := st.bestXBuf
 	copy(bestX, st.x)
-	stale := 0
+	stale, idle := 0, 0
 	maxIters := 40*nCells + 40000
 	if maxIters > 400_000 {
 		maxIters = 400_000
@@ -349,8 +359,15 @@ func (st *repairState) repair(ctx context.Context) int64 {
 		from, to, amt := st.pickMove(k)
 		if from < 0 {
 			stale++
+			// The state is the same all through an idle run, so one
+			// check per run answers for all of it.
+			if idle++; idle == frozenIdle && st.frozen() {
+				st.frozenExits++
+				break
+			}
 			continue
 		}
+		idle = 0
 		st.apply(from, to, amt)
 		cur = st.curErr
 		if cur < best {
@@ -389,27 +406,118 @@ func (st *repairState) pickViolated() int {
 	return worst
 }
 
-// pickMove enumerates candidate (from, to, amt) transfers within the join's
-// T partitions — in/out pairs for sum repair and in-to-in pairs for capacity
-// repair — scoring each with moveGain (no state mutation, no allocation).
+// moveRule is what join k's move set depends on besides x: the join's bit,
+// its signed deficit (need), that deficit's size (want) and its unmet
+// distinct capacity (capNeed).
+type moveRule struct {
+	kb                  uint64
+	need, want, capNeed int64
+}
+
+// ruleFor reads join k's moveRule off the current state.
+func (st *repairState) ruleFor(k int) moveRule {
+	r := moveRule{kb: uint64(1) << uint(k), need: st.deficit(k), capNeed: st.capDeficit(k)}
+	r.want = r.need
+	if r.want < 0 {
+		r.want = -r.want
+	}
+	return r
+}
+
+// movesFrom calls try for every candidate transfer that repairs r's join from
+// cell from to another of cells (one T partition's cells, or pickMove's
+// sample of them): in/out pairs for sum repair and in-to-in pairs for
+// capacity repair. It is the one definition of the move set; pickMove offers
+// it a sample and frozen all of it.
 //
-// Enumeration is aggressively pruned: sum-repair pairs are tried only in the
-// repairing direction (a shortfall fills the in-side, an excess drains it —
-// the reverse direction can only help through other joins and is plateau
-// fuel at best), the scan stops once the join's own error is fully
-// repairable by the best move found, and a fixed gain-evaluation budget
-// bounds each call — min-conflicts needs a good move, not the best one, and
-// the full cross product made pickMove the dominant keygen cost.
+// Sum-repair pairs are tried only in the repairing direction (a shortfall
+// fills the in-side, an excess drains it — the reverse direction can only
+// help through other joins and is plateau fuel at best), each with two
+// amounts: the whole deficit (as far as the cell holds it) and one row.
+func (st *repairState) movesFrom(r moveRule, from int, cells []int, try func(from, to int, amt int64)) {
+	offer := func(to int, amt int64) {
+		if amt > 0 && amt <= st.x[from] {
+			try(from, to, amt)
+		}
+	}
+	fromIn := st.cellMask[from]&r.kb != 0
+	for _, to := range cells {
+		if to == from {
+			continue
+		}
+		toIn := st.cellMask[to]&r.kb != 0
+		switch {
+		case fromIn != toIn:
+			if r.want == 0 {
+				continue
+			}
+			// Direction pruning: only move toward the deficit.
+			if (r.need > 0) == fromIn {
+				continue
+			}
+			offer(to, minI64(r.want, st.x[from]))
+			offer(to, 1)
+		case fromIn && toIn && r.capNeed > 0:
+			// Capacity repair: drain a supply-saturated cell into
+			// one with spare supply.
+			spare := st.cellCap[to] - st.x[to]
+			if spare <= 0 || st.x[from] <= st.cellCap[from] {
+				continue
+			}
+			amt := minI64(st.x[from]-st.cellCap[from], spare)
+			offer(to, minI64(amt, r.capNeed))
+		}
+	}
+}
+
+// frozen reports whether no move is left: no candidate of movesFrom, over
+// every T partition and every cell pair of every violated join, has gain
+// ≥ 0. pickMove returns only a sampled candidate with gain > 0 or a
+// zero-gain plateau move, so from a frozen state every later pickMove
+// returns none, whatever it samples, and the state cannot change again. The
+// rng draws the rest of the attempt would have made are skipped, which is
+// harmless: solveX re-seeds st.rng for each attempt.
+func (st *repairState) frozen() bool {
+	open := false
+	try := func(from, to int, amt int64) {
+		if st.moveGain(from, to, amt) >= 0 {
+			open = true
+		}
+	}
+	for k, e := range st.errByJoin {
+		if e == 0 {
+			continue
+		}
+		r := st.ruleFor(k)
+		for j, tp := range st.kg.tParts {
+			if !bit(tp, k) {
+				continue
+			}
+			cells := st.kg.byT[j]
+			for _, from := range cells {
+				if st.movesFrom(r, from, cells, try); open {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// pickMove samples join k's move set (movesFrom) and scores each candidate
+// with moveGain (no state mutation, no allocation).
+//
+// Sampling is aggressively pruned: the scan stops once the join's own error
+// is fully repairable by the best move found, and a fixed gain-evaluation
+// budget bounds each call — min-conflicts needs a good move, not the best
+// one, and the full cross product made pickMove the dominant keygen cost.
 func (st *repairState) pickMove(k int) (int, int, int64) {
-	kb := uint64(1) << uint(k)
+	r := st.ruleFor(k)
 	bestFrom, bestTo, bestAmt := -1, -1, int64(0)
 	bestGain := int64(0)
 	evals := 0
 	st.plateauN = 0 // zero-gain moves: random-walk fuel
 	tryMove := func(from, to int, amt int64) {
-		if amt <= 0 || amt > st.x[from] {
-			return
-		}
 		evals++
 		gain := st.moveGain(from, to, amt)
 		if gain == 0 && st.plateauN < len(st.plateau) {
@@ -419,12 +527,6 @@ func (st *repairState) pickMove(k int) (int, int, int64) {
 		if gain > bestGain || (gain == bestGain && bestFrom >= 0 && st.rng.Intn(4) == 0) {
 			bestFrom, bestTo, bestAmt, bestGain = from, to, amt, gain
 		}
-	}
-	need := st.deficit(k)
-	capNeed := st.capDeficit(k)
-	want := need
-	if want < 0 {
-		want = -want
 	}
 	// Large units (hundreds of partitions) would make full enumeration
 	// quadratic; sample partitions and cells instead — min-conflicts only
@@ -455,40 +557,13 @@ scan:
 			if st.x[from] == 0 {
 				continue
 			}
-			if bestGain >= want+capNeed && bestGain > 0 {
+			if bestGain >= r.want+r.capNeed && bestGain > 0 {
 				break scan // the join's own error is fully repairable
 			}
 			if evals >= evalBudget && (bestGain > 0 || st.plateauN > 0) {
 				break scan
 			}
-			fromIn := st.cellMask[from]&kb != 0
-			for _, to := range cells {
-				if to == from {
-					continue
-				}
-				toIn := st.cellMask[to]&kb != 0
-				switch {
-				case fromIn != toIn:
-					if want == 0 {
-						continue
-					}
-					// Direction pruning: only move toward the deficit.
-					if (need > 0) == fromIn {
-						continue
-					}
-					tryMove(from, to, minI64(want, st.x[from]))
-					tryMove(from, to, 1)
-				case fromIn && toIn && capNeed > 0:
-					// Capacity repair: drain a supply-saturated cell into
-					// one with spare supply.
-					spare := st.cellCap[to] - st.x[to]
-					if spare <= 0 || st.x[from] <= st.cellCap[from] {
-						continue
-					}
-					amt := minI64(st.x[from]-st.cellCap[from], spare)
-					tryMove(from, to, minI64(amt, capNeed))
-				}
-			}
+			st.movesFrom(r, from, cells, tryMove)
 		}
 	}
 	if bestGain <= 0 {
