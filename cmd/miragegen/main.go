@@ -48,7 +48,6 @@ func main() {
 		stream     = flag.Bool("stream", false, "out-of-core mode: stream CSVs to -out while generating, retaining only keygen's working set in memory (same bytes as the in-memory path)")
 		shardRows  = flag.Int64("shard-rows", 0, "export shard size in rows for -stream (0 = default 64k; byte-neutral)")
 		windowRows = flag.Int64("window-rows", 0, "keygen evaluation window in rows for -stream (0 = default 64Ki, positive = rows per window; byte-neutral)")
-		spillDir   = flag.String("spill-dir", "", "directory for windowed row-set spill files (-stream only; default: a temp dir removed on exit)")
 		gzip       = flag.Bool("gzip", false, "gzip the streamed CSVs (-stream only; writes .csv.gz)")
 		noValidate = flag.Bool("no-validate", false, "skip workload validation after a -stream run (drops the validation columns from memory too)")
 		resume     = flag.Bool("resume", false, "resume an interrupted -stream run from the manifest in -out: committed tables are verified (size + content hash) and skipped, the rest re-exported; refuses on a fingerprint mismatch")
@@ -64,7 +63,7 @@ func main() {
 		var streamOnly []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "resume", "gzip", "shard-rows", "window-rows", "spill-dir", "no-validate", "sink-retries", "retry-base":
+			case "resume", "gzip", "shard-rows", "window-rows", "no-validate", "sink-retries", "retry-base":
 				streamOnly = append(streamOnly, "-"+f.Name)
 			}
 		})
@@ -130,8 +129,7 @@ func main() {
 	opts := mirage.Options{Seed: *seed, SampleSize: *sample, Parallelism: *par}
 	so := streamOpts{
 		enabled: *stream, shardRows: *shardRows, gzip: *gzip, noValidate: *noValidate,
-		windowRows: *windowRows, spillDir: *spillDir,
-		resume: *resume, retries: *retries, retryBase: *retryBase,
+		windowRows: *windowRows, resume: *resume, retries: *retries, retryBase: *retryBase,
 	}
 	err := run(ctx, *name, *sf, opts, *out, so)
 	// The report and trace are written even after a failed run: a truncated
@@ -185,7 +183,6 @@ type streamOpts struct {
 	gzip       bool
 	noValidate bool
 	windowRows int64
-	spillDir   string
 	resume     bool
 	retries    int
 	retryBase  time.Duration
@@ -265,7 +262,7 @@ func run(ctx context.Context, name string, sf float64, opts mirage.Options, out 
 		}
 		sc := mirage.StreamConfig{
 			Sink: sink, ShardRows: so.shardRows, RetainForValidate: !so.noValidate,
-			WindowRows: so.windowRows, SpillDir: so.spillDir, Manifest: manifest,
+			WindowRows: so.windowRows, Manifest: manifest,
 		}
 		res, err = mirage.GenerateStreamCtx(ctx, prob, opts, sc)
 		if err != nil {

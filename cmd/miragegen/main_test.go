@@ -31,7 +31,6 @@ func TestStreamOnlyFlagsNeedStream(t *testing.T) {
 		{"-gzip", []string{"-gzip"}},
 		{"-shard-rows", []string{"-shard-rows", "1000"}},
 		{"-window-rows", []string{"-window-rows", "1000"}},
-		{"-spill-dir", []string{"-spill-dir", "spill"}},
 		{"-no-validate", []string{"-no-validate"}},
 		{"-sink-retries", []string{"-sink-retries", "2"}},
 		{"-retry-base", []string{"-retry-base", "1ms"}},

@@ -65,7 +65,6 @@ func BenchmarkCollectRowsUnit(b *testing.B) {
 		rows = 0
 		for _, s := range sets {
 			rows += int64(s.Len())
-			s.Release()
 		}
 	}
 	b.ReportMetric(float64(len(reqs)), "requests")

@@ -1,15 +1,29 @@
 package engine
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // bitset is a fixed-size dense bit vector. The executor uses it wherever the
 // row-at-a-time engine used bool-valued hash maps over dense domains —
 // matched PK values and left tuples in joins, distinct projection values,
-// distinct row indices in CollectRows — turning per-row map operations into
-// single word ops.
+// row sets (RowSet) — turning per-row map operations into single word ops.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// fullBitset returns a bitset over n positions with every one of them set.
+func fullBitset(n int) bitset {
+	b := newBitset(n)
+	for i := range b {
+		b[i] = ^uint64(0)
+	}
+	if r := n & 63; r != 0 {
+		b[len(b)-1] = 1<<uint(r) - 1
+	}
+	return b
+}
 
 func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
@@ -28,12 +42,29 @@ func (b bitset) count() int {
 // bits with auxiliary per-bit state (the join's matched-bucket walk).
 func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 
-// appendSet appends the set bit positions to dst in ascending order.
-func (b bitset) appendSet(dst []int32) []int32 {
-	for wi, w := range b {
-		base := int32(wi << 6)
+// appendRange appends the set bit positions in [lo, hi) to dst in ascending
+// order. A word with every bit set is written as a run of 64 positions
+// instead of being scanned bit by bit.
+func (b bitset) appendRange(dst []int32, lo, hi int) []int32 {
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		base := wi << 6
+		w := b[wi]
+		if base < lo {
+			w &^= 1<<uint(lo-base) - 1
+		}
+		if hi-base < 64 {
+			w &= 1<<uint(hi-base) - 1
+		}
+		if w == ^uint64(0) {
+			n := len(dst)
+			dst = slices.Grow(dst, 64)[:n+64]
+			for j := range dst[n:] {
+				dst[n+j] = int32(base + j)
+			}
+			continue
+		}
 		for w != 0 {
-			dst = append(dst, base+int32(bits.TrailingZeros64(w)))
+			dst = append(dst, int32(base+bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}

@@ -69,8 +69,8 @@ type Engine struct {
 	// sources regenerate the ones storage cannot derive).
 	win *windowState
 	// width is how many goroutines one CollectRowSetsCtx call may evaluate
-	// windows and reduction blocks on (SetWidth); Count and Execute always
-	// use one.
+	// the windows of table passes and reductions on (SetWidth); Count and
+	// Execute always use one.
 	width int
 }
 
@@ -129,9 +129,8 @@ func New(db *storage.DB) (*Engine, error) {
 		}
 	}
 	// A classic engine's table passes read materialized columns in place, at
-	// the default window, and never spill.
-	win := newWindowState(WindowConfig{SpillRows: -1})
-	return &Engine{db: db, owner: owner, win: win, width: 1}, nil
+	// the default window.
+	return &Engine{db: db, owner: owner, win: newWindowState(WindowConfig{}), width: 1}, nil
 }
 
 // SetRegistry routes the engine's telemetry into reg; nil (the default)
@@ -142,11 +141,11 @@ func (e *Engine) SetRegistry(reg *obs.Registry) {
 	e.win.m = newWindowMetrics(reg)
 }
 
-// SetWidth lets CollectRowSetsCtx evaluate up to n windows (and semi-join
-// reduction blocks) at once, each on its own goroutine with its own scratch;
-// n <= 1 evaluates one at a time. The returned row sets, their order and the
-// recorded stats are the same at every width. The engine itself still
-// belongs to one goroutine.
+// SetWidth lets CollectRowSetsCtx evaluate up to n windows (of table passes
+// and of semi-join reductions) at once, each on its own goroutine with its
+// own scratch; n <= 1 evaluates one at a time. The returned row sets, their
+// order and the recorded stats are the same at every width. The engine
+// itself still belongs to one goroutine.
 func (e *Engine) SetWidth(n int) { e.width = max(1, n) }
 
 // DB returns the underlying database.
@@ -403,7 +402,7 @@ func (e *Engine) domainBound(table, col string) int64 {
 
 // distinctValues counts the distinct non-null column values of the (possibly
 // padded) row-index slice. Values in [1, bound] — the generators' entire
-// output range — are tracked in a bitset; anything else spills to a map.
+// output range — are tracked in a bitset; anything else overflows into a map.
 func (e *Engine) distinctValues(col []int64, idx []int32, bound int64) int64 {
 	var seen bitset
 	if bound > 0 {

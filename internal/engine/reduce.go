@@ -8,9 +8,9 @@ package engine
 // passes its own chain and, across every join on the way, references (or is
 // referenced by) a surviving row of the other side. The restrictions travel
 // down the tree as row tests — a bitset over a PK domain each — and the
-// answer is the requested table's chain rows, already ascending and
-// distinct, filtered by the tests that reached it. No Relation, no CSR
-// index, no output tuple is materialized. See DESIGN.md §7.
+// answer is the requested table's chain rows filtered by the tests that
+// reached it, a bitset like every row set. No Relation, no CSR index, no
+// output tuple is materialized. See DESIGN.md §7.
 
 import (
 	"fmt"
@@ -99,36 +99,21 @@ type reduction struct {
 	sc scanRun
 }
 
-// reduceRowSet answers one reducible request. The survivors accumulate in the
-// engine's staging buffer — spilling past the engine's threshold like any
-// other row set — and are sealed exact-size.
+// reduceRowSet answers one reducible request: the survivors are set straight
+// into the answer's bitset.
 func (e *Engine) reduceRowSet(rq RowSetRequest, chains map[*relalg.View]*sharedChain, res *Result) (*RowSet, error) {
-	win := e.win
-	acc := &rowAccum{win: win, limit: win.spillAt, staged: true}
+	out := &RowSet{}
 	if t, ok := e.db.Tables[rq.Table]; ok {
-		acc.mem = win.stageFor(t.Rows())
+		out.bits = newBitset(t.Rows())
 	}
 	r := &reduction{e: e, chains: chains, res: res, tests: make(map[string][]rowTest)}
-	if err := r.reduce(rq.View, rq.Table, acc.add); err != nil {
-		acc.abort()
+	if err := r.reduce(rq.View, rq.Table, out.add); err != nil {
 		return nil, fmt.Errorf("engine: collect rows of %s: %w", rq.Table, err)
 	}
-	return acc.finish()
+	return out, nil
 }
 
-// stageFor returns the staging buffer, emptied, with room for a row set of at
-// most n rows — or for as much of one as stays in memory before it spills.
-func (w *windowState) stageFor(n int) []int32 {
-	if w.spillAt >= 0 {
-		n = min(n, max(w.spillAt, spillFlushRows)+w.rows)
-	}
-	if cap(w.stage) < n {
-		w.stage = make([]int32, n)
-	}
-	return w.stage[:0]
-}
-
-// reduce hands sink, block by ascending block, the rows of table that appear
+// reduce hands sink, window by ascending window, the rows of table that appear
 // in v's output among the tuples satisfying every test pushed down so far.
 // By induction on v: an output tuple of Join(L, R) is a tuple l of L and a
 // tuple r of R whose foreign key names l's PK row, and the tests of L's
@@ -152,15 +137,11 @@ func (r *reduction) reduce(v *relalg.View, table string, sink func([]int32) erro
 				return err
 			}
 			e.observeChain(leaf, &chainScan{}, t.Rows(), r.res)
-			return r.scan(&RowSet{n: t.Rows(), dense: true}, r.tests[table], sink)
+			return r.scan(fullRowSet(t.Rows()), t.Rows(), r.tests[table], sink)
 		}
 		c := r.chains[v]
 		e.observeChain(leaf, &c.chainScan, c.tRows, r.res)
-		err := r.scan(c.inner, r.tests[table], sink)
-		if c.innerRefs--; c.innerRefs == 0 {
-			c.inner.Release()
-		}
-		return err
+		return r.scan(c.set, c.tRows, r.tests[table], sink)
 	}
 
 	spec, left, right := v.Join, v.Inputs[0], v.Inputs[1]
@@ -218,45 +199,39 @@ func (r *reduction) reduce(v *relalg.View, table string, sink func([]int32) erro
 	return fmt.Errorf("table %s not in view output %v", table, append(lt, rt...))
 }
 
-// scan streams src through tests into sink a window's worth of candidate rows
-// at a time. Each block is one gated, panic-contained window: wi counts the
-// blocks, which over a bare leaf are exactly the table's windows. Blocks are
-// gated and claimed sequentially (a spilled source is read from its file
-// there), staged and filtered in rounds of up to the engine's width — each
-// worker into its own buffers — and handed to sink in order.
-func (r *reduction) scan(src *RowSet, tests []rowTest, sink func([]int32) error) error {
-	e := r.e
-	sc := &r.sc
-	*sc = scanRun{r: r, rd: src.reader(e.win.rows), tests: tests, sink: sink}
-	defer sc.rd.close()
-	n := sc.rd.blocks()
-	if n == 0 {
+// scan streams src, a set over a table of tRows rows, through tests into sink
+// one window of the table at a time: the windows of a table pass, each gated
+// and panic-contained, so a failure names the window a pass would. Windows
+// are gated sequentially, staged from src and filtered in rounds of up to the
+// engine's width — each worker into its own buffers — and handed to sink in
+// order. An empty source has no rows to offer and is not scanned.
+func (r *reduction) scan(src *RowSet, tRows int, tests []rowTest, sink func([]int32) error) error {
+	if src.Len() == 0 {
 		return nil
 	}
-	sc.ws = e.win.workers(max(1, min(e.width, n)), sc.rd.size)
+	e := r.e
+	effW := max(1, min(e.win.rows, tRows))
+	n := (tRows + effW - 1) / effW
+	sc := &r.sc
+	*sc = scanRun{r: r, src: src.bits, effW: effW, tRows: tRows, tests: tests, sink: sink}
+	sc.ws = e.win.workers(max(1, min(e.width, n)), effW)
 	return rounds(n, len(sc.ws), sc)
 }
 
-// scanRun is one scan's pass over its source's blocks.
+// scanRun is one scan's pass over its source's windows.
 type scanRun struct {
-	r     *reduction
-	rd    rowReader
-	tests []rowTest
-	sink  func([]int32) error
-	ws    []*winScratch
+	r           *reduction
+	src         bitset
+	effW, tRows int
+	tests       []rowTest
+	sink        func([]int32) error
+	ws          []*winScratch
 }
 
-func (sc *scanRun) load(k, wi int) (err error) {
-	if err := sc.r.e.win.gate(wi); err != nil {
-		return err
-	}
-	s := sc.ws[k]
-	s.blk, err = sc.rd.next(s.rowBuf)
-	return err
-}
+func (sc *scanRun) load(_, wi int) error { return sc.r.e.win.gate(wi) }
 
-// run stages worker k's block and filters it through the tests, leaving the
-// survivors in its rows.
+// run stages window wi's rows of the source into worker k's row buffer and
+// filters them through the tests, leaving the survivors in its rows.
 func (sc *scanRun) run(k, wi int) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -264,7 +239,8 @@ func (sc *scanRun) run(k, wi int) (err error) {
 		}
 	}()
 	s, win := sc.ws[k], sc.r.e.win
-	s.rows = s.blk.stage(s.rowBuf)
+	lo := wi * sc.effW
+	s.rows = sc.src.appendRange(s.rowBuf[:0], lo, min(lo+sc.effW, sc.tRows))
 	win.m.windows.Inc()
 	for _, t := range sc.tests {
 		if s.rows = t.filter(s.outBuf, s.rows); len(s.rows) == 0 {

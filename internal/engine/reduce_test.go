@@ -224,7 +224,7 @@ func joinDepth(v *relalg.View) int {
 
 // reductionEngines builds the engines the oracle tests compare: a classic one
 // over the fully materialized database, and windowed ones — keys in storage,
-// everything else regenerated — at windows 1 / 3 / 2^20 × spill 1 / off.
+// everything else regenerated — at windows 1 / 3 / 2^20.
 func reductionEngines(t *testing.T, rs *randSchema) map[string]*Engine {
 	t.Helper()
 	engines := make(map[string]*Engine)
@@ -235,15 +235,12 @@ func reductionEngines(t *testing.T, rs *randSchema) map[string]*Engine {
 	}
 	engines["classic"] = classic
 	for _, rows := range []int64{1, 3, 1 << 20} {
-		for _, spill := range []int{1, -1} {
-			db, sources := rs.db(false)
-			eng, err := NewWindowed(db, WindowConfig{Rows: rows, Sources: sources, SpillDir: t.TempDir(), SpillRows: spill})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { eng.Close() })
-			engines[fmt.Sprintf("window=%d spill=%d", rows, spill)] = eng
+		db, sources := rs.db(false)
+		eng, err := NewWindowed(db, WindowConfig{Rows: rows, Sources: sources})
+		if err != nil {
+			t.Fatal(err)
 		}
+		engines[fmt.Sprintf("window=%d", rows)] = eng
 	}
 	return engines
 }
@@ -283,9 +280,6 @@ func checkAgainstOracle(t *testing.T, name string, oracle *Engine, engines map[s
 				t.Errorf("%s on %s: selection %s counted %d, Execute %d", name, ename, n.Pred, res.Stats[n].Card, wantStats.Stats[n].Card)
 			}
 		})
-		if len(eng.win.spills) != 0 {
-			t.Errorf("%s on %s: spill files outlive their released sets: %v", name, ename, eng.win.spills)
-		}
 	}
 }
 
@@ -375,11 +369,86 @@ func TestNonReducibleShapesFallBack(t *testing.T) {
 			if got := collectSet(t, sets[0]); !slices.Equal(got, want) {
 				t.Errorf("%s windowed=%v: rows %v, CollectRows says %v", tc.name, windowed, got, want)
 			}
-			sets[1].Release()
 			if n := reg.Snapshot().Counters["engine_rowset_materialized_total"]; n != 1 {
 				t.Errorf("%s windowed=%v: engine_rowset_materialized_total = %d, want 1", tc.name, windowed, n)
 			}
-			eng.Close()
+		}
+	}
+}
+
+// TestReductionSparseSourceMatchesCollectRows reduces a join over a
+// thousand-row FK table whose chain keeps a sparse set of rows around a run
+// of whole bitset words, at windows that do (64) and do not (100) end on a
+// word, one row wide and past the table, on one goroutine and three: both
+// tables' row sets must be what CollectRows says.
+func TestReductionSparseSourceMatchesCollectRows(t *testing.T) {
+	const nP, nF = 50, 1000
+	schema := &relalg.Schema{Tables: []*relalg.Table{
+		{Name: "p", Rows: nP, Columns: []relalg.Column{
+			{Name: "p_pk", Kind: relalg.PrimaryKey},
+			{Name: "p1", Kind: relalg.NonKey, DomainSize: 2},
+		}},
+		{Name: "f", Rows: nF, Columns: []relalg.Column{
+			{Name: "f_pk", Kind: relalg.PrimaryKey},
+			{Name: "f_fk", Kind: relalg.ForeignKey, Refs: "p"},
+			{Name: "f1", Kind: relalg.NonKey, DomainSize: 2},
+		}},
+	}}
+	p1, fk, f1 := make([]int64, nP), make([]int64, nF), make([]int64, nF)
+	for r := range p1 {
+		p1[r] = int64(1 + r%2)
+	}
+	for r := range fk {
+		fk[r] = int64(r*7%nP + 1)
+		if r%11 == 0 {
+			fk[r] = storage.Null
+		}
+		f1[r] = 2
+		if (r >= 128 && r < 320) || r%37 == 0 {
+			f1[r] = 1 // rows 128..319 fill three whole words
+		}
+	}
+	classicDB := storage.NewDB(schema)
+	classicDB.Table("p").SetCol("p1", p1)
+	classicDB.Table("f").SetCol("f_fk", fk)
+	classicDB.Table("f").SetCol("f1", f1)
+	oracle, err := New(classicDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := join(relalg.EquiJoin, "p", sel(leaf("p"), unary("p1", relalg.OpLe, pv("a", 1))),
+		sel(leaf("f"), unary("f1", relalg.OpLe, pv("b", 1))), "f", "f_fk")
+	reqs := []RowSetRequest{{View: v, Table: "f"}, {View: v, Table: "p"}}
+	var want [][]int32
+	for _, rq := range reqs {
+		rows, err := oracle.CollectRows(rq.View, rq.Table, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rows)
+	}
+	if f := want[0]; len(f) < 64 || len(f) > nF/4 || f[0] > 100 || f[len(f)-1] < 900 {
+		t.Fatalf("the reduced FK set is %v: not a sparse set spanning the table", f)
+	}
+	src := &mapSource{cols: map[string][]int64{"p1": p1, "f1": f1}}
+	for _, rows := range []int64{1, 64, 100, 1 << 20} {
+		for _, width := range []int{1, 3} {
+			db := storage.NewDB(schema)
+			db.Table("f").SetCol("f_fk", fk)
+			eng, err := NewWindowed(db, WindowConfig{Rows: rows, Sources: map[string]ChunkSource{"p": src, "f": src}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.SetWidth(width)
+			sets, err := eng.CollectRowSetsCtx(context.Background(), reqs, false)
+			if err != nil {
+				t.Fatalf("window=%d width=%d: %v", rows, width, err)
+			}
+			for i, set := range sets {
+				if got := collectSet(t, set); !slices.Equal(got, want[i]) {
+					t.Errorf("window=%d width=%d: rows of %s = %v, CollectRows says %v", rows, width, reqs[i].Table, got, want[i])
+				}
+			}
 		}
 	}
 }

@@ -19,10 +19,16 @@ import (
 // by window passes and semi-join reduction and comes here only for view
 // shapes it cannot reduce.
 func (e *Engine) CollectRows(root *relalg.View, table string, orig bool) ([]int32, error) {
-	return e.collectRows(root, table, orig, &Result{Stats: make(map[*relalg.View]Stats)})
+	s, err := e.collectRows(root, table, orig, &Result{Stats: make(map[*relalg.View]Stats)})
+	if err != nil || s.n == 0 {
+		return nil, err
+	}
+	return s.bits.appendRange(make([]int32, 0, s.n), 0, 64*len(s.bits)), nil
 }
 
-func (e *Engine) collectRows(root *relalg.View, table string, orig bool, res *Result) ([]int32, error) {
+// collectRows is CollectRows answering with a RowSet, recording every
+// evaluated view's cardinality in res.
+func (e *Engine) collectRows(root *relalg.View, table string, orig bool, res *Result) (*RowSet, error) {
 	rel, err := e.eval(root, orig, res)
 	if err != nil {
 		return nil, fmt.Errorf("engine: collect rows of %s: %w", table, err)
@@ -32,17 +38,12 @@ func (e *Engine) collectRows(root *relalg.View, table string, orig bool, res *Re
 		return nil, fmt.Errorf("engine: table %s not in view output %v", table, rel.Tables())
 	}
 	seen := newBitset(e.db.Table(table).Rows())
-	n := 0
 	for _, ri := range rel.cols[ti] {
-		if ri >= 0 && !seen.test(int(ri)) {
+		if ri >= 0 {
 			seen.set(int(ri))
-			n++
 		}
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	return seen.appendSet(make([]int32, 0, n)), nil
+	return &RowSet{bits: seen, n: seen.count()}, nil
 }
 
 // CollectRowSetsCtx returns, for all the row sets one consumer needs — every
@@ -50,27 +51,16 @@ func (e *Engine) collectRows(root *relalg.View, table string, orig bool, res *Re
 // building the views. The requests are answered together, the same way on
 // every engine: each base table is scanned once, window by window, for all
 // the selection chains over it in any of the views; a view that is such a
-// chain over the requested table streams straight into its RowSet; a view
+// chain over the requested table is answered by the chain's bitset; a view
 // that joins chains by equi-joins, no table twice, is answered by semi-join
 // reduction over the scans' results (reduce.go); and only a view outside that
 // class — none of the built-in workloads produces one, and
 // engine_rowset_materialized_total counts them — is evaluated as CollectRows
-// does. A windowed engine regenerates the columns storage does not hold and
-// spills large sets to disk; a classic engine reads its stored columns in
-// place, derives a primary key a predicate names, and keeps every set in
-// memory. ctx is polled at every window boundary, so cancellation lands
-// mid-evaluation. The sets come back in request order and
-// the caller must Release each one once its rows are consumed; on error
-// nothing is left to release.
+// does. A windowed engine regenerates the columns storage does not hold; a
+// classic engine reads its stored columns in place and derives a primary key
+// a predicate names. ctx is polled at every window boundary, so cancellation
+// lands mid-evaluation. The sets come back in request order; requests that
+// are the same chain share one set, and no set may be written.
 func (e *Engine) CollectRowSetsCtx(ctx context.Context, reqs []RowSetRequest, orig bool) ([]*RowSet, error) {
 	return e.collectRowSets(ctx, reqs, orig, &Result{Stats: make(map[*relalg.View]Stats)})
-}
-
-// CollectRowSetCtx is the one-request case of CollectRowSetsCtx.
-func (e *Engine) CollectRowSetCtx(ctx context.Context, root *relalg.View, table string, orig bool) (*RowSet, error) {
-	sets, err := e.CollectRowSetsCtx(ctx, []RowSetRequest{{View: root, Table: table}}, orig)
-	if err != nil {
-		return nil, err
-	}
-	return sets[0], nil
 }

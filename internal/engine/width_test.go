@@ -1,11 +1,11 @@
 package engine
 
 // Tests of wide row-set collection (SetWidth): a CollectRowSetsCtx call whose
-// windows and reduction blocks run on several goroutines must return the row
+// pass and reduction windows run on several goroutines must return the row
 // sets and record the Stats the one-goroutine call does, and must report a
 // failing window — injected fault, panic or cancellation — exactly as that
 // call would: a StageError carrying the lowest failing window's index, no
-// window past it started, no torn spill file.
+// window past it started.
 
 import (
 	"context"
@@ -13,9 +13,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"os"
 	"slices"
-	"strings"
 	"testing"
 
 	"github.com/dbhammer/mirage/internal/fault"
@@ -28,12 +26,12 @@ import (
 
 // TestCollectRowSetsWidthInvariant draws random schemas, random join trees
 // over them, a chain and a bare leaf, and collects every table of every view
-// in one call at widths 1–4 on a classic engine and on windowed ones with and
-// without spilling, at a random window size: sets from table passes, from
-// reductions over dense (bare leaf), in-memory and spilled sources must be
-// equal at every width, and so must every recorded Stats entry.
+// in one call at widths 1–4 on a classic engine and on a windowed one, at a
+// random window size: sets from table passes and from reductions over full
+// (bare leaf) and chain sources must be equal at every width, and so must
+// every recorded Stats entry.
 func TestCollectRowSetsWidthInvariant(t *testing.T) {
-	wide, spilled := 0, 0
+	wide := 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rs := newRandSchema(rng)
@@ -49,7 +47,7 @@ func TestCollectRowSetsWidthInvariant(t *testing.T) {
 			RowSetRequest{View: rs.randChain(rng, i), Table: tableName(i)},
 			RowSetRequest{View: leaf(tableName(i)), Table: tableName(i)})
 		rows := 1 + rng.Intn(12)
-		for _, kind := range []string{"classic", "windowed", "windowed spill=1"} {
+		for _, kind := range []string{"classic", "windowed"} {
 			var want [][]int32
 			var wantStats map[*relalg.View]Stats
 			for width := 1; width <= 4; width++ {
@@ -63,11 +61,7 @@ func TestCollectRowSetsWidthInvariant(t *testing.T) {
 					}
 				} else {
 					db, sources := rs.db(false)
-					spill := -1
-					if strings.HasSuffix(kind, "spill=1") {
-						spill = 1
-					}
-					eng, err = NewWindowed(db, WindowConfig{Rows: int64(rows), Sources: sources, SpillDir: t.TempDir(), SpillRows: spill})
+					eng, err = NewWindowed(db, WindowConfig{Rows: int64(rows), Sources: sources})
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -80,16 +74,10 @@ func TestCollectRowSetsWidthInvariant(t *testing.T) {
 				}
 				got := make([][]int32, len(sets))
 				for k, set := range sets {
-					if set.path != "" {
-						spilled++
-					}
 					if set.Len() > rows {
 						wide++
 					}
 					got[k] = collectSet(t, set)
-				}
-				if err := eng.Close(); err != nil {
-					t.Fatal(err)
 				}
 				if width == 1 {
 					want, wantStats = got, res.Stats
@@ -106,15 +94,15 @@ func TestCollectRowSetsWidthInvariant(t *testing.T) {
 			}
 		}
 	}
-	if wide == 0 || spilled == 0 {
-		t.Fatalf("%d sets span several windows, %d spilled: the draw exercises neither", wide, spilled)
+	if wide == 0 {
+		t.Fatal("no set spans several windows: the draw does not exercise wide passes")
 	}
 }
 
 // wideEngine returns an engine over the paper database evaluating 1-row
 // windows two at a time — t's pass is eight windows, four rounds — and the
 // chunk source serving t1 (nil on a classic engine).
-func wideEngine(t *testing.T, classic bool, dir string) (*Engine, *mapSource) {
+func wideEngine(t *testing.T, classic bool) (*Engine, *mapSource) {
 	t.Helper()
 	var eng *Engine
 	var src *mapSource
@@ -126,7 +114,7 @@ func wideEngine(t *testing.T, classic bool, dir string) (*Engine, *mapSource) {
 	} else {
 		var db *storage.DB
 		db, src = windowedPaperDB()
-		eng, err = NewWindowed(db, WindowConfig{Rows: 1, Sources: map[string]ChunkSource{"t": src}, SpillDir: dir, SpillRows: 1})
+		eng, err = NewWindowed(db, WindowConfig{Rows: 1, Sources: map[string]ChunkSource{"t": src}})
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -136,20 +124,12 @@ func wideEngine(t *testing.T, classic bool, dir string) (*Engine, *mapSource) {
 }
 
 // checkWindowError requires err to be a WindowStage StageError at item wi
-// with cause in its chain, and dir and the engine's ledger free of spill
-// files.
-func checkWindowError(t *testing.T, name string, eng *Engine, dir string, err error, wi int, cause error) {
+// with cause in its chain.
+func checkWindowError(t *testing.T, name string, err error, wi int, cause error) {
 	t.Helper()
 	var se *fault.StageError
 	if !errors.As(err, &se) || se.Stage != WindowStage || se.Item != wi || !errors.Is(err, cause) {
 		t.Fatalf("%s: err = %v, want StageError{%s, %d} caused by %v", name, err, WindowStage, wi, cause)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 || len(eng.win.spills) != 0 {
-		t.Fatalf("%s: torn spill files left behind: %v / %v", name, ents, eng.win.spills)
 	}
 }
 
@@ -162,37 +142,30 @@ func TestWideWindowFault(t *testing.T) {
 		for _, action := range []faultinject.Action{faultinject.Error, faultinject.Panic} {
 			for wi := 0; wi < 8; wi++ {
 				name := fmt.Sprintf("classic=%v %v at window %d", classic, action, wi)
-				dir := t.TempDir()
-				eng, _ := wideEngine(t, classic, dir)
+				eng, _ := wideEngine(t, classic)
 				deactivate := faultinject.Activate(faultinject.New(faultinject.Rule{Stage: WindowStage, Item: wi, Action: action}))
-				_, err := eng.CollectRowSetCtx(context.Background(), selChainT(1, -1), "t", false)
+				_, err := collectRowSet(context.Background(), eng, selChainT(1, -1), "t")
 				deactivate()
-				checkWindowError(t, name, eng, dir, err, wi, faultinject.ErrInjected)
-				if err := eng.Close(); err != nil {
-					t.Fatal(err)
-				}
+				checkWindowError(t, name, err, wi, faultinject.ErrInjected)
 			}
 		}
 
 		// Windows 2 and 3 share a round and both are armed: the lower is
 		// reported.
-		dir := t.TempDir()
-		eng, _ := wideEngine(t, classic, dir)
+		eng, _ := wideEngine(t, classic)
 		deactivate := faultinject.Activate(faultinject.New(
 			faultinject.Rule{Stage: WindowStage, Item: 3, Action: faultinject.Panic},
 			faultinject.Rule{Stage: WindowStage, Item: 2, Action: faultinject.Error}))
-		_, err := eng.CollectRowSetCtx(context.Background(), selChainT(1, -1), "t", false)
+		_, err := collectRowSet(context.Background(), eng, selChainT(1, -1), "t")
 		deactivate()
-		checkWindowError(t, fmt.Sprintf("classic=%v two faults in one round", classic), eng, dir, err, 2, faultinject.ErrInjected)
-		eng.Close()
+		checkWindowError(t, fmt.Sprintf("classic=%v two faults in one round", classic), err, 2, faultinject.ErrInjected)
 	}
 
 	// A reduction: s fits one 4-row window, so item 1 first occurs in the
 	// reduction of t's rows, in the same round as its window 0.
 	for _, action := range []faultinject.Action{faultinject.Error, faultinject.Panic} {
-		dir := t.TempDir()
 		db, _ := windowedPaperDB()
-		eng, err := NewWindowed(db, WindowConfig{Rows: 4, SpillDir: dir, SpillRows: 1})
+		eng, err := NewWindowed(db, WindowConfig{Rows: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,27 +176,24 @@ func TestWideWindowFault(t *testing.T) {
 			Join:   &relalg.JoinSpec{PKTable: "s", FKTable: "t", FKCol: "t_fk", Type: relalg.EquiJoin},
 			Inputs: []*relalg.View{selS, {Kind: relalg.LeafView, Table: "t"}}}
 		deactivate := faultinject.Activate(faultinject.New(faultinject.Rule{Stage: WindowStage, Item: 1, Action: action}))
-		_, err = eng.CollectRowSetCtx(context.Background(), join, "t", false)
+		_, err = collectRowSet(context.Background(), eng, join, "t")
 		deactivate()
-		checkWindowError(t, fmt.Sprintf("reduction %v", action), eng, dir, err, 1, faultinject.ErrInjected)
-		eng.Close()
+		checkWindowError(t, fmt.Sprintf("reduction %v", action), err, 1, faultinject.ErrInjected)
 	}
 
 	// Cancellation at window 2 fails that window before its round starts:
 	// windows 0 and 1 ran, nothing from 2 on did.
 	reg := obs.NewRegistry()
-	dir := t.TempDir()
-	eng, src := wideEngine(t, false, dir)
-	defer eng.Close()
+	eng, src := wideEngine(t, false)
 	eng.SetRegistry(reg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	in := faultinject.New(faultinject.Rule{Stage: WindowStage, Item: 2, Action: faultinject.Cancel})
 	in.BindCancel(cancel)
 	deactivate := faultinject.Activate(in)
-	_, err := eng.CollectRowSetCtx(ctx, selChainT(1, -1), "t", false)
+	_, err := collectRowSet(ctx, eng, selChainT(1, -1), "t")
 	deactivate()
-	checkWindowError(t, "cancel at window 2", eng, dir, err, 2, context.Canceled)
+	checkWindowError(t, "cancel at window 2", err, 2, context.Canceled)
 	if n := reg.Snapshot().Counters["engine_windows_total"]; n != 2 {
 		t.Fatalf("cancel at window 2: %d windows evaluated, want windows 0 and 1", n)
 	}
@@ -232,72 +202,85 @@ func TestWideWindowFault(t *testing.T) {
 	}
 }
 
-// TestOrMasks folds dense, in-memory, spilled and empty row sets into masks
-// that span several chunks (the last one partial) at widths 1–4 and compares
-// with a row-by-row fold.
+// TestOrMasks folds row sets made of all-ones, partial and empty words — the
+// whole table, a prefix ending inside a word and a chunk, random sets of
+// several densities and an empty one — over a table whose row count is no
+// multiple of 64 and spans several chunks, at widths 1–4, and compares with a
+// row-by-row fold.
 func TestOrMasks(t *testing.T) {
 	n := 3*maskChunkRows + 123
 	rng := rand.New(rand.NewSource(7))
-	draw := func(p float64) []int32 {
-		var rows []int32
+	prefix := newBitset(n)
+	for r := 0; r < maskChunkRows+5; r++ {
+		prefix.set(r)
+	}
+	sets := []*RowSet{fullRowSet(n), {bits: prefix, n: maskChunkRows + 5}}
+	for _, p := range []float64{0.3, 0.001, 0.9, 0.999, 0} {
+		b := newBitset(n)
 		for r := 0; r < n; r++ {
 			if rng.Float64() < p {
-				rows = append(rows, int32(r))
+				b.set(r)
 			}
 		}
-		return rows
+		sets = append(sets, &RowSet{bits: b, n: b.count()})
 	}
-	win := newWindowState(WindowConfig{SpillDir: t.TempDir(), SpillRows: 1})
-	spilled := func(rows []int32) *RowSet {
-		acc := &rowAccum{win: win, limit: win.spillAt}
-		if err := acc.add(rows); err != nil {
-			t.Fatal(err)
-		}
-		s, err := acc.finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.path == "" {
-			t.Fatal("set did not spill")
-		}
-		return s
-	}
-	memRows := [][]int32{draw(0.3), draw(0.001), draw(0.9)}
-	spillRows := draw(0.5)
+	bits := make([]uint64, len(sets))
 	want := make([]uint64, n)
-	for r := 0; r < n; r++ {
-		want[r] |= 1 // the whole table, dense
-		if r < maskChunkRows+5 {
-			want[r] |= 2 // a dense prefix ending inside a chunk
+	for k, s := range sets {
+		bits[k] = 1 << uint(3*k)
+		for r := 0; r < n; r++ {
+			if s.bits.test(r) {
+				want[r] |= bits[k]
+			}
 		}
 	}
-	for k, rows := range append(memRows, spillRows) {
-		for _, r := range rows {
-			want[r] |= 4 << uint(k)
+	full := 0
+	for _, w := range sets[5].bits {
+		if w == ^uint64(0) {
+			full++
 		}
+	}
+	if full == 0 {
+		t.Fatal("the densest random set has no all-ones word")
 	}
 	for width := 1; width <= 4; width++ {
-		sets := []*RowSet{{n: n, dense: true}, {n: maskChunkRows + 5, dense: true}}
-		bits := []uint64{1, 2}
-		for k, rows := range memRows {
-			sets = append(sets, &RowSet{mem: rows, n: len(rows)})
-			bits = append(bits, 4<<uint(k))
-		}
-		sets = append(sets, spilled(spillRows), &RowSet{})
-		bits = append(bits, 4<<uint(len(memRows)), 1<<40)
 		got := make([]uint64, n)
-		if err := OrMasks(got, sets, bits, width); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			for r := range want {
-				if got[r] != want[r] {
-					t.Fatalf("width %d: mask of row %d = %#b, want %#b", width, r, got[r], want[r])
-				}
+		OrMasks(got, sets, bits, width)
+		for r := range want {
+			if got[r] != want[r] {
+				t.Fatalf("width %d: mask of row %d = %#b, want %#b", width, r, got[r], want[r])
 			}
 		}
-		for _, s := range sets {
-			s.Release()
+	}
+}
+
+// TestBitsetAppendRange lists random ranges of sets with all-ones, partial
+// and empty words and compares with a bit-by-bit walk.
+func TestBitsetAppendRange(t *testing.T) {
+	const n = 1000
+	rng := rand.New(rand.NewSource(3))
+	for _, p := range []float64{0, 0.05, 0.5, 0.99, 1} {
+		b := newBitset(n)
+		for r := 0; r < n; r++ {
+			if rng.Float64() < p {
+				b.set(r)
+			}
 		}
+		for i := 0; i < 200; i++ {
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo+1)
+			var want []int32
+			for r := lo; r < hi; r++ {
+				if b.test(r) {
+					want = append(want, int32(r))
+				}
+			}
+			if got := b.appendRange(nil, lo, hi); !slices.Equal(got, want) {
+				t.Fatalf("p=%v [%d,%d): %v, want %v", p, lo, hi, got, want)
+			}
+		}
+	}
+	if got := fullBitset(n).count(); got != n {
+		t.Fatalf("fullBitset(%d) has %d bits set", n, got)
 	}
 }

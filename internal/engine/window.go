@@ -6,22 +6,17 @@ package engine
 // column that is materialized in storage is bound whole and read in place
 // through the window's row indices, any other is regenerated chunk by chunk
 // through the table's ChunkSource (the same regeneration path
-// storage.RowSource.Fill uses for export), and only the surviving row
-// indices accumulate — spilling to disk past a threshold on a windowed
-// engine. A classic engine (New) has every non-key and foreign-key column
-// stored, so its passes copy nothing but a primary key a predicate names
-// (storage derives it) and never spill; a windowed engine (NewWindowed) lets
+// storage.RowSource.Fill uses for export), and only the surviving rows are
+// kept, as one bit each. A classic engine (New) has every non-key and
+// foreign-key column stored, so its passes copy nothing but a primary key a
+// predicate names (storage derives it); a windowed engine (NewWindowed) lets
 // the streaming pipeline retain only keygen's working set. The produced row
 // sets, relations, and statistics are identical to full-column evaluation;
 // only residency changes. See DESIGN.md §12.
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -37,10 +32,6 @@ import (
 // per-window fill and bind overhead is amortized, small enough that one
 // window of every referenced column is a few megabytes.
 const DefaultWindowRows = 64 * 1024
-
-// DefaultSpillRows is the row-set size above which a collected view output
-// spills to disk (4 MB of int32 per set at the default).
-const DefaultSpillRows = 1 << 20
 
 // WindowStage is the stage name per-window failures (context cancellation,
 // injected faults, contained panics) are reported under; the StageError's
@@ -64,32 +55,23 @@ type WindowConfig struct {
 	// in storage. Materialized columns are read from storage directly and
 	// never consult the source.
 	Sources map[string]ChunkSource
-	// SpillDir is where large row sets spill ("" = a private temp directory
-	// created lazily and removed by Close).
-	SpillDir string
-	// SpillRows is the spill threshold in rows (0 = DefaultSpillRows;
-	// negative disables spilling).
-	SpillRows int
 }
 
 // windowMetrics are the obs handles of the windowed path; nil handles (obs
 // disabled) make every recording a no-op.
 type windowMetrics struct {
-	windows    *obs.Counter
-	spillFiles *obs.Counter
-	spillBytes *obs.Counter
-	fallbacks  *obs.Counter
-	events     *obs.Journal
+	windows   *obs.Counter
+	fallbacks *obs.Counter
+	events    *obs.Journal
 }
 
-// windowState is the per-engine table-pass state: configuration, the window
-// scratch of every worker a pass may run on, and the ledger of outstanding
-// spill files. The engine's goroutine owns it; a pass's workers touch only
-// their own winScratch (and the atomic metrics).
+// windowState is the per-engine table-pass state: configuration and the
+// window scratch of every worker a pass may run on. The engine's goroutine
+// owns it; a pass's workers touch only their own winScratch (and the atomic
+// metrics).
 type windowState struct {
-	cfg     WindowConfig
-	rows    int // resolved window size
-	spillAt int // resolved spill threshold; -1 = never spill
+	cfg  WindowConfig
+	rows int // resolved window size
 	// ctx is the context of the CollectRowSetsCtx call in flight; window
 	// gates poll it so cancellation lands mid-evaluation, not only at the
 	// next unit boundary.
@@ -97,19 +79,10 @@ type windowState struct {
 	// ws holds one window scratch per worker, grown to the widest pass run.
 	ws     []*winScratch
 	colBuf []string
-	// stage is where a reduction's answer accumulates before it is sealed
-	// exact-size (see reduce.go); reused from request to request.
-	stage []int32
-	// spillBuf is the one byte buffer spilled rows are encoded and decoded
-	// through, a block at a time.
-	spillBuf []byte
 	// fallback caches whole columns materialized for reads outside a table
 	// pass (columnData) — a correctness net, counted so regressions are
 	// visible.
 	fallback map[string][]int64
-	spillDir string
-	ownDir   bool
-	spills   map[string]bool
 	m        windowMetrics
 }
 
@@ -122,8 +95,8 @@ type windowState struct {
 // windows, so the buffers are refilled in place, never resliced — and leaves
 // each window's survivors in surv, chain c's ending at ends[c], for the
 // coordinator to emit in window order. counts are the worker's per-chain,
-// per-selection survivor counts; blk is the reduction block it claimed and
-// rows that block's rows as it filters them.
+// per-selection survivor counts; rows are a reduction window's rows as it
+// filters them.
 type winScratch struct {
 	chunkBuf [][]int64
 	rowBuf   []int32
@@ -134,15 +107,14 @@ type winScratch struct {
 	counts   [][]int64
 	surv     []int32
 	ends     []int
-	blk      rowBlock
 	rows     []int32
 }
 
 // NewWindowed builds an engine whose table passes pull unmaterialized
-// columns through cfg.Sources, a window at a time, and spill large row sets.
-// Everything else behaves exactly like New — Execute regenerates a column it
-// needs whole (columnData's counted fallback) — and generated row sets and
-// stats are identical. Callers must Close the engine to release spill files.
+// columns through cfg.Sources, a window at a time. Everything else behaves
+// exactly like New — Execute regenerates a column it needs whole
+// (columnData's counted fallback) — and generated row sets and stats are
+// identical.
 func NewWindowed(db *storage.DB, cfg WindowConfig) (*Engine, error) {
 	e, err := New(db)
 	if err != nil {
@@ -158,13 +130,7 @@ func newWindowState(cfg WindowConfig) *windowState {
 	if w <= 0 {
 		w = DefaultWindowRows
 	}
-	spill := cfg.SpillRows
-	if spill == 0 {
-		spill = DefaultSpillRows
-	} else if spill < 0 {
-		spill = -1
-	}
-	return &windowState{cfg: cfg, rows: w, spillAt: spill, spills: make(map[string]bool)}
+	return &windowState{cfg: cfg, rows: w}
 }
 
 func newWindowMetrics(reg *obs.Registry) windowMetrics {
@@ -172,32 +138,10 @@ func newWindowMetrics(reg *obs.Registry) windowMetrics {
 		return windowMetrics{}
 	}
 	return windowMetrics{
-		windows:    reg.Counter("engine_windows_total"),
-		spillFiles: reg.Counter("engine_spill_files_total"),
-		spillBytes: reg.Counter("engine_spill_bytes_total"),
-		fallbacks:  reg.Counter("engine_window_fallbacks_total"),
-		events:     reg.Events(),
+		windows:   reg.Counter("engine_windows_total"),
+		fallbacks: reg.Counter("engine_window_fallbacks_total"),
+		events:    reg.Events(),
 	}
-}
-
-// Close releases windowed-evaluation resources: any outstanding spill files
-// and, when the engine created its own spill directory, the directory
-// itself. Classic engines have nothing to release. Safe to call repeatedly.
-func (e *Engine) Close() error {
-	var first error
-	for p := range e.win.spills {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) && first == nil {
-			first = err
-		}
-		delete(e.win.spills, p)
-	}
-	if e.win.ownDir && e.win.spillDir != "" {
-		if err := os.RemoveAll(e.win.spillDir); err != nil && first == nil {
-			first = err
-		}
-		e.win.spillDir, e.win.ownDir = "", false
-	}
-	return first
 }
 
 // gate is the per-window fault point: injected faults, injected panics and
@@ -236,26 +180,6 @@ func (w *windowState) fill(t *storage.TableData, col string, dst []int64, lo, hi
 		return fmt.Errorf("window: column %s.%s: %w, and the table has no chunk source", t.Meta.Name, col, err)
 	}
 	return src.Fill(col, dst, lo, hi)
-}
-
-// ensureSpillDir resolves (and creates on first use) the spill directory.
-func (w *windowState) ensureSpillDir() (string, error) {
-	if w.spillDir != "" {
-		return w.spillDir, nil
-	}
-	if w.cfg.SpillDir != "" {
-		if err := os.MkdirAll(w.cfg.SpillDir, 0o755); err != nil {
-			return "", err
-		}
-		w.spillDir = w.cfg.SpillDir
-		return w.spillDir, nil
-	}
-	dir, err := os.MkdirTemp("", "mirage-spill-")
-	if err != nil {
-		return "", err
-	}
-	w.spillDir, w.ownDir = dir, true
-	return dir, nil
 }
 
 // workers returns the scratch of n workers, each sized for windows of rows
@@ -587,29 +511,14 @@ func (e *Engine) observeChain(leaf *relalg.View, c *chainScan, tRows int, res *R
 
 // sharedChain is a selection chain over a base-table leaf found in the views
 // of one CollectRowSetsCtx call. It is evaluated once, in its table's pass,
-// however often it occurs: every request that is this chain gets its own
-// accumulator (so each returned RowSet has exactly one owner), and the
-// join-shaped views that contain it share one more, read by their reductions
-// and released after the last of them.
+// however often it occurs: its survivors accumulate into one set, which every
+// request that is this chain is answered with and every reduction that
+// contains it reads.
 type sharedChain struct {
 	chainScan
 	leaf  *relalg.View
-	tRows int         // the leaf table's row count, known once its pass ran
-	tops  []int       // requests this chain is the whole view of
-	accs  []*rowAccum // one per top, then one for inner when innerRefs > 0
-	// inner is the chain's rows for the innerRefs occurrences under joins.
-	inner     *RowSet
-	innerRefs int
-}
-
-// add is the chain's emit: every accumulator takes the window's survivors.
-func (c *sharedChain) add(rows []int32) error {
-	for _, a := range c.accs {
-		if err := a.add(rows); err != nil {
-			return err
-		}
-	}
-	return nil
+	tRows int     // the leaf table's row count, known once its pass ran
+	set   *RowSet // the chain's emit, sized for the leaf table by its pass
 }
 
 // RowSetRequest names one row set: the distinct rows of Table in View's
@@ -627,45 +536,26 @@ type RowSetRequest struct {
 // once per view. Chain-shaped requests are answered straight from the passes,
 // reducible join-shaped ones by semi-join reduction over the passes' results
 // (reduce.go), and whatever is left by evaluating the view.
-func (e *Engine) collectRowSets(ctx context.Context, reqs []RowSetRequest, orig bool, res *Result) (_ []*RowSet, err error) {
+func (e *Engine) collectRowSets(ctx context.Context, reqs []RowSetRequest, orig bool, res *Result) ([]*RowSet, error) {
 	win := e.win
 	win.ctx = ctx
+	defer func() { win.ctx = nil }()
 	sets := make([]*RowSet, len(reqs))
 	chains := make(map[*relalg.View]*sharedChain)
 	var tables []string
 	byTable := make(map[string][]*sharedChain)
-	// On any exit nothing of the call stays behind but the returned sets: on
-	// failure every open accumulator is aborted (no torn spill file) and the
-	// sets already sealed are released.
-	defer func() {
-		win.ctx = nil
-		for _, c := range chains {
-			c.inner.Release() // no-op once its last reduction has read it
-			if err != nil {
-				for _, a := range c.accs {
-					a.abort()
-				}
-			}
-		}
-		if err != nil {
-			for _, s := range sets {
-				s.Release()
-			}
-		}
-	}()
 
-	chainOf := func(top, leaf *relalg.View, selects []*relalg.View) *sharedChain {
-		c := chains[top]
-		if c == nil {
-			c = &sharedChain{leaf: leaf}
-			c.selects, c.emit = selects, c.add
-			chains[top] = c
-			if byTable[leaf.Table] == nil {
-				tables = append(tables, leaf.Table)
-			}
-			byTable[leaf.Table] = append(byTable[leaf.Table], c)
+	chainOf := func(top, leaf *relalg.View, selects []*relalg.View) {
+		if chains[top] != nil {
+			return
 		}
-		return c
+		c := &sharedChain{leaf: leaf}
+		c.selects = selects
+		chains[top] = c
+		if byTable[leaf.Table] == nil {
+			tables = append(tables, leaf.Table)
+		}
+		byTable[leaf.Table] = append(byTable[leaf.Table], c)
 	}
 	// findInner registers the chains under the joins of a reducible view,
 	// where every selection is the top of one.
@@ -673,14 +563,14 @@ func (e *Engine) collectRowSets(ctx context.Context, reqs []RowSetRequest, orig 
 	findInner = func(v *relalg.View) {
 		if v.Kind == relalg.SelectView {
 			leaf, selects, _ := relalg.SelectChain(v)
-			chainOf(v, leaf, selects).innerRefs++
+			chainOf(v, leaf, selects)
 			return
 		}
 		for _, in := range v.Inputs {
 			findInner(in)
 		}
 	}
-	var reduced, materialized []int // requests that are not a chain over their own table
+	var tops, reduced, materialized []int // requests answered after the passes
 	for i, rq := range reqs {
 		leaf, selects, ok := relalg.SelectChain(rq.View)
 		switch {
@@ -697,10 +587,10 @@ func (e *Engine) collectRowSets(ctx context.Context, reqs []RowSetRequest, orig 
 				return nil, err
 			}
 			e.observeChain(leaf, &chainScan{}, t.Rows(), res)
-			sets[i] = &RowSet{n: t.Rows(), dense: true}
+			sets[i] = fullRowSet(t.Rows())
 		default:
-			c := chainOf(rq.View, leaf, selects)
-			c.tops = append(c.tops, i)
+			chainOf(rq.View, leaf, selects)
+			tops = append(tops, i)
 		}
 	}
 
@@ -712,13 +602,9 @@ func (e *Engine) collectRowSets(ctx context.Context, reqs []RowSetRequest, orig 
 		tc := byTable[table]
 		scans := make([]*chainScan, len(tc))
 		for i, c := range tc {
-			n := len(c.tops)
-			if c.innerRefs > 0 {
-				n++
-			}
-			for ; n > 0; n-- {
-				c.accs = append(c.accs, &rowAccum{win: win, limit: win.spillAt})
-			}
+			c.tRows = t.Rows()
+			c.set = &RowSet{bits: newBitset(c.tRows)}
+			c.emit = c.set.add
 			scans[i] = &c.chainScan
 		}
 		tm := e.m.opNS[relalg.SelectView].Start()
@@ -726,52 +612,53 @@ func (e *Engine) collectRowSets(ctx context.Context, reqs []RowSetRequest, orig 
 			return nil, err
 		}
 		tm.Stop()
-		for _, c := range tc {
-			c.tRows = t.Rows()
-			for i, a := range c.accs {
-				s, err := a.finish()
-				if err != nil {
-					return nil, err
-				}
-				if i < len(c.tops) {
-					e.observeChain(c.leaf, &c.chainScan, c.tRows, res)
-					sets[c.tops[i]] = s
-				} else {
-					c.inner = s
-				}
-			}
-		}
+	}
+	for _, i := range tops {
+		c := chains[reqs[i].View]
+		e.observeChain(c.leaf, &c.chainScan, c.tRows, res)
+		sets[i] = c.set
 	}
 
 	for _, i := range reduced {
 		tm := e.m.opNS[relalg.JoinView].Start()
-		if sets[i], err = e.reduceRowSet(reqs[i], chains, res); err != nil {
+		s, err := e.reduceRowSet(reqs[i], chains, res)
+		if err != nil {
 			return nil, err
 		}
 		tm.Stop()
+		sets[i] = s
 	}
 	for _, i := range materialized {
-		rows, err := e.collectRows(reqs[i].View, reqs[i].Table, orig, res)
+		s, err := e.collectRows(reqs[i].View, reqs[i].Table, orig, res)
 		if err != nil {
 			return nil, err
 		}
 		e.m.materialized.Inc()
-		sets[i] = &RowSet{mem: rows, n: len(rows)}
+		sets[i] = s
 	}
 	return sets, nil
 }
 
-// RowSet is an ascending set of base-table row indices produced by
-// CollectRowSetsCtx. Small sets live in memory (or are dense, stored as a
-// count); sets past the spill threshold live in a raw little-endian int32
-// spill file. Consumers fold it into their masks with OrMasks and must
-// Release it afterwards.
+// RowSet is a set of one base table's row indices, as CollectRowSetsCtx
+// returns it: a bitset over the table's rows and the number of bits set. A
+// set may answer several requests and is read-only. Consumers fold it into
+// their masks with OrMasks.
 type RowSet struct {
-	mem   []int32
-	n     int
-	dense bool // rows are exactly [0, n)
-	path  string
-	win   *windowState
+	bits bitset
+	n    int
+}
+
+// fullRowSet returns the set of all n rows of a table.
+func fullRowSet(n int) *RowSet { return &RowSet{bits: fullBitset(n), n: n} }
+
+// add puts rows, none of them in the set yet, into it: the emit of a chain's
+// table pass and the sink of a reduction's answer, which see every row once.
+func (s *RowSet) add(rows []int32) error {
+	for _, r := range rows {
+		s.bits.set(int(r))
+	}
+	s.n += len(rows)
+	return nil
 }
 
 // Len returns the number of rows in the set. Nil-safe.
@@ -784,50 +671,40 @@ func (s *RowSet) Len() int {
 
 // maskChunkRows is how many entries of a status-mask slice OrMasks folds as
 // one piece of work: 256 KiB of masks, which stay in a core's cache while
-// every set's rows of the chunk are folded in.
+// every set's rows of the chunk are folded in. It is a multiple of 64, so a
+// chunk covers whole bitset words.
 const maskChunkRows = 1 << 15
 
 // OrMasks ORs bits[k] into masks[r] for every row r of sets[k]. The masks are
 // folded chunk by chunk on up to width goroutines: a goroutine takes the next
-// chunk of maskChunkRows entries and folds every set's rows in it, found by
-// binary search, before it takes another, so no two goroutines write one
-// entry and a chunk is read from memory once for all the sets. A spilled set
-// is read once, front to back, through its engine's spill buffer, and folded
-// first, on the calling goroutine. Rows must be < len(masks).
-func OrMasks(masks []uint64, sets []*RowSet, bits []uint64, width int) error {
-	var resident []int // sets folded by chunk
-	for k, s := range sets {
-		switch {
-		case s.Len() == 0:
-		case s.path == "":
-			resident = append(resident, k)
-		default:
-			if err := s.orSpilled(masks, bits[k]); err != nil {
-				return err
-			}
-		}
-	}
-	if len(resident) == 0 {
-		return nil
-	}
+// chunk of maskChunkRows entries and folds every set's words over it before
+// it takes another, so no two goroutines write one entry and a chunk is read
+// from memory once for all the sets. A word with every bit set folds its 64
+// rows in one run. Every set must be over a table of len(masks) rows.
+func OrMasks(masks []uint64, sets []*RowSet, bits []uint64, width int) {
 	chunks := (len(masks) + maskChunkRows - 1) / maskChunkRows
 	var next atomic.Int64
 	fold := func() {
 		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
 			lo := c * maskChunkRows
 			m := masks[lo:min(lo+maskChunkRows, len(masks))]
-			for _, k := range resident {
-				s, bit := sets[k], bits[k]
-				if s.dense {
-					for r := range m[:max(0, min(len(m), s.n-lo))] {
-						m[r] |= bit
-					}
+			for k, s := range sets {
+				if s.Len() == 0 {
 					continue
 				}
-				i, _ := slices.BinarySearch(s.mem, int32(lo))
-				j, _ := slices.BinarySearch(s.mem[i:], int32(lo+len(m)))
-				for _, r := range s.mem[i : i+j] {
-					m[int(r)-lo] |= bit
+				bit := bits[k]
+				for wi, w := range s.bits[lo>>6 : (lo+len(m)+63)>>6] {
+					base := wi << 6
+					if w == ^uint64(0) {
+						for r := base; r < base+64; r++ {
+							m[r] |= bit
+						}
+						continue
+					}
+					for w != 0 {
+						m[base+trailingZeros(w)] |= bit
+						w &= w - 1
+					}
 				}
 			}
 		}
@@ -842,240 +719,4 @@ func OrMasks(masks []uint64, sets []*RowSet, bits []uint64, width int) error {
 	}
 	fold()
 	wg.Wait()
-	return nil
-}
-
-// orSpilled ORs bit into masks[r] for every row r of the spilled set s.
-func (s *RowSet) orSpilled(masks []uint64, bit uint64) error {
-	rd := s.reader(spillFlushRows)
-	defer rd.close()
-	buf := make([]int32, rd.size)
-	for i := rd.blocks(); i > 0; i-- {
-		blk, err := rd.next(buf)
-		if err != nil {
-			return err
-		}
-		for _, r := range blk.rows {
-			masks[r] |= bit
-		}
-	}
-	return nil
-}
-
-// rowReader reads a RowSet block by block, in ascending order: an in-memory
-// set hands out its own storage, spilled sets are decoded into the caller's
-// buffer as they are read, and a dense set's blocks are ranges its caller
-// stages later, on the worker that takes them.
-type rowReader struct {
-	s    *RowSet
-	size int // rows per block
-	pos  int // rows read so far
-	f    *os.File
-}
-
-// reader opens a block reader over s with blocks of at most size rows (a
-// spilled set's are capped at its spill I/O block, and none exceeds the set).
-func (s *RowSet) reader(size int) rowReader {
-	size = min(size, s.Len())
-	if s != nil && s.path != "" {
-		size = min(size, spillFlushRows)
-	}
-	return rowReader{s: s, size: max(1, size)}
-}
-
-// blocks returns how many blocks the reader yields.
-func (rd *rowReader) blocks() int {
-	return (rd.s.Len() + rd.size - 1) / rd.size
-}
-
-// rowBlock is one block a rowReader claimed: its rows, or for a dense set
-// the range [lo, lo+n) that stage writes out.
-type rowBlock struct {
-	rows  []int32
-	lo, n int
-	dense bool
-}
-
-// stage returns the block's rows, writing a dense range into buf (at least
-// the reader's size rows).
-func (b rowBlock) stage(buf []int32) []int32 {
-	if !b.dense {
-		return b.rows
-	}
-	rows := buf[:b.n]
-	for j := range rows {
-		rows[j] = int32(b.lo + j)
-	}
-	return rows
-}
-
-// next claims the next block — decoded into buf (at least size rows) for a
-// spilled set — or an empty one once the set is exhausted.
-func (rd *rowReader) next(buf []int32) (rowBlock, error) {
-	s := rd.s
-	n := min(rd.size, s.Len()-rd.pos)
-	if n <= 0 {
-		return rowBlock{}, nil
-	}
-	lo := rd.pos
-	rd.pos += n
-	switch {
-	case s.dense:
-		return rowBlock{lo: lo, n: n, dense: true}, nil
-	case s.path != "":
-		if rd.f == nil {
-			f, err := os.Open(s.path)
-			if err != nil {
-				return rowBlock{}, fmt.Errorf("window: spill read: %w", err)
-			}
-			rd.f = f
-		}
-		raw := s.win.spillBlock()[:4*n]
-		if _, err := io.ReadFull(rd.f, raw); err != nil {
-			return rowBlock{}, fmt.Errorf("window: spill read: %w", err)
-		}
-		b := buf[:n]
-		for i := range b {
-			b[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-		}
-		return rowBlock{rows: b}, nil
-	}
-	return rowBlock{rows: s.mem[lo : lo+n]}, nil
-}
-
-// close releases the reader's spill file, if it opened one.
-func (rd *rowReader) close() {
-	if rd.f != nil {
-		rd.f.Close()
-		rd.f = nil
-	}
-}
-
-// Release frees the set; spilled files are deleted. Nil-safe and idempotent.
-func (s *RowSet) Release() {
-	if s == nil {
-		return
-	}
-	s.mem, s.n, s.dense = nil, 0, false
-	if s.path != "" {
-		os.Remove(s.path)
-		if s.win != nil {
-			delete(s.win.spills, s.path)
-		}
-		s.path = ""
-	}
-}
-
-// spillFlushRows is how many buffered rows a spilling accumulator writes out
-// at a time once the spill file is open; it is also the block spilled rows
-// are read back in.
-const spillFlushRows = 16 * 1024
-
-// spillBlock returns the engine's spill I/O buffer, one block of rows long.
-func (w *windowState) spillBlock() []byte {
-	if w.spillBuf == nil {
-		w.spillBuf = make([]byte, 4*spillFlushRows)
-	}
-	return w.spillBuf
-}
-
-// rowAccum accumulates ascending row indices, spilling to disk once the
-// in-memory prefix exceeds the threshold. The spill file holds every row on
-// finish, so a spilled RowSet reads from one place.
-type rowAccum struct {
-	win   *windowState
-	mem   []int32
-	n     int
-	f     *os.File
-	path  string
-	limit int // spill threshold in rows; < 0 = never spill
-	// staged marks mem as borrowed scratch (windowState.stage): finish copies
-	// the rows out instead of handing the buffer on.
-	staged bool
-}
-
-func (a *rowAccum) add(rows []int32) error {
-	a.n += len(rows)
-	a.mem = append(a.mem, rows...)
-	switch {
-	case a.f != nil:
-		if len(a.mem) >= spillFlushRows {
-			return a.flushMem()
-		}
-	case a.limit >= 0 && len(a.mem) >= a.limit:
-		return a.startSpill()
-	}
-	return nil
-}
-
-func (a *rowAccum) startSpill() error {
-	dir, err := a.win.ensureSpillDir()
-	if err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(dir, "rowset-*.spill")
-	if err != nil {
-		return err
-	}
-	a.f, a.path = f, f.Name()
-	a.win.spills[a.path] = true
-	a.win.m.spillFiles.Inc()
-	a.win.m.events.Emit(obs.Event{Type: obs.EventSpill, Table: filepath.Base(a.path), Rows: int64(a.n)})
-	return a.flushMem()
-}
-
-// flushMem appends the buffered rows to the spill file as little-endian
-// int32, a block per write.
-func (a *rowAccum) flushMem() error {
-	buf := a.win.spillBlock()
-	for rows := a.mem; len(rows) > 0; {
-		n := min(len(rows), len(buf)/4)
-		for i, r := range rows[:n] {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(r))
-		}
-		if _, err := a.f.Write(buf[:4*n]); err != nil {
-			return err
-		}
-		rows = rows[n:]
-	}
-	a.win.m.spillBytes.Add(int64(4 * len(a.mem)))
-	a.mem = a.mem[:0]
-	return nil
-}
-
-// finish seals the accumulated set into a RowSet. An in-memory set is cut to
-// its exact size: it lives until its consumer releases it, append's growth
-// slack would live as long.
-func (a *rowAccum) finish() (*RowSet, error) {
-	if a.f == nil {
-		mem := a.mem
-		if a.staged || cap(mem) > len(mem) {
-			mem = append(make([]int32, 0, len(mem)), mem...)
-		}
-		a.mem = nil
-		return &RowSet{mem: mem, n: a.n, win: a.win}, nil
-	}
-	if err := a.flushMem(); err != nil {
-		a.abort()
-		return nil, err
-	}
-	if err := a.f.Close(); err != nil {
-		a.abort()
-		return nil, err
-	}
-	rs := &RowSet{n: a.n, path: a.path, win: a.win}
-	a.f, a.mem = nil, nil
-	return rs, nil
-}
-
-// abort discards the accumulator, removing a partially written spill file.
-// After finish it does nothing.
-func (a *rowAccum) abort() {
-	if a.f != nil {
-		a.f.Close()
-		os.Remove(a.path)
-		delete(a.win.spills, a.path)
-		a.f = nil
-	}
-	a.mem = nil
 }

@@ -3,8 +3,7 @@ package engine
 // Unit tests of window passes: chain collection must match full-column
 // evaluation at every window size (including the 1-row
 // pathological window and the clamp edge where the window exceeds the
-// table), spilled row sets must round-trip and clean up after themselves,
-// the whole-column fallback must regenerate unmaterialized columns
+// table), the whole-column fallback must regenerate unmaterialized columns
 // byte-identically, and mid-window faults must surface as typed StageErrors
 // carrying the window index.
 
@@ -12,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"sync"
 	"testing"
@@ -84,22 +82,24 @@ func selChainT(lo int64, hi2 int64) *relalg.View {
 		Pred: &relalg.UnaryPred{Col: "t2", Op: relalg.OpLe, P: instParam(hi2)}}
 }
 
-// collectSet drains a RowSet into a slice and releases it.
+// collectSet lists a RowSet's rows in ascending order and checks them
+// against its count.
 func collectSet(t *testing.T, s *RowSet) []int32 {
 	t.Helper()
-	rd := s.reader(DefaultWindowRows)
-	defer rd.close()
-	buf := make([]int32, rd.size)
-	var out []int32
-	for i := rd.blocks(); i > 0; i-- {
-		blk, err := rd.next(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, blk.stage(buf)...)
+	rows := s.bits.appendRange(nil, 0, 64*len(s.bits))
+	if len(rows) != s.Len() {
+		t.Fatalf("row set holds %d rows but counts %d", len(rows), s.Len())
 	}
-	s.Release()
-	return out
+	return rows
+}
+
+// collectRowSet asks eng for the one row set of table in v's output.
+func collectRowSet(ctx context.Context, eng *Engine, v *relalg.View, table string) (*RowSet, error) {
+	sets, err := eng.CollectRowSetsCtx(ctx, []RowSetRequest{{View: v, Table: table}}, false)
+	if err != nil {
+		return nil, err
+	}
+	return sets[0], nil
 }
 
 // TestWindowedCollectMatchesClassic sweeps window sizes — 1-row
@@ -128,7 +128,7 @@ func TestWindowedCollectMatchesClassic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			set, err := eng.CollectRowSetCtx(context.Background(), v, "t", false)
+			set, err := collectRowSet(context.Background(), eng, v, "t")
 			if err != nil {
 				t.Fatalf("window=%d %s: %v", rows, name, err)
 			}
@@ -142,58 +142,6 @@ func TestWindowedCollectMatchesClassic(t *testing.T) {
 				}
 			}
 		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestRowSetSpillRoundtrip forces the accumulator over its spill threshold
-// and checks the spilled set streams identically, Release removes the file,
-// and Close removes the engine's private spill directory.
-func TestRowSetSpillRoundtrip(t *testing.T) {
-	db, src := windowedPaperDB()
-	dir := t.TempDir()
-	eng, err := NewWindowed(db, WindowConfig{
-		Rows: 3, Sources: map[string]ChunkSource{"t": src},
-		SpillDir: dir, SpillRows: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := eng.CollectRowSetCtx(context.Background(), selChainT(1, -1), "t", false) // 7 of 8 rows match
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.path == "" {
-		t.Fatal("7-row set above a 2-row threshold did not spill")
-	}
-	if _, err := os.Stat(set.path); err != nil {
-		t.Fatalf("spill file: %v", err)
-	}
-	path := set.path
-	got := collectSet(t, set) // releases
-	want := []int32{0, 1, 2, 3, 4, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("spilled set has %d rows, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("Release left spill file behind: %v", err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("spill dir not empty after Close: %v", ents)
 	}
 }
 
@@ -222,8 +170,7 @@ func TestWindowedFallbackColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	set, err := eng.CollectRowSetCtx(context.Background(), sel, "t", false)
+	set, err := collectRowSet(context.Background(), eng, sel, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +191,11 @@ func TestWindowedFallbackColumn(t *testing.T) {
 // TestWindowedFaultStageError injects an error, a panic, and a context
 // cancellation mid-evaluation and checks each surfaces as a typed
 // StageError at the engine/window stage with the faulted window's index in
-// the item field — and that no spill file survives the failure, before the
-// engine is even closed. The fault lands in window 1 of a table pass that
-// feeds one accumulator (a single request) or several (the shared scan of
-// sharedScanRequests); with a 1-row spill threshold the ones with survivors
-// in window 0 have already spilled. A classic engine makes the same passes
-// behind the same gate — over materialized columns, never spilling — so its
-// arm expects the same typed errors.
+// the item field. The fault lands in window 1 of a table pass that feeds one
+// chain (a single request) or several (the shared scan of
+// sharedScanRequests). A classic engine makes the same passes behind the
+// same gate — over materialized columns — so its arm expects the same typed
+// errors.
 func TestWindowedFaultStageError(t *testing.T) {
 	for _, classic := range []bool{false, true} {
 		for _, action := range []faultinject.Action{faultinject.Error, faultinject.Panic} {
@@ -259,7 +204,6 @@ func TestWindowedFaultStageError(t *testing.T) {
 				in := faultinject.New(faultinject.Rule{Stage: WindowStage, Item: 1, Action: action})
 				deactivate := faultinject.Activate(in)
 
-				dir := t.TempDir()
 				var eng *Engine
 				var err error
 				if classic {
@@ -268,10 +212,7 @@ func TestWindowedFaultStageError(t *testing.T) {
 					}
 				} else {
 					db, src := windowedPaperDB()
-					eng, err = NewWindowed(db, WindowConfig{
-						Rows: 3, Sources: map[string]ChunkSource{"t": src},
-						SpillDir: dir, SpillRows: 1,
-					})
+					eng, err = NewWindowed(db, WindowConfig{Rows: 3, Sources: map[string]ChunkSource{"t": src}})
 				}
 				if err != nil {
 					deactivate()
@@ -293,19 +234,6 @@ func TestWindowedFaultStageError(t *testing.T) {
 				if !errors.Is(err, faultinject.ErrInjected) {
 					t.Fatalf("%s: err = %v, want injection provenance", name, err)
 				}
-				ents, err := os.ReadDir(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ents) != 0 {
-					t.Fatalf("%s: torn spill files left behind: %v", name, ents)
-				}
-				if len(eng.win.spills) != 0 {
-					t.Fatalf("%s: engine still tracks spill files %v", name, eng.win.spills)
-				}
-				if err := eng.Close(); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 
@@ -322,10 +250,9 @@ func TestWindowedFaultStageError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer eng.Close()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err = eng.CollectRowSetCtx(ctx, selChainT(1, -1), "t", false)
+		_, err = collectRowSet(ctx, eng, selChainT(1, -1), "t")
 		var se *fault.StageError
 		if !errors.As(err, &se) || se.Stage != WindowStage || se.Item != 0 {
 			t.Fatalf("classic=%v cancel: err = %v, want StageError{%s, 0}", classic, err, WindowStage)
@@ -336,24 +263,20 @@ func TestWindowedFaultStageError(t *testing.T) {
 	}
 }
 
-// TestReductionFaultNoTornSpill lands the fault in a reduction instead of a
+// TestReductionFaultStageError lands the fault in a reduction instead of a
 // table pass: s fits one window, so window 1 first occurs while the
-// join-shaped request's answer is being reduced from t's chain rows — after
-// window 0's survivors have spilled at the 1-row threshold. The typed error
-// is the same and the half-written answer leaves no file behind.
-func TestReductionFaultNoTornSpill(t *testing.T) {
+// join-shaped request's answer is being reduced from t's rows, a window of
+// them already set in the answer. The typed error is the same.
+func TestReductionFaultStageError(t *testing.T) {
 	for _, action := range []faultinject.Action{faultinject.Error, faultinject.Panic} {
 		in := faultinject.New(faultinject.Rule{Stage: WindowStage, Item: 1, Action: action})
 		deactivateFault := faultinject.Activate(in)
-		reg := obs.NewRegistry()
-		dir := t.TempDir()
 		db, _ := windowedPaperDB()
-		eng, err := NewWindowed(db, WindowConfig{Rows: 4, SpillDir: dir, SpillRows: 1})
+		eng, err := NewWindowed(db, WindowConfig{Rows: 4})
 		if err != nil {
 			deactivateFault()
 			t.Fatal(err)
 		}
-		eng.SetRegistry(reg)
 		// σ_{s1<4}(s) ⋈ t: s's pass is window 0 only, t is a bare leaf (no
 		// pass), and the reduction of t's rows runs windows 0 and 1.
 		selS := &relalg.View{Kind: relalg.SelectView, Inputs: []*relalg.View{{Kind: relalg.LeafView, Table: "s"}},
@@ -361,24 +284,11 @@ func TestReductionFaultNoTornSpill(t *testing.T) {
 		join := &relalg.View{Kind: relalg.JoinView,
 			Join:   &relalg.JoinSpec{PKTable: "s", FKTable: "t", FKCol: "t_fk", Type: relalg.EquiJoin},
 			Inputs: []*relalg.View{selS, {Kind: relalg.LeafView, Table: "t"}}}
-		_, err = eng.CollectRowSetCtx(context.Background(), join, "t", false)
+		_, err = collectRowSet(context.Background(), eng, join, "t")
 		deactivateFault()
 		var se *fault.StageError
 		if !errors.As(err, &se) || se.Stage != WindowStage || se.Item != 1 || !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("action %v: err = %v, want injected StageError{%s, 1}", action, err, WindowStage)
-		}
-		if n := reg.Snapshot().Counters["engine_spill_files_total"]; n != 2 {
-			t.Fatalf("action %v: %d spill files opened before the fault, want s's chain rows and the answer", action, n)
-		}
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ents) != 0 || len(eng.win.spills) != 0 {
-			t.Fatalf("action %v: torn spill files left behind: %v / %v", action, ents, eng.win.spills)
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -418,7 +328,6 @@ func TestWindowedExecuteMatchesClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	eng.SetRegistry(reg)
 	qw, viewsW := build()
 	gotRes, err := eng.Execute(qw, false)
@@ -468,7 +377,7 @@ func TestPrimaryKeyDerivedOnEveryEngine(t *testing.T) {
 		}
 		eng.SetRegistry(reg)
 		leaf := &relalg.View{Kind: relalg.LeafView, Table: "t"}
-		set, err := eng.CollectRowSetCtx(context.Background(), sel(leaf, unary("t_pk", relalg.OpGt, pv("p", 5))), "t", false)
+		set, err := collectRowSet(context.Background(), eng, sel(leaf, unary("t_pk", relalg.OpGt, pv("p", 5))), "t")
 		if err != nil {
 			t.Fatalf("%s: table pass over t_pk: %v", tc.name, err)
 		}
@@ -488,7 +397,6 @@ func TestPrimaryKeyDerivedOnEveryEngine(t *testing.T) {
 		if n := reg.Snapshot().Counters["engine_window_fallbacks_total"]; n != tc.whole {
 			t.Errorf("%s: engine_window_fallbacks_total = %d, want %d", tc.name, n, tc.whole)
 		}
-		eng.Close()
 	}
 }
 
@@ -522,115 +430,96 @@ func sharedScanRequests() (reqs []RowSetRequest, selects []*relalg.View) {
 }
 
 // TestCollectRowSetsSharedScan holds the multi-request entry point against
-// two oracles — one CollectRowSetCtx call per request on a fresh windowed
-// engine, and CollectRows, the materializing definition, per request — at
-// window sizes 1, 3 and far past the table, with spilling forced and off:
-// same row sets (the join-shaped requests' by reduction), same
-// per-selection survivor counts; and a classic engine given the same
-// requests in one call answers the same. The counting chunk source then
-// proves the point of the shared scan: however many chains read a column,
-// each (column, window) of a table is filled exactly once per call.
+// two oracles — one request per call on a fresh windowed engine, and
+// CollectRows, the materializing definition, per request — at window sizes
+// 1, 3 and far past the table: same row sets (the join-shaped requests' by
+// reduction), same per-selection survivor counts; and a classic engine given
+// the same requests in one call answers the same. A chain requested twice is
+// answered by one set. The counting chunk source then proves the point of
+// the shared scan: however many chains read a column, each (column, window)
+// of a table is filled exactly once per call.
 func TestCollectRowSetsSharedScan(t *testing.T) {
 	oracle, err := New(testutil.PaperDB())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rows := range []int64{1, 3, 1 << 20} {
-		for _, spill := range []int{1, -1} {
-			name := fmt.Sprintf("window=%d spill=%d", rows, spill)
-			newEngine := func() (*Engine, *mapSource) {
-				db := storage.NewDB(testutil.PaperSchema())
-				db.Table("t").SetCol("t_fk", []int64{1, 2, 2, 3, 1, 2, 4, 4})
-				src := &mapSource{cols: map[string][]int64{
-					"s1": {1, 2, 3, 4}, "t1": paperT1, "t2": {2, 2, 2, 1, 3, 3, 4, 4},
-				}}
-				eng, err := NewWindowed(db, WindowConfig{
-					Rows: rows, Sources: map[string]ChunkSource{"s": src, "t": src},
-					SpillDir: t.TempDir(), SpillRows: spill,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return eng, src
-			}
-
-			reqs, selects := sharedScanRequests()
-			eng, src := newEngine()
-			res := &Result{Stats: make(map[*relalg.View]Stats)}
-			sets, err := eng.collectRowSets(context.Background(), reqs, false, res)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if len(eng.win.fallback) != 0 {
-				t.Fatalf("%s: shared scan fell back to whole columns %v", name, eng.win.fallback)
-			}
-			fills := src.fills
-			spilled := 0
-			for _, set := range sets {
-				if set.path != "" {
-					spilled++
-				}
-			}
-			if (spill > 0) != (spilled > 0) {
-				t.Fatalf("%s: %d of %d sets spilled", name, spilled, len(sets))
-			}
-
-			classic, err := New(testutil.PaperDB())
+		name := fmt.Sprintf("window=%d", rows)
+		newEngine := func() (*Engine, *mapSource) {
+			db := storage.NewDB(testutil.PaperSchema())
+			db.Table("t").SetCol("t_fk", []int64{1, 2, 2, 3, 1, 2, 4, 4})
+			src := &mapSource{cols: map[string][]int64{
+				"s1": {1, 2, 3, 4}, "t1": paperT1, "t2": {2, 2, 2, 1, 3, 3, 4, 4},
+			}}
+			eng, err := NewWindowed(db, WindowConfig{Rows: rows, Sources: map[string]ChunkSource{"s": src, "t": src}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			classic.win.rows = int(rows)
-			classicRes := &Result{Stats: make(map[*relalg.View]Stats)}
-			classicSets, err := classic.collectRowSets(context.Background(), reqs, false, classicRes)
+			return eng, src
+		}
+
+		reqs, selects := sharedScanRequests()
+		eng, src := newEngine()
+		res := &Result{Stats: make(map[*relalg.View]Stats)}
+		sets, err := eng.collectRowSets(context.Background(), reqs, false, res)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(eng.win.fallback) != 0 {
+			t.Fatalf("%s: shared scan fell back to whole columns %v", name, eng.win.fallback)
+		}
+		fills := src.fills
+		if sets[0] != sets[3] {
+			t.Fatalf("%s: the chain requested twice got two sets", name)
+		}
+
+		classic, err := New(testutil.PaperDB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		classic.win.rows = int(rows)
+		classicRes := &Result{Stats: make(map[*relalg.View]Stats)}
+		classicSets, err := classic.collectRowSets(context.Background(), reqs, false, classicRes)
+		if err != nil {
+			t.Fatalf("%s: classic engine: %v", name, err)
+		}
+
+		wantRes := &Result{Stats: make(map[*relalg.View]Stats)}
+		for i, rq := range reqs {
+			got := collectSet(t, sets[i])
+			wantSet, err := oracle.collectRows(rq.View, rq.Table, false, wantRes)
 			if err != nil {
-				t.Fatalf("%s: classic engine: %v", name, err)
-			}
-
-			wantRes := &Result{Stats: make(map[*relalg.View]Stats)}
-			for i, rq := range reqs {
-				got := collectSet(t, sets[i])
-				want, err := oracle.collectRows(rq.View, rq.Table, false, wantRes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if classicSets[i].path != "" {
-					t.Errorf("%s request %d: classic engine spilled", name, i)
-				}
-				if onClassic := collectSet(t, classicSets[i]); fmt.Sprint(onClassic) != fmt.Sprint(want) {
-					t.Errorf("%s request %d: classic engine %v, CollectRows %v", name, i, onClassic, want)
-				}
-				single, _ := newEngine()
-				set, err := single.CollectRowSetCtx(context.Background(), rq.View, rq.Table, false)
-				if err != nil {
-					t.Fatalf("%s request %d alone: %v", name, i, err)
-				}
-				alone := collectSet(t, set)
-				if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(alone) != fmt.Sprint(want) {
-					t.Errorf("%s request %d: shared scan %v, alone %v, CollectRows %v", name, i, got, alone, want)
-				}
-				if err := single.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i, v := range selects {
-				if res.Stats[v] != wantRes.Stats[v] || classicRes.Stats[v] != wantRes.Stats[v] {
-					t.Errorf("%s selection %d (%s): shared scan counted %+v, classic engine %+v, eval %+v", name, i, v.Pred, res.Stats[v], classicRes.Stats[v], wantRes.Stats[v])
-				}
-			}
-
-			// One fill per (column, window) per table pass: t's pass reads t1
-			// and t2 for five chains, s's pass reads s1 for one.
-			windows := func(n int64) int64 { return (n + min(rows, n) - 1) / min(rows, n) }
-			if want := int(2*windows(8) + windows(4)); len(fills) != want {
-				t.Errorf("%s: %d distinct (column, window) fills, want %d: %v", name, len(fills), want, fills)
-			}
-			for key, n := range fills {
-				if n != 1 {
-					t.Errorf("%s: %s filled %d times in one call", name, key, n)
-				}
-			}
-			if err := eng.Close(); err != nil {
 				t.Fatal(err)
+			}
+			want := collectSet(t, wantSet)
+			if onClassic := collectSet(t, classicSets[i]); fmt.Sprint(onClassic) != fmt.Sprint(want) {
+				t.Errorf("%s request %d: classic engine %v, CollectRows %v", name, i, onClassic, want)
+			}
+			single, _ := newEngine()
+			set, err := collectRowSet(context.Background(), single, rq.View, rq.Table)
+			if err != nil {
+				t.Fatalf("%s request %d alone: %v", name, i, err)
+			}
+			alone := collectSet(t, set)
+			if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(alone) != fmt.Sprint(want) {
+				t.Errorf("%s request %d: shared scan %v, alone %v, CollectRows %v", name, i, got, alone, want)
+			}
+		}
+		for i, v := range selects {
+			if res.Stats[v] != wantRes.Stats[v] || classicRes.Stats[v] != wantRes.Stats[v] {
+				t.Errorf("%s selection %d (%s): shared scan counted %+v, classic engine %+v, eval %+v", name, i, v.Pred, res.Stats[v], classicRes.Stats[v], wantRes.Stats[v])
+			}
+		}
+
+		// One fill per (column, window) per table pass: t's pass reads t1
+		// and t2 for five chains, s's pass reads s1 for one.
+		windows := func(n int64) int64 { return (n + min(rows, n) - 1) / min(rows, n) }
+		if want := int(2*windows(8) + windows(4)); len(fills) != want {
+			t.Errorf("%s: %d distinct (column, window) fills, want %d: %v", name, len(fills), want, fills)
+		}
+		for key, n := range fills {
+			if n != 1 {
+				t.Errorf("%s: %s filled %d times in one call", name, key, n)
 			}
 		}
 	}

@@ -9,11 +9,11 @@ import (
 // The event journal is the pipeline's structured lifecycle log: where
 // counters say *how much* happened, events say *what* happened and *when* —
 // a stage opened, a keygen wave committed, a table's export went pending and
-// then durable, a constraint degraded, a sink write was retried, a row set
-// spilled. Every event is a small typed record stamped with the registry's
-// monotone clock, kept in a bounded ring (old events are overwritten, never
-// block the pipeline), optionally teed to a JSONL file, and fanned out to
-// subscribers (the /events SSE endpoint) without ever blocking the emitter.
+// then durable, a constraint degraded, a sink write was retried. Every event
+// is a small typed record stamped with the registry's monotone clock, kept in
+// a bounded ring (old events are overwritten, never block the pipeline),
+// optionally teed to a JSONL file, and fanned out to subscribers (the
+// /events SSE endpoint) without ever blocking the emitter.
 //
 // The journal lives under the same contract as the rest of internal/obs:
 // with telemetry disabled, obs.From(ctx).Events().Emit(...) is a nil-receiver
@@ -53,9 +53,6 @@ const (
 	// the retry budget exhausting.
 	EventSinkRetry  EventType = "sink_retry"
 	EventSinkGiveup EventType = "sink_giveup"
-	// EventSpill records a windowed row set spilling to disk (Table: spill
-	// file path, Rows: rows spilled so far).
-	EventSpill EventType = "spill"
 	// EventWindowFallback records a whole-column materialization the windowed
 	// engine had to perform for a non-windowable view shape (Table, Kind:
 	// column name).

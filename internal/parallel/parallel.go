@@ -8,7 +8,7 @@
 // run is byte-identical at any worker count — scheduling only changes *when*
 // an item runs, never *what* it computes. Item ordering effects (stats
 // accumulation, column writes) are the caller's job: collect per-item
-// results and merge them in index order after ForEach returns.
+// results and merge them in index order after ForEachCtx returns.
 //
 // Failure semantics, at any worker count:
 //
@@ -48,13 +48,6 @@ func Workers(n int) int {
 	return n
 }
 
-// ForEach runs fn(i) for every i in [0, n) on up to workers goroutines with
-// a background context and no stage label; see ForEachCtx.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachWorkerCtx(context.Background(), "parallel", workers, n,
-		func(_, i int) error { return fn(i) })
-}
-
 // ForEachCtx runs fn(i) for every i in [0, n) on up to workers goroutines
 // and returns the error of the lowest-index failing item, or the context's
 // error if cancellation stopped the loop before any item failed, or nil.
@@ -63,15 +56,9 @@ func ForEachCtx(ctx context.Context, stage string, workers, n int, fn func(i int
 	return ForEachWorkerCtx(ctx, stage, workers, n, func(_, i int) error { return fn(i) })
 }
 
-// ForEachWorker is ForEach with the claiming worker's id (in [0, workers))
-// passed alongside the item index, for callers that keep per-worker state
-// (e.g. one read-only query engine per validation worker).
-func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
-	return ForEachWorkerCtx(context.Background(), "parallel", workers, n, fn)
-}
-
-// ForEachWorkerCtx is ForEachCtx with the claiming worker's id passed
-// alongside the item index.
+// ForEachWorkerCtx is ForEachCtx with the claiming worker's id (in
+// [0, workers)) passed alongside the item index, for callers that keep
+// per-worker state (e.g. one read-only query engine per validation worker).
 func ForEachWorkerCtx(ctx context.Context, stage string, workers, n int, fn func(worker, i int) error) error {
 	if n == 0 {
 		return fault.Wrap(stage, fault.NoItem, ctx.Err())

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -11,7 +12,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		n := 103
 		counts := make([]int64, n)
-		if err := ForEach(workers, n, func(i int) error {
+		if err := ForEachCtx(context.Background(), "test", workers, n, func(i int) error {
 			atomic.AddInt64(&counts[i], 1)
 			return nil
 		}); err != nil {
@@ -28,7 +29,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 func TestForEachReturnsLowestIndexError(t *testing.T) {
 	e3 := errors.New("three")
 	e7 := errors.New("seven")
-	err := ForEach(4, 10, func(i int) error {
+	err := ForEachCtx(context.Background(), "test", 4, 10, func(i int) error {
 		switch i {
 		case 3:
 			return e3
@@ -44,7 +45,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 
 func TestForEachSequentialFailFast(t *testing.T) {
 	var ran int
-	err := ForEach(1, 10, func(i int) error {
+	err := ForEachCtx(context.Background(), "test", 1, 10, func(i int) error {
 		ran++
 		if i == 2 {
 			return fmt.Errorf("stop")
@@ -58,7 +59,7 @@ func TestForEachSequentialFailFast(t *testing.T) {
 
 func TestForEachWorkerIDsInRange(t *testing.T) {
 	workers := 3
-	err := ForEachWorker(workers, 50, func(w, i int) error {
+	err := ForEachWorkerCtx(context.Background(), "test", workers, 50, func(w, i int) error {
 		if w < 0 || w >= workers {
 			return fmt.Errorf("worker id %d out of range", w)
 		}
@@ -70,7 +71,7 @@ func TestForEachWorkerIDsInRange(t *testing.T) {
 }
 
 func TestForEachZeroItems(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEachCtx(context.Background(), "test", 4, 0, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }

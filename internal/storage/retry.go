@@ -61,8 +61,6 @@ type RetrySink struct {
 	// cancellation aborts a sleeping retry immediately. Retries and giveups
 	// are recorded in the registry it carries (obs.From).
 	Ctx context.Context
-	// IsTransient overrides the retry classification (nil = fault.Transient).
-	IsTransient func(error) bool
 
 	retrySeq atomic.Uint64 // ordinal of the next retry, jitter stream input
 }
@@ -100,10 +98,6 @@ func (s *RetrySink) do(stage string, op func() error) error {
 	if attempts <= 0 {
 		attempts = DefaultRetryAttempts
 	}
-	isTransient := s.IsTransient
-	if isTransient == nil {
-		isTransient = fault.Transient
-	}
 	reg := obs.From(s.ctx())
 	var err error
 	for a := 0; a < attempts; a++ {
@@ -123,7 +117,7 @@ func (s *RetrySink) do(stage string, op func() error) error {
 		if err == nil {
 			return nil
 		}
-		if !isTransient(err) {
+		if !fault.Transient(err) {
 			return err
 		}
 	}

@@ -312,12 +312,7 @@ func generate(ctx context.Context, p *Problem, opts Options, sc *StreamConfig) (
 		for name, t := range db.Tables {
 			sources[name] = nonkey.NewPlanSource(t, plans[name])
 		}
-		kgCfg.Window = &engine.WindowConfig{
-			Rows:      sc.WindowRows,
-			Sources:   sources,
-			SpillDir:  sc.SpillDir,
-			SpillRows: sc.SpillRows,
-		}
+		kgCfg.Window = &engine.WindowConfig{Rows: sc.WindowRows, Sources: sources}
 	}
 	err = stage("keygen", func(ctx context.Context) error {
 		kStats, err := keygen.Populate(ctx, kgCfg, p.Plan, db)

@@ -39,8 +39,6 @@ var telemetryReaders = map[string]string{
 	"engine_count_materialized_total":  "TestAnnotationsCounted, TestCountFallsBack",
 	"engine_windows_total":             "TestRowSetsNeverMaterialized, TestWideWindowFault",
 	"engine_window_fallbacks_total":    "TestWindowedExecuteMatchesClassic, TestPrimaryKeyDerivedOnEveryEngine",
-	"engine_spill_files_total":         "TestReductionFaultNoTornSpill",
-	"engine_spill_bytes_total":         "ROADMAP observability (c): spill bytes",
 	"parallel_items_total":             "TestRunReportGoldenSSB, TestFailFastStopsClaiming",
 	"parallel_item_ns":                 "ROADMAP use every core: per-worker busy and idle time",
 	"parallel_worker_busy_ns":          "ROADMAP use every core: per-worker busy and idle time",
@@ -78,7 +76,7 @@ func checkFamilies(t *testing.T, rep *obs.RunReport) {
 }
 
 // TestTelemetryFamiliesCatalogued extends checkFamilies to the families a
-// small SSB run never reaches (spills, sink retries): every metric name
+// small SSB run never reaches (sink retries): every metric name
 // literal in the shipped Go sources must be catalogued, and every catalogued
 // family must still be recorded somewhere.
 func TestTelemetryFamiliesCatalogued(t *testing.T) {

@@ -25,8 +25,9 @@ type StreamConfig struct {
 	// Sink receives one writer per table (see storage.DirSink for the
 	// file-per-table CSV layout, storage.CountSink for dry runs).
 	Sink storage.Sink
-	// ShardRows is the export shard size in rows (0 = the default 64k).
-	// The emitted bytes are identical at any value.
+	// ShardRows is the export shard size in rows (0 = the default 64k); a
+	// negative value is rejected. The emitted bytes are identical at any
+	// value.
 	ShardRows int64
 	// RetainForValidate additionally keeps every column the workload's
 	// templates reference, so Validate can replay the workload after the
@@ -38,12 +39,6 @@ type StreamConfig struct {
 	// engine.DefaultWindowRows, a positive value sets the window size in
 	// rows, and a negative value is rejected.
 	WindowRows int64
-	// SpillDir is where windowed evaluation spills large row sets
-	// ("" = a private temp directory per engine, removed on completion).
-	SpillDir string
-	// SpillRows is the row-set spill threshold (0 = engine default,
-	// negative disables spilling).
-	SpillRows int
 	// Manifest, when set, makes the run crash-safe: per-table export state
 	// (pending → committed, with row count and content hash) is persisted
 	// atomically in the sink directory as each table commits, and tables the
@@ -86,6 +81,9 @@ func GenerateStream(p *Problem, opts Options, sc StreamConfig) (*Result, error) 
 func GenerateStreamCtx(ctx context.Context, p *Problem, opts Options, sc StreamConfig) (*Result, error) {
 	if sc.Sink == nil {
 		return nil, fmt.Errorf("mirage: streaming generation requires a sink")
+	}
+	if sc.ShardRows < 0 {
+		return nil, fmt.Errorf("mirage: StreamConfig.ShardRows %d is out of range (0 = default, positive = rows per shard)", sc.ShardRows)
 	}
 	if sc.WindowRows < 0 {
 		return nil, fmt.Errorf("mirage: StreamConfig.WindowRows %d is out of range (0 = default, positive = rows per window)", sc.WindowRows)

@@ -326,18 +326,29 @@ func TestStreamedRetentionGuard(t *testing.T) {
 	t.Logf("resident cells: streamed %d, in-memory %d (%.1f×)", streamCells, memCells, float64(memCells)/float64(streamCells))
 }
 
-// TestStreamRejectsNegativeWindowRows: the full-column streaming mode is
-// gone, so a negative window is an out-of-range input refused before the
-// sink sees a single call.
+// TestStreamRejectsNegativeWindowRows: a negative window or shard size is an
+// out-of-range input refused before the sink sees a single call, naming the
+// field (a negative shard size once ran silently at the default).
 func TestStreamRejectsNegativeWindowRows(t *testing.T) {
-	prob := streamProblem(t, "ssb", 0.1)
-	sink := &openCountingSink{}
-	_, err := GenerateStream(prob, Options{Seed: 3}, StreamConfig{Sink: sink, WindowRows: -1})
-	if err == nil || !strings.Contains(err.Error(), "WindowRows") {
-		t.Fatalf("err = %v, want a WindowRows range error", err)
-	}
-	if sink.opens != 0 {
-		t.Fatalf("sink saw %d OpenTable calls before the rejection", sink.opens)
+	for _, tc := range []struct {
+		field string
+		sc    StreamConfig
+	}{
+		{"WindowRows", StreamConfig{WindowRows: -1}},
+		{"ShardRows", StreamConfig{ShardRows: -5}},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			prob := streamProblem(t, "ssb", 0.1)
+			sink := &openCountingSink{}
+			tc.sc.Sink = sink
+			_, err := GenerateStream(prob, Options{Seed: 3}, tc.sc)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("err = %v, want a %s range error", err, tc.field)
+			}
+			if sink.opens != 0 {
+				t.Fatalf("sink saw %d OpenTable calls before the rejection", sink.opens)
+			}
+		})
 	}
 }
 

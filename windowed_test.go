@@ -6,7 +6,7 @@ package mirage
 // pipeline's full-column evaluation. Plus
 // the regeneration-determinism fuzz (every [lo,hi) chunk re-read equals the
 // first read) and the mid-window fault contract (typed StageError carrying
-// the window index, no torn spill files).
+// the window index).
 
 import (
 	"context"
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"os"
 	"testing"
 
 	"github.com/dbhammer/mirage/internal/engine"
@@ -30,7 +29,7 @@ import (
 // directory with the given parallelism and window configuration, returning
 // the keygen degradation ledger as the cross-checked auxiliary state.
 func streamArm(t *testing.T, workload string, sf float64, par int, sc StreamConfig) testutil.DiffArm {
-	name := fmt.Sprintf("windowed=%d par=%d spill=%d", sc.WindowRows, par, sc.SpillRows)
+	name := fmt.Sprintf("windowed=%d par=%d", sc.WindowRows, par)
 	return testutil.DiffArm{Name: name, Run: func(dir string) (any, error) {
 		prob := streamProblem(t, workload, sf)
 		sc.Sink = &storage.DirSink{Dir: dir}
@@ -45,10 +44,9 @@ func streamArm(t *testing.T, workload string, sf float64, par int, sc StreamConf
 // TestWindowedMatchesFullColumnGrid is the PR's correctness bar: for SSB
 // and TPC-H, windowed evaluation must produce byte-identical exports and an
 // identical degradation ledger at every window size — the 1-row
-// pathological window, sizes that don't divide any table, the clamp edge
-// where the window exceeds every table, and a tiny spill threshold that
-// forces row sets through disk — and at parallelism 1, 4 and 8. The golden
-// arm is the classic in-memory pipeline.
+// pathological window, sizes that don't divide any table, and the clamp
+// edge where the window exceeds every table — and at parallelism 1, 4 and 8.
+// The golden arm is the classic in-memory pipeline.
 func TestWindowedMatchesFullColumnGrid(t *testing.T) {
 	cases := []struct {
 		workload string
@@ -65,7 +63,6 @@ func TestWindowedMatchesFullColumnGrid(t *testing.T) {
 			streamArm(t, tc.workload, tc.sf, 4, StreamConfig{WindowRows: 1}),       // pathological
 			streamArm(t, tc.workload, tc.sf, 4, StreamConfig{WindowRows: 977}),     // divides nothing
 			streamArm(t, tc.workload, tc.sf, 4, StreamConfig{WindowRows: 1 << 30}), // clamp edge
-			streamArm(t, tc.workload, tc.sf, 4, StreamConfig{WindowRows: 64, SpillRows: 16}),
 		)
 	}
 }
@@ -91,11 +88,10 @@ func memArm(t *testing.T, workload string, sf float64, par int) testutil.DiffArm
 // waves hold one unit each, so at parallelism 4 every unit collects its row
 // sets, folds its status masks and partitions them on four goroutines: in
 // memory over lineorder's two default windows, and streamed over 4Ki-row
-// windows whose row sets spill past 1Ki rows. Both must export what the
-// in-memory run at parallelism 1 does.
+// windows. Both must export what the in-memory run at parallelism 1 does.
 func TestIntraUnitParallelDeterminism(t *testing.T) {
 	const sf = 1.5 // lineorder's 90 000 rows span two default windows
-	small := StreamConfig{WindowRows: 4096, SpillRows: 1024}
+	small := StreamConfig{WindowRows: 4096}
 	testutil.RunDifferential(t, memArm(t, "ssb", sf, 1),
 		memArm(t, "ssb", sf, 4),
 		streamArm(t, "ssb", sf, 1, small),
@@ -200,20 +196,18 @@ func TestFillChunkDeterminismFuzz(t *testing.T) {
 	}
 }
 
-// TestWindowedFaultNoTornSpills injects a panic and an error into the
+// TestWindowedFaultTypedError injects a panic and an error into the
 // windowed CS stage during a streamed run and asserts the contract: the run
 // fails with a typed StageError carrying the engine/window stage and the
-// window index, the failure has injection provenance, and no spill file
-// survives in the spill directory. Window 2 is the historical case; window 1
-// also lands in table passes that feed several accumulators at once (the
-// joins of an SSB unit select on the same dimension table), some of them
-// spilled since window 0 at the 8-row threshold. The third case faults a
-// reduction instead of a pass: without the Q1 flight no template selects on
-// lineorder, so the fact table is never scanned by a pass and window 100 —
-// past every dimension's last window — first occurs in wave 1, while a
-// join-shaped request's answer is being reduced from lineorder's rows, a
-// hundred windows of survivors into its spill file.
-func TestWindowedFaultNoTornSpills(t *testing.T) {
+// window index, and the failure has injection provenance. Window 2 is the
+// historical case; window 1 also lands in table passes that feed several
+// chains at once (the joins of an SSB unit select on the same dimension
+// table). The third case faults a reduction instead of a pass: without the
+// Q1 flight no template selects on lineorder, so the fact table is never
+// scanned by a pass and window 100 — past every dimension's last window —
+// first occurs in wave 1, while a join-shaped request's answer is being
+// reduced from lineorder's rows, a hundred windows of survivors already set.
+func TestWindowedFaultTypedError(t *testing.T) {
 	for _, action := range []faultinject.Action{faultinject.Panic, faultinject.Error} {
 		for _, item := range []int{2, 1, 100} {
 			in := faultinject.New(faultinject.Rule{Stage: engine.WindowStage, Item: item, Action: action})
@@ -223,9 +217,8 @@ func TestWindowedFaultNoTornSpills(t *testing.T) {
 			if item == 100 {
 				prob = ssbWithoutQ1(t, 0.2)
 			}
-			spillDir := t.TempDir()
 			_, err := GenerateStream(prob, Options{Seed: 3, Parallelism: 4}, StreamConfig{
-				Sink: &storage.CountSink{}, WindowRows: 64, SpillDir: spillDir, SpillRows: 8,
+				Sink: &storage.CountSink{}, WindowRows: 64,
 			})
 			deactivate()
 			if err == nil {
@@ -237,13 +230,6 @@ func TestWindowedFaultNoTornSpills(t *testing.T) {
 			}
 			if !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatalf("action %v window %d: err = %v, want injection provenance", action, item, err)
-			}
-			ents, rerr := os.ReadDir(spillDir)
-			if rerr != nil {
-				t.Fatal(rerr)
-			}
-			if len(ents) != 0 {
-				t.Fatalf("action %v window %d: torn spill files left behind: %v", action, item, ents)
 			}
 		}
 	}
@@ -287,7 +273,7 @@ func TestWindowedStreamingSmoke(t *testing.T) {
 	sink := &hashSink{}
 	sprob := streamProblem(t, "tpch", sf)
 	if _, err := GenerateStream(sprob, Options{Seed: 3, Parallelism: 4},
-		StreamConfig{Sink: sink, WindowRows: 256, SpillRows: 1024}); err != nil {
+		StreamConfig{Sink: sink, WindowRows: 256}); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range wantSums {
