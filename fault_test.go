@@ -252,6 +252,44 @@ func TestKeygenCancelLeavesNoTornColumns(t *testing.T) {
 	checkColumnsCompleteOrAbsent(t, db)
 }
 
+// TestKeygenCancelSpreadOverRun: TPC-DS at parallelism 8 leaves keygen
+// waves with spare workers, which run stuck FK units' restart attempts
+// ahead. A cancel at each quarter of an uncancelled run's time must unwind
+// cleanly: the run returns a wrapped context.Canceled (or had finished) and
+// leaves no goroutine behind — every attempt run ahead is joined.
+func TestKeygenCancelSpreadOverRun(t *testing.T) {
+	const sf, parallelism = 0.001, 8
+	baseline := runtime.NumGoroutine()
+	start := time.Now()
+	if _, err := GenerateCtx(context.Background(), streamProblem(t, "tpcds", sf), Options{Seed: 3, Parallelism: parallelism}); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+	cancelled := 0
+	for i := 1; i < 4; i++ {
+		prob := streamProblem(t, "tpcds", sf)
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(full*time.Duration(i)/4, cancel)
+		_, err := GenerateCtx(ctx, prob, Options{Seed: 3, Parallelism: parallelism})
+		timer.Stop()
+		cancel()
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at %d/4 of the run: err = %v, want wrapped context.Canceled", i, err)
+		}
+		cancelled++
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; {
+			if time.Now().After(deadline) {
+				t.Fatalf("cancel at %d/4 of the run: goroutines %d before, %d after", i, baseline, runtime.NumGoroutine())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	t.Logf("%d of 3 cancels landed before the run finished", cancelled)
+}
+
 // TestGenerateCtxCancelMidCS: an in-memory run makes the same gated table
 // passes as a streamed one, so an interrupt or a fault lands inside an FK
 // unit's CS stage — in window 1 of the first pass over SSB's fact table —

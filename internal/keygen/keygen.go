@@ -29,6 +29,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dbhammer/mirage/internal/engine"
@@ -76,7 +77,7 @@ const DefaultBatchSize = 70_000
 // Stats aggregates stage timings for the Fig. 15 experiment.
 type Stats struct {
 	CSTime     time.Duration // compute join statuses
-	CPTime     time.Duration // constraint solving (once per unit)
+	CPTime     time.Duration // constraint solving, summed over every worker that ran an attempt
 	PFTime     time.Duration // populate foreign keys
 	CPRounds   int           // solved units, one population pass each
 	Partitions int
@@ -142,8 +143,12 @@ func (s *Stats) noteDegradations(unit string) {
 // cfg.Parallelism workers. The workers a wave leaves idle go to its units'
 // CS stage: each unit evaluates its join input views, folds its status masks
 // and partitions them on width = workers / units-in-wave goroutines (at least
-// one), so a wave of one unit uses every worker. Non-key columns must already
-// be materialized and selection parameters instantiated.
+// one), so a wave of one unit uses every worker. Once a unit's CS stage ends,
+// and once a worker finds no unit left, those workers become the wave's
+// spares, and a unit's CP stage runs its later restart attempts ahead on
+// them (solveX). A worker is in at most one of these roles at a time, so no
+// more than cfg.Parallelism goroutines work at once. Non-key columns must
+// already be materialized and selection parameters instantiated.
 //
 // Determinism: while a wave runs, the database is only read — each unit
 // computes its FK column into a private slice, and the slices are committed
@@ -183,19 +188,22 @@ func Populate(ctx context.Context, cfg Config, prob *genplan.Problem, db *storag
 		for _, eng := range engines {
 			eng.SetWidth(width)
 		}
-		err := parallel.ForEachWorkerCtx(ctx, "keygen/wave", workers, len(wave), func(w, i int) error {
+		// Every unit running holds width workers; the rest start as spares.
+		pool := &spares{}
+		pool.put(workers - min(workers, len(wave))*width)
+		err := parallel.ForEachWorkerIdleCtx(ctx, "keygen/wave", workers, len(wave), func(w, i int) error {
 			var unitSpan *obs.Span
 			if waveSpan != nil {
 				unitSpan = waveSpan.Child("unit:" + wave[i].Key())
 			}
-			st, vals, err := populateUnit(ctx, cfg, engines[w], db, wave[i], width)
+			st, vals, err := populateUnit(ctx, cfg, engines[w], db, wave[i], width, pool)
 			unitSpan.End()
 			if err != nil {
 				return fmt.Errorf("keygen: unit %s: %w", wave[i].Key(), err)
 			}
 			stats[i], cols[i] = st, vals
 			return nil
-		})
+		}, func(int) { pool.put(1) })
 		waveSpan.End()
 		// Commit whatever completed (sequential runs have already written
 		// earlier units when a later one fails; parallel runs match that),
@@ -226,6 +234,34 @@ func Populate(ctx context.Context, cfg Config, prob *genplan.Problem, db *storag
 	return total, nil
 }
 
+// spares counts the workers of one keygen wave that run neither a unit nor
+// a unit's CS stage. solveX takes them one at a time to run restart attempts
+// ahead and puts each back when its attempt ends. A nil *spares holds none.
+type spares struct{ n atomic.Int64 }
+
+// take claims one spare worker, if there is one.
+func (s *spares) take() bool {
+	if s == nil {
+		return false
+	}
+	for {
+		n := s.n.Load()
+		if n <= 0 {
+			return false
+		}
+		if s.n.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+}
+
+// put adds n spare workers.
+func (s *spares) put(n int) {
+	if s != nil {
+		s.n.Add(int64(n))
+	}
+}
+
 // part is one row partition: all rows sharing a join-visibility mask.
 type part struct {
 	mask uint64
@@ -233,10 +269,11 @@ type part struct {
 }
 
 // populateUnit computes one FK column, its CS stage on width goroutines. It
-// only reads the database — the returned value slice is the column content
-// the caller commits after the unit's wave joins, keeping wave execution free
-// of concurrent writes.
-func populateUnit(ctx context.Context, cfg Config, eng *engine.Engine, db *storage.DB, unit *genplan.Unit, width int) (*Stats, []int64, error) {
+// then puts all but one of those workers in pool, and its CP stage runs
+// restart attempts ahead on whatever pool holds. It only reads the database
+// — the returned value slice is the column content the caller commits after
+// the unit's wave joins, keeping wave execution free of concurrent writes.
+func populateUnit(ctx context.Context, cfg Config, eng *engine.Engine, db *storage.DB, unit *genplan.Unit, width int, pool *spares) (*Stats, []int64, error) {
 	st := &Stats{}
 	tData := db.Table(unit.Table)
 	fkColMeta, _ := tData.Meta.Column(unit.FKCol)
@@ -250,6 +287,7 @@ func populateUnit(ctx context.Context, cfg Config, eng *engine.Engine, db *stora
 	}
 	if m == 0 {
 		// Unconstrained FK column: uniform fill over the referenced PKs.
+		pool.put(width - 1)
 		start := time.Now()
 		vals := fillUniform(cfg, tRows, unit.Key(), int64(sRows))
 		st.PFTime = time.Since(start)
@@ -301,6 +339,7 @@ func populateUnit(ctx context.Context, cfg Config, eng *engine.Engine, db *stora
 		rsetSizes = append(rsetSizes, int64(rset.Len()))
 	}
 	if len(folded) == 0 {
+		pool.put(width - 1)
 		vals := fillUniform(cfg, tRows, unit.Key(), int64(sRows))
 		st.PFTime = time.Since(start)
 		st.noteDegradations(unit.Key())
@@ -322,6 +361,7 @@ func populateUnit(ctx context.Context, cfg Config, eng *engine.Engine, db *stora
 	lsetSizes, rsetSizes = lsetSizes[:m], rsetSizes[:m]
 	st.Partitions = len(sParts) + len(tParts)
 	st.CSTime = time.Since(start)
+	pool.put(width - 1)
 
 	njcc, njdc := resizeConstraints(st, joins, lsetSizes, rsetSizes, int64(sRows))
 
@@ -331,13 +371,11 @@ func populateUnit(ctx context.Context, cfg Config, eng *engine.Engine, db *stora
 	start = time.Now()
 	model := buildModel(joins, sParts, tParts, njcc, njdc)
 	st.Cells = len(model.cells)
-	sol, restarts, nResized, err := model.solveTwoPhase(ctx, cfg)
+	sol, err := model.solveTwoPhase(ctx, cfg, pool, st)
 	if err != nil {
 		return nil, nil, err
 	}
-	st.Resized += nResized
-	st.Restarts += restarts
-	st.CPTime = time.Since(start)
+	st.CPTime += time.Since(start)
 
 	// PF stage.
 	vals, err := populateFKs(st, tRows, model, sol)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/bits"
 	"math/rand"
+	"time"
 )
 
 const unknownCard = -1
@@ -24,26 +25,87 @@ type xTarget struct {
 // join's *capacity* — sum of min(x, |S_i|) over its cells must reach n_jdc,
 // or the distinct/fresh system downstream cannot spread keys widely enough.
 //
-// One repairState is allocated per call and reused across the restart
-// attempts; attempts after the first warm-start from the best assignment so
-// far (with a seeded coverage-preserving perturbation) instead of rebuilding
-// the proportional initial state from scratch — successive attempts perturb
-// rather than replace the near-solution, which converges in a fraction of
-// the iterations a cold restart needs.
+// Attempt 0 starts from the proportional initial state; every later attempt
+// warm-starts from the best assignment so far (with a seeded
+// coverage-preserving perturbation) instead of rebuilding it from scratch —
+// successive attempts perturb rather than replace the near-solution, which
+// converges in a fraction of the iterations a cold restart needs. Later
+// attempts run ahead on the spare workers of pool (see solveX).
 //
 // The returned assignment always satisfies coverage exactly; per-join
 // residuals are returned so the caller can clamp affected constraints
-// (Section 6's resize-and-bound policy), together with the number of
-// restart attempts consumed (≥ 1) for the degradation ledger. The repair
-// loop polls ctx, so a deadline or cancellation lands between (or inside)
-// attempts; only context interruption yields a non-nil error.
-func (kg *kgModel) solveXLocal(ctx context.Context, cfg Config) (x []int64, residual []int64, attempts int, err error) {
-	return kg.solveX(ctx, cfg, (*repairState).repair)
+// (Section 6's resize-and-bound policy), together with the restart attempts
+// consumed (≥ 1) for the degradation ledger. The repair loop polls ctx, so a
+// deadline or cancellation lands between (or inside) attempts; only context
+// interruption yields a non-nil error.
+func (kg *kgModel) solveXLocal(ctx context.Context, cfg Config, pool *spares) (*xSolve, error) {
+	return kg.solveX(ctx, cfg, pool, (*repairState).repair)
+}
+
+// maxAttempts bounds the repair attempts of one x-system.
+const maxAttempts = 8
+
+// xSolve is what solveX returns.
+type xSolve struct {
+	x, residual []int64
+	// errs holds each committed attempt's best error, in attempt order;
+	// len(errs) is the attempt count.
+	errs []int64
+	// frozenExits counts the committed attempts that ended frozen.
+	frozenExits int
+	// helperTime sums the run time of every attempt a spare worker ran,
+	// committed or discarded.
+	helperTime time.Duration
+	// ahead counts the committed attempts that started before an earlier
+	// attempt was committed; discarded counts the attempts thrown away.
+	ahead, discarded int
+}
+
+// attemptRun is one repair attempt in flight or finished.
+type attemptRun struct {
+	a      int
+	st     *repairState
+	ahead  bool  // started while an earlier attempt was uncommitted
+	err    int64 // repair's best error
+	frozen int   // frozen exits of this attempt (0 or 1)
+	// A spare worker's attempt runs on its own goroutine under its own
+	// context: done is closed once it has finished, and busy and panicked
+	// are set by then. The calling goroutine's attempts run inline and
+	// have done == nil.
+	done     chan struct{}
+	cancel   context.CancelFunc
+	busy     time.Duration
+	panicked any
+}
+
+// finished reports whether r has run to its end.
+func (r *attemptRun) finished() bool {
+	if r.done == nil {
+		return true
+	}
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // solveX is solveXLocal with the repair loop as a parameter, so a test can
 // run the same attempts, restarts and warm starts around another loop.
-func (kg *kgModel) solveX(ctx context.Context, cfg Config, repair func(*repairState, context.Context) int64) (x []int64, residual []int64, attempts int, err error) {
+//
+// An attempt depends only on the best assignment at its start (bestX) and
+// its index: the rng is re-seeded from the index and warmStart copies bestX.
+// So while attempt a runs, attempts a+1, a+2, … can already run from the
+// same bestX, on the calling goroutine and on workers taken from pool, each
+// with its own repairState. Attempts are committed in index order exactly as
+// the sequential loop would: one that started from the current bestX is
+// valid as long as no earlier attempt strictly improves the best error. When
+// one does (or reaches 0), every attempt still uncommitted is cancelled,
+// joined and thrown away, and the loop goes on from the new bestX. x, the
+// residuals and the attempt count are therefore the sequential loop's at any
+// number of spare workers; with none it is the sequential loop.
+func (kg *kgModel) solveX(ctx context.Context, cfg Config, pool *spares, repair func(*repairState, context.Context) int64) (*xSolve, error) {
 	targets := make([]xTarget, len(kg.joins))
 	for k := range kg.joins {
 		switch {
@@ -56,47 +118,145 @@ func (kg *kgModel) solveX(ctx context.Context, cfg Config, repair func(*repairSt
 		}
 	}
 	st := kg.newRepairState(targets)
+	free := []*repairState{st}
+	state := func() *repairState {
+		if n := len(free); n > 0 {
+			s := free[n-1]
+			free = free[:n-1]
+			return s
+		}
+		return kg.newRepairState(targets)
+	}
 	bestX := make([]int64, len(kg.cells))
 	bestErr := int64(1) << 60
-	for attempt := 0; attempt < 8; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, attempts, err
-		}
-		attempts++
-		st.rng = rand.New(rand.NewSource(cfg.Seed ^ (0x51ca1 + int64(attempt)*7919)))
-		if attempt == 0 || bestErr >= int64(1)<<60 {
-			st.initProportional(attempt)
+	run := func(ctx context.Context, r *attemptRun) {
+		r.st.rng = rand.New(rand.NewSource(cfg.Seed ^ (0x51ca1 + int64(r.a)*7919)))
+		if r.a == 0 {
+			r.st.initProportional()
 		} else {
-			st.warmStart(bestX)
+			r.st.warmStart(bestX)
 		}
-		errSum := repair(st, ctx)
-		if errSum < bestErr {
-			bestErr = errSum
-			copy(bestX, st.x)
-			if errSum == 0 {
-				break
+		exits := r.st.frozenExits
+		r.err = repair(r.st, ctx)
+		r.frozen = r.st.frozenExits - exits
+	}
+	// goRun starts attempt a on a worker taken from pool, which gets it back
+	// when the attempt ends.
+	goRun := func(a int) *attemptRun {
+		actx, cancel := context.WithCancel(ctx)
+		r := &attemptRun{a: a, st: state(), ahead: true, done: make(chan struct{}), cancel: cancel}
+		go func() {
+			start := time.Now()
+			defer func() {
+				r.panicked = recover()
+				r.busy = time.Since(start)
+				pool.put(1)
+				close(r.done)
+			}()
+			run(actx, r)
+		}()
+		return r
+	}
+	res := &xSolve{}
+	// pending holds the attempts started and not yet committed, in index
+	// order; every one of them started from the current bestX.
+	var pending []*attemptRun
+	// panicked is the first panic of a spare worker's attempt. It is
+	// raised again on the calling goroutine, where the wave's worker pool
+	// contains it, once the attempts still pending are joined.
+	var panicked any
+	// collect waits for r to end and frees its state.
+	collect := func(r *attemptRun) {
+		if r.done != nil {
+			<-r.done
+			res.helperTime += r.busy
+			if panicked == nil {
+				panicked = r.panicked
+			}
+		}
+		free = append(free, r.st)
+	}
+	// drop cancels, joins and throws away every pending attempt.
+	drop := func() {
+		for _, r := range pending {
+			if r.cancel != nil {
+				r.cancel()
+			}
+			collect(r)
+		}
+		res.discarded += len(pending)
+		pending = pending[:0]
+	}
+	defer drop() // pending is empty unless ctx or a panic ends the loop
+	next := 0    // the next attempt to commit
+	for next < maxAttempts {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// The calling goroutine runs the lowest attempt not yet started,
+		// spare workers the ones after it. Attempt 0 always improves on
+		// the initial bestErr, so nothing runs ahead of it.
+		var own *attemptRun
+		launched := next + len(pending)
+		if launched < maxAttempts {
+			own = &attemptRun{a: launched, st: state(), ahead: launched > next}
+			pending = append(pending, own)
+			launched++
+		}
+		for next > 0 && launched < maxAttempts && pool.take() {
+			pending = append(pending, goRun(launched))
+			launched++
+		}
+		if own != nil {
+			run(ctx, own)
+		} else {
+			<-pending[0].done // the owner's attempts have all run
+		}
+		for len(pending) > 0 && pending[0].finished() {
+			r := pending[0]
+			pending = pending[1:]
+			collect(r) // r.st stays unused until the next round of starts
+			res.errs = append(res.errs, r.err)
+			res.frozenExits += r.frozen
+			if r.ahead {
+				res.ahead++
+			}
+			next++
+			if r.err < bestErr {
+				drop()
+				bestErr = r.err
+				copy(bestX, r.st.x)
+				if bestErr == 0 {
+					next = maxAttempts
+				}
+			}
+			if panicked != nil {
+				panic(panicked)
 			}
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, attempts, err
+		return nil, err
 	}
 	copy(st.x, bestX)
 	st.recompute()
-	residual = make([]int64, len(kg.joins))
+	res.x = bestX
+	res.residual = make([]int64, len(kg.joins))
 	for k := range kg.joins {
-		residual[k] = st.deficit(k)
-		if residual[k] == 0 && st.capDeficit(k) > 0 {
-			residual[k] = st.capDeficit(k)
+		res.residual[k] = st.deficit(k)
+		if res.residual[k] == 0 && st.capDeficit(k) > 0 {
+			res.residual[k] = st.capDeficit(k)
 		}
 	}
-	return bestX, residual, attempts, nil
+	return res, nil
 }
 
 // repairState carries the incremental bookkeeping of one repair attempt.
 // All scratch is preallocated in newRepairState and reused across the
-// restart attempts of one solveXLocal call, so the repair loop runs
+// attempts one solveX call runs on it, so the repair loop runs
 // allocation-free at steady state (pinned by TestRepairSteadyStateAllocs).
+// An attempt's result does not depend on which state it runs on: everything
+// it reads is reset by initProportional or warmStart and the rng seeding.
 type repairState struct {
 	kg       *kgModel
 	rng      *rand.Rand
@@ -107,6 +267,7 @@ type repairState struct {
 	inSum    []int64  // sum of x over in-cells per join
 	capIn    []int64  // sum of min(x, cap) over in-cells per join
 	jdc      []int64  // distinct requirement per join (unknownCard if none)
+	jdcMask  uint64   // joins with a distinct requirement
 
 	// Incremental error bookkeeping: errByJoin[k] = |deficit(k)| +
 	// capDeficit(k), curErr their sum. Maintained by adjust so the repair
@@ -149,13 +310,17 @@ func (kg *kgModel) newRepairState(targets []xTarget) *repairState {
 		st.cellMask[ci] = kg.sParts[c.si].mask & kg.tParts[c.tj].mask
 		st.cellCap[ci] = int64(len(kg.sParts[c.si].rows))
 	}
+	for k, d := range st.jdc {
+		if d != unknownCard {
+			st.jdcMask |= 1 << uint(k)
+		}
+	}
 	return st
 }
 
-// initProportional sets the cold initial state: each T partition's rows
-// spread across its cells proportionally to partition supply, jittered when
-// attempt > 0.
-func (st *repairState) initProportional(attempt int) {
+// initProportional sets attempt 0's initial state: each T partition's rows
+// spread across its cells proportionally to partition supply.
+func (st *repairState) initProportional() {
 	kg := st.kg
 	for j, tp := range kg.tParts {
 		capj := int64(len(tp.rows))
@@ -170,9 +335,6 @@ func (st *repairState) initProportional(attempt int) {
 				share = capj - assigned
 			} else if totalSupply > 0 {
 				share = capj * (int64(len(kg.sParts[kg.cells[ci].si].rows)) + 1) / totalSupply
-				if attempt > 0 && share > 0 && st.rng.Intn(3) == 0 {
-					share -= st.rng.Int63n(share + 1)
-				}
 			}
 			st.x[ci] = share
 			assigned += share
@@ -298,28 +460,32 @@ func (st *repairState) adjust(ci int, delta int64) {
 }
 
 // moveGain evaluates a candidate transfer without mutating state: the exact
-// change in total error, computed over just the joins touched by either
-// cell. This replaces the old apply/revert/totalErr probe, which cost two
-// full adjusts plus an O(joins) sweep per candidate.
+// change in total error, computed over just the joins the move can change.
+// A join only one of the two cells is in gains or loses amt; a join both
+// are in keeps its sum, so its error can move only through a distinct
+// capacity, and the cap deltas are computed only when such a join is
+// touched. This replaces the old apply/revert/totalErr probe, which cost
+// two full adjusts plus an O(joins) sweep per candidate.
 func (st *repairState) moveGain(from, to int, amt int64) int64 {
-	xf, xt := st.x[from], st.x[to]
-	dCapFrom := minI64(xf-amt, st.cellCap[from]) - minI64(xf, st.cellCap[from])
-	dCapTo := minI64(xt+amt, st.cellCap[to]) - minI64(xt, st.cellCap[to])
 	maskFrom, maskTo := st.cellMask[from], st.cellMask[to]
+	var dCapFrom, dCapTo int64
+	if (maskFrom|maskTo)&st.jdcMask != 0 {
+		xf, xt := st.x[from], st.x[to]
+		dCapFrom = minI64(xf-amt, st.cellCap[from]) - minI64(xf, st.cellCap[from])
+		dCapTo = minI64(xt+amt, st.cellCap[to]) - minI64(xt, st.cellCap[to])
+	}
 	var gain int64
-	for m := maskFrom | maskTo; m != 0; m &= m - 1 {
+	for m := maskFrom &^ maskTo; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros64(m)
-		kb := uint64(1) << uint(k)
-		in, cap := st.inSum[k], st.capIn[k]
-		if maskFrom&kb != 0 {
-			in -= amt
-			cap += dCapFrom
-		}
-		if maskTo&kb != 0 {
-			in += amt
-			cap += dCapTo
-		}
-		gain += st.errByJoin[k] - st.errAt(k, in, cap)
+		gain += st.errByJoin[k] - st.errAt(k, st.inSum[k]-amt, st.capIn[k]+dCapFrom)
+	}
+	for m := maskTo &^ maskFrom; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		gain += st.errByJoin[k] - st.errAt(k, st.inSum[k]+amt, st.capIn[k]+dCapTo)
+	}
+	for m := maskFrom & maskTo & st.jdcMask; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		gain += st.errByJoin[k] - st.errAt(k, st.inSum[k], st.capIn[k]+dCapFrom+dCapTo)
 	}
 	return gain
 }

@@ -8,9 +8,13 @@ package keygen
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/dbhammer/mirage/internal/engine"
 	"github.com/dbhammer/mirage/internal/genplan"
@@ -70,7 +74,7 @@ func unitModel(t testing.TB, db *storage.DB, joins []*genplan.JoinCons) *kgModel
 // have relaxed them, and checkJoin covers them end to end.
 func checkTwoPhase(t testing.TB, kg *kgModel, cfg Config) {
 	t.Helper()
-	sol, _, _, err := kg.solveTwoPhase(context.Background(), cfg)
+	sol, err := kg.solveTwoPhase(context.Background(), cfg, nil, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +135,7 @@ func newModelState(kg *kgModel, seed int64) *repairState {
 	}
 	st := kg.newRepairState(targets)
 	st.rng = rand.New(rand.NewSource(seed))
-	st.initProportional(0)
+	st.initProportional()
 	return st
 }
 
@@ -184,33 +188,50 @@ func TestIncrementalBookkeepingMatchesRecompute(t *testing.T) {
 }
 
 // TestMoveGainMatchesApply: the speculative gain of a move must equal the
-// actual error delta when the move is applied.
+// actual error delta when the move is applied, on the paper model and on
+// random x-systems — whose moves include pairs of cells sharing a join with
+// a distinct requirement (whose capacity moves) and sharing one without
+// (whose error cannot move), the two cases moveGain treats apart.
 func TestMoveGainMatchesApply(t *testing.T) {
-	st := newTestState(t, 11)
-	rng := rand.New(rand.NewSource(5))
-	checked := 0
-	for step := 0; step < 2000 && checked < 200; step++ {
-		j := rng.Intn(len(st.kg.tParts))
-		cells := st.kg.byT[j]
-		if len(cells) < 2 {
-			continue
-		}
-		from := cells[rng.Intn(len(cells))]
-		to := cells[rng.Intn(len(cells))]
-		if from == to || st.x[from] == 0 {
-			continue
-		}
-		amt := rng.Int63n(st.x[from]) + 1
-		gain := st.moveGain(from, to, amt)
-		before := st.curErr
-		st.apply(from, to, amt)
-		if got := before - st.curErr; got != gain {
-			t.Fatalf("move (%d→%d, %d): moveGain %d but applied delta %d", from, to, amt, gain, got)
-		}
-		checked++
+	states := []*repairState{newTestState(t, 11)}
+	models := rand.New(rand.NewSource(23))
+	for range 120 {
+		states = append(states, newModelState(randomXModel(models), 11))
 	}
-	if checked == 0 {
-		t.Fatal("no moves exercised")
+	rng := rand.New(rand.NewSource(5))
+	checked, sharedJDC, sharedPlain := 0, 0, 0
+	for _, st := range states {
+		for step, n := 0, 0; step < 2000 && n < 200; step++ {
+			j := rng.Intn(len(st.kg.tParts))
+			cells := st.kg.byT[j]
+			if len(cells) < 2 {
+				continue
+			}
+			from := cells[rng.Intn(len(cells))]
+			to := cells[rng.Intn(len(cells))]
+			if from == to || st.x[from] == 0 {
+				continue
+			}
+			amt := rng.Int63n(st.x[from]) + 1
+			gain := st.moveGain(from, to, amt)
+			before := st.curErr
+			st.apply(from, to, amt)
+			if got := before - st.curErr; got != gain {
+				t.Fatalf("move (%d→%d, %d): moveGain %d but applied delta %d", from, to, amt, gain, got)
+			}
+			shared := st.cellMask[from] & st.cellMask[to]
+			if shared&st.jdcMask != 0 {
+				sharedJDC++
+			}
+			if shared&^st.jdcMask != 0 {
+				sharedPlain++
+			}
+			n++
+			checked++
+		}
+	}
+	if checked == 0 || sharedJDC == 0 || sharedPlain == 0 {
+		t.Fatalf("moves exercised: %d, sharing a join with a distinct requirement: %d, sharing one without: %d", checked, sharedJDC, sharedPlain)
 	}
 }
 
@@ -318,7 +339,15 @@ func referenceRepair(st *repairState, ctx context.Context) int64 {
 // lower bound, both or neither, drawn so that some systems are feasible and
 // many are not.
 func randomXModel(rng *rand.Rand) *kgModel {
-	nJoins := 1 + rng.Intn(4)
+	return randomXModelUpTo(rng, 4, 6, 8)
+}
+
+// randomXModelUpTo is randomXModel with up to joins joins, nS S partitions
+// and nT T partitions. Systems of up to 6 joins, 16 S and 24 T partitions
+// are large enough that a later attempt sometimes improves on attempt 0,
+// which randomXModel's never do.
+func randomXModelUpTo(rng *rand.Rand, joins, nS, nT int) *kgModel {
+	nJoins := 1 + rng.Intn(joins)
 	parts := func(n, maxRows int) []*part {
 		ps := make([]*part, n)
 		for i := range ps {
@@ -326,7 +355,7 @@ func randomXModel(rng *rand.Rand) *kgModel {
 		}
 		return ps
 	}
-	sParts, tParts := parts(1+rng.Intn(6), 12), parts(1+rng.Intn(8), 40)
+	sParts, tParts := parts(1+rng.Intn(nS), 12), parts(1+rng.Intn(nT), 40)
 	njcc := make([]int64, nJoins)
 	njdc := make([]int64, nJoins)
 	for k := range nJoins {
@@ -384,21 +413,13 @@ func anyMove(st *repairState) bool {
 // are where plateau-only neighbourhoods show up, the start states (cold or
 // warm, before any repair) where capacity-only ones do.
 func TestFrozenExitMatchesReference(t *testing.T) {
-	type run struct {
-		x, residual []int64
-		attempts    int
-		bestErrs    []int64
-		frozenExits int
-	}
 	agree := func(st *repairState, when string) {
 		if frozen, open := st.frozen(), anyMove(st); frozen == open {
 			t.Fatalf("%s an attempt: frozen()=%v but pickMove finds a move=%v, x=%v", when, frozen, open, st.x)
 		}
 	}
-	solve := func(kg *kgModel, seed int64, repair func(*repairState, context.Context) int64, check bool) run {
-		var r run
-		var err error
-		r.x, r.residual, r.attempts, err = kg.solveX(context.Background(), Config{Seed: seed},
+	solve := func(kg *kgModel, seed int64, repair func(*repairState, context.Context) int64, check bool) *xSolve {
+		r, err := kg.solveX(context.Background(), Config{Seed: seed}, nil,
 			func(st *repairState, ctx context.Context) int64 {
 				if check {
 					agree(st, "at the start of")
@@ -407,8 +428,6 @@ func TestFrozenExitMatchesReference(t *testing.T) {
 				if check {
 					agree(st, "at the end of")
 				}
-				r.bestErrs = append(r.bestErrs, e)
-				r.frozenExits = st.frozenExits
 				return e
 			})
 		if err != nil {
@@ -429,10 +448,9 @@ func TestFrozenExitMatchesReference(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			got := solve(kg, seed, (*repairState).repair, true)
 			want := solve(kg, seed, referenceRepair, false)
-			if !slices.Equal(got.x, want.x) || !slices.Equal(got.residual, want.residual) ||
-				got.attempts != want.attempts || !slices.Equal(got.bestErrs, want.bestErrs) {
-				t.Fatalf("model %d seed %d: with the exit x=%v residual=%v attempts=%d best=%v; reference x=%v residual=%v attempts=%d best=%v",
-					i, seed, got.x, got.residual, got.attempts, got.bestErrs, want.x, want.residual, want.attempts, want.bestErrs)
+			if !slices.Equal(got.x, want.x) || !slices.Equal(got.residual, want.residual) || !slices.Equal(got.errs, want.errs) {
+				t.Fatalf("model %d seed %d: with the exit x=%v residual=%v best=%v; reference x=%v residual=%v best=%v",
+					i, seed, got.x, got.residual, got.errs, want.x, want.residual, want.errs)
 			}
 			instances++
 			if got.frozenExits > 0 {
@@ -444,4 +462,142 @@ func TestFrozenExitMatchesReference(t *testing.T) {
 	if fired == 0 {
 		t.Fatal("the frozen exit never fired: the oracle compared nothing it changes")
 	}
+}
+
+// TestSpeculativeAttemptsMatchSequential: solveX with spare workers must
+// commit exactly the attempts the sequential loop does — the same x,
+// residuals, per-attempt best errors and frozen exits — on the paper model
+// and on random x-systems at several seeds, with 1, 3 and 7 spare workers,
+// and hand every worker back. Across the instances some attempts that ran
+// ahead must have been committed and some thrown away (the larger systems
+// are there for that), or the comparison proved nothing.
+func TestSpeculativeAttemptsMatchSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	models := []*kgModel{paperModel(t)}
+	for range 120 {
+		models = append(models, randomXModel(rng))
+	}
+	for range 40 {
+		models = append(models, randomXModelUpTo(rng, 6, 16, 24))
+	}
+	ctx := context.Background()
+	ahead, discarded := 0, 0
+	for i, kg := range models {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := Config{Seed: seed}
+			want, err := kg.solveXLocal(ctx, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.ahead != 0 || want.discarded != 0 || want.helperTime != 0 {
+				t.Fatalf("model %d seed %d: no spare worker, yet %d attempts ran ahead, %d were discarded, helpers ran %v",
+					i, seed, want.ahead, want.discarded, want.helperTime)
+			}
+			for _, helpers := range []int{1, 3, 7} {
+				pool := &spares{}
+				pool.put(helpers)
+				got, err := kg.solveXLocal(ctx, cfg, pool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.x, want.x) || !slices.Equal(got.residual, want.residual) ||
+					!slices.Equal(got.errs, want.errs) || got.frozenExits != want.frozenExits {
+					t.Fatalf("model %d seed %d, %d helpers: x=%v residual=%v best=%v frozen=%d; sequential x=%v residual=%v best=%v frozen=%d",
+						i, seed, helpers, got.x, got.residual, got.errs, got.frozenExits, want.x, want.residual, want.errs, want.frozenExits)
+				}
+				if n := pool.n.Load(); n != int64(helpers) {
+					t.Fatalf("model %d seed %d: %d of %d spare workers handed back", i, seed, n, helpers)
+				}
+				ahead += got.ahead
+				discarded += got.discarded
+			}
+		}
+	}
+	t.Logf("%d attempts that ran ahead committed, %d discarded", ahead, discarded)
+	if ahead == 0 || discarded == 0 {
+		t.Fatalf("%d attempts that ran ahead committed and %d discarded: want both", ahead, discarded)
+	}
+}
+
+// TestSpeculativeAttemptsCancel: cancelling solveX while spare workers run
+// attempts returns the context's error, and only once every attempt has
+// returned, every spare worker is back in the pool and every goroutine
+// solveX started has exited.
+func TestSpeculativeAttemptsCancel(t *testing.T) {
+	kg := paperModel(t)
+	const helpers = 3
+	pool := &spares{}
+	pool.put(helpers)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	base := runtime.NumGoroutine()
+	var calls, running atomic.Int64
+	all := make(chan struct{})
+	repair := func(st *repairState, ctx context.Context) int64 {
+		running.Add(1)
+		defer running.Add(-1)
+		switch calls.Add(1) {
+		case 1:
+			return 1 // attempt 0: leave a nonzero error so attempts go on
+		case 2 + helpers:
+			close(all) // attempt 1 and the helpers' attempts are all running
+		}
+		<-ctx.Done()
+		return 1
+	}
+	cancelled := make(chan struct{})
+	go func() {
+		defer close(cancelled)
+		<-all
+		cancel()
+	}()
+	_, err := kg.solveX(ctx, Config{Seed: 1}, pool, repair)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d attempts still running after solveX returned", n)
+	}
+	if n := pool.n.Load(); n != helpers {
+		t.Fatalf("%d of %d spare workers handed back", n, helpers)
+	}
+	<-cancelled
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before solveX", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestSpeculativeAttemptPanicSurfaces: a panic in an attempt a spare worker
+// runs is raised again on solveX's goroutine, where the keygen wave's
+// worker pool contains it, after every attempt has been joined.
+func TestSpeculativeAttemptPanicSurfaces(t *testing.T) {
+	kg := paperModel(t)
+	pool := &spares{}
+	pool.put(2)
+	ctx := context.Background()
+	var running atomic.Int64
+	repair := func(st *repairState, actx context.Context) int64 {
+		running.Add(1)
+		defer running.Add(-1)
+		if actx != ctx {
+			panic("boom") // only spare workers run under their own context
+		}
+		return 1
+	}
+	defer func() {
+		if p := recover(); p != "boom" {
+			t.Fatalf("recovered %v, want the spare worker's panic", p)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("%d attempts still running after the panic", n)
+		}
+		if n := pool.n.Load(); n != 2 {
+			t.Fatalf("%d of 2 spare workers handed back", n)
+		}
+	}()
+	kg.solveX(ctx, Config{Seed: 1}, pool, repair)
+	t.Fatal("solveX returned")
 }

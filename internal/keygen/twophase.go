@@ -14,25 +14,26 @@ import "context"
 // because fresh values exist only where JDC-constrained joins see the cell.
 // What either phase cannot meet is clamped by Section 6's resize rule.
 //
-// Besides the solution it reports the restarts taken (local-search attempts
-// beyond the first) and the constraints resized, for the degradation
-// ledger. The only error it returns is a context interruption.
-func (kg *kgModel) solveTwoPhase(ctx context.Context, cfg Config) (*solution, int, int, error) {
-	resized := 0
-	x, residual, attempts, err := kg.solveXLocal(ctx, cfg)
+// It adds to st the restarts taken (local-search attempts beyond the first),
+// the constraints resized and the run time of the attempts spare workers of
+// pool ran, for the degradation ledger and the CP time. The only error it
+// returns is a context interruption.
+func (kg *kgModel) solveTwoPhase(ctx context.Context, cfg Config, pool *spares, st *Stats) (*solution, error) {
+	xs, err := kg.solveXLocal(ctx, cfg, pool)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
-	restarts := attempts - 1
-	for k, r := range residual {
+	st.Restarts += len(xs.errs) - 1
+	st.CPTime += xs.helperTime
+	for k, r := range xs.residual {
 		if r != 0 {
-			resized++
+			st.Resized++
 			if kg.njcc[k] != unknownCard {
 				kg.njcc[k] -= r
 			}
 		}
 	}
-	sol, dfResid := kg.solveDFLocal(x)
-	resized += dfResid
-	return sol, restarts, resized, nil
+	sol, dfResid := kg.solveDFLocal(xs.x)
+	st.Resized += dfResid
+	return sol, nil
 }

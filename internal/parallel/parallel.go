@@ -60,6 +60,15 @@ func ForEachCtx(ctx context.Context, stage string, workers, n int, fn func(i int
 // [0, workers)) passed alongside the item index, for callers that keep
 // per-worker state (e.g. one read-only query engine per validation worker).
 func ForEachWorkerCtx(ctx context.Context, stage string, workers, n int, fn func(worker, i int) error) error {
+	return ForEachWorkerIdleCtx(ctx, stage, workers, n, fn, nil)
+}
+
+// ForEachWorkerIdleCtx is ForEachWorkerCtx that calls idle(worker), when
+// idle is non-nil, once for each worker that finds no item left to claim,
+// while items other workers claimed may still run: the caller can hand that
+// worker's share of the machine to them. A worker that stops on an error or
+// a cancellation is not idle. Only min(workers, n) workers exist.
+func ForEachWorkerIdleCtx(ctx context.Context, stage string, workers, n int, fn func(worker, i int) error, idle func(worker int)) error {
 	if n == 0 {
 		return fault.Wrap(stage, fault.NoItem, ctx.Err())
 	}
@@ -85,6 +94,9 @@ func ForEachWorkerCtx(ctx context.Context, stage string, workers, n int, fn func
 			}
 			tm.Stop()
 			itemsC.Inc()
+		}
+		if idle != nil {
+			idle(0)
 		}
 		return nil
 	}
@@ -114,6 +126,9 @@ func ForEachWorkerCtx(ctx context.Context, stage string, workers, n int, fn func
 				}
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= n {
+					if idle != nil {
+						idle(worker)
+					}
 					return
 				}
 				tm := itemH.Start()

@@ -84,3 +84,32 @@ func TestWorkersNormalization(t *testing.T) {
 		t.Fatal("Workers must pass positive counts through")
 	}
 }
+
+// TestForEachIdleWhileItemsRun: every worker that finds no item left calls
+// idle once, while an item another worker claimed is still running — so a
+// caller can hand that worker to the running item.
+func TestForEachIdleWhileItemsRun(t *testing.T) {
+	const workers = 3
+	var idled [workers]atomic.Int64
+	var idleCount atomic.Int64
+	twoIdle := make(chan struct{})
+	err := ForEachWorkerIdleCtx(context.Background(), "test", workers, workers, func(_, i int) error {
+		if i == 0 {
+			<-twoIdle // item 0 ends only after the other two workers went idle
+		}
+		return nil
+	}, func(w int) {
+		idled[w].Add(1)
+		if idleCount.Add(1) == workers-1 {
+			close(twoIdle)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range idled {
+		if n := idled[w].Load(); n != 1 {
+			t.Fatalf("worker %d went idle %d times, want 1", w, n)
+		}
+	}
+}
