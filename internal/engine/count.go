@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"github.com/dbhammer/mirage/internal/relalg"
+	"github.com/dbhammer/mirage/internal/storage"
 )
 
 // Count returns what Execute returns — every view's Stats — for templates
@@ -249,13 +250,12 @@ func (p *countPlan) run(c *counter) error {
 
 // mult is a subtree's output counted per row of one of its tables: rows
 // ascending, cnt[i] > 0 the number of output tuples carrying rows[i] (cnt nil:
-// every count is 1). dense marks a bare leaf's rows, rows[i] == i, which a
-// probe need not read. A mult may be shared (a chain's survivors, the memo's
-// entries) and is never written after it is built.
+// every count is 1). A mult may be shared (a chain's survivors, a bare
+// leaf's identity rows, the memo's entries) and is never written after it is
+// built.
 type mult struct {
-	rows  []int32
-	cnt   []int64
-	dense bool
+	rows []int32
+	cnt  []int64
 }
 
 func (m mult) at(i int) int64 {
@@ -288,22 +288,31 @@ func (o *multOut) add(row int32, n int64) {
 
 // weight is a factor a join puts on every row of one of its tables while a
 // count descends past it to a table deeper in one input: on the join's PK
-// table row r weighs val[r] (fk nil), on its FK table val[fk[r]-1], and zero
+// table row r weighs val[r] (fk nil), on its FK table val[fk(r)-1], and zero
 // for a NULL or out-of-domain key.
 type weight struct {
 	table string
-	fk    []int64
+	fk    *storage.Column
 	val   []int64
 }
 
-func (w weight) of(row int32) int64 {
+// scale multiplies n[i] by the weight of rows[i]; keys is scratch of
+// len(rows) into which the rows' foreign keys are gathered.
+func (w weight) scale(n []int64, rows []int32, keys []int64) {
 	if w.fk == nil {
-		return w.val[row]
+		for i, row := range rows {
+			n[i] *= w.val[row]
+		}
+		return
 	}
-	if k := w.fk[row]; k >= 1 && k <= int64(len(w.val)) {
-		return w.val[k-1]
+	w.fk.Gather(keys, rows)
+	for i, k := range keys[:len(rows)] {
+		if k >= 1 && k <= int64(len(w.val)) {
+			n[i] *= w.val[k-1]
+		} else {
+			n[i] = 0
+		}
 	}
-	return 0
 }
 
 // counter is the state of one Count: every chain's survivors by the chain's
@@ -327,7 +336,7 @@ func (c *counter) scan(v *relalg.View, record bool) (mult, error) {
 		return mult{}, err
 	}
 	cs := &chainScan{selects: selects}
-	out := mult{rows: e.identity(t.Rows()), dense: true}
+	out := mult{rows: e.identity(t.Rows())}
 	if len(selects) > 0 {
 		var rows []int32
 		cs.emit = func(win []int32) error {
@@ -450,16 +459,20 @@ func (c *counter) countView(v *relalg.View, table string, ws []weight, record bo
 			return chain, nil
 		}
 		out := mult{rows: make([]int32, 0, len(chain.rows)), cnt: make([]int64, 0, len(chain.rows))}
-		for _, row := range chain.rows {
-			n := int64(1)
-			for _, w := range mine {
-				if n *= w.of(row); n == 0 {
-					break
-				}
+		n, keys := c.e.block(0), c.e.block(1)
+		for lo := 0; lo < len(chain.rows); lo += blockRows {
+			rows := chain.rows[lo:min(lo+blockRows, len(chain.rows))]
+			for i := range rows {
+				n[i] = 1
 			}
-			if n > 0 {
-				out.rows = append(out.rows, row)
-				out.cnt = append(out.cnt, n)
+			for _, w := range mine {
+				w.scale(n, rows, keys)
+			}
+			for i, row := range rows {
+				if n[i] > 0 {
+					out.rows = append(out.rows, row)
+					out.cnt = append(out.cnt, n[i])
+				}
 			}
 		}
 		return out, nil
@@ -505,48 +518,27 @@ func (c *counter) countView(v *relalg.View, table string, ws []weight, record bo
 
 	toFK := table == spec.FKTable
 	inLeft := table == spec.PKTable || (table != "" && !toFK && slices.Contains(viewTables(left), table))
-	var out multOut
+	p := &probe{r: r, lSet: lSet, mL: mL, nPK: nPK, toFK: toFK}
 	if toFK {
-		out = newMultOut(len(r.rows))
+		p.out = newMultOut(len(r.rows))
 	}
-	var cR []int64
 	if inLeft {
-		cR = make([]int64, nPK)
+		p.cR = make([]int64, nPK)
 	}
-	var matched bitset
 	if record {
-		matched = newBitset(nPK)
+		p.matched = newBitset(nPK)
 	}
-	var card int64
-	for i := range r.rows {
-		row := int32(i)
-		if !r.dense {
-			row = r.rows[i]
-		}
-		// NULL, < 1 and > nPK foreign keys match nothing: probeBucket's rule.
-		p := fk[row] - 1
-		if uint64(p) >= uint64(nPK) || !lSet.test(int(p)) {
-			continue
-		}
-		nR := int64(1)
-		if r.cnt != nil {
-			nR = r.cnt[i]
-		}
-		n := nR
-		if mL != nil {
-			n *= mL[p]
-		}
-		card += n
-		if record {
-			matched.set(int(p))
-		}
-		if toFK {
-			out.add(row, n)
-		}
-		if cR != nil {
-			cR[p] += nR
-		}
+	switch fk.Width() {
+	case 1:
+		probeFK(p, storage.Values[uint8](fk))
+	case 2:
+		probeFK(p, storage.Values[uint16](fk))
+	case 4:
+		probeFK(p, storage.Values[uint32](fk))
+	default:
+		probeFK(p, storage.Values[int64](fk))
 	}
+	card, out, cR, matched := p.card, p.out, p.cR, p.matched
 	if record {
 		e.m.opRows[relalg.JoinView].Observe(card)
 		c.res.Stats[v] = Stats{Card: card, JCC: card, JDC: int64(matched.count())}
@@ -577,15 +569,68 @@ func (c *counter) countView(v *relalg.View, table string, ws []weight, record bo
 	return c.count(right, table, append(slices.Clip(ws), weight{table: spec.FKTable, fk: fk, val: mL}), false)
 }
 
+// probe is one join's pass over its FK side in countView: the FK-side rows
+// and counts r, the PK-side rows with a nonzero count (lSet) and their
+// counts (mL, nil when all are 1), and what the pass produces — the join's
+// cardinality, its matched PK rows (when recording), the output counted per
+// FK row (toFK) and the FK-side count per PK row (cR, when wanted).
+type probe struct {
+	r       mult
+	lSet    bitset
+	mL      []int64
+	nPK     int
+	toFK    bool
+	card    int64
+	matched bitset
+	out     multOut
+	cR      []int64
+}
+
+// probeFK runs p over the foreign keys fk, a column stored as T.
+func probeFK[T storage.Elem](p *probe, fk []T) {
+	r, lSet, mL, cR, matched := p.r, p.lSet, p.mL, p.cR, p.matched
+	nPK := uint64(p.nPK)
+	var card int64
+	for i, row := range r.rows {
+		// NULL, < 1 and > nPK foreign keys match nothing: probeBucket's rule.
+		k := int64(fk[row]) - 1
+		if uint64(k) >= nPK || !lSet.test(int(k)) {
+			continue
+		}
+		nR := int64(1)
+		if r.cnt != nil {
+			nR = r.cnt[i]
+		}
+		n := nR
+		if mL != nil {
+			n *= mL[k]
+		}
+		card += n
+		if matched != nil {
+			matched.set(int(k))
+		}
+		if p.toFK {
+			p.out.add(row, n)
+		}
+		if cR != nil {
+			cR[k] += nR
+		}
+	}
+	p.card = card
+}
+
 // groups counts the distinct grouping keys over the rows of the aggregate's
 // key table: each grouping column is read through the joins of its path from
 // the row, and the values fold into a groupKey exactly as aggregate folds
-// them, so a hash collision merges the same groups on both paths.
+// them, so a hash collision merges the same groups on both paths. The rows
+// are read a block at a time: every foreign key on a path is gathered for
+// the block's rows and turned into the next table's rows, then the grouping
+// column for those.
 func (c *counter) groups(groupBy []string, paths [][]*relalg.JoinSpec, rows []int32) (int64, error) {
 	e := c.e
 	type groupCol struct {
-		fks  [][]int64
-		vals []int64
+		fks  []*storage.Column
+		vals *storage.Column
 	}
 	cols := make([]groupCol, len(groupBy))
 	for gi, g := range groupBy {
@@ -611,20 +656,28 @@ func (c *counter) groups(groupBy []string, paths [][]*relalg.JoinSpec, rows []in
 		cols[gi].vals = vals
 	}
 	keys := make(map[groupKey]struct{})
-	for _, r := range rows {
-		var k groupKey
+	next := make([]int32, blockRows)
+	hop := e.block(len(cols))
+	for lo := 0; lo < len(rows); lo += blockRows {
+		blk := rows[lo:min(lo+blockRows, len(rows))]
 		for gi, col := range cols {
-			row := r
+			at := blk
 			for _, fk := range col.fks {
-				row = int32(fk[row] - 1)
+				fk.Gather(hop, at)
+				at = next[:len(blk)]
+				for i, k := range hop[:len(blk)] {
+					at[i] = int32(k - 1)
+				}
 			}
-			if gi == 0 {
-				k.a = col.vals[row]
-			} else {
-				k = k.fold(col.vals[row])
-			}
+			col.vals.Gather(e.block(gi), at)
 		}
-		keys[k] = struct{}{}
+		for i := range blk {
+			k := groupKey{a: e.blocks[0][i]}
+			for gi := 1; gi < len(cols); gi++ {
+				k = k.fold(e.blocks[gi][i])
+			}
+			keys[k] = struct{}{}
+		}
 	}
 	return int64(len(keys)), nil
 }

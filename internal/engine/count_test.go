@@ -102,16 +102,18 @@ func checkCountAgainstExecute(t *testing.T, name string, oracle *Engine, engines
 
 // TestCountMatchesExecute is the counting path's property test, over
 // TestReductionMatchesCollectRows's generator: star, chain and snowflake
-// schemas with flipped references; NULL, 0 and nPK+1 foreign keys; empty
-// tables; join trees of depth 1–4, bare or wrapped; counted alone and through
+// schemas with flipped references; NULL, 0, nPK+1 and nPK+65 536 foreign
+// keys; columns stored at every width; empty tables; join trees of depth 1–4, bare or wrapped; counted alone and through
 // a memo. It also checks the trees took the counting path: every bare tree and every projection, and the
 // aggregates whose grouped tables a single table reaches.
 func TestCountMatchesExecute(t *testing.T) {
 	var counted, grouped, multiTable, evaluated int
+	widths := make(map[relalg.ColKind]map[int]int)
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rs := newRandSchema(rng)
 		engines := reductionEngines(t, rs)
+		countWidths(widths, engines["classic"].db)
 		memos := make(map[string]*CountMemo)
 		for ename := range engines {
 			memos[ename] = &CountMemo{}
@@ -149,6 +151,7 @@ func TestCountMatchesExecute(t *testing.T) {
 	if grouped < 50 || multiTable < 10 {
 		t.Errorf("only %d grouped aggregates counted, %d over several tables", grouped, multiTable)
 	}
+	checkWidths(t, widths)
 }
 
 // vDB is a database where two tables reference the same third one: a and b

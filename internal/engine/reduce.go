@@ -18,6 +18,7 @@ import (
 
 	"github.com/dbhammer/mirage/internal/fault"
 	"github.com/dbhammer/mirage/internal/relalg"
+	"github.com/dbhammer/mirage/internal/storage"
 )
 
 // reducible reports whether every row set of v is a semi-join reduction: v is
@@ -59,17 +60,18 @@ func viewTables(v *relalg.View) []string {
 // (fk, valid in [1, n], stored as value-1); on its PK table, fk is nil and
 // the key is the row index itself.
 type rowTest struct {
-	fk  []int64
+	fk  *storage.Column
 	n   int64
 	set bitset
 }
 
 // filter writes the rows of src that pass into dst and returns them; dst
-// needs len(src) room and may be src itself. NULL, < 1 and > n foreign keys
-// match nothing, exactly join's probeBucket rule.
+// needs len(src) room and may be src itself. src is one window's rows, so
+// the FK column is read a window at a time, at its width. NULL, < 1 and > n
+// foreign keys match nothing, exactly join's probeBucket rule.
 func (t rowTest) filter(dst, src []int32) []int32 {
-	k := 0
 	if t.fk == nil {
+		k := 0
 		for _, r := range src {
 			if t.set.test(int(r)) {
 				dst[k] = r
@@ -78,8 +80,22 @@ func (t rowTest) filter(dst, src []int32) []int32 {
 		}
 		return dst[:k]
 	}
+	switch t.fk.Width() {
+	case 1:
+		return filterFK(dst, src, storage.Values[uint8](t.fk), t.n, t.set)
+	case 2:
+		return filterFK(dst, src, storage.Values[uint16](t.fk), t.n, t.set)
+	case 4:
+		return filterFK(dst, src, storage.Values[uint32](t.fk), t.n, t.set)
+	}
+	return filterFK(dst, src, storage.Values[int64](t.fk), t.n, t.set)
+}
+
+// filterFK is filter's FK-table loop over a column stored as T.
+func filterFK[T storage.Elem](dst, src []int32, fk []T, n int64, set bitset) []int32 {
+	k := 0
 	for _, r := range src {
-		if fk := t.fk[r]; fk >= 1 && fk <= t.n && t.set.test(int(fk-1)) {
+		if v := int64(fk[r]); v >= 1 && v <= n && set.test(int(v-1)) {
 			dst[k] = r
 			k++
 		}
@@ -97,6 +113,8 @@ type reduction struct {
 	tests  map[string][]rowTest
 	// sc is the scan in flight, reused from scan to scan.
 	sc scanRun
+	// keys holds the foreign keys of the rows a PK-side sink receives.
+	keys []int64
 }
 
 // reduceRowSet answers one reducible request: the survivors are set straight
@@ -183,8 +201,10 @@ func (r *reduction) reduce(v *relalg.View, table string, sink func([]int32) erro
 	case slices.Contains(lt, table):
 		// The PK rows the right side references restrict the PK table's rows.
 		err := r.reduce(right, spec.FKTable, func(rows []int32) error {
-			for _, row := range rows {
-				if fk := fkCol[row]; fk >= 1 && fk <= nPK {
+			r.keys = slices.Grow(r.keys[:0], len(rows))[:len(rows)]
+			fkCol.Gather(r.keys, rows)
+			for _, fk := range r.keys {
+				if fk >= 1 && fk <= nPK {
 					set.set(int(fk - 1))
 				}
 			}

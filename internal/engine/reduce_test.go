@@ -42,9 +42,14 @@ func tableName(i int) string { return fmt.Sprintf("r%d", i) }
 // 0 references every other), a chain (table i-1 references table i), or a
 // snowflake (a random earlier table references table i, or — one edge in
 // three — the other way round, so a table can be the PK side of one
-// reference and the FK side of another). Tables have 0–40 rows; a
-// reference's fan-out is none (every key NULL, 0 or nPK+1), one (each PK row
-// referenced at most once) or many.
+// reference and the FK side of another). Tables have 0–40 rows, one in ten
+// 250–260 and, in one schema in forty, one table 65 536–65 540, so foreign
+// keys straddle the largest values one and two bytes hold; a non-key
+// domain is 5, 250–260 or 65 530–65 540 values wide for the same reason. A
+// reference's fan-out is none (every key a miss), one (each PK row
+// referenced at most once) or many; its misses are NULL, 0 and nPK+1, or 0
+// and nPK+1, or nPK+1 and nPK+65 536. Storage keeps each column at the
+// width its values need, so the engines read all four widths.
 func newRandSchema(rng *rand.Rand) *randSchema {
 	n := 3 + rng.Intn(4)
 	shape := rng.Intn(3)
@@ -52,9 +57,15 @@ func newRandSchema(rng *rand.Rand) *randSchema {
 	rows := make([]int, n)
 	for i := range rows {
 		rows[i] = rng.Intn(41)
-		if rng.Intn(8) == 0 {
+		switch rng.Intn(10) {
+		case 0:
 			rows[i] = 0
+		case 1:
+			rows[i] = 250 + rng.Intn(11)
 		}
+	}
+	if rng.Intn(40) == 0 { // a table past 1..n: referenced, unless a snowflake edge flips
+		rows[1+rng.Intn(n-1)] = 65536 + rng.Intn(5)
 	}
 	for i := 1; i < n; i++ {
 		var e fkEdge
@@ -74,13 +85,17 @@ func newRandSchema(rng *rand.Rand) *randSchema {
 	}
 	for i := 0; i < n; i++ {
 		name := tableName(i)
+		domain := []int64{5, 5, 250 + rng.Int63n(11), 65530 + rng.Int63n(11)}[rng.Intn(4)]
 		t := &relalg.Table{Name: name, Rows: int64(rows[i]), Columns: []relalg.Column{
 			{Name: name + "_pk", Kind: relalg.PrimaryKey},
-			{Name: name + "_a", Kind: relalg.NonKey, DomainSize: 5},
+			{Name: name + "_a", Kind: relalg.NonKey, DomainSize: domain},
 		}}
 		a := make([]int64, rows[i])
 		for r := range a {
-			a[r] = int64(1 + rng.Intn(5))
+			a[r] = 1 + rng.Int63n(domain)
+			if rng.Intn(4) == 0 { // the top of the domain, across the width boundary
+				a[r] = domain - rng.Int63n(min(domain, 12))
+			}
 		}
 		rs.cols[name+"_a"] = a
 		for _, e := range rs.edges {
@@ -89,7 +104,7 @@ func newRandSchema(rng *rand.Rand) *randSchema {
 			}
 			t.Columns = append(t.Columns, relalg.Column{Name: e.col, Kind: relalg.ForeignKey, Refs: tableName(e.parent)})
 			nPK := int64(rows[e.parent])
-			misses := []int64{storage.Null, 0, nPK + 1}
+			misses := [][]int64{{storage.Null, 0, nPK + 1}, {0, nPK + 1}, {nPK + 1, nPK + 65536}}[rng.Intn(3)]
 			fk := make([]int64, rows[i])
 			fanout := rng.Intn(3)
 			perm := rng.Perm(int(nPK))
@@ -135,12 +150,13 @@ func (rs *randSchema) db(all bool) (*storage.DB, map[string]ChunkSource) {
 // with thresholds that sometimes keep every row and sometimes none.
 func (rs *randSchema) randChain(rng *rand.Rand, i int) *relalg.View {
 	v := leaf(tableName(i))
+	domain := rs.schema.Tables[i].Columns[1].DomainSize
 	for k := rng.Intn(3); k > 0; k-- {
 		op := relalg.OpGt
 		if rng.Intn(2) == 0 {
 			op = relalg.OpLe
 		}
-		v = sel(v, unary(tableName(i)+"_a", op, pv("p", int64(rng.Intn(7)))))
+		v = sel(v, unary(tableName(i)+"_a", op, pv("p", rng.Int63n(domain+2))))
 	}
 	return v
 }
@@ -284,11 +300,12 @@ func checkAgainstOracle(t *testing.T, name string, oracle *Engine, engines map[s
 }
 
 // TestReductionMatchesCollectRows is the property test: random schemas of
-// 3–6 tables (star, snowflake, chain; fan-out none, one, many; NULL, 0 and
-// nPK+1 foreign keys; empty tables, empty and full chains) and random
-// equi-join trees of depth 1–4 over them.
+// 3–6 tables (star, snowflake, chain; fan-out none, one, many; NULL, 0, nPK+1
+// and nPK+65 536 foreign keys; columns stored at every width; empty tables,
+// empty and full chains) and random equi-join trees of depth 1–4 over them.
 func TestReductionMatchesCollectRows(t *testing.T) {
 	depths := make(map[int]int)
+	widths := make(map[relalg.ColKind]map[int]int)
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rs := newRandSchema(rng)
@@ -296,6 +313,7 @@ func TestReductionMatchesCollectRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		engines := reductionEngines(t, rs)
+		countWidths(widths, engines["classic"].db)
 		for k := 0; k < 4; k++ {
 			v := rs.randJoinTree(rng, rs.randTables(rng))
 			if !reducible(v) {
@@ -308,6 +326,46 @@ func TestReductionMatchesCollectRows(t *testing.T) {
 	for d := 1; d <= 4; d++ {
 		if depths[d] == 0 {
 			t.Errorf("no generated join tree of depth %d: %v", d, depths)
+		}
+	}
+	checkWidths(t, widths)
+}
+
+// countWidths adds the width every non-empty stored column of db is kept at
+// to widths, by column kind, and under PrimaryKey the width each foreign
+// key's referenced key domain needs.
+func countWidths(widths map[relalg.ColKind]map[int]int, db *storage.DB) {
+	add := func(kind relalg.ColKind, w int) {
+		if widths[kind] == nil {
+			widths[kind] = make(map[int]int)
+		}
+		widths[kind][w]++
+	}
+	for _, tbl := range db.Schema.Tables {
+		for _, c := range tbl.Columns {
+			if col, _ := db.Table(tbl.Name).Column(c.Name); col != nil && col.Len() > 0 {
+				add(c.Kind, col.Width())
+			}
+			if c.Kind == relalg.ForeignKey {
+				refs := []int64{db.Table(c.Refs).Meta.Rows}
+				add(relalg.PrimaryKey, storage.NewColumn(refs).Width())
+			}
+		}
+	}
+}
+
+// checkWidths fails unless the generator stored non-key columns at one, two
+// and four bytes and foreign keys at all four widths (NULL keys need eight),
+// and foreign keys referenced tables whose keys need one, two and four, so
+// every narrow read ran against its oracle.
+func checkWidths(t *testing.T, widths map[relalg.ColKind]map[int]int) {
+	t.Helper()
+	want := map[relalg.ColKind][]int{relalg.NonKey: {1, 2, 4}, relalg.ForeignKey: {1, 2, 4, 8}, relalg.PrimaryKey: {1, 2, 4}}
+	for kind, ws := range want {
+		for _, w := range ws {
+			if widths[kind][w] == 0 {
+				t.Errorf("no %v column stored %d bytes wide: %v", kind, w, widths[kind])
+			}
 		}
 	}
 }

@@ -140,6 +140,21 @@ func (g *ColumnGen) buildIndex(free int64) {
 	}
 }
 
+// maxValue returns the largest value the column holds: its largest pinned
+// or pool value (0 for a column without rows).
+func (g *ColumnGen) maxValue() int64 {
+	var m int64
+	if len(g.pool) > 0 {
+		m = g.pool[len(g.pool)-1].val
+	}
+	for _, v := range g.val {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
 // At returns the value of row r: the scalar definition of the layout. It is
 // the oracle the kernel tests hold Fill against and has no production caller
 // — Materialize, export and windowed keygen all go through Fill.
