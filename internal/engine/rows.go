@@ -57,8 +57,8 @@ func (e *Engine) collectRows(root *relalg.View, table string, orig bool, res *Re
 // class — none of the built-in workloads produces one, and
 // engine_rowset_materialized_total counts them — is evaluated as CollectRows
 // does. A windowed engine regenerates the columns storage does not hold; a
-// classic engine reads its stored columns in place and derives a primary key
-// a predicate names. ctx is polled at every window boundary, so cancellation
+// classic engine widens its stored columns window by window and derives a
+// primary key a predicate names. ctx is polled at every window boundary, so cancellation
 // lands mid-evaluation. The sets come back in request order; requests that
 // are the same chain share one set, and no set may be written.
 func (e *Engine) CollectRowSetsCtx(ctx context.Context, reqs []RowSetRequest, orig bool) ([]*RowSet, error) {

@@ -3,7 +3,9 @@ package nonkey
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/dbhammer/mirage/internal/genplan"
 	"github.com/dbhammer/mirage/internal/relalg"
@@ -330,6 +332,47 @@ func TestACCSamplingErrorBound(t *testing.T) {
 	// Hoeffding at n=10k gives δ ≈ 2% at high confidence; assert 5% slack.
 	if relErr > 0.05 {
 		t.Fatalf("sampled ACC relative error = %.4f (got %d, want %d)", relErr, got, card)
+	}
+}
+
+// TestACCReadsOnlySampledRows instantiates an ACC over two one-byte columns
+// of a table far larger than the sample and bounds what that allocates: the
+// sample's row permutation (one int per table row, rand.Perm's) plus the
+// sampled values, well under one more table-length int64 column. Widening a
+// column whole to sample it would cost 8 bytes a row per column.
+func TestACCReadsOnlySampledRows(t *testing.T) {
+	const rows = 1 << 20
+	schema := &relalg.Schema{Tables: []*relalg.Table{{
+		Name: "big", Rows: rows,
+		Columns: []relalg.Column{
+			{Name: "b_pk", Kind: relalg.PrimaryKey},
+			{Name: "b1", Kind: relalg.NonKey, DomainSize: 200},
+			{Name: "b2", Kind: relalg.NonKey, DomainSize: 200},
+		},
+	}}}
+	pred := &relalg.ArithPred{
+		Expr: relalg.BinExpr{Op: relalg.Add, L: relalg.ColRef{Col: "b1"}, R: relalg.ColRef{Col: "b2"}},
+		Op:   relalg.OpGt, P: par("p", 0),
+	}
+	sels := []*genplan.SelCons{selCons(0, "big", pred, rows/2)}
+	cfg := Config{Seed: 5, SampleSize: 1_000}
+	tp, err := PlanTable(cfg, schema.MustTable("big"), sels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := storage.NewDB(schema).Table("big")
+	if _, err := tp.Materialize(context.Background(), data, 5, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := InstantiateACCs(cfg, tp, data); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perm := uint64(rows) * uint64(unsafe.Sizeof(int(0)))
+	if got, limit := after.TotalAlloc-before.TotalAlloc, perm+rows*8/2; got > limit {
+		t.Fatalf("InstantiateACCs allocated %d bytes, want at most %d (the permutation's %d plus half an int64 column)", got, limit, perm)
 	}
 }
 
