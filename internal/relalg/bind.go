@@ -19,6 +19,24 @@ type ColumnBinder interface {
 	ResolveColumn(col string) (vals []int64, idx []int32, err error)
 }
 
+// Buffers binds column Names[k] to Vals[k], read at positions directly.
+// The buffers are typically refilled block by block (gathered or filled
+// values of a block of rows), so a predicate bound once evaluates every
+// block.
+type Buffers struct {
+	Names []string
+	Vals  [][]int64
+}
+
+func (b Buffers) ResolveColumn(col string) ([]int64, []int32, error) {
+	for k, n := range b.Names {
+		if n == col {
+			return b.Vals[k], nil, nil
+		}
+	}
+	return nil, nil, fmt.Errorf("relalg: column %q has no buffer to bind", col)
+}
+
 // BoundPred is a predicate compiled against one relation.
 type BoundPred interface {
 	// FilterBatch keeps the positions of sel that satisfy the predicate,
