@@ -1,10 +1,14 @@
 package baseline
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"github.com/dbhammer/mirage/internal/relalg"
 	"github.com/dbhammer/mirage/internal/sqlparse"
+	"github.com/dbhammer/mirage/internal/storage"
+	"github.com/dbhammer/mirage/internal/testutil"
 	"github.com/dbhammer/mirage/internal/trace"
 	"github.com/dbhammer/mirage/internal/validate"
 	"github.com/dbhammer/mirage/internal/workload"
@@ -190,3 +194,20 @@ func TestAnalyzeFeatures(t *testing.T) {
 }
 
 func (f features) joinTypesHas(jt relalg.JoinType) bool { return f.joinTypes[jt] > 0 }
+
+// TestTouchstoneArithOverUnpopulatedColumnFails: Touchstone samples an
+// arithmetic selection before it populates foreign keys, so one over an FK
+// column has no values to sample. Generate reports that as an error naming
+// the table, not a panic.
+func TestTouchstoneArithOverUnpopulatedColumnFails(t *testing.T) {
+	schema := testutil.PaperSchema()
+	expr := relalg.BinExpr{Op: relalg.Sub, L: relalg.ColRef{Col: "t1"}, R: relalg.ColRef{Col: "t_fk"}}
+	root := &relalg.View{Kind: relalg.SelectView, Card: 3, Inputs: []*relalg.View{
+		{Kind: relalg.LeafView, Table: "t", Card: 8},
+	}, Pred: &relalg.ArithPred{Expr: expr, Op: relalg.OpGt, P: &relalg.Param{ID: "p", Orig: 0}}}
+	ts := &Touchstone{Schema: schema, Seed: 1, SampleSize: 4}
+	_, _, err := ts.Generate([]*relalg.AQT{{Name: "qa", Root: root}})
+	if !errors.Is(err, storage.ErrNotMaterialized) || !strings.Contains(err.Error(), " t: ") {
+		t.Fatalf("Generate = %v, want ErrNotMaterialized naming table t", err)
+	}
+}

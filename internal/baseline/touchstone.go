@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -84,12 +85,13 @@ func (t *Touchstone) Generate(templates []*relalg.AQT) (*storage.DB, []Support, 
 	// Selection parameters by sampled search: for each supported template's
 	// selection, choose the parameter whose sampled selectivity best
 	// matches the annotated one.
+	var err error
 	for i, q := range templates {
 		if !supports[i].OK {
 			continue
 		}
 		q.Root.Walk(func(v *relalg.View) {
-			if v.Kind != relalg.SelectView || v.Card == relalg.CardUnknown {
+			if err != nil || v.Kind != relalg.SelectView || v.Card == relalg.CardUnknown {
 				return
 			}
 			tblName, ok := selTable(v)
@@ -100,8 +102,11 @@ func (t *Touchstone) Generate(templates []*relalg.AQT) (*storage.DB, []Support, 
 			if tbl == nil {
 				return
 			}
-			t.instantiateSelection(rng, db.Table(tblName), v, tbl.Rows)
+			err = t.instantiateSelection(rng, db.Table(tblName), v, tbl.Rows)
 		})
+		if err != nil {
+			return nil, supports, fmt.Errorf("touchstone: %s: %w", q.Name, err)
+		}
 	}
 
 	// FK population: per join, per unit, greedy probability matching with
@@ -135,7 +140,7 @@ func selTable(v *relalg.View) (string, bool) {
 
 // instantiateSelection tunes each literal's parameter on a sample so the
 // whole predicate's sampled selectivity approaches card/rows.
-func (t *Touchstone) instantiateSelection(rng *rand.Rand, data *storage.TableData, v *relalg.View, rows int64) {
+func (t *Touchstone) instantiateSelection(rng *rand.Rand, data *storage.TableData, v *relalg.View, rows int64) error {
 	sample := t.SampleSize
 	if sample <= 0 {
 		sample = 1000
@@ -144,22 +149,24 @@ func (t *Touchstone) instantiateSelection(rng *rand.Rand, data *storage.TableDat
 		sample = int(rows)
 	}
 	idx := rng.Perm(int(rows))[:sample]
-	instPred(rng, data, v.Pred, idx)
+	return instPred(rng, data, v.Pred, idx)
 }
 
 // instPred instantiates each literal so that its selectivity on the random
 // sample matches the literal's original selectivity (real Touchstone takes
 // per-predicate constraints; the sampled search is where its "No Guarantee"
 // errors come from).
-func instPred(rng *rand.Rand, data *storage.TableData, p relalg.Predicate, idx []int) {
+func instPred(rng *rand.Rand, data *storage.TableData, p relalg.Predicate, idx []int) error {
 	switch n := p.(type) {
 	case *relalg.AndPred:
 		for _, k := range n.Kids {
-			instPred(rng, data, k, idx)
+			if err := instPred(rng, data, k, idx); err != nil {
+				return err
+			}
 		}
 	case *relalg.UnaryPred:
 		if n.P.Instantiated {
-			return
+			return nil
 		}
 		// On a uniform instance the random search converges to the
 		// original parameter (identical domains, identical target
@@ -172,17 +179,19 @@ func instPred(rng *rand.Rand, data *storage.TableData, p relalg.Predicate, idx [
 		}
 	case *relalg.ArithPred:
 		if n.P.Instantiated {
-			return
+			return nil
+		}
+		b, err := storage.FillRows(data.Fill, n.Columns(nil), idx)
+		if err != nil {
+			return fmt.Errorf("sampling %s over %s: %w", n.Expr, data.Meta.Name, err)
+		}
+		expr, err := relalg.BindArith(n.Expr, b)
+		if err != nil {
+			return err
 		}
 		res := make([]int64, len(idx))
-		if expr, err := relalg.BindArith(n.Expr, data); err == nil {
-			for i, r := range idx {
-				res[i] = expr.EvalRow(int32(r))
-			}
-		} else {
-			for i, r := range idx {
-				res[i] = n.Expr.EvalArith(data.RowReader(r))
-			}
+		for i := range idx {
+			res[i] = expr.EvalRow(int32(i))
 		}
 		slices.Sort(res)
 		// Sampled order statistic against the original parameter value.
@@ -201,6 +210,7 @@ func instPred(rng *rand.Rand, data *storage.TableData, p relalg.Predicate, idx [
 		}
 	}
 	_ = rng
+	return nil
 }
 
 func compareArith(v int64, op relalg.CompareOp, p int64) bool {

@@ -136,6 +136,26 @@ func TestArithSelectionAndLeftOuter(t *testing.T) {
 	}
 }
 
+// TestSelectionOverOuterJoinPads runs a selection through Execute over the
+// null-padded side of a left outer join: the gathered block holds NULL at
+// every pad, so t1 >= 0, true of every real t1, keeps exactly the matched
+// tuples. A pad read as 0 would pass it too.
+func TestSelectionOverOuterJoinPads(t *testing.T) {
+	db := paperDB(t)
+	e, _ := New(db)
+	expr := relalg.BinExpr{Op: relalg.Sub, L: relalg.ColRef{Col: "t1"}, R: relalg.ColRef{Col: "t2"}}
+	r := sel(leaf("t"), &relalg.ArithPred{Expr: expr, Op: relalg.OpGt, P: pv("p3", 0)})
+	j := join(relalg.LeftOuterJoin, "s", leaf("s"), r, "t", "t_fk")
+	top := sel(j, unary("t1", relalg.OpGe, pv("p", 0)))
+	res := mustExec(t, e, top)
+	if js := res.Stats[j]; js.Card != 6 || js.JCC != 5 {
+		t.Fatalf("left outer card/jcc = %d/%d, want 6/5 (one padded tuple)", js.Card, js.JCC)
+	}
+	if got := res.Stats[top].Card; got != 5 {
+		t.Errorf("|σ_{t1>=0}(S ⟕ T)| = %d, want the 5 matched tuples: a pad must read NULL", got)
+	}
+}
+
 func TestLogicalPredicateSelection(t *testing.T) {
 	db := paperDB(t)
 	e, _ := New(db)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"time"
+
+	"github.com/dbhammer/mirage/internal/storage"
 )
 
 // allocateKeys chooses, for every cell, the distinct primary keys of S_i
@@ -146,19 +148,41 @@ func componentsOf(masks []uint64) map[uint64]int {
 }
 
 // populateFKs writes the unit's solution into its foreign-key column in one
-// pass and returns the column content for the caller to commit after the
-// unit's wave joins. Each T partition's rows, in ascending order, are filled
-// by walking the partition's cells in order (north-west corner rule): a cell
+// pass and returns the column for the caller to commit after the unit's
+// wave joins. The column is written at the width that holds sRows, the
+// largest key. Each T partition's rows, in ascending order, are filled by
+// walking the partition's cells in order (north-west corner rule): a cell
 // takes min(x, rows still unfilled) rows and emits its distinct keys
 // round-robin, so any prefix of a cell's rows covers its keys as fast as
 // possible.
-func populateFKs(st *Stats, tRows int, kg *kgModel, sol *solution) ([]int64, error) {
+func populateFKs(st *Stats, tRows, sRows int, kg *kgModel, sol *solution) (*storage.Column, error) {
 	start := time.Now()
 	keys, err := allocateKeys(kg, sol)
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]int64, tRows)
+	col := storage.MakeColumn(tRows, int64(sRows))
+	switch col.Width() {
+	case 1:
+		err = placeFKs(storage.Values[uint8](col), kg, sol, keys)
+	case 2:
+		err = placeFKs(storage.Values[uint16](col), kg, sol, keys)
+	case 4:
+		err = placeFKs(storage.Values[uint32](col), kg, sol, keys)
+	default:
+		err = placeFKs(storage.Values[int64](col), kg, sol, keys)
+	}
+	if err != nil {
+		return nil, err
+	}
+	st.PFTime += time.Since(start)
+	st.CPRounds++
+	return col, nil
+}
+
+// placeFKs is populateFKs' pass over the T partitions, writing each row's
+// key into vals, the column at its width.
+func placeFKs[T storage.Elem](vals []T, kg *kgModel, sol *solution, keys [][]int64) error {
 	for j, tp := range kg.tParts {
 		rows := tp.rows
 		for _, ci := range kg.byT[j] {
@@ -172,18 +196,16 @@ func populateFKs(st *Stats, tRows int, kg *kgModel, sol *solution) ([]int64, err
 			ks := keys[ci]
 			d := int64(len(ks))
 			if d == 0 {
-				return nil, fmt.Errorf("cell %d has %d fk slots but no keys", ci, sol.x[ci])
+				return fmt.Errorf("cell %d has %d fk slots but no keys", ci, sol.x[ci])
 			}
 			for n, r := range rows[:take] {
-				vals[r] = ks[int64(n)%d]
+				vals[r] = T(ks[int64(n)%d])
 			}
 			rows = rows[take:]
 		}
 		if len(rows) != 0 {
-			return nil, fmt.Errorf("internal: solution leaves %d unfilled rows in partition T_%d", len(rows), j)
+			return fmt.Errorf("internal: solution leaves %d unfilled rows in partition T_%d", len(rows), j)
 		}
 	}
-	st.PFTime += time.Since(start)
-	st.CPRounds++
-	return vals, nil
+	return nil
 }

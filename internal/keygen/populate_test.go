@@ -184,9 +184,18 @@ func TestPopulateMatchesBatchedReference(t *testing.T) {
 	for it := 0; it < 900; it++ {
 		kind := it % numSumKinds
 		tRows, kg, sol := randomPopulateCase(rng, kind)
-		got, err := populateFKs(&Stats{}, tRows, kg, sol)
+		sRows := 0
+		for _, sp := range kg.sParts {
+			sRows += len(sp.rows)
+		}
+		col, err := populateFKs(&Stats{}, tRows, sRows, kg, sol)
 		if (err != nil) != (kind == sumUnder) {
 			t.Fatalf("case %d (kind %d): err = %v", it, kind, err)
+		}
+		var got []int64
+		if col != nil {
+			got = make([]int64, col.Len())
+			col.Fill(got, 0)
 		}
 		for _, batch := range []int64{1, 2, 3, 7, 70_000, int64(tRows)} {
 			want, werr := referencePopulateFKs(batch, tRows, kg, sol)

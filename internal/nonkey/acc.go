@@ -12,18 +12,22 @@ import (
 )
 
 // InstantiateACCs chooses every arithmetic-constraint parameter from the
-// materialized column data (Section 4.4): the arithmetic function is
-// evaluated over the rows (or over a sample of Config.SampleSize rows for
-// large tables, per Hoeffding's inequality) and the parameter becomes the
-// order statistic that makes the constrained count exact. Only the sampled
-// rows of the columns an expression reads are widened.
+// generated column data (Section 4.4): the arithmetic function is evaluated
+// over the rows (or over a sample of Config.SampleSize rows for large
+// tables, per Hoeffding's inequality) and the parameter becomes the order
+// statistic that makes the constrained count exact. The sampled rows of the
+// columns an expression reads are filled one row at a time through the
+// table's PlanSource: a stored column is read from data and any other from
+// its layout, so no column has to be stored for an ACC. It requires a prior
+// Materialize call on tp.
 func InstantiateACCs(cfg Config, tp *TablePlan, data *storage.TableData) error {
+	src := NewPlanSource(data, tp)
 	R := int(tp.Table.Rows)
 	for i := range tp.ACCs {
 		acc := &tp.ACCs[i]
 		start := time.Now()
 		sample := sampleRows(cfg, R, int64(i))
-		b, err := gatherSample(data, acc.pred.Columns(nil), sample)
+		b, err := storage.FillRows(src.Fill, acc.pred.Columns(nil), sample)
 		if err != nil {
 			return err
 		}
@@ -51,35 +55,8 @@ func InstantiateACCs(cfg Config, tp *TablePlan, data *storage.TableData) error {
 	return nil
 }
 
-// gatherSample widens the sampled rows of each of cols, a stored column of
-// data: position j of a buffer reads sample row j.
-func gatherSample(data *storage.TableData, cols []string, sample []int) (relalg.Buffers, error) {
-	rows := make([]int32, len(sample))
-	for j, r := range sample {
-		rows[j] = int32(r)
-	}
-	var b relalg.Buffers
-	for _, name := range cols {
-		if slices.Contains(b.Names, name) {
-			continue
-		}
-		c, err := data.Column(name)
-		if err == nil && c == nil {
-			err = fmt.Errorf("nonkey: column %s.%s: %w", data.Meta.Name, name, storage.ErrNotMaterialized)
-		}
-		if err != nil {
-			return b, err
-		}
-		vals := make([]int64, len(rows))
-		c.Gather(vals, rows)
-		b.Names = append(b.Names, name)
-		b.Vals = append(b.Vals, vals)
-	}
-	return b, nil
-}
-
 // sampleRows returns all row indices when the table fits the sample budget,
-// or a uniform sample without replacement otherwise.
+// or a uniform sample without replacement otherwise, ascending.
 func sampleRows(cfg Config, rows int, salt int64) []int {
 	limit := cfg.SampleSize
 	if limit <= 0 {
@@ -93,9 +70,28 @@ func sampleRows(cfg Config, rows int, salt int64) []int {
 		return all
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ (salt + 0x9e3779b97f4a7c)))
-	perm := rng.Perm(rows)[:limit]
-	sort.Ints(perm)
-	return perm
+	sample := permPrefix(rng, rows, limit)
+	sort.Ints(sample)
+	return sample
+}
+
+// permPrefix returns rng.Perm(n)[:k], leaving rng in the state Perm leaves
+// it, in O(k) memory: it makes Perm's rng.Intn(i+1) call for every i in
+// [0,n) and keeps only the writes that land in a slot below k. Perm reads
+// slot j only to write slot i >= j, so a slot at or above k never feeds one
+// below it.
+func permPrefix(rng *rand.Rand, n, k int) []int {
+	m := make([]int, k)
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		if i < k {
+			m[i] = m[j]
+		}
+		if j < k {
+			m[j] = i
+		}
+	}
+	return m
 }
 
 // bestParam returns the parameter value whose achieved count is closest to
@@ -158,30 +154,4 @@ func abs64(x int64) int64 {
 		return -x
 	}
 	return x
-}
-
-// EvalSelection evaluates a predicate over materialized table data and
-// returns the matching row count — the generator's self-check used by tests
-// and the validation harness. It runs the bound batch path, falling back to
-// row-at-a-time closures only if binding fails (e.g. a column the table
-// doesn't own, which EvalPred reports by panicking anyway).
-func EvalSelection(data *storage.TableData, pred relalg.Predicate) int64 {
-	rows := data.Rows()
-	bound, err := relalg.BindPred(pred, data, false)
-	if err != nil {
-		var n int64
-		for r := 0; r < rows; r++ {
-			if pred.EvalPred(data.RowReader(r), false) {
-				n++
-			}
-		}
-		return n
-	}
-	var n int64
-	for r := 0; r < rows; r++ {
-		if bound.EvalRow(int32(r)) {
-			n++
-		}
-	}
-	return n
 }

@@ -30,14 +30,13 @@ const fillChunkRows = 70_000
 // only touched from the calling goroutine.
 //
 // retain is the retention policy: with a nil set every non-key column is
-// stored in dst (the in-memory run); otherwise only the listed ones — plus,
-// transiently, the columns the table's arithmetic constraints sample — are.
+// stored in dst (the in-memory run); otherwise only the listed ones are.
 // Either way every column's layout is built, so Fill can later regenerate
 // any unretained column chunk by chunk with byte-identical content.
 //
-// The returned duration is the data-generation (GD) stage time reported by
-// the Fig. 15 experiment.
-func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, seed int64, workers int, retain map[string]bool) (time.Duration, error) {
+// The call's time is added to tp.Stats.GenTime, the data-generation (GD)
+// stage time reported by the Fig. 15 experiment.
+func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, seed int64, workers int, retain map[string]bool) error {
 	start := time.Now()
 	R := tp.Table.Rows
 	var boundRows int64
@@ -45,7 +44,7 @@ func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, se
 		boundRows += b.Card
 	}
 	if boundRows > R {
-		return 0, fmt.Errorf("nonkey: table %s: bound rows %d exceed table rows %d", tp.Table.Name, boundRows, R)
+		return fmt.Errorf("nonkey: table %s: bound rows %d exceed table rows %d", tp.Table.Name, boundRows, R)
 	}
 
 	// Telemetry handles resolved once per table; nil (no-op) when disabled.
@@ -70,27 +69,17 @@ func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, se
 		tm.Stop()
 		return nil
 	}); err != nil {
-		return 0, err
+		return err
 	}
 	tp.gens = make(map[string]*ColumnGen, len(cols))
 	for i := range cols {
 		tp.gens[cols[i].Name] = gens[i]
 	}
 
-	// Pick the columns to store. Retained mode adds the ACC-sampled columns
-	// transiently; the pipeline drops the ones not otherwise retained right
-	// after the arithmetic parameters are instantiated.
 	store := make([]int, 0, len(cols))
-	if retain == nil {
-		for i := range cols {
+	for i := range cols {
+		if retain == nil || retain[cols[i].Name] {
 			store = append(store, i)
-		}
-	} else {
-		accCols := tp.accColumns()
-		for i := range cols {
-			if retain[cols[i].Name] || accCols[cols[i].Name] {
-				store = append(store, i)
-			}
 		}
 	}
 
@@ -118,28 +107,13 @@ func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, se
 		tm.Stop()
 		return nil
 	}); err != nil {
-		return 0, err
+		return err
 	}
 	for i, c := range store {
 		dst.SetColumn(cols[c].Name, out[i])
 	}
-	elapsed := time.Since(start)
-	tp.Stats.GenTime += elapsed
-	return elapsed, nil
-}
-
-// accColumns returns the set of columns sampled by the table's arithmetic
-// constraints — these must be resident while InstantiateACCs runs.
-func (tp *TablePlan) accColumns() map[string]bool {
-	out := make(map[string]bool)
-	var scratch []string
-	for i := range tp.ACCs {
-		scratch = tp.ACCs[i].pred.Columns(scratch[:0])
-		for _, c := range scratch {
-			out[c] = true
-		}
-	}
-	return out
+	tp.Stats.GenTime += time.Since(start)
+	return nil
 }
 
 // Fill regenerates rows [lo,hi) of the named non-key column into

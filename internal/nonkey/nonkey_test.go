@@ -4,8 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
-	"unsafe"
 
 	"github.com/dbhammer/mirage/internal/genplan"
 	"github.com/dbhammer/mirage/internal/relalg"
@@ -35,13 +35,34 @@ func planAndMaterialize(t *testing.T, sels []*genplan.SelCons) (*TablePlan, *sto
 	}
 	db := storage.NewDB(schema)
 	data := db.Table("t")
-	if _, err := tp.Materialize(context.Background(), data, 1, 1, nil); err != nil {
+	if err := tp.Materialize(context.Background(), data, 1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := InstantiateACCs(Config{Seed: 1}, tp, data); err != nil {
 		t.Fatal(err)
 	}
 	return tp, data
+}
+
+// evalSelection counts the rows of data that satisfy pred, bound to buffers
+// that hold every row of the columns it reads: the tests' self-check of the
+// generated data.
+func evalSelection(t *testing.T, data *storage.TableData, pred relalg.Predicate) int64 {
+	t.Helper()
+	rows := make([]int, data.Rows())
+	sel := make([]int32, len(rows))
+	for r := range rows {
+		rows[r], sel[r] = r, int32(r)
+	}
+	b, err := storage.FillRows(data.Fill, pred.Columns(nil), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := relalg.BindPred(pred, b, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(bound.FilterBatch(sel)))
 }
 
 // TestPaperExample46 reproduces Section 4.2's worked example: UCCs
@@ -56,7 +77,7 @@ func TestPaperExample46(t *testing.T) {
 	}
 	_, data := planAndMaterialize(t, sels)
 	for _, sc := range sels {
-		if got := EvalSelection(data, sc.Pred); got != sc.Card {
+		if got := evalSelection(t, data, sc.Pred); got != sc.Card {
 			t.Errorf("|%s| = %d, want %d", sc.Pred, got, sc.Card)
 		}
 	}
@@ -91,7 +112,7 @@ func TestPaperExample42LCC(t *testing.T) {
 	}}
 	sels := []*genplan.SelCons{selCons(0, "t", pred, 1)}
 	_, data := planAndMaterialize(t, sels)
-	if got := EvalSelection(data, pred); got != 1 {
+	if got := evalSelection(t, data, pred); got != 1 {
 		t.Errorf("|V9| = %d, want 1 (params p4=%s p5=%s p6=%s)", got, p4, p5, p6)
 	}
 }
@@ -110,7 +131,7 @@ func TestPaperExample43Rule3(t *testing.T) {
 	if len(tp.Bound) != 1 || tp.Bound[0].Card != 3 {
 		t.Fatalf("bound blocks = %+v, want one block of 3 rows", tp.Bound)
 	}
-	if got := EvalSelection(data, pred); got != 5 {
+	if got := evalSelection(t, data, pred); got != 5 {
 		t.Errorf("|V10| = %d, want 5", got)
 	}
 	// The three bound rows sit at the head.
@@ -130,7 +151,7 @@ func TestArithmeticConstraintExact(t *testing.T) {
 	}
 	sels := []*genplan.SelCons{selCons(0, "t", pred, 5)}
 	_, data := planAndMaterialize(t, sels)
-	if got := EvalSelection(data, pred); got != 5 {
+	if got := evalSelection(t, data, pred); got != 5 {
 		t.Errorf("|σ_{t1-t2>p3}| = %d, want 5", got)
 	}
 }
@@ -140,7 +161,7 @@ func TestInListConstraint(t *testing.T) {
 	pred := unary("t1", relalg.OpIn, p)
 	sels := []*genplan.SelCons{selCons(0, "t", pred, 5)}
 	_, data := planAndMaterialize(t, sels)
-	if got := EvalSelection(data, pred); got != 5 {
+	if got := evalSelection(t, data, pred); got != 5 {
 		t.Errorf("|σ_{t1 in ...}| = %d, want 5 (list %v)", got, p.List)
 	}
 	if len(p.List) == 0 || len(p.List) > 3 {
@@ -153,7 +174,7 @@ func TestNotInConstraint(t *testing.T) {
 	pred := unary("t1", relalg.OpNotIn, p)
 	sels := []*genplan.SelCons{selCons(0, "t", pred, 6)}
 	_, data := planAndMaterialize(t, sels)
-	if got := EvalSelection(data, pred); got != 6 {
+	if got := evalSelection(t, data, pred); got != 6 {
 		t.Errorf("|σ_{t1 not in ...}| = %d, want 6", got)
 	}
 }
@@ -167,7 +188,7 @@ func TestMixedConstraintsOnTwoColumns(t *testing.T) {
 	}
 	_, data := planAndMaterialize(t, sels)
 	for _, sc := range sels {
-		if got := EvalSelection(data, sc.Pred); got != sc.Card {
+		if got := evalSelection(t, data, sc.Pred); got != sc.Card {
 			t.Errorf("|%s| = %d, want %d", sc.Pred, got, sc.Card)
 		}
 	}
@@ -178,7 +199,7 @@ func TestZeroCardinalitySelection(t *testing.T) {
 	pred := unary("t1", relalg.OpEq, p)
 	sels := []*genplan.SelCons{selCons(0, "t", pred, 0)}
 	_, data := planAndMaterialize(t, sels)
-	if got := EvalSelection(data, pred); got != 0 {
+	if got := evalSelection(t, data, pred); got != 0 {
 		t.Errorf("|σ_{t1=NULL-ish}| = %d, want 0", got)
 	}
 	if p.Value != relalg.NullValue {
@@ -191,7 +212,7 @@ func TestFullTableSelection(t *testing.T) {
 	pred := unary("t1", relalg.OpGt, p)
 	sels := []*genplan.SelCons{selCons(0, "t", pred, 8)}
 	_, data := planAndMaterialize(t, sels)
-	if got := EvalSelection(data, pred); got != 8 {
+	if got := evalSelection(t, data, pred); got != 8 {
 		t.Errorf("full-table selection = %d, want 8", got)
 	}
 }
@@ -275,11 +296,11 @@ func TestTheorem61Property(t *testing.T) {
 		}
 		db := storage.NewDB(schema)
 		data := db.Table("x")
-		if _, err := tp.Materialize(context.Background(), data, int64(trial), 1, nil); err != nil {
+		if err := tp.Materialize(context.Background(), data, int64(trial), 1, nil); err != nil {
 			t.Fatalf("trial %d: materialize: %v", trial, err)
 		}
 		for _, sc := range sels {
-			if got := EvalSelection(data, sc.Pred); got != sc.Card {
+			if got := evalSelection(t, data, sc.Pred); got != sc.Card {
 				t.Fatalf("trial %d: |%s| = %d, want %d (rows=%d domain=%d)",
 					trial, sc.Pred, got, sc.Card, rows, domain)
 			}
@@ -321,13 +342,13 @@ func TestACCSamplingErrorBound(t *testing.T) {
 	}
 	db := storage.NewDB(schema)
 	data := db.Table("big")
-	if _, err := tp.Materialize(context.Background(), data, 5, 1, nil); err != nil {
+	if err := tp.Materialize(context.Background(), data, 5, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := InstantiateACCs(cfg, tp, data); err != nil {
 		t.Fatal(err)
 	}
-	got := EvalSelection(data, pred)
+	got := evalSelection(t, data, pred)
 	relErr := float64(abs64(got-card)) / float64(card)
 	// Hoeffding at n=10k gives δ ≈ 2% at high confidence; assert 5% slack.
 	if relErr > 0.05 {
@@ -335,13 +356,9 @@ func TestACCSamplingErrorBound(t *testing.T) {
 	}
 }
 
-// TestACCReadsOnlySampledRows instantiates an ACC over two one-byte columns
-// of a table far larger than the sample and bounds what that allocates: the
-// sample's row permutation (one int per table row, rand.Perm's) plus the
-// sampled values, well under one more table-length int64 column. Widening a
-// column whole to sample it would cost 8 bytes a row per column.
-func TestACCReadsOnlySampledRows(t *testing.T) {
-	const rows = 1 << 20
+// accTestTable is a one-table schema of rows rows whose two one-byte
+// columns b1, b2 carry the ACC b1+b2 > p with a target of half the rows.
+func accTestTable(rows int64) (*relalg.Table, []*genplan.SelCons) {
 	schema := &relalg.Schema{Tables: []*relalg.Table{{
 		Name: "big", Rows: rows,
 		Columns: []relalg.Column{
@@ -354,14 +371,25 @@ func TestACCReadsOnlySampledRows(t *testing.T) {
 		Expr: relalg.BinExpr{Op: relalg.Add, L: relalg.ColRef{Col: "b1"}, R: relalg.ColRef{Col: "b2"}},
 		Op:   relalg.OpGt, P: par("p", 0),
 	}
-	sels := []*genplan.SelCons{selCons(0, "big", pred, rows/2)}
-	cfg := Config{Seed: 5, SampleSize: 1_000}
-	tp, err := PlanTable(cfg, schema.MustTable("big"), sels)
+	return schema.MustTable("big"), []*genplan.SelCons{selCons(0, "big", pred, rows/2)}
+}
+
+// TestACCReadsOnlySampledRows instantiates an ACC over two one-byte columns
+// of a table far larger than the sample and bounds what that allocates: the
+// sample's row numbers, one buffer per column it reads and the evaluated
+// values, each one int64 per sampled row, plus 16 KiB of fixed cost (the
+// sampling generator alone is 5 KiB). Widening a column whole, or drawing
+// the sample from a whole permutation, would cost 8 bytes per table row.
+func TestACCReadsOnlySampledRows(t *testing.T) {
+	const rows, sample = 1 << 20, 1_000
+	tbl, sels := accTestTable(rows)
+	cfg := Config{Seed: 5, SampleSize: sample}
+	tp, err := PlanTable(cfg, tbl, sels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := storage.NewDB(schema).Table("big")
-	if _, err := tp.Materialize(context.Background(), data, 5, 1, nil); err != nil {
+	data := storage.NewTableData(tbl)
+	if err := tp.Materialize(context.Background(), data, 5, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -370,9 +398,66 @@ func TestACCReadsOnlySampledRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	perm := uint64(rows) * uint64(unsafe.Sizeof(int(0)))
-	if got, limit := after.TotalAlloc-before.TotalAlloc, perm+rows*8/2; got > limit {
-		t.Fatalf("InstantiateACCs allocated %d bytes, want at most %d (the permutation's %d plus half an int64 column)", got, limit, perm)
+	perSample := uint64(4 * 8 * sample) // row numbers, b1, b2, values
+	if got, limit := after.TotalAlloc-before.TotalAlloc, perSample+16<<10; got > limit {
+		t.Fatalf("InstantiateACCs allocated %d bytes, want at most %d (%d for the sample plus 16 KiB)", got, limit, perSample)
+	}
+}
+
+// TestACCsNeedNoStoredColumns: with none of a table's non-key columns
+// stored, InstantiateACCs reads the sampled rows from the columns' layouts
+// and sets every parameter exactly as the in-memory run, which stores them.
+func TestACCsNeedNoStoredColumns(t *testing.T) {
+	for _, rows := range []int64{500, 50_000} { // every row, and a sample
+		var params [2][]int64
+		for mode, retain := range []map[string]bool{nil, {}} {
+			tbl, sels := accTestTable(rows)
+			cfg := Config{Seed: 9, SampleSize: 2_000}
+			tp, err := PlanTable(cfg, tbl, sels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := storage.NewTableData(tbl)
+			if err := tp.Materialize(context.Background(), data, 9, 1, retain); err != nil {
+				t.Fatal(err)
+			}
+			if retain != nil && (data.Col("b1") != nil || data.Col("b2") != nil) {
+				t.Fatal("an empty retention stored a column")
+			}
+			if err := InstantiateACCs(cfg, tp, data); err != nil {
+				t.Fatalf("rows %d, retain %v: %v", rows, retain, err)
+			}
+			for _, acc := range tp.ACCs {
+				if !acc.pred.P.Instantiated {
+					t.Fatalf("rows %d, retain %v: ACC parameter left unset", rows, retain)
+				}
+				params[mode] = append(params[mode], acc.pred.P.Value)
+			}
+		}
+		if len(params[0]) == 0 || !slices.Equal(params[0], params[1]) {
+			t.Errorf("rows %d: ACC parameters stored %v, from layouts %v", rows, params[0], params[1])
+		}
+	}
+}
+
+// TestPermPrefixMatchesPerm holds permPrefix to its oracle, rand.Perm's
+// prefix, for k = 1, n-1 and random k, and checks that both leave the
+// generator in the same state.
+func TestPermPrefixMatchesPerm(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for it := 0; it < 600; it++ {
+		n := 2 + rng.Intn(3000)
+		seed := rng.Int63()
+		for _, k := range []int{1, n - 1, 1 + rng.Intn(n-1)} {
+			want, wr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got := permPrefix(wr, n, k)
+			if exp := want.Perm(n)[:k]; !slices.Equal(got, exp) {
+				t.Fatalf("n %d k %d seed %d: permPrefix = %v, Perm prefix %v", n, k, seed, got, exp)
+			}
+			if a, b := want.Int63(), wr.Int63(); a != b {
+				t.Fatalf("n %d k %d seed %d: generator states differ after the draw", n, k, seed)
+			}
+		}
 	}
 }
 

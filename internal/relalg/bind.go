@@ -3,38 +3,30 @@ package relalg
 import "fmt"
 
 // This file is the batch/bound evaluation path of predicates: a predicate is
-// compiled once per operator against a ColumnBinder (each referenced column
-// resolved to its backing slice), and then evaluated over selection vectors
-// of row positions with no per-row closures or interface dispatch on the
-// leaves. EvalPred remains as the row-at-a-time compatibility path; both
-// evaluate the exact same semantics, including the NULL and ±infinity
-// sentinel conventions of Table 3.
-
-// ColumnBinder resolves a column name to its storage. vals is the base
-// column slice; idx is the row-index indirection of the relation being
-// filtered (position p reads vals[idx[p]]), or nil when positions address
-// vals directly. A negative idx entry is a null-padded slot (outer joins):
-// every column of it reads as NullValue.
-type ColumnBinder interface {
-	ResolveColumn(col string) (vals []int64, idx []int32, err error)
-}
+// compiled once per operator against Buffers (each referenced column bound
+// to the buffer its values are filled or gathered into), and then evaluated
+// over selection vectors of buffer positions with no per-row closures or
+// interface dispatch on the leaves. EvalPred remains as the row-at-a-time
+// oracle the bound path is tested against; both evaluate the exact same
+// semantics, including the NULL and ±infinity sentinel conventions of
+// Table 3.
 
 // Buffers binds column Names[k] to Vals[k], read at positions directly.
 // The buffers are typically refilled block by block (gathered or filled
-// values of a block of rows), so a predicate bound once evaluates every
-// block.
+// values of a block of rows, an outer join's null pad already written as
+// NullValue), so a predicate bound once evaluates every block.
 type Buffers struct {
 	Names []string
 	Vals  [][]int64
 }
 
-func (b Buffers) ResolveColumn(col string) ([]int64, []int32, error) {
+func (b Buffers) column(col string) ([]int64, error) {
 	for k, n := range b.Names {
 		if n == col {
-			return b.Vals[k], nil, nil
+			return b.Vals[k], nil
 		}
 	}
-	return nil, nil, fmt.Errorf("relalg: column %q has no buffer to bind", col)
+	return nil, fmt.Errorf("relalg: column %q has no buffer to bind", col)
 }
 
 // BoundPred is a predicate compiled against one relation.
@@ -51,32 +43,16 @@ type BoundArith interface {
 	EvalRow(pos int32) int64
 }
 
-// boundCol is one resolved column reference.
-type boundCol struct {
-	vals []int64
-	idx  []int32 // nil: positions index vals directly
-}
-
-func (c *boundCol) value(pos int32) int64 {
-	if c.idx != nil {
-		if pos = c.idx[pos]; pos < 0 {
-			return NullValue
-		}
-	}
-	return c.vals[pos]
-}
-
 // BindPred compiles p for batch evaluation. orig selects original versus
 // instantiated parameter values, which are frozen into the bound form (a
 // bound predicate is only valid for one operator execution).
-func BindPred(p Predicate, b ColumnBinder, orig bool) (BoundPred, error) {
+func BindPred(p Predicate, b Buffers, orig bool) (BoundPred, error) {
 	switch n := p.(type) {
 	case *UnaryPred:
-		vals, idx, err := b.ResolveColumn(n.Col)
+		col, err := b.column(n.Col)
 		if err != nil {
 			return nil, err
 		}
-		col := boundCol{vals: vals, idx: idx}
 		if n.Op.IsSetValued() {
 			return &boundSet{col: col, list: n.P.GetList(orig),
 				want: n.Op == OpIn || n.Op == OpLike}, nil
@@ -129,7 +105,7 @@ func BindPred(p Predicate, b ColumnBinder, orig bool) (BoundPred, error) {
 	return nil, fmt.Errorf("relalg: BindPred: unknown predicate %T", p)
 }
 
-func bindKids(kids []Predicate, b ColumnBinder, orig bool) ([]BoundPred, error) {
+func bindKids(kids []Predicate, b Buffers, orig bool) ([]BoundPred, error) {
 	out := make([]BoundPred, len(kids))
 	for i, k := range kids {
 		bk, err := BindPred(k, b, orig)
@@ -142,14 +118,14 @@ func bindKids(kids []Predicate, b ColumnBinder, orig bool) ([]BoundPred, error) 
 }
 
 // BindArith compiles an arithmetic expression for positional evaluation.
-func BindArith(e ArithExpr, b ColumnBinder) (BoundArith, error) {
+func BindArith(e ArithExpr, b Buffers) (BoundArith, error) {
 	switch n := e.(type) {
 	case ColRef:
-		vals, idx, err := b.ResolveColumn(n.Col)
+		col, err := b.column(n.Col)
 		if err != nil {
 			return nil, err
 		}
-		return &boundColRef{col: boundCol{vals: vals, idx: idx}}, nil
+		return boundColRef(col), nil
 	case ConstExpr:
 		return boundConstExpr(n.V), nil
 	case BinExpr:
@@ -170,7 +146,7 @@ func BindArith(e ArithExpr, b ColumnBinder) (BoundArith, error) {
 // per-comparator loops keep the hot path branch-predictable: one comparison
 // and one append per row, no interface dispatch.
 type boundCompare struct {
-	col boundCol
+	col []int64
 	op  CompareOp
 	p   int64
 }
@@ -180,37 +156,37 @@ func (u *boundCompare) FilterBatch(sel []int32) []int32 {
 	switch u.op {
 	case OpEq:
 		for _, i := range sel {
-			if u.col.value(i) == u.p {
+			if u.col[i] == u.p {
 				out = append(out, i)
 			}
 		}
 	case OpNe:
 		for _, i := range sel {
-			if u.col.value(i) != u.p {
+			if u.col[i] != u.p {
 				out = append(out, i)
 			}
 		}
 	case OpLt:
 		for _, i := range sel {
-			if u.col.value(i) < u.p {
+			if u.col[i] < u.p {
 				out = append(out, i)
 			}
 		}
 	case OpLe:
 		for _, i := range sel {
-			if u.col.value(i) <= u.p {
+			if u.col[i] <= u.p {
 				out = append(out, i)
 			}
 		}
 	case OpGt:
 		for _, i := range sel {
-			if u.col.value(i) > u.p {
+			if u.col[i] > u.p {
 				out = append(out, i)
 			}
 		}
 	case OpGe:
 		for _, i := range sel {
-			if u.col.value(i) >= u.p {
+			if u.col[i] >= u.p {
 				out = append(out, i)
 			}
 		}
@@ -221,12 +197,12 @@ func (u *boundCompare) FilterBatch(sel []int32) []int32 {
 }
 
 func (u *boundCompare) EvalRow(pos int32) bool {
-	return compare(u.col.value(pos), u.op, u.p)
+	return compare(u.col[pos], u.op, u.p)
 }
 
 // boundSet is a set-valued comparison (IN / LIKE after expansion).
 type boundSet struct {
-	col  boundCol
+	col  []int64
 	list []int64
 	want bool // true for IN/LIKE, false for the negations
 }
@@ -234,7 +210,7 @@ type boundSet struct {
 func (s *boundSet) FilterBatch(sel []int32) []int32 {
 	out := sel[:0]
 	for _, i := range sel {
-		if contains(s.list, s.col.value(i)) == s.want {
+		if contains(s.list, s.col[i]) == s.want {
 			out = append(out, i)
 		}
 	}
@@ -242,7 +218,7 @@ func (s *boundSet) FilterBatch(sel []int32) []int32 {
 }
 
 func (s *boundSet) EvalRow(pos int32) bool {
-	return contains(s.list, s.col.value(pos)) == s.want
+	return contains(s.list, s.col[pos]) == s.want
 }
 
 // boundArithCompare compares a bound arithmetic expression with a parameter.
@@ -340,9 +316,9 @@ func (c boundConst) FilterBatch(sel []int32) []int32 {
 
 func (c boundConst) EvalRow(int32) bool { return bool(c) }
 
-type boundColRef struct{ col boundCol }
+type boundColRef []int64
 
-func (c *boundColRef) EvalRow(pos int32) int64 { return c.col.value(pos) }
+func (c boundColRef) EvalRow(pos int32) int64 { return c[pos] }
 
 type boundConstExpr int64
 

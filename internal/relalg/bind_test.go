@@ -5,36 +5,42 @@ import (
 	"testing"
 )
 
-// sliceBinder is a test ColumnBinder over plain column slices, optionally
-// with a row-index indirection carrying null pads.
-type sliceBinder struct {
+// layout is a relation over plain column slices, optionally with a
+// row-index indirection carrying null pads (an outer join's).
+type layout struct {
 	cols map[string][]int64
 	idx  []int32 // nil: identity
 }
 
-func (b sliceBinder) ResolveColumn(col string) ([]int64, []int32, error) {
-	vals, ok := b.cols[col]
-	if !ok {
-		return nil, nil, errUnknownCol(col)
+// buffers gathers the layout's columns position by position, as the
+// executor's Column.Gather does: a null-padded slot holds NullValue.
+func (l layout) buffers() Buffers {
+	var b Buffers
+	for name, vals := range l.cols {
+		buf := vals
+		if l.idx != nil {
+			buf = make([]int64, len(l.idx))
+			for p := range buf {
+				buf[p] = l.rowFunc(int32(p))(name)
+			}
+		}
+		b.Names = append(b.Names, name)
+		b.Vals = append(b.Vals, buf)
 	}
-	return vals, b.idx, nil
+	return b
 }
 
-type errUnknownCol string
-
-func (e errUnknownCol) Error() string { return "unknown column " + string(e) }
-
-// rowFunc adapts the binder to the row-at-a-time closure EvalPred expects,
+// rowFunc adapts the layout to the row-at-a-time closure EvalPred expects,
 // reproducing the executor's null-pad convention.
-func (b sliceBinder) rowFunc(pos int32) func(string) int64 {
+func (l layout) rowFunc(pos int32) func(string) int64 {
 	return func(col string) int64 {
 		ri := pos
-		if b.idx != nil {
-			if ri = b.idx[pos]; ri < 0 {
+		if l.idx != nil {
+			if ri = l.idx[pos]; ri < 0 {
 				return NullValue
 			}
 		}
-		return b.cols[col][ri]
+		return l.cols[col][ri]
 	}
 }
 
@@ -80,9 +86,10 @@ func bindTestPreds() []Predicate {
 }
 
 // TestBoundMatchesEvalPred is the differential test anchoring the batch path
-// to the row-at-a-time path: for every predicate shape and both layouts
-// (identity and padded indirection), FilterBatch must keep exactly the
-// positions EvalPred accepts, and EvalRow must agree position-wise.
+// to the row-at-a-time oracle: for every predicate shape and both layouts
+// (identity, and buffers gathered through a padded indirection), FilterBatch
+// must keep exactly the positions EvalPred accepts, and EvalRow must agree
+// position-wise.
 func TestBoundMatchesEvalPred(t *testing.T) {
 	const n = 512
 	rng := rand.New(rand.NewSource(7))
@@ -101,13 +108,14 @@ func TestBoundMatchesEvalPred(t *testing.T) {
 			idx[i] = int32(rng.Intn(n))
 		}
 	}
-	layouts := []sliceBinder{
+	layouts := []layout{
 		{cols: map[string][]int64{"a": a, "b": bvals}},
 		{cols: map[string][]int64{"a": a, "b": bvals}, idx: idx},
 	}
 	for li, binder := range layouts {
+		bufs := binder.buffers()
 		for pi, pred := range bindTestPreds() {
-			bound, err := BindPred(pred, binder, false)
+			bound, err := BindPred(pred, bufs, false)
 			if err != nil {
 				t.Fatalf("layout %d pred %d (%s): bind: %v", li, pi, pred, err)
 			}
@@ -143,7 +151,7 @@ func TestBoundMatchesEvalPred(t *testing.T) {
 // parameter generation into the bound form.
 func TestBindOrigSelectsOriginalParams(t *testing.T) {
 	vals := []int64{1, 2, 3, 4, 5}
-	binder := sliceBinder{cols: map[string][]int64{"a": vals}}
+	binder := Buffers{Names: []string{"a"}, Vals: [][]int64{vals}}
 	pred := &UnaryPred{Col: "a", Op: OpLt, P: &Param{ID: "p", Orig: 3, Value: 5, Instantiated: true}}
 	sel := []int32{0, 1, 2, 3, 4}
 	bOrig, err := BindPred(pred, binder, true)
@@ -165,7 +173,7 @@ func TestBindOrigSelectsOriginalParams(t *testing.T) {
 // TestBindUnknownColumn checks binding surfaces resolution errors instead of
 // panicking at evaluation time.
 func TestBindUnknownColumn(t *testing.T) {
-	binder := sliceBinder{cols: map[string][]int64{"a": {1}}}
+	binder := Buffers{Names: []string{"a"}, Vals: [][]int64{{1}}}
 	pred := &UnaryPred{Col: "zz", Op: OpEq, P: &Param{ID: "p", Orig: 1, Value: 1, Instantiated: true}}
 	if _, err := BindPred(pred, binder, false); err == nil {
 		t.Fatal("want error for unknown column")

@@ -80,9 +80,6 @@ func checkStored(t *testing.T, td *TableData, vals []int64) {
 	if got := td.Col("c"); !slices.Equal(got, vals) || got == nil {
 		t.Errorf("Col = %v, want %v", got, vals)
 	}
-	if got, err := td.Lookup("c"); err != nil || !slices.Equal(got, vals) {
-		t.Errorf("Lookup = %v, %v, want %v", got, err, vals)
-	}
 	dst := make([]int64, len(vals))
 	for _, w := range []int{1, 3, len(vals)} {
 		for lo := 0; lo < len(vals); lo += max(w, 1) {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/dbhammer/mirage/internal/relalg"
 )
@@ -60,31 +61,22 @@ func (t *TableData) Column(name string) (*Column, error) {
 	return t.cols[i], nil
 }
 
-// Col returns the named column's values widened to int64: a fresh copy of a
-// stored column, nil for any other. It is the Must variant of Lookup, for
-// generator-internal code and tests whose column names come from the
-// validated schema itself: an unknown name there is a programming error, so
-// it panics. Paths fed by external input use Lookup instead; hot readers use
-// Fill or Column, which copy nothing whole.
+// Col returns a fresh copy of the named column widened to int64, or nil for
+// a column that is not stored (the primary key, or one retention dropped).
+// Column names come from the validated schema itself, so an unknown name is
+// a programming error and panics. It is the one whole-column widening: hot
+// readers use Fill or Column, which copy nothing whole.
 func (t *TableData) Col(name string) []int64 {
-	vals, err := t.Lookup(name)
+	c, err := t.Column(name)
 	if err != nil {
 		panic(err.Error())
 	}
-	return vals
-}
-
-// Lookup returns the named column's values widened to int64 (a fresh copy,
-// nil for a column that is not stored), or an error for columns the schema
-// does not define. It is the non-panicking variant of Col.
-func (t *TableData) Lookup(name string) ([]int64, error) {
-	c, err := t.Column(name)
 	if c == nil {
-		return nil, err
+		return nil
 	}
 	vals := make([]int64, c.Len())
 	c.Fill(vals, 0)
-	return vals, nil
+	return vals
 }
 
 // SetCol stores vals as the named column, at the narrowest width that holds
@@ -120,33 +112,6 @@ func (t *TableData) isPK(col string) bool {
 	return pk != nil && pk.Name == col
 }
 
-// RowReader returns a closure reading the given row across columns, in the
-// shape row-at-a-time predicate evaluation expects. Hot loops should read a
-// window of each column at a time through Fill instead of calling a closure
-// per row.
-func (t *TableData) RowReader(row int) func(string) int64 {
-	return func(col string) int64 {
-		var v [1]int64
-		if err := t.Fill(col, v[:], int64(row), int64(row)+1); err != nil {
-			panic(err)
-		}
-		return v[0]
-	}
-}
-
-// ResolveColumn implements relalg.ColumnBinder over the base table: row
-// positions address column values directly (identity indirection, no pads).
-// The values are Lookup's widened copy. A column with no stored values — the
-// primary key, or one retention dropped — is an ErrNotMaterialized error
-// naming it.
-func (t *TableData) ResolveColumn(col string) ([]int64, []int32, error) {
-	c, err := t.Lookup(col)
-	if err == nil && c == nil {
-		err = fmt.Errorf("storage: column %s.%s: %w", t.Meta.Name, col, ErrNotMaterialized)
-	}
-	return c, nil, err
-}
-
 // ErrNotMaterialized is Fill's error for a column that has no stored values
 // and is not the primary key: the caller has to regenerate it. Fill returns
 // it unwrapped, so that the regenerating callers compare it without an
@@ -178,6 +143,29 @@ func (t *TableData) Fill(col string, dst []int64, lo, hi int64) error {
 		return ErrNotMaterialized
 	}
 	return nil
+}
+
+// FillRows binds one buffer per distinct column of cols to the values of
+// rows: position j of a buffer reads row rows[j]. fill writes rows [lo,hi)
+// of a named column into dst[0:hi-lo] (TableData.Fill, or a RowSource's
+// Fill that regenerates what storage does not hold) and is called once per
+// row, so only the rows asked for are read.
+func FillRows(fill func(col string, dst []int64, lo, hi int64) error, cols []string, rows []int) (relalg.Buffers, error) {
+	var b relalg.Buffers
+	for _, name := range cols {
+		if slices.Contains(b.Names, name) {
+			continue
+		}
+		vals := make([]int64, len(rows))
+		for j, r := range rows {
+			if err := fill(name, vals[j:j+1], int64(r), int64(r)+1); err != nil {
+				return b, err
+			}
+		}
+		b.Names = append(b.Names, name)
+		b.Vals = append(b.Vals, vals)
+	}
+	return b, nil
 }
 
 // CheckAligned verifies that every stored column holds Meta.Rows values.

@@ -37,9 +37,12 @@ func TestTableDataBasics(t *testing.T) {
 	if s.Rows() != 4 {
 		t.Fatalf("Rows = %d, want 4", s.Rows())
 	}
-	rr := s.RowReader(1)
-	if rr("s_pk") != 2 || rr("s1") != 20 {
-		t.Fatalf("RowReader row 1 = (%d, %d)", rr("s_pk"), rr("s1"))
+	var pk, s1 [1]int64
+	if err := s.Fill("s_pk", pk[:], 1, 2); err != nil || pk[0] != 2 {
+		t.Fatalf("Fill(s_pk) row 1 = %d, %v; want 2", pk[0], err)
+	}
+	if err := s.Fill("s1", s1[:], 1, 2); err != nil || s1[0] != 20 {
+		t.Fatalf("Fill(s1) row 1 = %d, %v; want 20", s1[0], err)
 	}
 	s.SetCol("s1", []int64{10, 20, 30, 40, 50})
 	if err := s.CheckAligned(); err == nil {
@@ -59,12 +62,14 @@ func TestLookupVsMustAccessors(t *testing.T) {
 	if err != nil || tab != s {
 		t.Fatalf("DB.Lookup(s) = %v, %v", tab, err)
 	}
-	if _, err := s.Lookup("missing"); err == nil {
-		t.Fatal("TableData.Lookup(missing): want error")
+	if _, err := s.Column("missing"); err == nil {
+		t.Fatal("TableData.Column(missing): want error")
 	}
-	vals, err := s.Lookup("s1")
-	if err != nil || len(vals) != 4 || vals[0] != 10 {
-		t.Fatalf("TableData.Lookup(s1) = %v, %v", vals, err)
+	if vals := s.Col("s1"); len(vals) != 4 || vals[0] != 10 {
+		t.Fatalf("TableData.Col(s1) = %v", vals)
+	}
+	if vals := s.Col("s_pk"); vals != nil {
+		t.Fatalf("TableData.Col(s_pk) = %v, want nil: the key is not stored", vals)
 	}
 
 	// The Must variants still panic — generator-internal contract.

@@ -486,28 +486,6 @@ func TestFillDerivesPrimaryKey(t *testing.T) {
 	}
 }
 
-// TestResolveColumnRefusesUnmaterialized: binding a column that has no
-// stored values — one out-of-core retention dropped, or the primary key — is
-// an ErrNotMaterialized error naming it, never a nil slice that the bound
-// predicate would index out of range.
-func TestResolveColumnRefusesUnmaterialized(t *testing.T) {
-	td := streamTestTable(100)
-	td.SetCol("w_dec", nil) // dropped by out-of-core retention
-	for _, col := range []string{"w_dec", "w_pk"} {
-		vals, _, err := td.ResolveColumn(col)
-		if !errors.Is(err, ErrNotMaterialized) || !strings.Contains(err.Error(), "w."+col) || vals != nil {
-			t.Errorf("ResolveColumn(%s) = %d values, %v; want ErrNotMaterialized naming w.%s", col, len(vals), err, col)
-		}
-	}
-	pred := &relalg.UnaryPred{Col: "w_dec", Op: relalg.OpGt, P: &relalg.Param{Value: 5, Instantiated: true}}
-	if _, err := relalg.BindPred(pred, td, false); !errors.Is(err, ErrNotMaterialized) {
-		t.Errorf("BindPred over a dropped column: err = %v, want ErrNotMaterialized", err)
-	}
-	if vals, _, err := td.ResolveColumn("w_int"); err != nil || len(vals) != 100 {
-		t.Errorf("ResolveColumn(w_int) = %d values, %v; want the stored column", len(vals), err)
-	}
-}
-
 func TestDirSinkCommitAndAbort(t *testing.T) {
 	dir := t.TempDir()
 	sink := &DirSink{Dir: filepath.Join(dir, "exp")}
