@@ -148,7 +148,10 @@ func (t *Touchstone) instantiateSelection(rng *rand.Rand, data *storage.TableDat
 	if int64(sample) > rows {
 		sample = int(rows)
 	}
-	idx := rng.Perm(int(rows))[:sample]
+	idx := make([]int32, sample)
+	for j, r := range rng.Perm(int(rows))[:sample] {
+		idx[j] = int32(r)
+	}
 	return instPred(rng, data, v.Pred, idx)
 }
 
@@ -156,7 +159,7 @@ func (t *Touchstone) instantiateSelection(rng *rand.Rand, data *storage.TableDat
 // sample matches the literal's original selectivity (real Touchstone takes
 // per-predicate constraints; the sampled search is where its "No Guarantee"
 // errors come from).
-func instPred(rng *rand.Rand, data *storage.TableData, p relalg.Predicate, idx []int) error {
+func instPred(rng *rand.Rand, data *storage.TableData, p relalg.Predicate, idx []int32) error {
 	switch n := p.(type) {
 	case *relalg.AndPred:
 		for _, k := range n.Kids {
@@ -181,7 +184,7 @@ func instPred(rng *rand.Rand, data *storage.TableData, p relalg.Predicate, idx [
 		if n.P.Instantiated {
 			return nil
 		}
-		b, err := storage.FillRows(data.Fill, n.Columns(nil), idx)
+		b, err := storage.FillRows(data.Gather, n.Columns(nil), idx)
 		if err != nil {
 			return fmt.Errorf("sampling %s over %s: %w", n.Expr, data.Meta.Name, err)
 		}

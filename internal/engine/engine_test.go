@@ -156,6 +156,37 @@ func TestSelectionOverOuterJoinPads(t *testing.T) {
 	}
 }
 
+// TestNullPadSatisfiesNoComparison: σ_{t1<9} over S ⟕ σ_{t1−t2>0}(T)
+// keeps the 5 matched tuples and drops the padded one. The pad holds NULL,
+// and NULL < 9 is unknown in SQL's three-valued logic, not true — although
+// NULL's sentinel is the smallest int64. Count evaluates this shape through
+// Execute and must agree.
+func TestNullPadSatisfiesNoComparison(t *testing.T) {
+	db := paperDB(t)
+	e, _ := New(db)
+	expr := relalg.BinExpr{Op: relalg.Sub, L: relalg.ColRef{Col: "t1"}, R: relalg.ColRef{Col: "t2"}}
+	r := sel(leaf("t"), &relalg.ArithPred{Expr: expr, Op: relalg.OpGt, P: pv("p3", 0)})
+	j := join(relalg.LeftOuterJoin, "s", leaf("s"), r, "t", "t_fk")
+	top := sel(j, unary("t1", relalg.OpLt, pv("p", 9)))
+	q := &relalg.AQT{Name: "null pad", Root: top}
+	res, err := e.Execute(q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted, err := e.Count(q, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*Result{"Execute": res, "Count": counted} {
+		if js := res.Stats[j]; js.Card != 6 || js.JCC != 5 {
+			t.Fatalf("%s: left outer card/jcc = %d/%d, want 6/5 (one padded tuple)", name, js.Card, js.JCC)
+		}
+		if got := res.Stats[top].Card; got != 5 {
+			t.Errorf("%s: |σ_{t1<9}(S ⟕ T)| = %d, want the 5 matched tuples: a NULL pad is not < 9", name, got)
+		}
+	}
+}
+
 func TestLogicalPredicateSelection(t *testing.T) {
 	db := paperDB(t)
 	e, _ := New(db)

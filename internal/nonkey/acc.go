@@ -16,7 +16,7 @@ import (
 // over the rows (or over a sample of Config.SampleSize rows for large
 // tables, per Hoeffding's inequality) and the parameter becomes the order
 // statistic that makes the constrained count exact. The sampled rows of the
-// columns an expression reads are filled one row at a time through the
+// columns an expression reads are gathered column by column through the
 // table's PlanSource: a stored column is read from data and any other from
 // its layout, so no column has to be stored for an ACC. It requires a prior
 // Materialize call on tp.
@@ -27,7 +27,7 @@ func InstantiateACCs(cfg Config, tp *TablePlan, data *storage.TableData) error {
 		acc := &tp.ACCs[i]
 		start := time.Now()
 		sample := sampleRows(cfg, R, int64(i))
-		b, err := storage.FillRows(src.Fill, acc.pred.Columns(nil), sample)
+		b, err := storage.FillRows(src.Gather, acc.pred.Columns(nil), sample)
 		if err != nil {
 			return err
 		}
@@ -57,21 +57,24 @@ func InstantiateACCs(cfg Config, tp *TablePlan, data *storage.TableData) error {
 
 // sampleRows returns all row indices when the table fits the sample budget,
 // or a uniform sample without replacement otherwise, ascending.
-func sampleRows(cfg Config, rows int, salt int64) []int {
+func sampleRows(cfg Config, rows int, salt int64) []int32 {
 	limit := cfg.SampleSize
 	if limit <= 0 {
 		limit = DefaultSampleSize
 	}
 	if rows <= limit {
-		all := make([]int, rows)
+		all := make([]int32, rows)
 		for i := range all {
-			all[i] = i
+			all[i] = int32(i)
 		}
 		return all
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ (salt + 0x9e3779b97f4a7c)))
-	sample := permPrefix(rng, rows, limit)
-	sort.Ints(sample)
+	sample := make([]int32, limit)
+	for j, r := range permPrefix(rng, rows, limit) {
+		sample[j] = int32(r)
+	}
+	slices.Sort(sample)
 	return sample
 }
 

@@ -104,6 +104,10 @@ func newColumnGen(tp *TablePlan, cp *ColumnPlan, seed int64) (*ColumnGen, error)
 		return nil, fmt.Errorf("nonkey: internal: column %s multiset covers %d of %d rows",
 			cp.Col.Name, g.pinned+free, g.rows)
 	}
+	if free > maxFeistelDomain {
+		return nil, fmt.Errorf("nonkey: table %s column %s has %d free rows, above the %d (4^16) a column layout addresses",
+			tp.Table.Name, cp.Col.Name, free, maxFeistelDomain)
+	}
 	key := seed ^ colSeed(tp.Table.Name, cp.Col.Name)
 	if free <= smallPermLimit {
 		pool := make([]int64, 0, free)
@@ -122,12 +126,20 @@ func newColumnGen(tp *TablePlan, cp *ColumnPlan, seed int64) (*ColumnGen, error)
 	return g, nil
 }
 
-// buildIndex buckets the free ranks [0,free) into at most len(pool)
-// power-of-two-wide buckets and records where in pool each bucket starts. A
-// bucket then spans one to two values on average, and the index adds at most
-// a quarter to the layout's footprint: one int32 per 16-byte pool entry.
+// indexBucketsPerValue is how many rank buckets buildIndex spends per pool
+// value. At one per value a bucket spans one to two values and the forward
+// walk of a lookup iterates, and mispredicts, on most cells; at eight most
+// buckets sit inside one value. On the 600 k-row BenchmarkColumnGenFill
+// layouts (2 vCPU) eight took Fill from 21–25 to 11–18 ns per cell.
+const indexBucketsPerValue = 8
+
+// buildIndex buckets the free ranks [0,free) into at most
+// indexBucketsPerValue·len(pool) power-of-two-wide buckets — never more than
+// free — and records where in pool each bucket starts. The index costs at
+// most two bytes per pool byte (eight int32 per 16-byte entry) and at most
+// four bytes per free cell.
 func (g *ColumnGen) buildIndex(free int64) {
-	for (free-1)>>g.shift >= int64(len(g.pool)) {
+	for (free-1)>>g.shift >= indexBucketsPerValue*int64(len(g.pool)) {
 		g.shift++
 	}
 	g.idx = make([]int32, (free-1)>>g.shift+1)
@@ -224,24 +236,70 @@ func (g *ColumnGen) fillFree(dst []int64, rank int64) {
 		return
 	}
 	var ks [fillBlock]uint64
-	idx, pool, shift := g.idx, g.pool, g.shift&63
 	for len(dst) > 0 {
-		n := len(dst)
-		if n > fillBlock {
-			n = fillBlock
-		}
+		n := min(len(dst), fillBlock)
 		for j := range ks[:n] {
 			ks[j] = uint64(rank) + uint64(j)
 		}
-		g.perm.applyBatch(ks[:n])
-		for j, k := range ks[:n] {
-			i := idx[k>>shift]
-			for pool[i].cum <= int64(k) {
-				i++
-			}
-			dst[j] = pool[i].val
-		}
+		g.rankValues(dst[:n], ks[:n])
 		dst, rank = dst[n:], rank+int64(n)
+	}
+}
+
+// rankValues writes the value of free rank ks[j] into dst[j] for a
+// Feistel-addressed pool: ks (at most fillBlock ranks) is permuted in place,
+// then each permuted rank is looked up through the bucket index.
+func (g *ColumnGen) rankValues(dst []int64, ks []uint64) {
+	g.perm.applyBatch(ks)
+	idx, pool, shift := g.idx, g.pool, g.shift&63
+	for j, k := range ks {
+		i := idx[k>>shift]
+		for pool[i].cum <= int64(k) {
+			i++
+		}
+		dst[j] = pool[i].val
+	}
+}
+
+// Gather writes the value of row rows[j] into dst[j] for every j; the caller
+// guarantees every row lies in [0,rows) and len(dst) >= len(rows). Rows may
+// come in any order and repeat. Each row costs one search over the pinned
+// blocks; the free ranks are then collected and run through the permutation
+// fillBlock at a time, as Fill runs them.
+func (g *ColumnGen) Gather(dst []int64, rows []int32) {
+	var ks [fillBlock]uint64
+	var at [fillBlock]int32 // dst position of ks[m]
+	m := 0
+	for j, r := range rows {
+		r := int64(r)
+		i := sort.Search(len(g.lo), func(i int) bool { return g.hi[i] > r })
+		if i < len(g.lo) && g.lo[i] <= r {
+			dst[j] = g.val[i]
+			continue
+		}
+		rank := r
+		if i > 0 {
+			rank -= g.before[i-1] + (g.hi[i-1] - g.lo[i-1])
+		}
+		if g.small != nil {
+			dst[j] = g.small[rank]
+			continue
+		}
+		ks[m], at[m] = uint64(rank), int32(j)
+		if m++; m == fillBlock {
+			g.scatterRanks(dst, at[:m], ks[:m])
+			m = 0
+		}
+	}
+	g.scatterRanks(dst, at[:m], ks[:m])
+}
+
+// scatterRanks writes the value of free rank ks[q] into dst[at[q]].
+func (g *ColumnGen) scatterRanks(dst []int64, at []int32, ks []uint64) {
+	var vals [fillBlock]int64
+	g.rankValues(vals[:len(ks)], ks)
+	for q, v := range vals[:len(ks)] {
+		dst[at[q]] = v
 	}
 }
 
@@ -251,16 +309,27 @@ func (g *ColumnGen) fillFree(dst []int64, rank int64) {
 // re-encrypted until they land inside [0,n) (expected < 4 iterations, since
 // the walked domain is below 4n). A bijection by construction — exactly the
 // property that makes every free cell consume exactly one multiset element.
+//
+// Each round's input is half bits wide, so its round function is a table:
+// tab[i][r] = mix64(r ^ keys[i]) & mask for every r < 2^half, built once per
+// column. half ≤ 16 (n ≤ maxFeistelDomain, which newColumnGen enforces), so
+// an entry fits a uint16 and the four tables cost 4·2^half·2 bytes: 8 KiB at
+// half = 10.
 type feistel struct {
 	n    uint64
 	half uint
 	mask uint64
 	keys [4]uint64
+	tab  [4][]uint16
 }
+
+// maxFeistelDomain is the largest n a feistel permutes: 4^16, the domain of
+// a network whose half-width round tables index with 16 bits.
+const maxFeistelDomain = 1 << 32
 
 func newFeistel(n, seed uint64) feistel {
 	f := feistel{n: n, half: 1}
-	for f.half < 31 && 1<<(2*f.half) < n {
+	for 1<<(2*f.half) < n {
 		f.half++
 	}
 	f.mask = 1<<f.half - 1
@@ -268,6 +337,10 @@ func newFeistel(n, seed uint64) feistel {
 	for i := range f.keys {
 		s += 0x9e3779b97f4a7c15
 		f.keys[i] = mix64(s)
+		f.tab[i] = make([]uint16, f.mask+1)
+		for r := range f.tab[i] {
+			f.tab[i][r] = uint16(mix64(uint64(r)^f.keys[i]) & f.mask)
+		}
 	}
 	return f
 }
@@ -283,23 +356,24 @@ func mix64(x uint64) uint64 {
 }
 
 // applyBatch replaces every xs[j] (at most fillBlock of them) by
-// apply(xs[j]). One branch-free pass encrypts all cells with the keys in
-// locals, so the CPU overlaps the cells' multiply chains instead of waiting
-// out one cell's cycle walk; only the cells that landed outside [0,n) are
-// then re-encrypted, until none remain — the same walk, cell by cell, as
-// apply. A pass keeps n/4^half of its cells, so a column costs 4^half/n in
-// [1,4) passes per cell.
+// apply(xs[j]), reading the round functions from the tables. A first loop
+// encrypts every cell once and does nothing else, so the CPU overlaps the
+// cells' table-lookup chains; a second collects the cells that landed
+// outside [0,n), and only those are re-encrypted, until none remain — the
+// same walk, cell by cell, as apply. A pass keeps n/4^half of its cells, so
+// a column costs 4^half/n in [1,4) passes per cell.
 func (f *feistel) applyBatch(xs []uint64) {
 	if f.n < 2 {
 		return
 	}
-	half, mask, n := f.half&63, f.mask, f.n
-	k0, k1, k2, k3 := f.keys[0], f.keys[1], f.keys[2], f.keys[3]
+	half, n := f.half&63, f.n
+	t0, t1, t2, t3 := f.tab[0], f.tab[1], f.tab[2], f.tab[3]
+	for j, x := range xs {
+		xs[j] = encryptTab(x, half, t0, t1, t2, t3)
+	}
 	var pend [fillBlock]uint16 // cells still outside [0,n)
 	np := 0
 	for j, x := range xs {
-		x = encrypt(x, half, mask, k0, k1, k2, k3)
-		xs[j] = x
 		pend[np] = uint16(j) // written either way, kept only if x is outside
 		if x >= n {
 			np++
@@ -308,7 +382,7 @@ func (f *feistel) applyBatch(xs []uint64) {
 	for np > 0 {
 		m := 0
 		for _, j := range pend[:np] {
-			x := encrypt(xs[j], half, mask, k0, k1, k2, k3)
+			x := encryptTab(xs[j], half, t0, t1, t2, t3)
 			xs[j] = x
 			pend[m] = j
 			if x >= n {
@@ -319,7 +393,19 @@ func (f *feistel) applyBatch(xs []uint64) {
 	}
 }
 
-// encrypt is one pass of the 4-round network over the 2*half-bit domain.
+// encryptTab is encrypt with the round functions read from the tables. x
+// lies in the 2*half-bit domain, so every index is below 2^half.
+func encryptTab(x uint64, half uint, t0, t1, t2, t3 []uint16) uint64 {
+	l, r := x>>half, x&(1<<half-1)
+	l, r = r, l^uint64(t0[r])
+	l, r = r, l^uint64(t1[r])
+	l, r = r, l^uint64(t2[r])
+	l, r = r, l^uint64(t3[r])
+	return l<<half | r
+}
+
+// encrypt is one pass of the 4-round network over the 2*half-bit domain: the
+// scalar definition the tables are built from.
 func encrypt(x uint64, half uint, mask, k0, k1, k2, k3 uint64) uint64 {
 	l, r := x>>half, x&mask
 	l, r = r, l^(mix64(r^k0)&mask)

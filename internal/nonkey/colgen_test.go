@@ -1,6 +1,7 @@
 package nonkey
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -161,6 +162,212 @@ func TestColumnGenFillMatchesAt(t *testing.T) {
 	}
 }
 
+// TestColumnGenGatherMatchesAt holds Gather against the scalar definition:
+// over randomized layouts with pinned blocks, free runs and both Feistel and
+// small pools, a gather of rows in random order, repeated, and on, inside
+// and around every block edge equals At row by row and writes nothing past
+// len(rows). Row lists straddle the permutation block size.
+func TestColumnGenGatherMatchesAt(t *testing.T) {
+	const poison = int64(-1) << 62
+	rng := rand.New(rand.NewSource(21))
+	for _, free := range []int64{0, 1, smallPermLimit, smallPermLimit + 1, 100_003} {
+		for rep := 0; rep < 6; rep++ {
+			nBlocks := 1 + rng.Intn(6)
+			cards, pins := make([]int64, nBlocks), make([]bool, nBlocks)
+			unpinned := int64(0)
+			for i := range cards {
+				if rng.Intn(4) > 0 {
+					cards[i] = 1 + rng.Int63n(3*fillBlock)
+				}
+				pins[i] = rng.Intn(3) > 0
+				if !pins[i] {
+					cards[i] = min(cards[i], free-unpinned)
+					unpinned += cards[i]
+				}
+			}
+			domain := []int{1, 7, 3000}[rep%3]
+			tp, cp := genLayout(rng, cards, pins, free, domain)
+			g, err := newColumnGen(tp, cp, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("free=%d domain=%d cards=%v pins=%v", free, domain, cards, pins)
+			if g.rows == 0 {
+				g.Gather(nil, nil)
+				continue
+			}
+			edges := []int64{0, g.rows - 1}
+			var off int64
+			for _, c := range cards {
+				edges = append(edges, off-1, off, off+1, off+c-1, off+c, off+c+1)
+				off += c
+			}
+			for _, n := range []int{1, fillBlock - 1, fillBlock, fillBlock + 1, 3*fillBlock + 7} {
+				rows := make([]int32, n)
+				for j := range rows {
+					var r int64
+					switch rng.Intn(3) {
+					case 0:
+						r = edges[rng.Intn(len(edges))]
+					case 1:
+						if j > 0 {
+							r = int64(rows[rng.Intn(j)]) // a repeat
+						}
+					default:
+						r = rng.Int63n(g.rows)
+					}
+					if r < 0 {
+						r = 0
+					}
+					rows[j] = int32(min(r, g.rows-1))
+				}
+				dst := make([]int64, n+1)
+				for j := range dst {
+					dst[j] = poison
+				}
+				g.Gather(dst, rows)
+				for j, r := range rows {
+					if want := g.At(int64(r)); dst[j] != want {
+						t.Fatalf("%s: Gather position %d (row %d) = %d, At = %d", name, j, r, dst[j], want)
+					}
+				}
+				if dst[n] != poison {
+					t.Fatalf("%s: Gather of %d rows wrote past them", name, n)
+				}
+			}
+		}
+	}
+}
+
+// TestFeistelTablesMatchRounds holds the table-driven batch permutation
+// against the scalar network for every half-width a layout can use: for h in
+// [1,16] and n in {4^h−1, 4^h, 4^h+1} (the last one below h = 16, since
+// 4^16+1 is refused), applyBatch equals apply on every rank when n ≤ 2^20
+// and on 100 000 sampled ranks above it, in batches of every length up to
+// fillBlock.
+func TestFeistelTablesMatchRounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for h := 1; h <= 16; h++ {
+		ns := []uint64{1<<(2*h) - 1, 1 << (2 * h)}
+		if h < 16 {
+			ns = append(ns, 1<<(2*h)+1)
+		}
+		for _, n := range ns {
+			f := newFeistel(n, uint64(h)*0x9e3779b97f4a7c15+n)
+			var ranks []uint64
+			if n <= 1<<20 {
+				ranks = make([]uint64, n)
+				for k := range ranks {
+					ranks[k] = uint64(k)
+				}
+			} else {
+				ranks = make([]uint64, 100_000)
+				for k := range ranks {
+					ranks[k] = uint64(rng.Int63n(int64(n)))
+				}
+				ranks[0], ranks[1] = 0, n-1
+			}
+			var xs [fillBlock]uint64
+			for len(ranks) > 0 {
+				m := min(len(ranks), 1+rng.Intn(fillBlock))
+				copy(xs[:m], ranks[:m])
+				f.applyBatch(xs[:m])
+				for j, k := range ranks[:m] {
+					if want := f.apply(k); xs[j] != want {
+						t.Fatalf("h=%d n=%d: applyBatch(%d) = %d, apply = %d", h, n, k, xs[j], want)
+					}
+				}
+				ranks = ranks[m:]
+			}
+		}
+	}
+}
+
+// TestBuildIndexSkewedPools: on pools of counts of 1, one huge count, and a
+// mix, every bucket b of the rank index holds the first pool entry j with
+// cum > b<<shift, the index has at most indexBucketsPerValue entries per
+// pool value and no more than the free cells, and it is no coarser than
+// that bound asks.
+func TestBuildIndexSkewedPools(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	mixed := make([]int64, 3000)
+	for v := range mixed {
+		switch rng.Intn(4) {
+		case 0:
+			mixed[v] = 1
+		case 1:
+			mixed[v] = 1 + rng.Int63n(1000)
+		case 2:
+			mixed[v] = 0
+		default:
+			mixed[v] = 2
+		}
+	}
+	mixed[1234] = 1_000_000
+	ones := make([]int64, 20_000)
+	for v := range ones {
+		ones[v] = 1
+	}
+	for name, counts := range map[string][]int64{
+		"ones":     ones,
+		"one huge": {1, 5_000_000, 1},
+		"only one": {0, 0, 70_000},
+		"mixed":    mixed,
+	} {
+		col := &relalg.Column{Name: "c", Kind: relalg.NonKey, DomainSize: int64(len(counts))}
+		var rows int64
+		for _, c := range counts {
+			rows += c
+		}
+		cp := &ColumnPlan{Col: col, Rows: rows, Counts: counts}
+		tp := &TablePlan{Table: &relalg.Table{Name: "t", Rows: rows}, Cols: map[string]*ColumnPlan{"c": cp}}
+		g, err := newColumnGen(tp, cp, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := int64(len(g.pool))
+		buckets := int64(len(g.idx))
+		if buckets > indexBucketsPerValue*pool || buckets > rows {
+			t.Errorf("%s: %d buckets for %d values and %d rows", name, buckets, pool, rows)
+		}
+		if g.shift > 0 && (rows-1)>>(g.shift-1) < indexBucketsPerValue*pool {
+			t.Errorf("%s: shift %d is coarser than %d buckets per value needs", name, g.shift, indexBucketsPerValue)
+		}
+		for b, j := range g.idx {
+			lo := int64(b) << g.shift
+			if g.pool[j].cum <= lo || (j > 0 && g.pool[j-1].cum > lo) {
+				t.Fatalf("%s: idx[%d] = %d is not the first entry with cum > %d", name, b, j, lo)
+			}
+		}
+	}
+}
+
+// TestColumnGenRefusesPastFeistelDomain: a column with more than 4^16 free
+// rows is refused by name, with the limit, before any row is materialized.
+func TestColumnGenRefusesPastFeistelDomain(t *testing.T) {
+	const rows = maxFeistelDomain + 1
+	col := relalg.Column{Name: "c", Kind: relalg.NonKey, DomainSize: 2}
+	tbl := &relalg.Table{Name: "huge", Rows: rows, Columns: []relalg.Column{{Name: "pk", Kind: relalg.PrimaryKey}, col}}
+	cp := &ColumnPlan{Col: &tbl.Columns[1], Rows: rows, Counts: []int64{rows - 1, 1}}
+	tp := &TablePlan{Table: tbl, Cols: map[string]*ColumnPlan{"c": cp}}
+	td := storage.NewTableData(tbl)
+	err := tp.Materialize(context.Background(), td, 1, 1, nil)
+	if err == nil {
+		t.Fatal("Materialize of a column with 4^16+1 free rows succeeded")
+	}
+	for _, part := range []string{"huge", " c ", "4294967297", "4294967296"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not name %q", err, part)
+		}
+	}
+	if c, _ := td.Column("c"); c != nil {
+		t.Error("refused column was stored")
+	}
+	if tp.gens != nil {
+		t.Error("refused table kept layouts")
+	}
+}
+
 // fillFixture is a table of a primary key "pk", a regenerated column "c"
 // and a stored column "kept", with c's layout built.
 func fillFixture(t *testing.T) (*TablePlan, *storage.TableData) {
@@ -202,6 +409,51 @@ func TestPlanSourceServesTheDerivedKey(t *testing.T) {
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("PlanSource.Fill(pk, [%d,%d)) differs from TableData.Fill", lo, hi)
+		}
+	}
+}
+
+// TestPlanSourceGatherMatchesFill: a PlanSource gathers the regenerated
+// column, the stored one and the primary key exactly as Fill reads them, for
+// rows unsorted and repeated, and refuses a row outside the table or a short
+// destination without writing.
+func TestPlanSourceGatherMatchesFill(t *testing.T) {
+	tp, td := fillFixture(t)
+	rows := tp.Table.Rows
+	src := NewPlanSource(td, tp)
+	rng := rand.New(rand.NewSource(3))
+	at := make([]int32, 2000)
+	for j := range at {
+		at[j] = int32(rng.Int63n(rows))
+	}
+	at[1], at[2] = at[0], int32(rows-1)
+	for _, col := range []string{"c", "kept", "pk"} {
+		all := make([]int64, rows)
+		if err := src.Fill(col, all, 0, rows); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]int64, len(at))
+		if err := src.Gather(col, got, at); err != nil {
+			t.Fatal(err)
+		}
+		for j, r := range at {
+			if got[j] != all[r] {
+				t.Fatalf("%s: Gather position %d (row %d) = %d, Fill = %d", col, j, r, got[j], all[r])
+			}
+		}
+		for _, bad := range []struct {
+			rows []int32
+			n    int
+		}{{[]int32{0, int32(rows)}, 2}, {[]int32{-1}, 1}, {[]int32{0, 1}, 1}} {
+			dst := []int64{-7, -7}[:bad.n]
+			if err := src.Gather(col, dst, bad.rows); err == nil || !strings.Contains(err.Error(), "t."+col) {
+				t.Errorf("%s: Gather(%v) into %d cells: err = %v, want one naming t.%s", col, bad.rows, bad.n, err, col)
+			}
+			for _, v := range dst {
+				if v != -7 {
+					t.Fatalf("%s: rejected Gather(%v) wrote dst", col, bad.rows)
+				}
+			}
 		}
 	}
 }
@@ -291,9 +543,10 @@ func TestFillRejectsBadRange(t *testing.T) {
 
 // BenchmarkColumnGenFill is the kernel's number outside the benchmark driver:
 // ns/cell of regenerating one column in engine-window-sized chunks. 600 k rows
-// is TPC-H lineitem at the benchmark's SF 10; 270 k rows sits just above
-// 4^9, the permutation's worst case (3.9 passes per cell). The last layout is
-// dominated by pinned runs.
+// is TPC-H lineitem at the benchmark's SF 10 and 1.8 M rows at its SF 30
+// (2.33 passes per cell); 270 k rows sits just above 4^9, the permutation's
+// worst case (3.9 passes per cell). The last layout is dominated by pinned
+// runs.
 func BenchmarkColumnGenFill(b *testing.B) {
 	const chunk = 64 * 1024
 	run := func(name string, tp *TablePlan, cp *ColumnPlan) {
@@ -312,7 +565,7 @@ func BenchmarkColumnGenFill(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*g.rows), "ns/cell")
 		})
 	}
-	for _, rows := range []int64{270_000, 600_000} {
+	for _, rows := range []int64{270_000, 600_000, 1_800_000} {
 		for _, domain := range []int{7, 50, 2_500, 100_000} {
 			tp, cp := genLayout(rand.New(rand.NewSource(1)), nil, nil, rows, domain)
 			run(fmt.Sprintf("rows=%d/domain=%d", rows, domain), tp, cp)

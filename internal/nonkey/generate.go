@@ -124,17 +124,21 @@ func (tp *TablePlan) Fill(col string, dst []int64, lo, hi int64) error {
 	if err := storage.CheckFillRange(tp.Table.Name, col, tp.Table.Rows, len(dst), lo, hi); err != nil {
 		return fmt.Errorf("nonkey: %w", err)
 	}
-	return tp.fill(col, dst, lo, hi)
-}
-
-// fill is Fill for a range the caller has already checked.
-func (tp *TablePlan) fill(col string, dst []int64, lo, hi int64) error {
-	g, ok := tp.gens[col]
-	if !ok {
-		return fmt.Errorf("nonkey: table %s: no layout for column %s (not materialized yet?)", tp.Table.Name, col)
+	g, err := tp.gen(col)
+	if err != nil {
+		return err
 	}
 	g.Fill(dst, lo, hi)
 	return nil
+}
+
+// gen returns the layout of the named column.
+func (tp *TablePlan) gen(col string) (*ColumnGen, error) {
+	g, ok := tp.gens[col]
+	if !ok {
+		return nil, fmt.Errorf("nonkey: table %s: no layout for column %s (not materialized yet?)", tp.Table.Name, col)
+	}
+	return g, nil
 }
 
 func colSeed(table, col string) int64 {

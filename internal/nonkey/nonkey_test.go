@@ -49,12 +49,11 @@ func planAndMaterialize(t *testing.T, sels []*genplan.SelCons) (*TablePlan, *sto
 // generated data.
 func evalSelection(t *testing.T, data *storage.TableData, pred relalg.Predicate) int64 {
 	t.Helper()
-	rows := make([]int, data.Rows())
-	sel := make([]int32, len(rows))
-	for r := range rows {
-		rows[r], sel[r] = r, int32(r)
+	sel := make([]int32, data.Rows())
+	for r := range sel {
+		sel[r] = int32(r)
 	}
-	b, err := storage.FillRows(data.Fill, pred.Columns(nil), rows)
+	b, err := storage.FillRows(data.Gather, pred.Columns(nil), sel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,13 +35,45 @@ func (s *PlanSource) NumRows() int64 { return int64(s.t.Rows()) }
 // Fill writes rows [lo,hi) of the named column into dst[0:hi-lo]. A range
 // outside the table or longer than dst is an error and leaves dst untouched.
 func (s *PlanSource) Fill(col string, dst []int64, lo, hi int64) error {
-	switch err := s.t.Fill(col, dst, lo, hi); {
-	case err == nil:
+	err := s.t.Fill(col, dst, lo, hi)
+	if err == nil {
 		return nil
-	case err != storage.ErrNotMaterialized:
-		return fmt.Errorf("nonkey: %w", err)
-	case s.plan == nil:
-		return fmt.Errorf("nonkey: table %s has no generation plan for column %s", s.t.Meta.Name, col)
 	}
-	return s.plan.fill(col, dst, lo, hi)
+	g, err := s.layout(col, err)
+	if err != nil {
+		return err
+	}
+	g.Fill(dst, lo, hi)
+	return nil
+}
+
+// Gather writes the value of row rows[j] of the named column into dst[j] for
+// every j, rows in any order: a stored column and the primary key through
+// storage's TableData.Gather, any other column from its layout
+// (ColumnGen.Gather). A row outside the table or a dst shorter than rows is
+// an error and leaves dst untouched.
+func (s *PlanSource) Gather(col string, dst []int64, rows []int32) error {
+	err := s.t.Gather(col, dst, rows)
+	if err == nil {
+		return nil
+	}
+	g, err := s.layout(col, err)
+	if err != nil {
+		return err
+	}
+	g.Gather(dst, rows)
+	return nil
+}
+
+// layout returns the layout that regenerates col after storage's read of it
+// failed with err: only ErrNotMaterialized, which storage returns once it
+// has checked the request, leads to one.
+func (s *PlanSource) layout(col string, err error) (*ColumnGen, error) {
+	switch {
+	case err != storage.ErrNotMaterialized:
+		return nil, fmt.Errorf("nonkey: %w", err)
+	case s.plan == nil:
+		return nil, fmt.Errorf("nonkey: table %s has no generation plan for column %s", s.t.Meta.Name, col)
+	}
+	return s.plan.gen(col)
 }

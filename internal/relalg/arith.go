@@ -57,15 +57,23 @@ func (c ConstExpr) String() string                     { return fmt.Sprintf("%d"
 
 // BinExpr combines two arithmetic expressions with an operator. Division is
 // integer division with divide-by-zero evaluating to zero, which keeps the
-// parameter-search space total.
+// parameter-search space total. A NULL operand makes the result NULL.
 type BinExpr struct {
 	Op   ArithOp
 	L, R ArithExpr
 }
 
 func (b BinExpr) EvalArith(row func(string) int64) int64 {
-	l, r := b.L.EvalArith(row), b.R.EvalArith(row)
-	switch b.Op {
+	return arith(b.Op, b.L.EvalArith(row), b.R.EvalArith(row))
+}
+
+// arith applies op to l and r: the one definition of BinExpr's arithmetic,
+// bound or not.
+func arith(op ArithOp, l, r int64) int64 {
+	if l == NullValue || r == NullValue {
+		return NullValue
+	}
+	switch op {
 	case Add:
 		return l + r
 	case Sub:

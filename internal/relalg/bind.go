@@ -58,9 +58,10 @@ func BindPred(p Predicate, b Buffers, orig bool) (BoundPred, error) {
 				want: n.Op == OpIn || n.Op == OpLike}, nil
 		}
 		pv := n.P.Get(orig)
-		if pv == NullValue {
-			// Table 3: "= NULL" matches nothing, "<> NULL" everything.
-			return boundConst(n.Op == OpNe), nil
+		if pv == NullValue && n.Op != OpNe {
+			// Table 3: "= NULL" matches nothing, "<> NULL" every non-NULL
+			// cell (boundCompare's OpNe loop).
+			return boundConst(false), nil
 		}
 		return &boundCompare{col: col, op: n.Op, p: pv}, nil
 
@@ -72,11 +73,7 @@ func BindPred(p Predicate, b Buffers, orig bool) (BoundPred, error) {
 		if n.Op.IsSetValued() {
 			return nil, fmt.Errorf("relalg: comparator %v requires a value set", n.Op)
 		}
-		pv := n.P.Get(orig)
-		if pv == NullValue {
-			return boundConst(n.Op == OpNe), nil
-		}
-		return &boundArithCompare{expr: expr, op: n.Op, p: pv}, nil
+		return &boundArithCompare{expr: expr, op: n.Op, p: n.P.Get(orig)}, nil
 
 	case *AndPred:
 		kids, err := bindKids(n.Kids, b, orig)
@@ -142,9 +139,11 @@ func BindArith(e ArithExpr, b Buffers) (BoundArith, error) {
 	return nil, fmt.Errorf("relalg: BindArith: unknown expression %T", e)
 }
 
-// boundCompare is a scalar column comparison with a non-NULL parameter. The
-// per-comparator loops keep the hot path branch-predictable: one comparison
-// and one append per row, no interface dispatch.
+// boundCompare is a scalar column comparison with a non-NULL parameter (or
+// "<> NULL"). The per-comparator loops keep the hot path branch-predictable:
+// one comparison and one append per row, no interface dispatch. A NULL cell
+// satisfies no comparison: it fails = > >= against any non-NULL parameter
+// by its value, and <> < <= by an explicit check.
 type boundCompare struct {
 	col []int64
 	op  CompareOp
@@ -162,19 +161,19 @@ func (u *boundCompare) FilterBatch(sel []int32) []int32 {
 		}
 	case OpNe:
 		for _, i := range sel {
-			if u.col[i] != u.p {
+			if v := u.col[i]; v != u.p && v != NullValue {
 				out = append(out, i)
 			}
 		}
 	case OpLt:
 		for _, i := range sel {
-			if u.col[i] < u.p {
+			if v := u.col[i]; v < u.p && v != NullValue {
 				out = append(out, i)
 			}
 		}
 	case OpLe:
 		for _, i := range sel {
-			if u.col[i] <= u.p {
+			if v := u.col[i]; v <= u.p && v != NullValue {
 				out = append(out, i)
 			}
 		}
@@ -210,7 +209,7 @@ type boundSet struct {
 func (s *boundSet) FilterBatch(sel []int32) []int32 {
 	out := sel[:0]
 	for _, i := range sel {
-		if contains(s.list, s.col[i]) == s.want {
+		if v := s.col[i]; contains(s.list, v) == s.want && v != NullValue {
 			out = append(out, i)
 		}
 	}
@@ -218,7 +217,8 @@ func (s *boundSet) FilterBatch(sel []int32) []int32 {
 }
 
 func (s *boundSet) EvalRow(pos int32) bool {
-	return contains(s.list, s.col[pos]) == s.want
+	v := s.col[pos]
+	return contains(s.list, v) == s.want && v != NullValue
 }
 
 // boundArithCompare compares a bound arithmetic expression with a parameter.
@@ -325,26 +325,12 @@ type boundConstExpr int64
 func (c boundConstExpr) EvalRow(int32) int64 { return int64(c) }
 
 // boundBin mirrors BinExpr: integer arithmetic with division by zero
-// evaluating to zero.
+// evaluating to zero and a NULL operand making the result NULL.
 type boundBin struct {
 	op   ArithOp
 	l, r BoundArith
 }
 
 func (b *boundBin) EvalRow(pos int32) int64 {
-	l, r := b.l.EvalRow(pos), b.r.EvalRow(pos)
-	switch b.op {
-	case Add:
-		return l + r
-	case Sub:
-		return l - r
-	case Mul:
-		return l * r
-	case Div:
-		if r == 0 {
-			return 0
-		}
-		return l / r
-	}
-	panic("relalg: unknown arithmetic operator")
+	return arith(b.op, b.l.EvalRow(pos), b.r.EvalRow(pos))
 }

@@ -182,3 +182,60 @@ func TestBindUnknownColumn(t *testing.T) {
 		t.Fatal("want error for unknown column in arithmetic expression")
 	}
 }
+
+// TestNullCellSatisfiesNoComparison: a NULL cell — an outer join's pad —
+// satisfies no comparison, whatever the comparator and parameter, in the
+// bound path and in EvalPred alike (SQL's three-valued logic). The non-NULL
+// cell beside it keeps each predicate meaningful: every predicate here keeps
+// it, so a bound loop that dropped every cell would fail too.
+func TestNullCellSatisfiesNoComparison(t *testing.T) {
+	p := func(v int64) *Param { return &Param{ID: "p", Orig: v, Value: v, Instantiated: true} }
+	plist := func(vs ...int64) *Param { return &Param{ID: "p", OrigList: vs, List: vs, Instantiated: true} }
+	sub := BinExpr{Op: Sub, L: ColRef{Col: "a"}, R: ColRef{Col: "b"}}
+	// Position 0 holds a = b = NULL, position 1 holds a = 4, b = 2.
+	bufs := Buffers{Names: []string{"a", "b"}, Vals: [][]int64{{NullValue, 4}, {NullValue, 2}}}
+	row := func(pos int32) func(string) int64 {
+		return func(col string) int64 {
+			v, _ := bufs.column(col)
+			return v[pos]
+		}
+	}
+	preds := []Predicate{
+		&UnaryPred{Col: "a", Op: OpEq, P: p(4)},
+		&UnaryPred{Col: "a", Op: OpNe, P: p(3)},
+		&UnaryPred{Col: "a", Op: OpLt, P: p(9)},
+		&UnaryPred{Col: "a", Op: OpLe, P: p(4)},
+		&UnaryPred{Col: "a", Op: OpGt, P: p(1)},
+		&UnaryPred{Col: "a", Op: OpGe, P: p(4)},
+		&UnaryPred{Col: "a", Op: OpLt, P: p(PosInf)},
+		&UnaryPred{Col: "a", Op: OpLe, P: p(PosInf)},
+		&UnaryPred{Col: "a", Op: OpGt, P: p(NegInf)},
+		&UnaryPred{Col: "a", Op: OpGe, P: p(NegInf)},
+		&UnaryPred{Col: "a", Op: OpNe, P: p(NullValue)},
+		&UnaryPred{Col: "a", Op: OpIn, P: plist(4, NullValue)},
+		&UnaryPred{Col: "a", Op: OpNotIn, P: plist(1, 3)},
+		&UnaryPred{Col: "a", Op: OpLike, P: plist(NullValue, 4)},
+		&UnaryPred{Col: "a", Op: OpNotLike, P: plist(7)},
+		&ArithPred{Expr: sub, Op: OpGt, P: p(1)},
+		&ArithPred{Expr: sub, Op: OpGe, P: p(NegInf)},
+		&ArithPred{Expr: sub, Op: OpLt, P: p(3)},
+		&ArithPred{Expr: sub, Op: OpLe, P: p(PosInf)},
+		&ArithPred{Expr: sub, Op: OpNe, P: p(NullValue)},
+		&ArithPred{Expr: BinExpr{Op: Div, L: ColRef{Col: "a"}, R: ConstExpr{V: 0}}, Op: OpLt, P: p(1)},
+	}
+	for _, pred := range preds {
+		bound, err := BindPred(pred, bufs, false)
+		if err != nil {
+			t.Fatalf("%s: bind: %v", pred, err)
+		}
+		if got := bound.FilterBatch([]int32{0, 1}); len(got) != 1 || got[0] != 1 {
+			t.Errorf("%s: FilterBatch kept %v, want [1]: only the non-NULL cell", pred, got)
+		}
+		if bound.EvalRow(0) || !bound.EvalRow(1) {
+			t.Errorf("%s: EvalRow = %v, %v, want false, true", pred, bound.EvalRow(0), bound.EvalRow(1))
+		}
+		if pred.EvalPred(row(0), false) || !pred.EvalPred(row(1), false) {
+			t.Errorf("%s: EvalPred = %v, %v, want false, true", pred, pred.EvalPred(row(0), false), pred.EvalPred(row(1), false))
+		}
+	}
+}

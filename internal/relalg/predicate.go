@@ -110,6 +110,9 @@ type UnaryPred struct {
 
 func (u *UnaryPred) EvalPred(row func(string) int64, orig bool) bool {
 	v := row(u.Col)
+	if v == NullValue {
+		return false // SQL's three-valued logic: a NULL cell satisfies no comparison
+	}
 	if u.Op.IsSetValued() {
 		in := contains(u.P.GetList(orig), v)
 		if u.Op == OpIn || u.Op == OpLike {
@@ -229,8 +232,12 @@ func joinPreds(kids []Predicate, sep string) string {
 
 // compare evaluates v • p honoring the NULL and infinity sentinels of
 // Table 3: "= NULL" is false for every row, "<> NULL" is true for every row,
-// and ±infinity bound the whole cardinality space.
+// and ±infinity bound the whole cardinality space. A NULL cell v (an outer
+// join's pad) satisfies no comparison, as in SQL's three-valued logic.
 func compare(v int64, op CompareOp, p int64) bool {
+	if v == NullValue {
+		return false
+	}
 	if p == NullValue {
 		return op == OpNe || op == OpNotIn || op == OpNotLike
 	}

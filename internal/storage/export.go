@@ -49,8 +49,9 @@ func appendRows(dst []byte, decs []Codec, cols [][]int64, n int) []byte {
 
 // maxRenderDomain bounds the columns StreamCSV renders through a render
 // table: a non-key column gets one when 0 < DomainSize ≤ maxRenderDomain
-// and DomainSize ≤ the table's rows, so a table never costs more codec
-// calls than the cells it serves, nor more than 64Ki entries.
+// and DomainSize ≤ the table's rows, and a foreign key when its referenced
+// table's row count is, so a table never costs more codec calls than the
+// cells it serves, nor more than 64Ki entries.
 const maxRenderDomain = 1 << 16
 
 // renderTable holds the CSV bytes of every in-domain value of one column:
@@ -77,20 +78,31 @@ func newRenderTable(dec Codec, d int64, sep byte) renderTable {
 }
 
 // rowEncoder is StreamCSV's encoder. A cell of a column with a render table
-// whose value lies in [1, D] is one copy of the table's entry; every other
-// cell — key columns, Null, 0, negatives, values past D, columns without a
-// table — goes through the codec as in appendRows. Each entry is produced by
-// the very codec call appendRows makes for that value, so the bytes equal
-// appendRows'. Workers share one rowEncoder read-only.
+// whose value lies in [1, D] is one copy of the table's entry. A cell of a
+// column whose codec is an IntCodec of step 1 (every key column) that holds
+// its predecessor's value plus one is that predecessor's digits, copied and
+// incremented in place. Every other cell — Null, 0, negatives, values past
+// D, a shard's first row, columns without either — goes through the codec
+// as in appendRows. A table entry is produced by the very codec call
+// appendRows makes for that value, and an IntCodec of step 1 renders v+1 as
+// the decimal successor of v's rendering, so the bytes equal appendRows'.
+// Workers share one rowEncoder read-only.
 type rowEncoder struct {
 	decs []Codec
 	seps []byte // ',' after every column but the last, '\n' after it
 	tabs []renderTable
+	runs []bool // IntCodec of step 1 and no render table
+	// rowHint is an estimate of one row's CSV bytes: per column, a render
+	// table's mean entry, or else the rendering of its largest value.
+	rowHint int
 }
 
-func newRowEncoder(meta *relalg.Table, codecs CodecSet, rows int64) *rowEncoder {
+// newRowEncoder builds the encoder of a table of rows rows. schema, when
+// non-nil, gives the referenced tables' row counts that foreign keys'
+// render tables need; without it keys render through the codec.
+func newRowEncoder(meta *relalg.Table, codecs CodecSet, schema *relalg.Schema, rows int64) *rowEncoder {
 	n := len(meta.Columns)
-	e := &rowEncoder{decs: make([]Codec, n), seps: make([]byte, n), tabs: make([]renderTable, n)}
+	e := &rowEncoder{decs: make([]Codec, n), seps: make([]byte, n), tabs: make([]renderTable, n), runs: make([]bool, n)}
 	for i := range meta.Columns {
 		c := &meta.Columns[i]
 		e.decs[i] = codecs.For(meta.Name, c.Name)
@@ -98,15 +110,43 @@ func newRowEncoder(meta *relalg.Table, codecs CodecSet, rows int64) *rowEncoder 
 		if i == n-1 {
 			e.seps[i] = '\n'
 		}
-		if c.Kind == relalg.NonKey && c.DomainSize > 0 && c.DomainSize <= maxRenderDomain && c.DomainSize <= rows {
-			e.tabs[i] = newRenderTable(e.decs[i], c.DomainSize, e.seps[i])
+		// domain is the column's largest value: the primary key's is rows,
+		// which also stands in for a key whose referenced table is unknown.
+		domain, known := rows, false
+		switch c.Kind {
+		case relalg.NonKey:
+			domain, known = c.DomainSize, true
+		case relalg.ForeignKey:
+			if schema != nil {
+				if ref := schema.Table(c.Refs); ref != nil {
+					domain, known = ref.Rows, true
+				}
+			}
 		}
+		if known && domain > 0 && domain <= maxRenderDomain && domain <= rows {
+			e.tabs[i] = newRenderTable(e.decs[i], domain, e.seps[i])
+			e.rowHint += len(e.tabs[i].arena) / int(domain)
+			continue
+		}
+		if ic, ok := e.decs[i].(IntCodec); ok && ic.step() == 1 {
+			e.runs[i] = true
+		}
+		e.rowHint += len(e.decs[i].AppendDecode(nil, max(domain, 1))) + 1
 	}
 	return e
 }
 
+// lastCell is where a runs column's previous cell of the current call was
+// rendered: dst[start:end] holds the digits of v, or end == start when they
+// are not a plain decimal a successor can be derived from.
+type lastCell struct {
+	v          int64
+	start, end int
+}
+
 // appendRows appends the CSV lines of rows [0,n) of cols.
 func (e *rowEncoder) appendRows(dst []byte, cols [][]int64, n int) []byte {
+	last := make([]lastCell, len(cols))
 	for r := 0; r < n; r++ {
 		for i, col := range cols {
 			v := col[r]
@@ -114,10 +154,42 @@ func (e *rowEncoder) appendRows(dst []byte, cols [][]int64, n int) []byte {
 				dst = append(dst, t.arena[t.off[v-1]:t.off[v]]...)
 				continue
 			}
-			dst = append(e.decs[i].AppendDecode(dst, v), e.seps[i])
+			if !e.runs[i] {
+				dst = append(e.decs[i].AppendDecode(dst, v), e.seps[i])
+				continue
+			}
+			p, start := &last[i], len(dst)
+			if v == p.v+1 && p.end > p.start {
+				dst = incDecimal(append(dst, dst[p.start:p.end]...), start)
+			} else {
+				dst = e.decs[i].AppendDecode(dst, v)
+			}
+			p.v, p.start, p.end = v, start, len(dst)
+			// Below 19 digits the successor cannot overflow int64; a
+			// leading '-' or 'N' (Null) is not a counter.
+			if d := dst[start]; p.end-start >= 19 || d < '0' || d > '9' {
+				p.end = start
+			}
+			dst = append(dst, e.seps[i])
 		}
 	}
 	return dst
+}
+
+// incDecimal adds one to the non-negative decimal in d[start:], in place;
+// an all-nines number grows by one digit.
+func incDecimal(d []byte, start int) []byte {
+	j := len(d) - 1
+	for j >= start && d[j] == '9' {
+		d[j] = '0'
+		j--
+	}
+	if j >= start {
+		d[j]++
+		return d
+	}
+	d[start] = '1'
+	return append(d, '0')
 }
 
 // ExportCSV writes one table as CSV (header + rows), decoding values through
@@ -166,7 +238,7 @@ func ExportDir(dir string, db *DB, codecs CodecSet) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if _, err := StreamTable(context.TODO(), sink, TableSource(db.Tables[name]), codecs, exportChunkRows, 0, nil); err != nil {
+		if _, err := StreamTable(context.TODO(), sink, TableSource(db.Tables[name]), codecs, db.Schema, exportChunkRows, 0, nil); err != nil {
 			return fmt.Errorf("storage: export %s: %w", name, err)
 		}
 	}
@@ -174,13 +246,15 @@ func ExportDir(dir string, db *DB, codecs CodecSet) error {
 }
 
 // StreamTable exports one table through the sink's protocol: OpenTable,
-// StreamCSV, then Commit. On any failure — including a failed Commit, which
-// with the durable DirSink leaves its .tmp file behind for retry — the
-// writer is aborted, so no torn file survives. tap, when non-nil, receives
+// StreamCSV, then Commit. schema is the table's schema, read for the row
+// counts of the tables its foreign keys reference (nil: keys render through
+// their codec, as StreamCSV renders them). On any failure — including a
+// failed Commit, which with the durable DirSink leaves its .tmp file behind
+// for retry — the writer is aborted, so no torn file survives. tap, when non-nil, receives
 // the same content bytes as the table writer, before any sink-side
 // compression; io.MultiWriter stops at the sink's error, so what tap saw is
 // a prefix of what the sink accepted.
-func StreamTable(ctx context.Context, sink Sink, src RowSource, codecs CodecSet, shardRows int64, workers int, tap io.Writer) (StreamStats, error) {
+func StreamTable(ctx context.Context, sink Sink, src RowSource, codecs CodecSet, schema *relalg.Schema, shardRows int64, workers int, tap io.Writer) (StreamStats, error) {
 	tw, err := sink.OpenTable(src.Meta().Name)
 	if err != nil {
 		return StreamStats{}, err
@@ -189,7 +263,7 @@ func StreamTable(ctx context.Context, sink Sink, src RowSource, codecs CodecSet,
 	if tap != nil {
 		w = io.MultiWriter(tw, tap)
 	}
-	st, err := StreamCSV(ctx, w, src, codecs, shardRows, workers)
+	st, err := streamCSV(ctx, w, src, codecs, schema, shardRows, workers)
 	if err == nil {
 		err = tw.Commit()
 	}

@@ -145,22 +145,61 @@ func (t *TableData) Fill(col string, dst []int64, lo, hi int64) error {
 	return nil
 }
 
+// Gather writes the value of row rows[j] of the named column into dst[j]
+// for every j: a stored column is widened, the primary key is derived (row r
+// holds r+1), and any other column is ErrNotMaterialized. Rows may come in
+// any order and repeat. A row outside the table or a dst shorter than rows
+// is an error and leaves dst untouched.
+func (t *TableData) Gather(col string, dst []int64, rows []int32) error {
+	c, err := t.Column(col)
+	if err != nil {
+		return err
+	}
+	if err := checkGatherRows(t.Meta.Name, col, t.Meta.Rows, len(dst), rows); err != nil {
+		return err
+	}
+	switch {
+	case c != nil:
+		c.Gather(dst, rows)
+	case t.isPK(col):
+		for j, r := range rows {
+			dst[j] = int64(r) + 1
+		}
+	default:
+		return ErrNotMaterialized
+	}
+	return nil
+}
+
+// checkGatherRows is the argument check of a Gather(col, dst, rows) call on
+// a table of rows rows: every row must lie in [0,rows) and dst must hold one
+// value per row.
+func checkGatherRows(table, col string, rows int64, dstLen int, at []int32) error {
+	if dstLen < len(at) {
+		return fmt.Errorf("gather %s.%s: %d rows into %d cells", table, col, len(at), dstLen)
+	}
+	for _, r := range at {
+		if r < 0 || int64(r) >= rows {
+			return fmt.Errorf("gather %s.%s: row %d outside [0,%d)", table, col, r, rows)
+		}
+	}
+	return nil
+}
+
 // FillRows binds one buffer per distinct column of cols to the values of
-// rows: position j of a buffer reads row rows[j]. fill writes rows [lo,hi)
-// of a named column into dst[0:hi-lo] (TableData.Fill, or a RowSource's
-// Fill that regenerates what storage does not hold) and is called once per
-// row, so only the rows asked for are read.
-func FillRows(fill func(col string, dst []int64, lo, hi int64) error, cols []string, rows []int) (relalg.Buffers, error) {
+// rows: position j of a buffer reads row rows[j]. gather writes the values
+// of rows of a named column into dst (TableData.Gather, or a source's
+// Gather that regenerates what storage does not hold) and is called once
+// per column, so only the rows asked for are read.
+func FillRows(gather func(col string, dst []int64, rows []int32) error, cols []string, rows []int32) (relalg.Buffers, error) {
 	var b relalg.Buffers
 	for _, name := range cols {
 		if slices.Contains(b.Names, name) {
 			continue
 		}
 		vals := make([]int64, len(rows))
-		for j, r := range rows {
-			if err := fill(name, vals[j:j+1], int64(r), int64(r)+1); err != nil {
-				return b, err
-			}
+		if err := gather(name, vals, rows); err != nil {
+			return b, err
 		}
 		b.Names = append(b.Names, name)
 		b.Vals = append(b.Vals, vals)

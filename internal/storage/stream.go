@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
+	"sync/atomic"
 
 	"github.com/dbhammer/mirage/internal/obs"
 	"github.com/dbhammer/mirage/internal/parallel"
@@ -71,12 +71,23 @@ type StreamStats struct {
 // the pool's cancellation, panic containment and fault injection apply),
 // then committed to w strictly in shard order by a single writer goroutine.
 // The bytes are therefore identical at any worker count and any shard size.
-// Cells render through per-column render tables built once per call (see
-// rowEncoder), whose entries are the codec calls ExportCSV makes per cell,
-// so the bytes are also identical to ExportCSV over the same data. Peak
-// memory is O(workers × shardRows) plus at most 64Ki entries per column,
-// not O(table).
+// Cells render through per-column render tables built once per call and
+// key columns through an in-place decimal successor (see rowEncoder), which
+// reproduce the codec calls ExportCSV makes per cell, so the bytes are also
+// identical to ExportCSV over the same data. Peak memory is O(workers ×
+// shardRows) plus at most 64Ki entries per column, not O(table): a shard's
+// encode buffer is sized once, from the encoder's row estimate for the
+// first shards and from the largest shard encoded so far, plus 1/16, for
+// later ones, and is reused rather than grown by doubling.
+//
+// StreamCSV knows no schema, so foreign keys render through their codec;
+// StreamTable, given the schema, renders a key whose referenced table is
+// small through a render table.
 func StreamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet, shardRows int64, workers int) (StreamStats, error) {
+	return streamCSV(ctx, w, src, codecs, nil, shardRows, workers)
+}
+
+func streamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet, schema *relalg.Schema, shardRows int64, workers int) (StreamStats, error) {
 	meta := src.Meta()
 	n := src.NumRows()
 	if shardRows <= 0 {
@@ -90,7 +101,7 @@ func StreamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet,
 	for i := range meta.Columns {
 		names[i] = meta.Columns[i].Name
 	}
-	enc := newRowEncoder(meta, codecs, n)
+	enc := newRowEncoder(meta, codecs, schema, n)
 
 	// Live counters, advanced per committed shard so mid-table progress is
 	// visible while the table streams.
@@ -123,7 +134,27 @@ func StreamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet,
 		buf *[]byte
 	}
 	ch := make(chan shard, workers)
-	bufPool := sync.Pool{New: func() any { b := make([]byte, 0, 1<<16); return &b }}
+	// Encode buffers: a shard takes one from free or makes a new one, and
+	// the writer hands it back once written (or drops it when free is
+	// full). Unlike a sync.Pool, free survives garbage collections, so a
+	// table allocates about as many buffers as it has shards in flight. Its
+	// capacity is how many are in flight while shards finish in order: one
+	// per worker encoding, one per slot of ch, and the one being written.
+	free := make(chan *[]byte, 2*workers+1)
+	var largest atomic.Int64 // bytes of the largest shard encoded so far
+	getBuf := func() *[]byte {
+		select {
+		case b := <-free:
+			return b
+		default:
+		}
+		size := int(largest.Load())
+		if size == 0 {
+			size = enc.rowHint * int(shardRows)
+		}
+		b := make([]byte, 0, size+size/16)
+		return &b
+	}
 	var wErr error
 	writerDone := make(chan struct{})
 	go func() {
@@ -153,7 +184,10 @@ func StreamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet,
 					}
 				}
 				*b = (*b)[:0]
-				bufPool.Put(b)
+				select {
+				case free <- b:
+				default:
+				}
 				next++
 			}
 		}
@@ -180,8 +214,13 @@ func StreamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet,
 				return err
 			}
 		}
-		bp := bufPool.Get().(*[]byte)
+		bp := getBuf()
 		*bp = enc.appendRows((*bp)[:0], window[wk], int(hi-lo))
+		for size := int64(len(*bp)); ; {
+			if l := largest.Load(); size <= l || largest.CompareAndSwap(l, size) {
+				break
+			}
+		}
 		select {
 		case ch <- shard{i, bp}:
 			return nil

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -154,12 +156,17 @@ func TestStreamCSVMatchesExportCSV(t *testing.T) {
 }
 
 // oracleCol is one column of a render-table oracle table: its codec and
-// declared domain, and whether StreamCSV must render it through a table.
+// declared domain (a foreign key's: its referenced table's rows, 0 for a
+// table the schema lacks), whether StreamCSV must render it through a
+// table, and whether it must render a value one past its predecessor as the
+// predecessor's decimal successor. An IntCodec column without a table holds
+// runValues, any other oracleValues.
 type oracleCol struct {
 	kind   relalg.ColKind
 	codec  Codec
 	domain int64
 	table  bool
+	runs   bool
 }
 
 // oracleValues are n values of a domain-d column: mostly in [1, d], both
@@ -178,21 +185,50 @@ func oracleValues(n int, d int64) []int64 {
 	return vals
 }
 
+// runValues are n values of a key-like column: runs of consecutive values
+// that cross the decimal rollovers 9→10, 99→100, 999→1000 and 10^18−1→10^18,
+// run up to MaxInt64 and past it into Null, and are broken by Null, 0, a
+// negative, a repeat and jumps — the cells an in-place successor must leave
+// to the codec.
+func runValues(n int) []int64 {
+	starts := []int64{1, 5, 97, 995, 99_998, 999_999_999_999_999_997, math.MaxInt64 - 2, -4}
+	breaks := []int64{Null, 0, -3}
+	vals := make([]int64, n)
+	v := starts[0] - 1
+	for i := range vals {
+		switch {
+		case i%29 == 28:
+			vals[i] = breaks[(i/29)%len(breaks)] // the run resumes after it
+			continue
+		case i%41 == 40:
+			v = starts[(i/41)%len(starts)]
+		case i%13 == 12: // a repeat
+		default:
+			v++
+		}
+		vals[i] = v
+	}
+	return vals
+}
+
 // TestStreamCSVRenderTablesMatchExportCSV is the render-table oracle:
 // StreamCSV must equal the per-cell reference encoder byte for byte whether
-// a column renders through a table or through its codec, with every codec
-// kind as the last column (whose separator is '\n'), at both ends of the
-// table bound and past it.
+// a column renders through a table, through an in-place decimal successor
+// or through its codec, with every codec kind as the last column (whose
+// separator is '\n'), at both ends of the table bound and past it. Key
+// columns render their successor across digit rollovers and restart it at
+// every shard; a foreign key gets a table when the schema's referenced
+// table is small enough and never without a schema.
 func TestStreamCSVRenderTablesMatchExportCSV(t *testing.T) {
 	long := NewDictCodec([]string{"a dictionary entry past sixteen bytes", "x", "another string of some length"})
 	date := DateCodec{Start: time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC), StepDays: 3}
 	dec := DecimalCodec{Base: -5000, Step: 13, Scale: 2}
 	ints := IntCodec{Base: -300, Step: 7}
-	pk := oracleCol{relalg.PrimaryKey, IntCodec{}, 0, false}
+	pk := oracleCol{relalg.PrimaryKey, IntCodec{}, 0, false, true}
 	// small lays out the 3000-row cases: a column whose domain exceeds the
 	// rows, a long-string dict, then last.
 	small := func(last oracleCol) []oracleCol {
-		return []oracleCol{pk, {relalg.NonKey, dec, 4000, false}, {relalg.NonKey, long, 3, true}, last}
+		return []oracleCol{pk, {relalg.NonKey, dec, 4000, false, false}, {relalg.NonKey, long, 3, true, false}, last}
 	}
 	cases := []struct {
 		name string
@@ -201,50 +237,78 @@ func TestStreamCSVRenderTablesMatchExportCSV(t *testing.T) {
 	}{
 		{"bounds", maxRenderDomain + 5, []oracleCol{
 			pk,
-			{relalg.ForeignKey, IntCodec{}, 10, false}, // keys stay on the codec whatever they declare
-			{relalg.NonKey, ints, 1, true},
-			{relalg.NonKey, ints, maxRenderDomain, true},
-			{relalg.NonKey, dec, maxRenderDomain + 1, false},
-			{relalg.NonKey, long, 3, true},
-			{relalg.NonKey, date, 2526, true},
+			{relalg.ForeignKey, IntCodec{}, 10, true, false},
+			{relalg.ForeignKey, IntCodec{}, maxRenderDomain + 1, false, true},
+			{relalg.NonKey, ints, 1, true, false},
+			{relalg.NonKey, ints, maxRenderDomain, true, false},
+			{relalg.NonKey, dec, maxRenderDomain + 1, false, false},
+			{relalg.NonKey, long, 3, true, false},
+			{relalg.NonKey, date, 2526, true, false},
 		}},
-		{"last int", 3000, small(oracleCol{relalg.NonKey, ints, 50, true})},
-		{"last decimal", 3000, small(oracleCol{relalg.NonKey, dec, 1000, true})},
-		{"last date", 3000, small(oracleCol{relalg.NonKey, date, 2526, true})},
-		{"last dict", 3000, small(oracleCol{relalg.NonKey, long, 3, true})},
-		{"last over rows", 3000, small(oracleCol{relalg.NonKey, date, 5000, false})},
+		{"last int", 3000, small(oracleCol{relalg.NonKey, ints, 50, true, false})},
+		{"last decimal", 3000, small(oracleCol{relalg.NonKey, dec, 1000, true, false})},
+		{"last date", 3000, small(oracleCol{relalg.NonKey, date, 2526, true, false})},
+		{"last dict", 3000, small(oracleCol{relalg.NonKey, long, 3, true, false})},
+		{"last over rows", 3000, small(oracleCol{relalg.NonKey, date, 5000, false, false})},
+		{"keys", 3000, []oracleCol{
+			pk,
+			{relalg.ForeignKey, IntCodec{}, 3000, true, false},       // referenced table as large as this one
+			{relalg.ForeignKey, IntCodec{}, 3001, false, true},       // larger: on the codec
+			{relalg.ForeignKey, IntCodec{}, 0, false, true},          // referenced table unknown
+			{relalg.ForeignKey, IntCodec{Base: -5}, 0, false, true},  // runs through negative renderings
+			{relalg.NonKey, IntCodec{Base: 1000}, 5000, false, true}, // a non-key column past its rows
+			{relalg.NonKey, IntCodec{Step: 2}, 5000, false, false},   // step 2: no successor
+			{relalg.ForeignKey, IntCodec{}, 0, false, true},          // last: '\n' after the successor
+		}},
 	}
 	for _, tc := range cases {
 		name := tc.name
 		meta := &relalg.Table{Name: "o", Rows: int64(tc.rows)}
+		schema := &relalg.Schema{Tables: []*relalg.Table{meta}}
 		codecs := CodecSet{}
 		for i, c := range tc.cols {
 			col := relalg.Column{Name: fmt.Sprintf("c%d", i), Kind: c.kind, DomainSize: c.domain}
+			if c.kind == relalg.ForeignKey {
+				col.DomainSize, col.Refs = 0, "missing"
+				if c.domain > 0 {
+					col.Refs = fmt.Sprintf("r%d", i)
+					schema.Tables = append(schema.Tables, &relalg.Table{Name: col.Refs, Rows: c.domain})
+				}
+			}
 			meta.Columns = append(meta.Columns, col)
 			codecs[codecs.Key("o", col.Name)] = c.codec
 		}
 		td := NewTableData(meta)
 		for i, c := range tc.cols[1:] {
-			td.SetCol(meta.Columns[i+1].Name, oracleValues(tc.rows, max(c.domain, 1)))
+			vals := oracleValues(tc.rows, max(c.domain, 1))
+			if _, ok := c.codec.(IntCodec); ok && !c.table {
+				vals = runValues(tc.rows)
+			}
+			td.SetCol(meta.Columns[i+1].Name, vals)
 		}
-		enc := newRowEncoder(meta, codecs, int64(tc.rows))
+		enc := newRowEncoder(meta, codecs, schema, int64(tc.rows))
 		for i, c := range tc.cols {
 			if got := enc.tabs[i].d > 0; got != c.table {
 				t.Fatalf("%s: column %d (domain %d) has a render table: %v, want %v", name, i, c.domain, got, c.table)
+			}
+			if got := enc.runs[i]; got != c.runs {
+				t.Fatalf("%s: column %d renders successors: %v, want %v", name, i, got, c.runs)
 			}
 		}
 		var want bytes.Buffer
 		if err := ExportCSV(&want, td, codecs); err != nil {
 			t.Fatalf("%s: ExportCSV: %v", name, err)
 		}
-		for _, workers := range []int{1, 4} {
-			for _, shardRows := range []int64{7, 1024, 1 << 20} {
-				var got bytes.Buffer
-				if _, err := StreamCSV(context.Background(), &got, TableSource(td), codecs, shardRows, workers); err != nil {
-					t.Fatalf("%s: StreamCSV(workers=%d, shard=%d): %v", name, workers, shardRows, err)
-				}
-				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					t.Fatalf("%s: StreamCSV(workers=%d, shard=%d): bytes differ from ExportCSV", name, workers, shardRows)
+		for _, sch := range []*relalg.Schema{nil, schema} {
+			for _, workers := range []int{1, 4} {
+				for _, shardRows := range []int64{7, 1024, 1 << 20} {
+					var got bytes.Buffer
+					if _, err := streamCSV(context.Background(), &got, TableSource(td), codecs, sch, shardRows, workers); err != nil {
+						t.Fatalf("%s: StreamCSV(workers=%d, shard=%d, schema %v): %v", name, workers, shardRows, sch != nil, err)
+					}
+					if !bytes.Equal(got.Bytes(), want.Bytes()) {
+						t.Fatalf("%s: StreamCSV(workers=%d, shard=%d, schema %v): bytes differ from ExportCSV", name, workers, shardRows, sch != nil)
+					}
 				}
 			}
 		}
@@ -270,6 +334,34 @@ func TestStreamCSVAllocs(t *testing.T) {
 	if extra := big - small; extra > 3*perShard {
 		t.Fatalf("StreamCSV allocates %.0f at 64Ki rows, %.0f at 256Ki: %.0f more for 3 more shards, want ≤ %d",
 			small, big, extra, 3*perShard)
+	}
+}
+
+// TestStreamCSVTotalAlloc bounds the bytes one StreamCSV call allocates
+// beyond its fill scratch (one shardRows-long int64 buffer per column): a
+// call on one worker holds at most three encode buffers at once (encoding,
+// queued, being written), and each is sized once at the largest shard plus
+// a sixteenth, so it allocates at most 3·17/16 shards. A buffer grown by
+// doubling from a small start instead allocates about five shards' worth
+// before it fits one.
+func TestStreamCSVTotalAlloc(t *testing.T) {
+	const rows = 256 << 10
+	src := TableSource(streamTestTable(rows))
+	codecs := streamCodecs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := StreamCSV(context.Background(), io.Discard, src, codecs, 0, 1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := int64(len(src.Meta().Columns)) * DefaultShardRows * 8
+	shard := st.Bytes / int64(st.Shards)
+	allocated := int64(after.TotalAlloc-before.TotalAlloc) - scratch
+	t.Logf("StreamCSV of %d rows: %d shards of ~%d bytes, %d bytes allocated beyond %d of scratch", rows, st.Shards, shard, allocated, scratch)
+	if limit := 3*shard*17/16 + 256<<10; allocated > limit {
+		t.Fatalf("StreamCSV allocated %d bytes beyond its scratch, want ≤ %d (three encode buffers of a %d-byte shard and a sixteenth)",
+			allocated, limit, shard)
 	}
 }
 

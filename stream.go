@@ -247,7 +247,7 @@ func startExporter(ctx context.Context, cancel context.CancelFunc, span *obs.Spa
 			}
 			if err == nil {
 				src := nonkey.NewPlanSource(db.Table(name), plans[name])
-				st, err = storage.StreamTable(ctx, sc.Sink, src, codecs, sc.ShardRows, workers, tap)
+				st, err = storage.StreamTable(ctx, sc.Sink, src, codecs, db.Schema, sc.ShardRows, workers, tap)
 			}
 			if err == nil && sc.Manifest != nil {
 				// Recorded only after the sink's Commit returned: the
