@@ -19,6 +19,7 @@ package engine
 // DESIGN.md §7.
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -54,7 +55,7 @@ func (e *Engine) Count(q *relalg.AQT, orig bool, memo *CountMemo) (*Result, erro
 	}
 	e.m.execs.Inc()
 	res := &Result{Stats: make(map[*relalg.View]Stats)}
-	c := &counter{e: e, orig: orig, res: res, memo: memo,
+	c := &counter{e: e, ctx: e.poolCtx(context.TODO()), orig: orig, res: res, memo: memo,
 		chains: make(map[*relalg.View]mult), keys: make(map[*relalg.View]string)}
 	if err := p.run(c); err != nil {
 		return nil, fmt.Errorf("engine: %s: %w", q.Name, err)
@@ -319,6 +320,7 @@ func (w weight) scale(n []int64, rows []int32, keys []int64) {
 // top view, and every subtree's memo key.
 type counter struct {
 	e      *Engine
+	ctx    context.Context // the table passes' pool context
 	orig   bool
 	res    *Result
 	memo   *CountMemo
@@ -344,7 +346,7 @@ func (c *counter) scan(v *relalg.View, record bool) (mult, error) {
 			return nil
 		}
 		tm := e.m.opNS[relalg.SelectView].Start()
-		if err := e.runWindows(t, []*chainScan{cs}, c.orig, 1); err != nil {
+		if err := e.runWindows(c.ctx, t, []*chainScan{cs}, c.orig, 1); err != nil {
 			return mult{}, err
 		}
 		tm.Stop()

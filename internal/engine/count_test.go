@@ -261,7 +261,7 @@ func TestCountMemoReuse(t *testing.T) {
 	q := &relalg.AQT{Name: "q", Root: join(relalg.EquiJoin, "s", selS, selT, "t", "t_fk")}
 	memo := &CountMemo{}
 	checkCountAgainstExecute(t, "q", oracle, map[string]*Engine{"classic": eng}, map[string]*CountMemo{"classic": memo}, q)
-	windows := reg.Snapshot().Counters["engine_windows_total"]
+	windows := reg.Snapshot().Counters[`parallel_items_total{stage="engine/window"}`]
 	if windows == 0 {
 		t.Fatal("no table pass ran")
 	}
@@ -281,7 +281,7 @@ func TestCountMemoReuse(t *testing.T) {
 			}
 		})
 	}
-	if n := reg.Snapshot().Counters["engine_windows_total"]; n != windows {
-		t.Errorf("engine_windows_total went %d -> %d: the copies were scanned again", windows, n)
+	if n := reg.Snapshot().Counters[`parallel_items_total{stage="engine/window"}`]; n != windows {
+		t.Errorf("windows run went %d -> %d: the copies were scanned again", windows, n)
 	}
 }

@@ -22,6 +22,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -67,9 +68,11 @@ type Engine struct {
 	// runs.
 	blocks   [][]int64
 	blockSel []int32
-	// m holds the obs handles SetRegistry resolved; with telemetry disabled
-	// every handle is nil and recording degenerates to nil checks.
-	m engineMetrics
+	// reg is the registry SetRegistry set and m the obs handles it resolved;
+	// with telemetry disabled every handle is nil and recording degenerates
+	// to nil checks.
+	reg *obs.Registry
+	m   engineMetrics
 	// win is the table-pass state every engine has: CollectRowSetsCtx and
 	// Count scan base tables window by window on both kinds of engine, and
 	// columns absent from storage are filled through it (NewWindowed's chunk
@@ -94,6 +97,9 @@ type engineMetrics struct {
 	// countMaterialized the templates Count evaluated instead of counting.
 	materialized      *obs.Counter
 	countMaterialized *obs.Counter
+	// fallbacks counts whole columns columnData materialized outside a
+	// table pass.
+	fallbacks *obs.Counter
 }
 
 // opLabel names each view kind in metric labels.
@@ -118,6 +124,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	m.execs = reg.Counter("engine_executes_total")
 	m.materialized = reg.Counter("engine_rowset_materialized_total")
 	m.countMaterialized = reg.Counter("engine_count_materialized_total")
+	m.fallbacks = reg.Counter("engine_window_fallbacks_total")
 	return m
 }
 
@@ -144,8 +151,18 @@ func New(db *storage.DB) (*Engine, error) {
 // records nothing. Whoever builds an engine for a run calls it, because the
 // engine's recording sites have no context to find the run's registry on.
 func (e *Engine) SetRegistry(reg *obs.Registry) {
+	e.reg = reg
 	e.m = newEngineMetrics(reg)
-	e.win.m = newWindowMetrics(reg)
+}
+
+// poolCtx returns ctx carrying the engine's registry, for the worker pools
+// its table passes and reductions run on (parallel_items_total{stage=
+// "engine/window"} counts their windows).
+func (e *Engine) poolCtx(ctx context.Context) context.Context {
+	if e.reg == nil || obs.From(ctx) == e.reg {
+		return ctx
+	}
+	return obs.WithRegistry(ctx, e.reg)
 }
 
 // SetWidth lets CollectRowSetsCtx evaluate up to n windows (of table passes
@@ -241,8 +258,8 @@ func (e *Engine) columnData(t *storage.TableData, col string) (*storage.Column, 
 		e.win.fallback = make(map[string]*storage.Column)
 	}
 	e.win.fallback[key] = c
-	e.win.m.fallbacks.Inc()
-	e.win.m.events.Emit(obs.Event{Type: obs.EventWindowFallback, Table: t.Meta.Name, Kind: col})
+	e.m.fallbacks.Inc()
+	e.reg.Events().Emit(obs.Event{Type: obs.EventWindowFallback, Table: t.Meta.Name, Kind: col})
 	return c, nil
 }
 

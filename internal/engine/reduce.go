@@ -13,10 +13,12 @@ package engine
 // output tuple is materialized. See DESIGN.md §7.
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
 	"github.com/dbhammer/mirage/internal/fault"
+	"github.com/dbhammer/mirage/internal/parallel"
 	"github.com/dbhammer/mirage/internal/relalg"
 	"github.com/dbhammer/mirage/internal/storage"
 )
@@ -108,6 +110,7 @@ func filterFK[T storage.Elem](dst, src []int32, fk []T, n int64, set bitset) []i
 // table they restrict (each table occurs once, so each test has one taker).
 type reduction struct {
 	e      *Engine
+	ctx    context.Context
 	chains map[*relalg.View]*sharedChain
 	res    *Result
 	tests  map[string][]rowTest
@@ -119,12 +122,12 @@ type reduction struct {
 
 // reduceRowSet answers one reducible request: the survivors are set straight
 // into the answer's bitset.
-func (e *Engine) reduceRowSet(rq RowSetRequest, chains map[*relalg.View]*sharedChain, res *Result) (*RowSet, error) {
+func (e *Engine) reduceRowSet(ctx context.Context, rq RowSetRequest, chains map[*relalg.View]*sharedChain, res *Result) (*RowSet, error) {
 	out := &RowSet{}
 	if t, ok := e.db.Tables[rq.Table]; ok {
 		out.bits = newBitset(t.Rows())
 	}
-	r := &reduction{e: e, chains: chains, res: res, tests: make(map[string][]rowTest)}
+	r := &reduction{e: e, ctx: ctx, chains: chains, res: res, tests: make(map[string][]rowTest)}
 	if err := r.reduce(rq.View, rq.Table, out.add); err != nil {
 		return nil, fmt.Errorf("engine: collect rows of %s: %w", rq.Table, err)
 	}
@@ -220,11 +223,12 @@ func (r *reduction) reduce(v *relalg.View, table string, sink func([]int32) erro
 }
 
 // scan streams src, a set over a table of tRows rows, through tests into sink
-// one window of the table at a time: the windows of a table pass, each gated
-// and panic-contained, so a failure names the window a pass would. Windows
-// are gated sequentially, staged from src and filtered in rounds of up to the
-// engine's width — each worker into its own buffers — and handed to sink in
-// order. An empty source has no rows to offer and is not scanned.
+// one window of the table at a time: the windows of a table pass, items of
+// the same parallel.OrderedCtx pool at stage WindowStage, so a failure names
+// the window a pass would. Up to the engine's width workers stage a window's
+// rows of src into its slot and filter them there through the tests, and
+// sink takes them in window order on the calling goroutine. An empty source
+// has no rows to offer and is not scanned.
 func (r *reduction) scan(src *RowSet, tRows int, tests []rowTest, sink func([]int32) error) error {
 	if src.Len() == 0 {
 		return nil
@@ -233,45 +237,38 @@ func (r *reduction) scan(src *RowSet, tRows int, tests []rowTest, sink func([]in
 	effW := max(1, min(e.win.rows, tRows))
 	n := (tRows + effW - 1) / effW
 	sc := &r.sc
-	*sc = scanRun{r: r, src: src.bits, effW: effW, tRows: tRows, tests: tests, sink: sink}
-	sc.ws = e.win.workers(max(1, min(e.width, n)), effW)
-	return rounds(n, len(sc.ws), sc)
+	workers := max(1, min(e.width, n))
+	*sc = scanRun{src: src.bits, effW: effW, tRows: tRows, tests: tests, sink: sink, slots: e.win.slotsFor(workers)}
+	return parallel.OrderedCtx(r.ctx, WindowStage, workers, n, sc.run, sc.commit)
 }
 
 // scanRun is one scan's pass over its source's windows.
 type scanRun struct {
-	r           *reduction
 	src         bitset
 	effW, tRows int
 	tests       []rowTest
 	sink        func([]int32) error
-	ws          []*winScratch
+	slots       []*winSlot
 }
 
-func (sc *scanRun) load(_, wi int) error { return sc.r.e.win.gate(wi) }
-
-// run stages window wi's rows of the source into worker k's row buffer and
-// filters them through the tests, leaving the survivors in its rows.
-func (sc *scanRun) run(k, wi int) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fault.Recovered(WindowStage, wi, rec)
-		}
-	}()
-	s, win := sc.ws[k], sc.r.e.win
+// run stages window wi's rows of the source into its slot and filters them
+// there through the tests.
+func (sc *scanRun) run(_, slot, wi int) error {
+	out := sc.slots[slot]
 	lo := wi * sc.effW
-	s.rows = sc.src.appendRange(s.rowBuf[:0], lo, min(lo+sc.effW, sc.tRows))
-	win.m.windows.Inc()
+	hi := min(lo+sc.effW, sc.tRows)
+	rows := sc.src.appendRange(slices.Grow(out.surv[:0], hi-lo), lo, hi)
 	for _, t := range sc.tests {
-		if s.rows = t.filter(s.outBuf, s.rows); len(s.rows) == 0 {
+		if rows = t.filter(rows, rows); len(rows) == 0 {
 			break
 		}
 	}
+	out.surv = rows
 	return nil
 }
 
-func (sc *scanRun) commit(k, wi int) error {
-	rows := sc.ws[k].rows
+func (sc *scanRun) commit(slot, wi int) error {
+	rows := sc.slots[slot].surv
 	if len(rows) == 0 {
 		return nil
 	}

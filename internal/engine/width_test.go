@@ -100,7 +100,7 @@ func TestCollectRowSetsWidthInvariant(t *testing.T) {
 }
 
 // wideEngine returns an engine over the paper database evaluating 1-row
-// windows two at a time — t's pass is eight windows, four rounds — and the
+// windows on two workers — t's pass is eight windows — and the
 // chunk source serving t1 (nil on a classic engine).
 func wideEngine(t *testing.T, classic bool) (*Engine, *mapSource) {
 	t.Helper()
@@ -134,9 +134,9 @@ func checkWindowError(t *testing.T, name string, err error, wi int, cause error)
 }
 
 // TestWideWindowFault injects an error or a panic at every window of a width-2
-// table pass, then at two windows of one round, then in a width-2 reduction,
-// and cancels mid-pass. Windows are gated in order before their round runs,
-// so every failure is reported where it is at width 1.
+// table pass, then at two windows in flight together, then in a width-2
+// reduction, and cancels mid-pass. Windows are gated in order before a
+// worker takes them, so every failure is reported where it is at width 1.
 func TestWideWindowFault(t *testing.T) {
 	for _, classic := range []bool{false, true} {
 		for _, action := range []faultinject.Action{faultinject.Error, faultinject.Panic} {
@@ -150,7 +150,7 @@ func TestWideWindowFault(t *testing.T) {
 			}
 		}
 
-		// Windows 2 and 3 share a round and both are armed: the lower is
+		// Windows 2 and 3 run together and both are armed: the lower is
 		// reported.
 		eng, _ := wideEngine(t, classic)
 		deactivate := faultinject.Activate(faultinject.New(
@@ -162,7 +162,7 @@ func TestWideWindowFault(t *testing.T) {
 	}
 
 	// A reduction: s fits one 4-row window, so item 1 first occurs in the
-	// reduction of t's rows, in the same round as its window 0.
+	// reduction of t's rows, in flight with its window 0.
 	for _, action := range []faultinject.Action{faultinject.Error, faultinject.Panic} {
 		db, _ := windowedPaperDB()
 		eng, err := NewWindowed(db, WindowConfig{Rows: 4})
@@ -181,7 +181,7 @@ func TestWideWindowFault(t *testing.T) {
 		checkWindowError(t, fmt.Sprintf("reduction %v", action), err, 1, faultinject.ErrInjected)
 	}
 
-	// Cancellation at window 2 fails that window before its round starts:
+	// Cancellation at window 2 fails that window before a worker takes it:
 	// windows 0 and 1 ran, nothing from 2 on did.
 	reg := obs.NewRegistry()
 	eng, src := wideEngine(t, false)
@@ -194,7 +194,7 @@ func TestWideWindowFault(t *testing.T) {
 	_, err := collectRowSet(ctx, eng, selChainT(1, -1), "t")
 	deactivate()
 	checkWindowError(t, "cancel at window 2", err, 2, context.Canceled)
-	if n := reg.Snapshot().Counters["engine_windows_total"]; n != 2 {
+	if n := reg.Snapshot().Counters[`parallel_items_total{stage="engine/window"}`]; n != 2 {
 		t.Fatalf("cancel at window 2: %d windows evaluated, want windows 0 and 1", n)
 	}
 	if len(src.fills) != 2 || src.fills["t1@0"] != 1 || src.fills["t1@1"] != 1 {

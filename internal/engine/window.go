@@ -17,12 +17,9 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"github.com/dbhammer/mirage/internal/fault"
-	"github.com/dbhammer/mirage/internal/faultinject"
-	"github.com/dbhammer/mirage/internal/obs"
+	"github.com/dbhammer/mirage/internal/parallel"
 	"github.com/dbhammer/mirage/internal/relalg"
 	"github.com/dbhammer/mirage/internal/storage"
 )
@@ -32,9 +29,11 @@ import (
 // window of every referenced column is a few megabytes.
 const DefaultWindowRows = 64 * 1024
 
-// WindowStage is the stage name per-window failures (context cancellation,
-// injected faults, contained panics) are reported under; the StageError's
-// Item is the window index.
+// WindowStage is the stage windows run under as items of a
+// parallel.OrderedCtx pool: per-window failures (context cancellation,
+// injected faults, contained panics) are reported under it with the window
+// index as the StageError's Item, and parallel_items_total{stage=
+// "engine/window"} counts the windows run.
 const WindowStage = "engine/window"
 
 // ChunkSource regenerates any [lo,hi) chunk of one table's columns on
@@ -56,55 +55,44 @@ type WindowConfig struct {
 	Sources map[string]ChunkSource
 }
 
-// windowMetrics are the obs handles of the windowed path; nil handles (obs
-// disabled) make every recording a no-op.
-type windowMetrics struct {
-	windows   *obs.Counter
-	fallbacks *obs.Counter
-	events    *obs.Journal
-}
-
-// windowState is the per-engine table-pass state: configuration and the
-// window scratch of every worker a pass may run on. The engine's goroutine
-// owns it; a pass's workers touch only their own winScratch (and the atomic
-// metrics).
+// windowState is the per-engine table-pass state: configuration, the window
+// scratch of every worker a pass may run on and the output of every slot of
+// its pool. The engine's goroutine owns it; a pass's workers touch only their
+// own winScratch and the winSlot of the window they run.
 type windowState struct {
 	cfg  WindowConfig
 	rows int // resolved window size
-	// ctx is the context of the CollectRowSetsCtx call in flight; window
-	// gates poll it so cancellation lands mid-evaluation, not only at the
-	// next unit boundary.
-	ctx context.Context
-	// ws holds one window scratch per worker, grown to the widest pass run.
+	// ws holds one window scratch per worker and slots one output per pool
+	// slot, both grown to the widest pass run.
 	ws     []*winScratch
+	slots  []*winSlot
 	colBuf []string
 	// fallback caches whole columns materialized for reads outside a table
 	// pass (columnData) — a correctness net, counted so regressions are
 	// visible.
 	fallback map[string]*storage.Column
-	m        windowMetrics
 }
 
 // winScratch is one worker's window scratch, sized once per engine: one chunk
-// buffer per column of the pass, a reduction window's candidate rows
-// (rowBuf), the selection vector and a reduction's filter output. A table
-// pass binds the worker's own predicates against the chunk buffers (bound,
-// one list per chain) — they hold the slice headers across windows, so the
-// buffers are refilled in place, never resliced — and leaves
-// each window's survivors in surv, chain c's ending at ends[c], for the
-// coordinator to emit in window order. counts are the worker's per-chain,
-// per-selection survivor counts; rows are a reduction window's rows as it
-// filters them.
+// buffer per column of the pass and the selection vector. A table pass binds
+// the worker's own predicates against the chunk buffers (bound, one list per
+// chain) — they hold the slice headers across windows, so the buffers are
+// refilled in place, never resliced. counts are the worker's per-chain,
+// per-selection survivor counts.
 type winScratch struct {
 	chunkBuf [][]int64
-	rowBuf   []int32
 	selWin   []int32
-	outBuf   []int32
 	bound    [][]relalg.BoundPred
 	counts   [][]int64
-	surv     []int32
-	ends     []int
-	rows     []int32
+}
+
+// winSlot is what one window leaves for its commit, owned by the window from
+// the moment a worker takes it until the calling goroutine has committed it:
+// a table pass's survivors, chain c's ending at ends[c], or a reduction
+// window's rows that passed the tests.
+type winSlot struct {
+	surv []int32
+	ends []int
 }
 
 // NewWindowed builds an engine whose table passes pull unmaterialized
@@ -130,40 +118,6 @@ func newWindowState(cfg WindowConfig) *windowState {
 	return &windowState{cfg: cfg, rows: w}
 }
 
-func newWindowMetrics(reg *obs.Registry) windowMetrics {
-	if reg == nil {
-		return windowMetrics{}
-	}
-	return windowMetrics{
-		windows:   reg.Counter("engine_windows_total"),
-		fallbacks: reg.Counter("engine_window_fallbacks_total"),
-		events:    reg.Events(),
-	}
-}
-
-// gate is the per-window fault point: injected faults, injected panics and
-// context cancellation surface as StageErrors carrying the window index. The
-// context is polled after the injection point, so an injected cancel is
-// reported by the window it landed in. Passes gate their windows in order
-// from the calling goroutine (roundWork.load), so what fails where does not
-// depend on the width.
-func (w *windowState) gate(wi int) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fault.Recovered(WindowStage, wi, rec)
-		}
-	}()
-	if err := faultinject.Fire(WindowStage, wi); err != nil {
-		return fault.Wrap(WindowStage, wi, err)
-	}
-	if w.ctx != nil {
-		if err := w.ctx.Err(); err != nil {
-			return fault.Wrap(WindowStage, wi, err)
-		}
-	}
-	return nil
-}
-
 // fill writes rows [lo,hi) of a column into dst: what storage holds or
 // derives comes from there, any other column through the table's chunk
 // source.
@@ -186,13 +140,19 @@ func (w *windowState) workers(n, rows int) []*winScratch {
 		w.ws = append(w.ws, &winScratch{})
 	}
 	for _, s := range w.ws[:n] {
-		if len(s.rowBuf) < rows {
-			s.rowBuf = make([]int32, rows)
+		if len(s.selWin) < rows {
 			s.selWin = make([]int32, rows)
-			s.outBuf = make([]int32, rows)
 		}
 	}
 	return w.ws[:n]
+}
+
+// slotsFor returns the outputs of the slots of a pool of n workers.
+func (w *windowState) slotsFor(n int) []*winSlot {
+	for len(w.slots) < parallel.Slots(n) {
+		w.slots = append(w.slots, &winSlot{})
+	}
+	return w.slots[:parallel.Slots(n)]
 }
 
 // chunk returns the k-th chunk buffer, at least rows long.
@@ -204,73 +164,6 @@ func (s *winScratch) chunk(k, rows int) []int64 {
 		s.chunkBuf[k] = make([]int64, rows)
 	}
 	return s.chunkBuf[k]
-}
-
-// roundWork is a pass of items run in rounds: load gates and stages item i
-// for worker k (sequentially, in item order), run evaluates it on the
-// worker's goroutine, and commit consumes its result (sequentially, in item
-// order).
-type roundWork interface {
-	load(k, i int) error
-	run(k, i int) error
-	commit(k, i int) error
-}
-
-// rounds runs items [0, n) of w in rounds of up to width, the round's items on
-// as many goroutines. The error returned is that of the lowest failing item —
-// a failed load counts as its item's failure — every item before it is
-// committed, and no item past its round is started.
-func rounds(n, width int, w roundWork) error {
-	var errs []error
-	for base := 0; base < n; base += width {
-		m := min(width, n-base)
-		var loadErr error
-		for k := 0; k < m; k++ {
-			if loadErr = w.load(k, base+k); loadErr != nil {
-				m = k
-				break
-			}
-		}
-		switch {
-		case m == 1:
-			if err := w.run(0, base); err != nil {
-				return err
-			}
-		case m > 1:
-			if errs == nil {
-				errs = make([]error, width)
-			}
-			runRound(w, base, errs[:m])
-		}
-		for k := 0; k < m; k++ {
-			if m > 1 && errs[k] != nil {
-				return errs[k]
-			}
-			if err := w.commit(k, base+k); err != nil {
-				return err
-			}
-		}
-		if loadErr != nil {
-			return loadErr
-		}
-	}
-	return nil
-}
-
-// runRound runs items base, base+1, ... of w, one per entry of errs, on as
-// many goroutines (the last on the caller's) and records their errors.
-func runRound(w roundWork, base int, errs []error) {
-	var wg sync.WaitGroup
-	last := len(errs) - 1
-	for k := range errs[:last] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[k] = w.run(k, base+k)
-		}()
-	}
-	errs[last] = w.run(last, base+last)
-	wg.Wait()
 }
 
 // chainScan is one selection chain inside a table pass: its selections
@@ -286,7 +179,7 @@ type chainScan struct {
 
 // winRun is one pass over the windows of a single table: the window size,
 // the columns its chains read (the k-th filled into chunk buffer k every
-// window), the chains and the workers' scratch.
+// window), the chains, the workers' scratch and the slots' outputs.
 type winRun struct {
 	e      *Engine
 	t      *storage.TableData
@@ -294,6 +187,7 @@ type winRun struct {
 	cols   []string
 	chains []*chainScan
 	ws     []*winScratch
+	slots  []*winSlot
 }
 
 // bind compiles every chain's selections against worker s's chunk buffers,
@@ -320,28 +214,19 @@ func (r *winRun) bind(s *winScratch, orig bool) error {
 	return nil
 }
 
-func (r *winRun) load(_, wi int) error { return r.e.win.gate(wi) }
-
-// run evaluates window wi on worker k: one fill per column, then
-// every chain's filters over the same buffers, the survivors left in the
-// worker's scratch for commit. A panic inside the window body is contained
-// here, so the caller observes a typed StageError carrying the window index.
-func (r *winRun) run(k, wi int) (err error) {
-	s := r.ws[k]
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fault.Recovered(WindowStage, wi, rec)
-		}
-	}()
-	win := r.e.win
+// run evaluates window wi on worker k: one fill per column, then every
+// chain's filters over the same buffers, the survivors left in the window's
+// slot for commit.
+func (r *winRun) run(k, slot, wi int) error {
+	s, out := r.ws[k], r.slots[slot]
 	lo := wi * r.effW
 	hi := min(lo+r.effW, r.t.Rows())
 	for ci, c := range r.cols {
-		if err := win.fill(r.t, c, s.chunkBuf[ci][:hi-lo], int64(lo), int64(hi)); err != nil {
-			return fault.Wrap(WindowStage, wi, err)
+		if err := r.e.win.fill(r.t, c, s.chunkBuf[ci][:hi-lo], int64(lo), int64(hi)); err != nil {
+			return err
 		}
 	}
-	s.surv, s.ends = s.surv[:0], s.ends[:0]
+	out.surv, out.ends = out.surv[:0], out.ends[:0]
 	for ci, bound := range s.bound {
 		sel := s.selWin[:hi-lo]
 		for j := range sel {
@@ -354,26 +239,25 @@ func (r *winRun) run(k, wi int) (err error) {
 				break
 			}
 		}
-		n := len(s.surv)
-		s.surv = slices.Grow(s.surv, len(sel))[:n+len(sel)]
+		n := len(out.surv)
+		out.surv = slices.Grow(out.surv, len(sel))[:n+len(sel)]
 		for j, pos := range sel {
-			s.surv[n+j] = int32(lo) + pos
+			out.surv[n+j] = int32(lo) + pos
 		}
-		s.ends = append(s.ends, len(s.surv))
+		out.ends = append(out.ends, len(out.surv))
 	}
-	win.m.windows.Inc()
 	return nil
 }
 
-// commit hands window wi's survivors, left by run in worker k's scratch, to
-// every chain.
-func (r *winRun) commit(k, wi int) error {
-	s := r.ws[k]
+// commit hands window wi's survivors, left by run in its slot, to every
+// chain.
+func (r *winRun) commit(slot, wi int) error {
+	out := r.slots[slot]
 	start := 0
 	for ci, c := range r.chains {
-		end := s.ends[ci]
+		end := out.ends[ci]
 		if end > start {
-			if err := c.emit(s.surv[start:end]); err != nil {
+			if err := c.emit(out.surv[start:end]); err != nil {
 				return fault.Wrap(WindowStage, wi, err)
 			}
 		}
@@ -385,13 +269,13 @@ func (r *winRun) commit(k, wi int) error {
 // runWindows makes one pass over table t for all of chains, each a bottom-up
 // selection chain over the table's rows. One window of the table's row domain
 // at a time, the chains' columns are filled once each, and each chain
-// filters the window. Windows are evaluated in rounds of up to width, one per
-// worker with its own scratch and bound predicates, and every chain's emit receives the
-// surviving global row indices window by window, in ascending order, from the
-// calling goroutine. Each chain's counts end up holding the per-selection
-// survivor counts — exactly the cardinalities full-column evaluation
-// observes, at any width.
-func (e *Engine) runWindows(t *storage.TableData, chains []*chainScan, orig bool, width int) error {
+// filters the window. Windows are the items of a parallel.OrderedCtx pool of
+// up to width workers, each with its own scratch and bound predicates, and
+// every chain's emit receives the surviving global row indices window by
+// window, in ascending order, from the calling goroutine. Each chain's counts
+// end up holding the per-selection survivor counts — exactly the
+// cardinalities full-column evaluation observes, at any width.
+func (e *Engine) runWindows(ctx context.Context, t *storage.TableData, chains []*chainScan, orig bool, width int) error {
 	win := e.win
 	tRows := t.Rows()
 	table := t.Meta.Name
@@ -426,12 +310,13 @@ func (e *Engine) runWindows(t *storage.TableData, chains []*chainScan, orig bool
 	nWin := (tRows + effW - 1) / effW
 	run := &winRun{e: e, t: t, effW: effW, cols: cols, chains: chains}
 	run.ws = win.workers(max(1, min(width, nWin)), effW)
+	run.slots = win.slotsFor(len(run.ws))
 	for _, s := range run.ws {
 		if err := run.bind(s, orig); err != nil {
 			return err
 		}
 	}
-	if err := rounds(nWin, len(run.ws), run); err != nil {
+	if err := parallel.OrderedCtx(ctx, WindowStage, len(run.ws), nWin, run.run, run.commit); err != nil {
 		return err
 	}
 	// Every bind hands out fresh count slices, so the first worker's become
@@ -486,9 +371,7 @@ type RowSetRequest struct {
 // reducible join-shaped ones by semi-join reduction over the passes' results
 // (reduce.go), and whatever is left by evaluating the view.
 func (e *Engine) collectRowSets(ctx context.Context, reqs []RowSetRequest, orig bool, res *Result) ([]*RowSet, error) {
-	win := e.win
-	win.ctx = ctx
-	defer func() { win.ctx = nil }()
+	ctx = e.poolCtx(ctx)
 	sets := make([]*RowSet, len(reqs))
 	chains := make(map[*relalg.View]*sharedChain)
 	var tables []string
@@ -557,7 +440,7 @@ func (e *Engine) collectRowSets(ctx context.Context, reqs []RowSetRequest, orig 
 			scans[i] = &c.chainScan
 		}
 		tm := e.m.opNS[relalg.SelectView].Start()
-		if err := e.runWindows(t, scans, orig, e.width); err != nil {
+		if err := e.runWindows(ctx, t, scans, orig, e.width); err != nil {
 			return nil, err
 		}
 		tm.Stop()
@@ -570,7 +453,7 @@ func (e *Engine) collectRowSets(ctx context.Context, reqs []RowSetRequest, orig 
 
 	for _, i := range reduced {
 		tm := e.m.opNS[relalg.JoinView].Start()
-		s, err := e.reduceRowSet(reqs[i], chains, res)
+		s, err := e.reduceRowSet(ctx, reqs[i], chains, res)
 		if err != nil {
 			return nil, err
 		}
@@ -625,47 +508,40 @@ func (s *RowSet) Len() int {
 const maskChunkRows = 1 << 15
 
 // OrMasks ORs bits[k] into masks[r] for every row r of sets[k]. The masks are
-// folded chunk by chunk on up to width goroutines: a goroutine takes the next
-// chunk of maskChunkRows entries and folds every set's words over it before
-// it takes another, so no two goroutines write one entry and a chunk is read
-// from memory once for all the sets. A word with every bit set folds its 64
-// rows in one run. Every set must be over a table of len(masks) rows.
+// folded chunk by chunk, each chunk of maskChunkRows entries an item of a
+// parallel.ForEachCtx pool of up to width workers: a worker folds every set's
+// words over its chunk before it takes another, so no two workers write one
+// entry and a chunk is read from memory once for all the sets. A word with
+// every bit set folds its 64 rows in one run. Every set must be over a table
+// of len(masks) rows. The fold (stage "engine/masks") cannot fail; a panic
+// inside it is raised again on the caller's goroutine.
 func OrMasks(masks []uint64, sets []*RowSet, bits []uint64, width int) {
 	chunks := (len(masks) + maskChunkRows - 1) / maskChunkRows
-	var next atomic.Int64
-	fold := func() {
-		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
-			lo := c * maskChunkRows
-			m := masks[lo:min(lo+maskChunkRows, len(masks))]
-			for k, s := range sets {
-				if s.Len() == 0 {
+	err := parallel.ForEachCtx(context.TODO(), "engine/masks", width, chunks, func(c int) error {
+		lo := c * maskChunkRows
+		m := masks[lo:min(lo+maskChunkRows, len(masks))]
+		for k, s := range sets {
+			if s.Len() == 0 {
+				continue
+			}
+			bit := bits[k]
+			for wi, w := range s.bits[lo>>6 : (lo+len(m)+63)>>6] {
+				base := wi << 6
+				if w == ^uint64(0) {
+					for r := base; r < base+64; r++ {
+						m[r] |= bit
+					}
 					continue
 				}
-				bit := bits[k]
-				for wi, w := range s.bits[lo>>6 : (lo+len(m)+63)>>6] {
-					base := wi << 6
-					if w == ^uint64(0) {
-						for r := base; r < base+64; r++ {
-							m[r] |= bit
-						}
-						continue
-					}
-					for w != 0 {
-						m[base+trailingZeros(w)] |= bit
-						w &= w - 1
-					}
+				for w != 0 {
+					m[base+trailingZeros(w)] |= bit
+					w &= w - 1
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		panic(err)
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(width, chunks); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fold()
-		}()
-	}
-	fold()
-	wg.Wait()
 }

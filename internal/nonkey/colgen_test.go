@@ -498,7 +498,6 @@ func TestFillRejectsBadRange(t *testing.T) {
 		{"source/regenerated", src, "c"},
 		{"source/retained", src, "kept"},
 		{"source/pk", src, "pk"},
-		{"plan", tp, "c"},
 	}
 	ranges := []struct {
 		lo, hi int64

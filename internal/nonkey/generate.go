@@ -116,22 +116,6 @@ func (tp *TablePlan) Materialize(ctx context.Context, dst *storage.TableData, se
 	return nil
 }
 
-// Fill regenerates rows [lo,hi) of the named non-key column into
-// dst[0:hi-lo], byte-identical to what Materialize stored (or would have
-// stored) for those rows. It requires a prior Materialize call on this plan
-// and is safe for concurrent use across shards.
-func (tp *TablePlan) Fill(col string, dst []int64, lo, hi int64) error {
-	if err := storage.CheckFillRange(tp.Table.Name, col, tp.Table.Rows, len(dst), lo, hi); err != nil {
-		return fmt.Errorf("nonkey: %w", err)
-	}
-	g, err := tp.gen(col)
-	if err != nil {
-		return err
-	}
-	g.Fill(dst, lo, hi)
-	return nil
-}
-
 // gen returns the layout of the named column.
 func (tp *TablePlan) gen(col string) (*ColumnGen, error) {
 	g, ok := tp.gens[col]

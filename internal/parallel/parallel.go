@@ -1,6 +1,9 @@
-// Package parallel provides the deterministic worker-pool primitive shared
-// by the generation pipeline's hot paths (table materialization, FK wave
-// population, workload validation).
+// Package parallel provides the deterministic worker pools shared by the
+// generation pipeline's hot paths: ForEachCtx for items whose outputs are
+// merged after the pool joins (table materialization, FK wave population,
+// workload validation, mask folds), and OrderedCtx for items committed one
+// by one, in index order, on the calling goroutine while later ones run
+// (engine windows, reduction scans, CSV export shards).
 //
 // The determinism contract all callers rely on: work items are identified by
 // index, every item's output is written to its own index-addressed slot, and
@@ -75,25 +78,18 @@ func ForEachWorkerIdleCtx(ctx context.Context, stage string, workers, n int, fn 
 	if workers > n {
 		workers = n
 	}
-	// Pool telemetry handles, resolved once per pool so the per-item cost is
-	// atomics only. All are nil (no-op, no clock reads) when telemetry is off.
-	reg := obs.From(ctx)
-	itemsC := reg.CounterL("parallel_items_total", "stage", stage)
-	itemH := reg.HistogramL("parallel_item_ns", "stage", stage)
-	busyH := reg.HistogramL("parallel_worker_busy_ns", "stage", stage)
-	waitH := reg.HistogramL("parallel_queue_wait_ns", "stage", stage)
-	telemetry := reg != nil
+	m := newPoolMetrics(ctx, stage)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return fault.Wrap(stage, fault.NoItem, err)
 			}
-			tm := itemH.Start()
+			tm := m.item.Start()
 			if err := runItem(stage, 0, i, fn); err != nil {
 				return err
 			}
 			tm.Stop()
-			itemsC.Inc()
+			m.items.Inc()
 		}
 		if idle != nil {
 			idle(0)
@@ -108,18 +104,8 @@ func ForEachWorkerIdleCtx(ctx context.Context, stage string, workers, n int, fn 
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
 			defer wg.Done()
-			// Per-worker busy/wait split: busy is time inside items, wait is
-			// everything else the worker spends alive (claim loop, abort
-			// polling, scheduler gaps). Clock is only read when enabled.
-			var workerStart time.Time
-			var busyNS int64
-			if telemetry {
-				workerStart = time.Now()
-				defer func() {
-					busyH.Observe(busyNS)
-					waitH.Observe(int64(time.Since(workerStart)) - busyNS)
-				}()
-			}
+			clock := m.startWorker()
+			defer clock.stop()
 			for {
 				if aborted.Load() || ctx.Err() != nil {
 					return
@@ -131,12 +117,12 @@ func ForEachWorkerIdleCtx(ctx context.Context, stage string, workers, n int, fn 
 					}
 					return
 				}
-				tm := itemH.Start()
+				tm := m.item.Start()
 				if errs[i] = runItem(stage, worker, i, fn); errs[i] != nil {
 					aborted.Store(true)
 				}
-				busyNS += int64(tm.Stop())
-				itemsC.Inc()
+				clock.busy += tm.Stop()
+				m.items.Inc()
 			}
 		}(w)
 	}
@@ -147,6 +133,46 @@ func ForEachWorkerIdleCtx(ctx context.Context, stage string, workers, n int, fn 
 		}
 	}
 	return fault.Wrap(stage, fault.NoItem, ctx.Err())
+}
+
+// poolMetrics are one pool's telemetry handles, resolved once per pool so the
+// per-item cost is atomics only; all nil (no-op, no clock reads) when the
+// context carries no registry.
+type poolMetrics struct {
+	items            *obs.Counter
+	item, busy, wait *obs.Histogram
+}
+
+func newPoolMetrics(ctx context.Context, stage string) poolMetrics {
+	reg := obs.From(ctx)
+	return poolMetrics{
+		items: reg.CounterL("parallel_items_total", "stage", stage),
+		item:  reg.HistogramL("parallel_item_ns", "stage", stage),
+		busy:  reg.HistogramL("parallel_worker_busy_ns", "stage", stage),
+		wait:  reg.HistogramL("parallel_queue_wait_ns", "stage", stage),
+	}
+}
+
+// workerClock splits one worker's life into busy time, inside items, and
+// wait, everything else (claiming, waiting for work, scheduler gaps).
+type workerClock struct {
+	m     *poolMetrics
+	start time.Time
+	busy  time.Duration
+}
+
+func (m *poolMetrics) startWorker() workerClock {
+	if m.busy == nil {
+		return workerClock{}
+	}
+	return workerClock{m: m, start: time.Now()}
+}
+
+func (c *workerClock) stop() {
+	if c.m != nil {
+		c.m.busy.Observe(int64(c.busy))
+		c.m.wait.Observe(int64(time.Since(c.start) - c.busy))
+	}
 }
 
 // runItem executes one item with panic containment and the per-item fault

@@ -14,9 +14,12 @@ import (
 // encodes per buffer flush and the shard size ExportDir streams at. It is
 // deliberately smaller than DefaultShardRows: behind the large live heap of
 // a materialized database the per-table shard scratch and encode buffers
-// pile up as garbage between collections, and 64Ki-row shards were measured
-// to raise an SF-10 TPC-H export's peak RSS by 38% where 16Ki-row shards
-// leave it within 3%.
+// pile up as garbage between collections. Measured again with columns stored
+// at their domain's width and one encode buffer per pool slot (the
+// benchmark's in-memory runs, 2 vCPUs, medians of alternating pairs),
+// ExportDir at 64Ki-row shards raised the SF-10 TPC-H run's peak RSS from
+// 70.7 to 108.2 MB (+53 %, 6 of 6 pairs) and the SF-40 SSB run's from 124.0
+// to 128.0 MB (+3 %, against a quartile spread of 2.6 MB).
 const exportChunkRows = 16 * 1024
 
 // appendHeader appends the CSV header line for the table's columns.

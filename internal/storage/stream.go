@@ -66,19 +66,20 @@ type StreamStats struct {
 	Shards int
 }
 
-// StreamCSV writes src as CSV to w: shards of shardRows rows are filled and
-// encoded in parallel on up to workers goroutines (stage "export/shard", so
-// the pool's cancellation, panic containment and fault injection apply),
-// then committed to w strictly in shard order by a single writer goroutine.
-// The bytes are therefore identical at any worker count and any shard size.
-// Cells render through per-column render tables built once per call and
-// key columns through an in-place decimal successor (see rowEncoder), which
-// reproduce the codec calls ExportCSV makes per cell, so the bytes are also
-// identical to ExportCSV over the same data. Peak memory is O(workers ×
-// shardRows) plus at most 64Ki entries per column, not O(table): a shard's
-// encode buffer is sized once, from the encoder's row estimate for the
-// first shards and from the largest shard encoded so far, plus 1/16, for
-// later ones, and is reused rather than grown by doubling.
+// StreamCSV writes src as CSV to w: shards of shardRows rows are the items of
+// a parallel.OrderedCtx pool (stage "export/shard", so its cancellation,
+// panic containment and fault injection apply), filled and encoded on up to
+// workers goroutines and written to w strictly in shard order on the calling
+// goroutine. The bytes are therefore identical at any worker count and any
+// shard size. Cells render through per-column render tables built once per
+// call and key columns through an in-place decimal successor (see
+// rowEncoder), which reproduce the codec calls ExportCSV makes per cell, so
+// the bytes are also identical to ExportCSV over the same data. Peak memory
+// is O(workers × shardRows) plus at most 64Ki entries per column, not
+// O(table): each pool slot owns one encode buffer, sized once, from the
+// encoder's row estimate for the first shards and from the largest shard
+// encoded so far, plus 1/16, for later ones, and reused rather than grown by
+// doubling.
 //
 // StreamCSV knows no schema, so foreign keys render through their codec;
 // StreamTable, given the schema, renders a key whose referenced table is
@@ -122,117 +123,53 @@ func streamCSV(ctx context.Context, w io.Writer, src RowSource, codecs CodecSet,
 	}
 	stats.Shards = shards
 
-	// The writer goroutine is the only one touching w: encoded shards
-	// arrive over ch in completion order and are buffered (bounded by the
-	// in-flight worker count) until their turn. A write failure cancels
-	// the encoder pool so the run unwinds instead of encoding into a dead
-	// sink.
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type shard struct {
-		idx int
-		buf *[]byte
-	}
-	ch := make(chan shard, workers)
-	// Encode buffers: a shard takes one from free or makes a new one, and
-	// the writer hands it back once written (or drops it when free is
-	// full). Unlike a sync.Pool, free survives garbage collections, so a
-	// table allocates about as many buffers as it has shards in flight. Its
-	// capacity is how many are in flight while shards finish in order: one
-	// per worker encoding, one per slot of ch, and the one being written.
-	free := make(chan *[]byte, 2*workers+1)
-	var largest atomic.Int64 // bytes of the largest shard encoded so far
-	getBuf := func() *[]byte {
-		select {
-		case b := <-free:
-			return b
-		default:
-		}
-		size := int(largest.Load())
-		if size == 0 {
-			size = enc.rowHint * int(shardRows)
-		}
-		b := make([]byte, 0, size+size/16)
-		return &b
-	}
-	var wErr error
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		next := 0
-		pending := make(map[int]*[]byte, workers+1)
-		for sb := range ch {
-			pending[sb.idx] = sb.buf
-			for {
-				b, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				if wErr == nil {
-					if _, err := w.Write(*b); err != nil {
-						wErr = err
-						cancel()
-					} else {
-						stats.Bytes += int64(len(*b))
-						liveBytes.Add(int64(len(*b)))
-						hi := int64(next+1) * shardRows
-						if hi > n {
-							hi = n
-						}
-						liveRows.Add(hi - int64(next)*shardRows)
-					}
-				}
-				*b = (*b)[:0]
-				select {
-				case free <- b:
-				default:
-				}
-				next++
-			}
-		}
-	}()
-
+	// Workers own their fill scratch, pool slots their encode buffers: a
+	// shard's buffer stays its own until the calling goroutine has written
+	// it, so the slots in flight bound the buffers a table allocates.
 	scratch := make([][][]int64, workers)
-	window := make([][][]int64, workers)
-	err := parallel.ForEachWorkerCtx(cctx, "export/shard", workers, shards, func(wk, i int) error {
+	bufs := make([][]byte, parallel.Slots(workers))
+	var largest atomic.Int64 // bytes of the largest shard encoded so far
+	run := func(wk, slot, i int) error {
 		lo := int64(i) * shardRows
-		hi := lo + shardRows
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+shardRows, n)
 		if scratch[wk] == nil {
 			scratch[wk] = make([][]int64, len(meta.Columns))
-			window[wk] = make([][]int64, len(meta.Columns))
 			for c := range scratch[wk] {
 				scratch[wk][c] = make([]int64, shardRows)
 			}
 		}
-		for c := range meta.Columns {
-			window[wk][c] = scratch[wk][c][:hi-lo]
-			if err := src.Fill(meta.Columns[c].Name, window[wk][c], lo, hi); err != nil {
+		for c, name := range names {
+			if err := src.Fill(name, scratch[wk][c][:hi-lo], lo, hi); err != nil {
 				return err
 			}
 		}
-		bp := getBuf()
-		*bp = enc.appendRows((*bp)[:0], window[wk], int(hi-lo))
-		for size := int64(len(*bp)); ; {
+		if bufs[slot] == nil {
+			size := int(largest.Load())
+			if size == 0 {
+				size = enc.rowHint * int(shardRows)
+			}
+			bufs[slot] = make([]byte, 0, size+size/16)
+		}
+		bufs[slot] = enc.appendRows(bufs[slot][:0], scratch[wk], int(hi-lo))
+		for size := int64(len(bufs[slot])); ; {
 			if l := largest.Load(); size <= l || largest.CompareAndSwap(l, size) {
 				break
 			}
 		}
-		select {
-		case ch <- shard{i, bp}:
-			return nil
-		case <-cctx.Done():
-			return cctx.Err()
-		}
-	})
-	close(ch)
-	<-writerDone
-	if wErr != nil {
-		return stats, wErr
+		return nil
 	}
+	commit := func(slot, i int) error {
+		b := bufs[slot]
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		stats.Bytes += int64(len(b))
+		liveBytes.Add(int64(len(b)))
+		lo := int64(i) * shardRows
+		liveRows.Add(min(lo+shardRows, n) - lo)
+		return nil
+	}
+	err := parallel.OrderedCtx(ctx, "export/shard", workers, shards, run, commit)
 	if err != nil {
 		return stats, err
 	}

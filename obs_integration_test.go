@@ -37,9 +37,8 @@ var telemetryReaders = map[string]string{
 	"engine_op_rows":                   "TestRunReportGoldenSSB",
 	"engine_rowset_materialized_total": "TestRowSetsNeverMaterialized",
 	"engine_count_materialized_total":  "TestAnnotationsCounted, TestCountFallsBack",
-	"engine_windows_total":             "TestRowSetsNeverMaterialized, TestWideWindowFault",
 	"engine_window_fallbacks_total":    "TestWindowedExecuteMatchesClassic, TestPrimaryKeyDerivedOnEveryEngine",
-	"parallel_items_total":             "TestRunReportGoldenSSB, TestFailFastStopsClaiming",
+	"parallel_items_total":             "TestRunReportGoldenSSB, TestFailFastStopsClaiming; {stage=\"engine/window\"}: TestRowSetsNeverMaterialized, TestWideWindowFault, TestCountMemoReuse",
 	"parallel_item_ns":                 "ROADMAP use every core: per-worker busy and idle time",
 	"parallel_worker_busy_ns":          "ROADMAP use every core: per-worker busy and idle time",
 	"parallel_queue_wait_ns":           "ROADMAP use every core: per-worker busy and idle time",

@@ -170,15 +170,15 @@ func TestRowSetsNeverMaterialized(t *testing.T) {
 				t.Fatalf("%s streamed=%v: %v", wl.name, streamed, err)
 			}
 			c := reg.Snapshot().Counters
-			if c["engine_windows_total"] == 0 {
+			if c[`parallel_items_total{stage="engine/window"}`] == 0 {
 				t.Errorf("%s streamed=%v: no window ran — the CS stage did not reach the engine", wl.name, streamed)
 			}
 			if n := c["engine_rowset_materialized_total"]; n != 0 {
 				t.Errorf("%s streamed=%v: %d row-set requests were answered by evaluating their view", wl.name, streamed, n)
 			}
 			if streamed {
-				t.Logf("%s streamed: engine_window_fallbacks_total = %d, engine_windows_total = %d",
-					wl.name, c["engine_window_fallbacks_total"], c["engine_windows_total"])
+				t.Logf("%s streamed: engine_window_fallbacks_total = %d, windows run = %d",
+					wl.name, c["engine_window_fallbacks_total"], c[`parallel_items_total{stage="engine/window"}`])
 			}
 		}
 	}
