@@ -291,7 +291,7 @@ func run(ctx context.Context, name string, sf float64, opts mirage.Options, out 
 	if len(res.Degradations) > 0 {
 		fmt.Printf("degradations (%d):\n", len(res.Degradations))
 		for _, d := range res.Degradations {
-			fmt.Printf("  keygen %s: %s x%d\n", d.Unit, d.Kind, d.Count)
+			fmt.Printf("  keygen %s: %s x%d%s\n", d.Unit, d.Kind, d.Count, certificate(d))
 		}
 	}
 
@@ -325,6 +325,20 @@ func run(ctx context.Context, name string, sf float64, opts mirage.Options, out 
 	}
 	fmt.Println(summaryLine(res, time.Since(runStart), obs.From(ctx)))
 	return nil
+}
+
+// certificate says, for a degradation whose FK unit computed a lower bound
+// on its x-system's error, the error the search left and the bound, and
+// whether they meet: then the resize is proven minimal.
+func certificate(d mirage.Degradation) string {
+	switch {
+	case d.Residual == 0:
+		return ""
+	case d.Residual == d.Bound:
+		return fmt.Sprintf(" (error %d = lower bound: proven minimal)", d.Residual)
+	default:
+		return fmt.Sprintf(" (error %d, lower bound %d)", d.Residual, d.Bound)
+	}
 }
 
 // summaryLine is the run's always-on closing line: rows, bytes (streamed

@@ -245,12 +245,42 @@ func TestOrMasks(t *testing.T) {
 	}
 	for width := 1; width <= 4; width++ {
 		got := make([]uint64, n)
-		OrMasks(got, sets, bits, width)
+		if err := OrMasks(context.Background(), got, sets, bits, width); err != nil {
+			t.Fatal(err)
+		}
 		for r := range want {
 			if got[r] != want[r] {
 				t.Fatalf("width %d: mask of row %d = %#b, want %#b", width, r, got[r], want[r])
 			}
 		}
+	}
+}
+
+// TestOrMasksCancel: a cancel landing on chunk 1 of a four-chunk fold
+// comes back as a wrapped context.Canceled from stage engine/masks, the
+// chunks after it are never folded, and the chunks that ran are counted in
+// the registry on the context.
+func TestOrMasksCancel(t *testing.T) {
+	n := 3*maskChunkRows + 123
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	reg := obs.NewRegistry()
+	ctx = obs.WithRegistry(ctx, reg)
+	in := faultinject.New(faultinject.Rule{Stage: "engine/masks", Item: 1, Action: faultinject.Cancel})
+	in.BindCancel(cancel)
+	deactivate := faultinject.Activate(in)
+	masks := make([]uint64, n)
+	err := OrMasks(ctx, masks, []*RowSet{fullRowSet(n)}, []uint64{1}, 1)
+	deactivate()
+	var se *fault.StageError
+	if !errors.Is(err, context.Canceled) || !errors.As(err, &se) || se.Stage != "engine/masks" {
+		t.Fatalf("err = %v, want a StageError at engine/masks wrapping context.Canceled", err)
+	}
+	if masks[2*maskChunkRows] != 0 || masks[n-1] != 0 {
+		t.Fatal("chunks after the cancel were folded")
+	}
+	if got := reg.CounterL("parallel_items_total", "stage", "engine/masks").Value(); got != 2 {
+		t.Fatalf("parallel_items_total{stage=engine/masks} = %d, want the 2 chunks that ran", got)
 	}
 }
 

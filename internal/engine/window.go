@@ -513,11 +513,13 @@ const maskChunkRows = 1 << 15
 // words over its chunk before it takes another, so no two workers write one
 // entry and a chunk is read from memory once for all the sets. A word with
 // every bit set folds its 64 rows in one run. Every set must be over a table
-// of len(masks) rows. The fold (stage "engine/masks") cannot fail; a panic
-// inside it is raised again on the caller's goroutine.
-func OrMasks(masks []uint64, sets []*RowSet, bits []uint64, width int) {
+// of len(masks) rows. The pool (stage "engine/masks") runs on ctx, so a
+// cancellation stops it between chunks and its items reach ctx's registry;
+// its error (a cancellation or a contained panic) is returned, and masks is
+// then partly folded.
+func OrMasks(ctx context.Context, masks []uint64, sets []*RowSet, bits []uint64, width int) error {
 	chunks := (len(masks) + maskChunkRows - 1) / maskChunkRows
-	err := parallel.ForEachCtx(context.TODO(), "engine/masks", width, chunks, func(c int) error {
+	return parallel.ForEachCtx(ctx, "engine/masks", width, chunks, func(c int) error {
 		lo := c * maskChunkRows
 		m := masks[lo:min(lo+maskChunkRows, len(masks))]
 		for k, s := range sets {
@@ -541,7 +543,4 @@ func OrMasks(masks []uint64, sets []*RowSet, bits []uint64, width int) {
 		}
 		return nil
 	})
-	if err != nil {
-		panic(err)
-	}
 }

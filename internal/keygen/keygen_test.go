@@ -2,13 +2,17 @@ package keygen
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"github.com/dbhammer/mirage/internal/engine"
+	"github.com/dbhammer/mirage/internal/fault"
+	"github.com/dbhammer/mirage/internal/faultinject"
 	"github.com/dbhammer/mirage/internal/genplan"
+	"github.com/dbhammer/mirage/internal/obs"
 	"github.com/dbhammer/mirage/internal/relalg"
 	"github.com/dbhammer/mirage/internal/storage"
 	"github.com/dbhammer/mirage/internal/testutil"
@@ -240,9 +244,19 @@ func TestTooManyJoinsRejected(t *testing.T) {
 	}
 }
 
+// partitionOf is partition at width 1 on a context that is never cancelled.
+func partitionOf(t testing.TB, masks []uint64) []*part {
+	t.Helper()
+	parts, err := partition(context.Background(), masks, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parts
+}
+
 func TestPartitioning(t *testing.T) {
 	masks := []uint64{3, 1, 3, 0, 1}
-	parts := partition(masks, 1)
+	parts := partitionOf(t, masks)
 	if len(parts) != 3 {
 		t.Fatalf("partitions = %d, want 3", len(parts))
 	}
@@ -316,7 +330,10 @@ func TestPartitionOrder(t *testing.T) {
 			}
 			want := partitionByRow(masks)
 			for width := 1; width <= 4; width++ {
-				got := partition(masks, width)
+				got, err := partition(context.Background(), masks, width)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(got) != len(want) {
 					t.Fatalf("width %d: %d parts, want %d", width, len(got), len(want))
 				}
@@ -333,6 +350,29 @@ func TestPartitionOrder(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPartitionCancel: a cancel landing on the first range of partition's
+// counting pass comes back as a wrapped context.Canceled from stage
+// keygen/partition before the filling pass starts, and the range that ran
+// is counted in the registry on the context.
+func TestPartitionCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	reg := obs.NewRegistry()
+	ctx = obs.WithRegistry(ctx, reg)
+	in := faultinject.New(faultinject.Rule{Stage: "keygen/partition", Item: 0, Action: faultinject.Cancel})
+	in.BindCancel(cancel)
+	deactivate := faultinject.Activate(in)
+	parts, err := partition(ctx, make([]uint64, 2*partitionRangeRows), 2)
+	deactivate()
+	var se *fault.StageError
+	if parts != nil || !errors.Is(err, context.Canceled) || !errors.As(err, &se) || se.Stage != "keygen/partition" {
+		t.Fatalf("parts %v, err = %v, want none and a StageError at keygen/partition wrapping context.Canceled", parts, err)
+	}
+	if got := reg.CounterL("parallel_items_total", "stage", "keygen/partition").Value(); got < 1 || got > 2 {
+		t.Fatalf("parallel_items_total{stage=keygen/partition} = %d, want the counting pass's ranges that ran", got)
 	}
 }
 
@@ -374,8 +414,8 @@ func TestDedupJoinsExact(t *testing.T) {
 	joins := []*genplan.JoinCons{jc(4, 2), jc(3, relalg.CardUnknown), jc(4, 2), jc(4, 2)}
 	lsets := [][]int32{{0, 1}, {1, 2, 3}, {0, 1}, {2, 3}}
 	rsets := [][]int32{{0, 2, 5}, {1, 4}, {0, 2, 5}, {0, 3, 5}}
-	sParts := partition(foldSets(4, lsets...), 1)
-	tParts := partition(foldSets(6, rsets...), 1)
+	sParts := partitionOf(t, foldSets(4, lsets...))
+	tParts := partitionOf(t, foldSets(6, rsets...))
 	kept := dedupJoins(joins, sParts, tParts)
 	if !slices.Equal(kept, []int{0, 1, 3}) {
 		t.Fatalf("kept joins %v, want [0 1 3]", kept)
@@ -384,8 +424,8 @@ func TestDedupJoinsExact(t *testing.T) {
 		name      string
 		got, want []*part
 	}{
-		{"S", sParts, partition(foldSets(4, lsets[0], lsets[1], lsets[3]), 1)},
-		{"T", tParts, partition(foldSets(6, rsets[0], rsets[1], rsets[3]), 1)},
+		{"S", sParts, partitionOf(t, foldSets(4, lsets[0], lsets[1], lsets[3]))},
+		{"T", tParts, partitionOf(t, foldSets(6, rsets[0], rsets[1], rsets[3]))},
 	} {
 		if len(c.got) != len(c.want) {
 			t.Fatalf("%s: %d parts, want %d", c.name, len(c.got), len(c.want))
@@ -400,8 +440,8 @@ func TestDedupJoinsExact(t *testing.T) {
 
 	// Different constraints keep a join with the same rows.
 	joins[2] = jc(5, 2)
-	sParts = partition(foldSets(4, lsets...), 1)
-	tParts = partition(foldSets(6, rsets...), 1)
+	sParts = partitionOf(t, foldSets(4, lsets...))
+	tParts = partitionOf(t, foldSets(6, rsets...))
 	if kept := dedupJoins(joins, sParts, tParts); !slices.Equal(kept, []int{0, 1, 2, 3}) {
 		t.Fatalf("kept joins %v, want all four", kept)
 	}

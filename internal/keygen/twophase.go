@@ -1,6 +1,9 @@
 package keygen
 
-import "context"
+import (
+	"context"
+	"slices"
+)
 
 // solveTwoPhase decomposes the unit's system into the x-system and a
 // cell-level d/f-system.
@@ -15,9 +18,10 @@ import "context"
 // What either phase cannot meet is clamped by Section 6's resize rule.
 //
 // It adds to st the restarts taken (local-search attempts beyond the first),
-// the constraints resized and the run time of the attempts spare workers of
-// pool ran, for the degradation ledger and the CP time. The only error it
-// returns is a context interruption.
+// the constraints resized, the x-system's least error and lower bound (both 0
+// when attempt 0 met every join), and the run time of the attempts spare workers of pool
+// ran, for the degradation ledger and the CP time. The only error it returns
+// is a context interruption.
 func (kg *kgModel) solveTwoPhase(ctx context.Context, cfg Config, pool *spares, st *Stats) (*solution, error) {
 	xs, err := kg.solveXLocal(ctx, cfg, pool)
 	if err != nil {
@@ -25,6 +29,7 @@ func (kg *kgModel) solveTwoPhase(ctx context.Context, cfg Config, pool *spares, 
 	}
 	st.Restarts += len(xs.errs) - 1
 	st.CPTime += xs.helperTime
+	st.xResidual, st.xBound = slices.Min(xs.errs), xs.bound
 	for k, r := range xs.residual {
 		if r != 0 {
 			st.Resized++

@@ -46,7 +46,8 @@ const (
 	// is unwinding when it appears.
 	EventExportError EventType = "export_error"
 	// EventDegradation mirrors one keygen degradation-ledger entry (Unit,
-	// Kind: resize/restarts, Count).
+	// Kind: resize/restarts, Count; on a resize entry with a certificate,
+	// Residual and Bound).
 	EventDegradation EventType = "degradation"
 	// EventSinkRetry records one transient sink failure being retried
 	// (Stage: sink op, Count: attempt ordinal, Err); EventSinkGiveup records
@@ -77,6 +78,9 @@ type Event struct {
 	Rows  int64     `json:"rows,omitempty"`
 	Bytes int64     `json:"bytes,omitempty"`
 	Err   string    `json:"err,omitempty"`
+	// Residual and Bound are a degradation's x-system certificate.
+	Residual int64 `json:"residual,omitempty"`
+	Bound    int64 `json:"bound,omitempty"`
 }
 
 // DefaultJournalCap bounds the in-memory ring: enough for every lifecycle
