@@ -1,6 +1,8 @@
 package mirage
 
 import (
+	"context"
+
 	"github.com/dbhammer/mirage/internal/relalg"
 	"github.com/dbhammer/mirage/internal/storage"
 	"github.com/dbhammer/mirage/internal/validate"
@@ -52,7 +54,13 @@ type Report = validate.Report
 func MeanError(reports []Report) float64 { return validate.Mean(reports) }
 func MaxError(reports []Report) float64  { return validate.MaxError(reports) }
 
-// ExportCSVDir writes every table of a database as <dir>/<table>.csv.
+// ExportCSVDir is ExportCSVDirCtx without a context.
 func ExportCSVDir(dir string, db *DB, codecs CodecSet) error {
-	return storage.ExportDir(dir, db, codecs)
+	return ExportCSVDirCtx(context.Background(), dir, db, codecs)
+}
+
+// ExportCSVDirCtx writes every table of a database as <dir>/<table>.csv; a
+// cancelled ctx stops it at the next export shard, leaving no torn file.
+func ExportCSVDirCtx(ctx context.Context, dir string, db *DB, codecs CodecSet) error {
+	return storage.ExportDirCtx(ctx, dir, db, codecs)
 }

@@ -313,7 +313,7 @@ func run(ctx context.Context, name string, sf float64, opts mirage.Options, out 
 	if out != "" {
 		// A streamed run already wrote its CSVs through the sink.
 		if !so.enabled {
-			if err := mirage.ExportCSVDir(out, res.DB, w.Codecs); err != nil {
+			if err := mirage.ExportCSVDirCtx(ctx, out, res.DB, w.Codecs); err != nil {
 				return err
 			}
 		}

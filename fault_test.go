@@ -224,6 +224,49 @@ func TestInjectedBuildProblemPanicContained(t *testing.T) {
 	}
 }
 
+// TestBuildProblemCancelReachesCount cancels BuildProblemCtx at the first
+// window of a table pass annotation counts with: the count's pass stops
+// there and the build returns the context's error, located at that window
+// (engine/window, the innermost stage), with every worker joined.
+func TestBuildProblemCancelReachesCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	spec, err := workload.ByName("ssb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := spec.NewSchema(0.2)
+	original, err := workload.GenerateOriginal(schema, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorkload(schema, spec.Codecs, spec.DSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	in := faultinject.New(faultinject.Rule{Stage: engine.WindowStage, Item: 0, Action: faultinject.Cancel})
+	in.BindCancel(cancel)
+	deactivate := faultinject.Activate(in)
+	_, err = BuildProblemCtx(ctx, original, w)
+	deactivate()
+	var se *StageError
+	if !errors.Is(err, context.Canceled) || !errors.As(err, &se) || se.Stage != engine.WindowStage || se.Item != 0 {
+		t.Fatalf("err = %v, want context.Canceled at %s[0]", err, engine.WindowStage)
+	}
+	if got := in.Fired(); len(got) != 1 {
+		t.Fatalf("Fired() = %v, want the one cancel", got)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestKeygenCancelLeavesNoTornColumns cancels FK population mid-stage and
 // checks the wave-commit contract on the database it was writing into:
 // every column is complete or absent, and the error wraps context.Canceled.

@@ -2,25 +2,29 @@ package engine
 
 // Counting: how Count answers a template without building a join. Annotation
 // reads every operator's Card and every join's JCC/JDC off the original
-// database, never an output tuple. For a tree whose join core is reducible
-// (reduce.go: selection chains over leaves and equi-joins, every base table
-// once) those numbers follow from per-row multiplicities — the counting form
-// of Yannakakis' semi-join algorithm (VLDB 1981). A subtree hands its parent
+// database, never an output tuple. For a tree whose join core is selection
+// chains over leaves and PK-FK joins of any type, every base table once,
+// those numbers follow from per-row multiplicities — the counting form of
+// Yannakakis' semi-join algorithm (VLDB 1981). A subtree hands its parent
 // join the number of its output tuples carrying each row of the table that
-// join reads; Join(L, R) pairs L's counts per PK row, m_L(p), with R's per
-// FK row, summed per referenced PK row into c_R(p):
+// join reads, and the number carrying a null pad there; Join(L, R) pairs L's
+// counts per PK row, m_L(p), with R's per FK row, summed per referenced PK
+// row into c_R(p):
 //
-//	Card = JCC = Σ_p m_L(p)·c_R(p)      JDC = #{p : m_L(p) > 0 ∧ c_R(p) > 0}
+//	JCC = Σ_p m_L(p)·c_R(p)      JDC = #{p : m_L(p) > 0 ∧ c_R(p) > 0}
 //
-// Projections and aggregates above the core read the rows with a nonzero
-// count. No Relation, no CSR index and no output tuple is built; the
-// selections run in one table pass per chain. A CountMemo carries what was
-// counted from one tree to the next where trees repeat subtrees. See
+// and the join's type says which parts its Card adds: the matched pairs
+// (JCC), the left or right tuples without a partner, or those with one
+// (joinParts). Projections and aggregates above the core read the rows with
+// a nonzero count. No Relation, no CSR index and no output tuple is built;
+// the selections run in one table pass per chain. A CountMemo carries what
+// was counted from one tree to the next where trees repeat subtrees. See
 // DESIGN.md §7.
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -29,13 +33,15 @@ import (
 )
 
 // Count returns what Execute returns — every view's Stats — for templates
-// whose aggregates and projections sit over a reducible core, where every
-// table a projection, a group-by or a join names lies in the part of the tree
-// it reads, and whose grouped aggregates' output tuples are determined by the
-// rows of one table (every grouped table is reached from it along the core's
-// foreign keys: the fact table of a star or snowflake). Every other template —
-// outer, semi and anti joins, MultiView, a selection over a join output — is
-// evaluated by Execute, counted in engine_count_materialized_total.
+// whose aggregates and projections sit over a core of selection chains and
+// joins of any type, every base table once, where every table a projection,
+// a group-by or a join names lies in the part of the tree it reads, and
+// whose grouped aggregates' output tuples are determined by the rows of one
+// table (groupPlan), and for a MultiView of such trees. Every other template
+// — a selection over a join output, a table twice, grouped tables no single
+// table determines — is evaluated by Execute, counted in
+// engine_count_materialized_total. The table passes run on ctx: a
+// cancellation stops them at the next window.
 //
 // A non-nil memo carries counted subtrees between calls: Count takes from it
 // what an earlier call counted for an equal subtree and leaves what it counts
@@ -44,9 +50,9 @@ import (
 // template and the trees of its rewritten forest (rewrite.CloneViewShared),
 // which repeat the template's subtrees. A memo holds for one engine, one orig
 // flag and parameters that do not change while it is in use.
-func (e *Engine) Count(q *relalg.AQT, orig bool, memo *CountMemo) (*Result, error) {
-	p := e.countPlan(q.Root)
-	if p == nil {
+func (e *Engine) Count(ctx context.Context, q *relalg.AQT, orig bool, memo *CountMemo) (*Result, error) {
+	plans := e.countPlans(q.Root)
+	if plans == nil {
 		e.m.countMaterialized.Inc()
 		return e.Execute(q, orig)
 	}
@@ -55,10 +61,19 @@ func (e *Engine) Count(q *relalg.AQT, orig bool, memo *CountMemo) (*Result, erro
 	}
 	e.m.execs.Inc()
 	res := &Result{Stats: make(map[*relalg.View]Stats)}
-	c := &counter{e: e, ctx: e.poolCtx(context.TODO()), orig: orig, res: res, memo: memo,
-		chains: make(map[*relalg.View]mult), keys: make(map[*relalg.View]string)}
-	if err := p.run(c); err != nil {
-		return nil, fmt.Errorf("engine: %s: %w", q.Name, err)
+	c := &counter{e: e, ctx: e.poolCtx(ctx), orig: orig, res: res, memo: memo,
+		chains: make(map[*relalg.View]mult), keys: make(map[*relalg.View]string),
+		exist: make(map[*relalg.View]joinExist)}
+	for _, p := range plans {
+		if err := p.run(c); err != nil {
+			return nil, fmt.Errorf("engine: %s: %w", q.Name, err)
+		}
+	}
+	if q.Root.Kind == relalg.MultiView {
+		// eval returns the last input's relation, which its aggregates and
+		// projections pass through from the core.
+		last := plans[len(plans)-1].core
+		res.Stats[q.Root] = Stats{Card: res.Stats[last].Card, JCC: relalg.CardUnknown, JDC: relalg.CardUnknown}
 	}
 	return res, nil
 }
@@ -75,8 +90,43 @@ type memoEntry struct {
 	rows  map[string]mult
 }
 
-// countPlan is a template Count answers: aggregate and projection wrappers,
-// bottom-up, over a reducible core.
+// joinParts is what a join type's output holds: the matched pairs (m), the
+// left tuples without a partner (lu) or with one (ls), padded on the right,
+// and the right tuples without a partner (ru) or with one (rs), padded on
+// the left. A left tuple without a partner is one whose PK row no right
+// tuple references, or whose PK table is itself a pad; a right tuple without
+// one has a NULL or out-of-domain key, a pad, or a key no left tuple holds.
+type joinParts struct{ m, lu, ls, ru, rs bool }
+
+var partsOf = [...]joinParts{
+	relalg.EquiJoin:       {m: true},
+	relalg.LeftOuterJoin:  {m: true, lu: true},
+	relalg.RightOuterJoin: {m: true, ru: true},
+	relalg.FullOuterJoin:  {m: true, lu: true, ru: true},
+	relalg.LeftSemiJoin:   {ls: true},
+	relalg.RightSemiJoin:  {rs: true},
+	relalg.LeftAntiJoin:   {lu: true},
+	relalg.RightAntiJoin:  {ru: true},
+}
+
+// padsLeft and padsRight report whether some output tuple has every table of
+// that input as a null pad; keepsLeft and keepsRight whether some has rows
+// there.
+func (j joinParts) padsLeft() bool   { return j.ru || j.rs }
+func (j joinParts) padsRight() bool  { return j.lu || j.ls }
+func (j joinParts) keepsLeft() bool  { return j.m || j.lu || j.ls }
+func (j joinParts) keepsRight() bool { return j.m || j.ru || j.rs }
+
+// if1 is n where b holds, else 0.
+func if1(b bool, n int64) int64 {
+	if b {
+		return n
+	}
+	return 0
+}
+
+// countPlan is a tree Count answers: aggregate and projection wrappers,
+// bottom-up, over a core of selection chains and joins.
 type countPlan struct {
 	e        *Engine
 	wrappers []*relalg.View
@@ -89,7 +139,29 @@ type countPlan struct {
 
 type groupPlan struct {
 	table string
-	paths [][]*relalg.JoinSpec
+	paths [][]*relalg.View
+	// null marks the grouping columns of tables a semi or anti join above
+	// them drops: every output tuple has them as pads, so they read NULL.
+	null []bool
+}
+
+// countPlans returns the plans of root's trees — the inputs of a MultiView,
+// else root itself — or nil if Count must evaluate it.
+func (e *Engine) countPlans(root *relalg.View) []*countPlan {
+	trees := []*relalg.View{root}
+	if root.Kind == relalg.MultiView {
+		trees = root.Inputs
+	}
+	if len(trees) == 0 {
+		return nil
+	}
+	plans := make([]*countPlan, len(trees))
+	for i, v := range trees {
+		if plans[i] = e.countPlan(v); plans[i] == nil {
+			return nil
+		}
+	}
+	return plans
 }
 
 // countPlan returns the plan for root, or nil if Count must evaluate it.
@@ -101,7 +173,7 @@ func (e *Engine) countPlan(root *relalg.View) *countPlan {
 		v = v.Inputs[0]
 	}
 	slices.Reverse(p.wrappers)
-	if !reducible(v) {
+	if !joinTree(v, false) {
 		return nil
 	}
 	p.core = v
@@ -111,13 +183,13 @@ func (e *Engine) countPlan(root *relalg.View) *countPlan {
 			return nil
 		}
 	}
-	var joins []*relalg.JoinSpec
+	var joins []*relalg.View
 	ok := true
 	v.Walk(func(n *relalg.View) {
 		if n.Kind == relalg.JoinView {
 			ok = ok && slices.Contains(viewTables(n.Inputs[0]), n.Join.PKTable) &&
 				slices.Contains(viewTables(n.Inputs[1]), n.Join.FKTable)
-			joins = append(joins, n.Join)
+			joins = append(joins, n)
 		}
 	})
 	if !ok {
@@ -125,7 +197,7 @@ func (e *Engine) countPlan(root *relalg.View) *countPlan {
 	}
 	// The table a grouped aggregate is keyed by: the core's exit table (the
 	// FK table of its top join, where a star's fact table sits) if it
-	// reaches every grouped table, else the first table that does.
+	// determines every grouped table, else the first table that does.
 	candidates := tables
 	if v.Kind == relalg.JoinView {
 		candidates = append([]string{v.Join.FKTable}, tables...)
@@ -135,7 +207,7 @@ func (e *Engine) countPlan(root *relalg.View) *countPlan {
 		case w.Kind == relalg.ProjectView && !slices.Contains(tables, w.ProjTable):
 			return nil
 		case w.Kind == relalg.AggView && len(w.GroupBy) > 0:
-			g, found := e.planGroups(w.GroupBy, candidates, joins)
+			g, found := e.planGroups(v, w.GroupBy, candidates, joins)
 			if !found {
 				return nil
 			}
@@ -145,35 +217,85 @@ func (e *Engine) countPlan(root *relalg.View) *countPlan {
 	return p
 }
 
-// planGroups finds the first candidate table from which every grouping
-// column's table is reached along foreign keys.
-func (e *Engine) planGroups(groupBy, candidates []string, joins []*relalg.JoinSpec) (groupPlan, bool) {
+// planGroups finds the first candidate table k that determines the grouping
+// columns of every output tuple of core: each grouping column's table is
+// reached from k along foreign keys, and where k is a null pad, so is every
+// grouped table (padsApart). Tables no output tuple holds a row of group as
+// NULL and need no path.
+func (e *Engine) planGroups(core *relalg.View, groupBy, candidates []string, joins []*relalg.View) (groupPlan, bool) {
+	var dropped, grouped []string
+	core.Walk(func(v *relalg.View) {
+		if v.Kind == relalg.JoinView {
+			jp := partsOf[v.Join.Type]
+			if !jp.keepsLeft() {
+				dropped = append(dropped, viewTables(v.Inputs[0])...)
+			}
+			if !jp.keepsRight() {
+				dropped = append(dropped, viewTables(v.Inputs[1])...)
+			}
+		}
+	})
+	null := make([]bool, len(groupBy))
+	for i, col := range groupBy {
+		if null[i] = slices.Contains(dropped, e.owner[col]); !null[i] {
+			grouped = append(grouped, e.owner[col])
+		}
+	}
 next:
 	for _, k := range candidates {
+		if padsApart(core, k, grouped) {
+			continue
+		}
 		reach := pathsFrom(k, joins)
-		g := groupPlan{table: k}
-		for _, col := range groupBy {
+		g := groupPlan{table: k, paths: make([][]*relalg.View, len(groupBy)), null: null}
+		for i, col := range groupBy {
+			if null[i] {
+				continue
+			}
 			path, ok := reach[e.owner[col]]
 			if !ok {
 				continue next
 			}
-			g.paths = append(g.paths, path)
+			g.paths[i] = path
 		}
 		return g, true
 	}
 	return groupPlan{}, false
 }
 
+// padsApart reports whether a join above table k in core pads k's input in
+// some output tuple while a grouped table lies outside that input: such a
+// tuple's grouping values are not all NULL and not determined by k's row.
+func padsApart(core *relalg.View, k string, grouped []string) bool {
+	for v := core; v.Kind == relalg.JoinView; {
+		jp := partsOf[v.Join.Type]
+		side, pads := v.Inputs[1], jp.padsRight()
+		if slices.Contains(viewTables(v.Inputs[0]), k) {
+			side, pads = v.Inputs[0], jp.padsLeft()
+		}
+		if pads {
+			tables := viewTables(side)
+			for _, t := range grouped {
+				if !slices.Contains(tables, t) {
+					return true
+				}
+			}
+		}
+		v = side
+	}
+	return false
+}
+
 // pathsFrom maps every table reached from table k along foreign keys — from a
 // join's FK table to its PK table — to the joins on the way.
-func pathsFrom(k string, joins []*relalg.JoinSpec) map[string][]*relalg.JoinSpec {
-	paths := map[string][]*relalg.JoinSpec{k: nil}
+func pathsFrom(k string, joins []*relalg.View) map[string][]*relalg.View {
+	paths := map[string][]*relalg.View{k: nil}
 	for grew := true; grew; {
 		grew = false
 		for _, j := range joins {
-			path, from := paths[j.FKTable]
-			if _, done := paths[j.PKTable]; from && !done {
-				paths[j.PKTable] = append(slices.Clip(path), j)
+			path, from := paths[j.Join.FKTable]
+			if _, done := paths[j.Join.PKTable]; from && !done {
+				paths[j.Join.PKTable] = append(slices.Clip(path), j)
 				grew = true
 			}
 		}
@@ -239,7 +361,7 @@ func (p *countPlan) run(c *counter) error {
 			if err != nil {
 				return err
 			}
-			if n, err = c.groups(w.GroupBy, g.paths, rows.rows); err != nil {
+			if n, err = c.groups(w.GroupBy, g, rows); err != nil {
 				return fmt.Errorf("aggregate: %w", err)
 			}
 		}
@@ -251,12 +373,14 @@ func (p *countPlan) run(c *counter) error {
 
 // mult is a subtree's output counted per row of one of its tables: rows
 // ascending, cnt[i] > 0 the number of output tuples carrying rows[i] (cnt nil:
-// every count is 1). A mult may be shared (a chain's survivors, a bare
-// leaf's identity rows, the memo's entries) and is never written after it is
-// built.
+// every count is 1), and null the number in which the table is a null pad
+// (or which the subtree does not hold at all). A mult may be shared (a
+// chain's survivors, a bare leaf's identity rows, the memo's entries) and is
+// never written after it is built.
 type mult struct {
 	rows []int32
 	cnt  []int64
+	null int64
 }
 
 func (m mult) at(i int) int64 {
@@ -264,6 +388,18 @@ func (m mult) at(i int) int64 {
 		return 1
 	}
 	return m.cnt[i]
+}
+
+// total is the number of output tuples.
+func (m mult) total() int64 {
+	n := m.null
+	if m.cnt == nil {
+		return n + int64(len(m.rows))
+	}
+	for _, k := range m.cnt {
+		n += k
+	}
+	return n
 }
 
 // multOut builds a mult of at most n rows in ascending row order, storing
@@ -287,14 +423,16 @@ func (o *multOut) add(row int32, n int64) {
 	}
 }
 
-// weight is a factor a join puts on every row of one of its tables while a
-// count descends past it to a table deeper in one input: on the join's PK
-// table row r weighs val[r] (fk nil), on its FK table val[fk(r)-1], and zero
-// for a NULL or out-of-domain key.
+// weight is a factor a join puts on every tuple of one of its inputs while a
+// count descends past it to a table deeper in that input: by the tuple's row
+// of the join's PK table r, val[r] (fk nil), or of its FK table r,
+// val[fk(r)-1]; pad where that table is a null pad, or where the foreign key
+// is NULL or out of domain.
 type weight struct {
 	table string
 	fk    *storage.Column
 	val   []int64
+	pad   int64
 }
 
 // scale multiplies n[i] by the weight of rows[i]; keys is scratch of
@@ -311,13 +449,57 @@ func (w weight) scale(n []int64, rows []int32, keys []int64) {
 		if k >= 1 && k <= int64(len(w.val)) {
 			n[i] *= w.val[k-1]
 		} else {
-			n[i] = 0
+			n[i] *= w.pad
 		}
 	}
 }
 
+// weigh returns m with every count multiplied by the weights on its table
+// and its null count by their pads, dropping the rows whose count becomes 0.
+func (c *counter) weigh(m mult, ws []weight) mult {
+	out := mult{rows: make([]int32, 0, len(m.rows)), cnt: make([]int64, 0, len(m.rows)), null: m.null}
+	for _, w := range ws {
+		out.null *= w.pad
+	}
+	n, keys := c.e.block(0), c.e.block(1)
+	for lo := 0; lo < len(m.rows); lo += blockRows {
+		rows := m.rows[lo:min(lo+blockRows, len(m.rows))]
+		for i := range rows {
+			n[i] = m.at(lo + i)
+		}
+		for _, w := range ws {
+			w.scale(n, rows, keys)
+		}
+		for i, row := range rows {
+			if n[i] != 0 {
+				out.rows = append(out.rows, row)
+				out.cnt = append(out.cnt, n[i])
+			}
+		}
+	}
+	return out
+}
+
+// joinExist is what a join's unweighted count leaves for the passes that
+// weigh it: the PK rows some left tuple carries (l) and the PK rows some
+// right tuple's foreign key names (r). Whether a tuple has a partner depends
+// on these alone, whatever weight the tuples carry.
+type joinExist struct{ l, r bitset }
+
+// existence returns join v's existence sets, counting v unweighted first if
+// no count of it has yet.
+func (c *counter) existence(v *relalg.View) (joinExist, error) {
+	if ex, ok := c.exist[v]; ok {
+		return ex, nil
+	}
+	if _, err := c.countView(v, "", nil, false); err != nil {
+		return joinExist{}, err
+	}
+	return c.exist[v], nil
+}
+
 // counter is the state of one Count: every chain's survivors by the chain's
-// top view, and every subtree's memo key.
+// top view, every subtree's memo key and every join's existence sets.
 type counter struct {
 	e      *Engine
 	ctx    context.Context // the table passes' pool context
@@ -326,6 +508,7 @@ type counter struct {
 	memo   *CountMemo
 	chains map[*relalg.View]mult
 	keys   map[*relalg.View]string
+	exist  map[*relalg.View]joinExist
 }
 
 // scan runs a selection chain in one table pass (a bare leaf needs none) and,
@@ -430,17 +613,18 @@ func (e *Engine) identity(n int) []int32 {
 }
 
 // countView returns v's output counted per row of table ("" for none: only
-// the Stats are wanted), every row of a table first scaled by the weights on
-// it. With record set — only ever without weights — every view stores its
+// the Stats are wanted), every tuple weighted by ws — which name tables of v
+// only. With record set — only ever without weights — every view stores its
 // Stats.
 //
 // By induction on v. At Join(L, R), with m_L over the PK table's rows and c
-// over the FK table's, an output tuple is an L tuple and an R tuple whose
-// foreign key names the L tuple's PK row: FK row f carries c(f)·m_L(fk(f))
-// output tuples, PK row p carries m_L(p)·c_R(p). A table deeper in one input
-// is counted by descending into that input again with the other side's
-// counts as a weight on the join's table there: tests, like weights,
-// restrict single tables, and L and R share none.
+// over the FK table's, a matched output tuple is an L tuple and an R tuple
+// whose foreign key names the L tuple's PK row: FK row f carries
+// c(f)·m_L(fk(f)) of them, PK row p m_L(p)·c_R(p); the tuples without a
+// partner, or kept for having one, add to that by the join's type. A table
+// deeper in one input is counted by descending into that input again with
+// the other side's counts as a weight on the join's table there: tests, like
+// weights, restrict single tables, and L and R share none.
 func (c *counter) countView(v *relalg.View, table string, ws []weight, record bool) (mult, error) {
 	if v.Kind != relalg.JoinView {
 		chain, ok := c.chains[v]
@@ -451,33 +635,10 @@ func (c *counter) countView(v *relalg.View, table string, ws []weight, record bo
 			}
 			c.chains[v] = chain
 		}
-		var mine []weight
-		for _, w := range ws {
-			if w.table == table {
-				mine = append(mine, w)
-			}
+		if len(ws) > 0 {
+			return c.weigh(chain, ws), nil
 		}
-		if len(mine) == 0 {
-			return chain, nil
-		}
-		out := mult{rows: make([]int32, 0, len(chain.rows)), cnt: make([]int64, 0, len(chain.rows))}
-		n, keys := c.e.block(0), c.e.block(1)
-		for lo := 0; lo < len(chain.rows); lo += blockRows {
-			rows := chain.rows[lo:min(lo+blockRows, len(chain.rows))]
-			for i := range rows {
-				n[i] = 1
-			}
-			for _, w := range mine {
-				w.scale(n, rows, keys)
-			}
-			for i, row := range rows {
-				if n[i] > 0 {
-					out.rows = append(out.rows, row)
-					out.cnt = append(out.cnt, n[i])
-				}
-			}
-		}
-		return out, nil
+		return chain, nil
 	}
 
 	e := c.e
@@ -494,12 +655,45 @@ func (c *counter) countView(v *relalg.View, table string, ws []weight, record bo
 	if err != nil {
 		return mult{}, fmt.Errorf("join %s: %w", spec, err)
 	}
-	nPK := pkTab.Rows()
-
-	l, err := c.count(left, spec.PKTable, ws, record)
-	if err != nil {
+	j := &joinCount{v: v, fk: fk, nPK: pkTab.Rows(), padL: 1, padR: 1}
+	for _, w := range ws {
+		if slices.Contains(viewTables(left), w.table) {
+			j.wsL, j.padL = append(j.wsL, w), j.padL*w.pad
+		} else {
+			j.wsR, j.padR = append(j.wsR, w), j.padR*w.pad
+		}
+	}
+	if j.l, err = c.count(left, spec.PKTable, j.wsL, record); err != nil {
 		return mult{}, err
 	}
+	if j.r, err = c.count(right, spec.FKTable, j.wsR, record); err != nil {
+		return mult{}, err
+	}
+	inLeft := table == spec.PKTable || slices.Contains(viewTables(left), table)
+	if spec.Type == relalg.EquiJoin {
+		return c.equiJoin(j, table, inLeft, record)
+	}
+	return c.otherJoin(j, table, inLeft, record)
+}
+
+// joinCount is one join's count in countView: the view, its foreign keys,
+// the PK table's size, the weights on each input and the product of their
+// pads, and the inputs counted per PK row (l) and per FK row (r).
+type joinCount struct {
+	v          *relalg.View
+	fk         *storage.Column
+	nPK        int
+	wsL, wsR   []weight
+	padL, padR int64
+	l, r       mult
+}
+
+// equiJoin finishes countView for an inner join: one pass over the FK side's
+// rows yields the cardinality, the matched PK rows and whatever table asks
+// for. No output tuple has a pad here that its inputs did not.
+func (c *counter) equiJoin(j *joinCount, table string, inLeft, record bool) (mult, error) {
+	e := c.e
+	v, spec, l, nPK := j.v, j.v.Join, j.l, j.nPK
 	// m_L: lSet marks the PK rows with a nonzero count, mL holds the counts
 	// unless every one is 1.
 	lSet := newBitset(nPK)
@@ -513,16 +707,10 @@ func (c *counter) countView(v *relalg.View, table string, ws []weight, record bo
 			mL[row] = l.cnt[i]
 		}
 	}
-	r, err := c.count(right, spec.FKTable, ws, record)
-	if err != nil {
-		return mult{}, err
-	}
-
 	toFK := table == spec.FKTable
-	inLeft := table == spec.PKTable || (table != "" && !toFK && slices.Contains(viewTables(left), table))
-	p := &probe{r: r, lSet: lSet, mL: mL, nPK: nPK, toFK: toFK}
+	p := &probe{r: j.r, lSet: lSet, mL: mL, nPK: nPK, toFK: toFK}
 	if toFK {
-		p.out = newMultOut(len(r.rows))
+		p.out = newMultOut(len(j.r.rows))
 	}
 	if inLeft {
 		p.cR = make([]int64, nPK)
@@ -530,15 +718,15 @@ func (c *counter) countView(v *relalg.View, table string, ws []weight, record bo
 	if record {
 		p.matched = newBitset(nPK)
 	}
-	switch fk.Width() {
+	switch j.fk.Width() {
 	case 1:
-		probeFK(p, storage.Values[uint8](fk))
+		probeFK(p, storage.Values[uint8](j.fk))
 	case 2:
-		probeFK(p, storage.Values[uint16](fk))
+		probeFK(p, storage.Values[uint16](j.fk))
 	case 4:
-		probeFK(p, storage.Values[uint32](fk))
+		probeFK(p, storage.Values[uint32](j.fk))
 	default:
-		probeFK(p, storage.Values[int64](fk))
+		probeFK(p, storage.Values[int64](j.fk))
 	}
 	card, out, cR, matched := p.card, p.out, p.cR, p.matched
 	if record {
@@ -560,7 +748,7 @@ func (c *counter) countView(v *relalg.View, table string, ws []weight, record bo
 		}
 		return out.m, nil
 	case inLeft:
-		return c.count(left, table, append(slices.Clip(ws), weight{table: spec.PKTable, val: cR}), false)
+		return c.count(v.Inputs[0], table, append(slices.Clip(j.wsL), weight{table: spec.PKTable, val: cR}), false)
 	}
 	if mL == nil {
 		mL = make([]int64, nPK)
@@ -568,11 +756,141 @@ func (c *counter) countView(v *relalg.View, table string, ws []weight, record bo
 			mL[row] = 1
 		}
 	}
-	return c.count(right, table, append(slices.Clip(ws), weight{table: spec.FKTable, fk: fk, val: mL}), false)
+	return c.count(v.Inputs[1], table, append(slices.Clip(j.wsR), weight{table: spec.FKTable, fk: j.fk, val: mL}), false)
 }
 
-// probe is one join's pass over its FK side in countView: the FK-side rows
-// and counts r, the PK-side rows with a nonzero count (lSet) and their
+// otherJoin finishes countView for an outer, semi or anti join. With m_L
+// and c_R dense over the PK rows, and the existence sets of the join's
+// unweighted count, every part of the output is a sum over the PK rows:
+//
+//	matched  Σ_p m_L(p)·c_R(p)
+//	ls       Σ_{p named on the right} m_L(p)      lu  |L| − ls
+//	rs       Σ_{p held on the left} c_R(p)        ru  |R| − rs
+//
+// times the pads of the weights on the other input, which a padded tuple
+// reads there.
+func (c *counter) otherJoin(j *joinCount, table string, inLeft, record bool) (mult, error) {
+	v, spec, l, r, nPK := j.v, j.v.Join, j.l, j.r, j.nPK
+	jp := partsOf[spec.Type]
+	mL := make([]int64, nPK)
+	for i, row := range l.rows {
+		mL[row] = l.at(i)
+	}
+	cR := make([]int64, nPK)
+	// An unweighted count finds the existence sets; a weighted one reads
+	// them.
+	var ex joinExist
+	var named bitset
+	if len(j.wsL)+len(j.wsR) == 0 {
+		ex = joinExist{l: newBitset(nPK), r: newBitset(nPK)}
+		for _, row := range l.rows {
+			ex.l.set(int(row))
+		}
+		named = ex.r
+	} else {
+		var err error
+		if ex, err = c.existence(v); err != nil {
+			return mult{}, err
+		}
+	}
+	switch j.fk.Width() {
+	case 1:
+		sumByKey(cR, named, r, storage.Values[uint8](j.fk))
+	case 2:
+		sumByKey(cR, named, r, storage.Values[uint16](j.fk))
+	case 4:
+		sumByKey(cR, named, r, storage.Values[uint32](j.fk))
+	default:
+		sumByKey(cR, named, r, storage.Values[int64](j.fk))
+	}
+	if named != nil {
+		c.exist[v] = ex
+	}
+	var matched, ls, rs int64
+	for p := range nPK {
+		matched += mL[p] * cR[p]
+		if ex.r.test(p) {
+			ls += mL[p]
+		}
+		if ex.l.test(p) {
+			rs += cR[p]
+		}
+	}
+	lu, ru := j.padR*(l.total()-ls), j.padL*(r.total()-rs)
+	ls, rs = j.padR*ls, j.padL*rs
+	card := if1(jp.m, matched) + if1(jp.lu, lu) + if1(jp.ls, ls) + if1(jp.ru, ru) + if1(jp.rs, rs)
+	if record {
+		jdc := 0
+		for i, w := range ex.l {
+			jdc += bits.OnesCount64(w & ex.r[i])
+		}
+		c.e.m.opRows[relalg.JoinView].Observe(card)
+		c.res.Stats[v] = Stats{Card: card, JCC: matched, JDC: int64(jdc)}
+	}
+
+	switch {
+	case inLeft && jp.keepsLeft():
+		// An L tuple with PK row p appears once per partner (m), or once
+		// padded if it has none (lu) or some (ls).
+		w := weight{table: spec.PKTable, val: make([]int64, nPK), pad: if1(jp.lu, j.padR)}
+		for p := range nPK {
+			w.val[p] = if1(jp.m, cR[p])
+			if ex.r.test(p) {
+				w.val[p] += if1(jp.ls, j.padR)
+			} else {
+				w.val[p] += if1(jp.lu, j.padR)
+			}
+		}
+		out, err := c.weighed(v.Inputs[0], table, j.l, j.wsL, w)
+		out.null += if1(jp.ru, ru) + if1(jp.rs, rs)
+		return out, err
+	case table != "" && !inLeft && jp.keepsRight():
+		// An R tuple whose key names p appears once per partner (m), or
+		// once padded if p has some (rs); one without a partner, once
+		// padded (ru).
+		w := weight{table: spec.FKTable, fk: j.fk, val: make([]int64, nPK), pad: if1(jp.ru, j.padL)}
+		for p := range nPK {
+			if ex.l.test(p) {
+				w.val[p] = if1(jp.m, mL[p]) + if1(jp.rs, j.padL)
+			} else {
+				w.val[p] = w.pad
+			}
+		}
+		out, err := c.weighed(v.Inputs[1], table, j.r, j.wsR, w)
+		out.null += if1(jp.lu, lu) + if1(jp.ls, ls)
+		return out, err
+	}
+	return mult{null: card}, nil
+}
+
+// weighed counts input in per row of table under its weights ws and one
+// more, w, on the join's own table there, whose count m is already at hand.
+func (c *counter) weighed(in *relalg.View, table string, m mult, ws []weight, w weight) (mult, error) {
+	if table == w.table {
+		return c.weigh(m, []weight{w}), nil
+	}
+	return c.count(in, table, append(slices.Clip(ws), w), false)
+}
+
+// sumByKey adds every FK-side row's count to cR at the PK row its foreign key
+// names, and marks that row in named (when non-nil). NULL, < 1 and > nPK
+// keys name nothing: probeBucket's rule.
+func sumByKey[T storage.Elem](cR []int64, named bitset, r mult, fk []T) {
+	nPK := uint64(len(cR))
+	for i, row := range r.rows {
+		k := int64(fk[row]) - 1
+		if uint64(k) >= nPK {
+			continue
+		}
+		cR[k] += r.at(i)
+		if named != nil {
+			named.set(int(k))
+		}
+	}
+}
+
+// probe is one inner join's pass over its FK side in equiJoin: the FK-side
+// rows and counts r, the PK-side rows with a nonzero count (lSet) and their
 // counts (mL, nil when all are 1), and what the pass produces — the join's
 // cardinality, its matched PK rows (when recording), the output counted per
 // FK row (toFK) and the FK-side count per PK row (cR, when wanted).
@@ -621,54 +939,98 @@ func probeFK[T storage.Elem](p *probe, fk []T) {
 	p.card = card
 }
 
-// groups counts the distinct grouping keys over the rows of the aggregate's
-// key table: each grouping column is read through the joins of its path from
-// the row, and the values fold into a groupKey exactly as aggregate folds
-// them, so a hash collision merges the same groups on both paths. The rows
-// are read a block at a time: every foreign key on a path is gathered for
-// the block's rows and turned into the next table's rows, then the grouping
-// column for those.
-func (c *counter) groups(groupBy []string, paths [][]*relalg.JoinSpec, rows []int32) (int64, error) {
+// groups counts the distinct grouping keys of the output tuples, given the
+// aggregate's key table counted per row (m): each grouping column is read
+// through the joins of its path from the row, and the values fold into a
+// groupKey exactly as aggregate folds them, so a hash collision merges the
+// same groups on both paths. Past a right or full outer join, a row whose
+// key names a PK row no left tuple holds has that PK table as a pad, and the
+// rest of its path reads NULL, as it reads on a pad; so do the columns of
+// tables a semi or anti join drops (g.null). A tuple with the key table a pad
+// has every grouped table a pad (padsApart) and groups as all NULLs. The
+// rows are read a block at a time: every foreign key on a path is
+// gathered for the block's rows and turned into the next table's rows, then
+// the grouping column for those.
+func (c *counter) groups(groupBy []string, g groupPlan, m mult) (int64, error) {
 	e := c.e
+	type hop struct {
+		fk   *storage.Column
+		n    int64
+		held bitset // the PK rows a pad does not replace; nil: all
+	}
 	type groupCol struct {
-		fks  []*storage.Column
+		hops []hop
 		vals *storage.Column
 	}
 	cols := make([]groupCol, len(groupBy))
-	for gi, g := range groupBy {
-		for _, j := range paths[gi] {
-			t, err := e.db.Lookup(j.FKTable)
-			if err != nil {
-				return 0, err
-			}
-			fk, err := e.columnData(t, j.FKCol)
-			if err != nil {
-				return 0, err
-			}
-			cols[gi].fks = append(cols[gi].fks, fk)
+	for gi, col := range groupBy {
+		if g.null[gi] {
+			continue
 		}
-		t, err := e.db.Lookup(e.owner[g])
+		for _, j := range g.paths[gi] {
+			spec := j.Join
+			t, err := e.db.Lookup(spec.FKTable)
+			if err != nil {
+				return 0, err
+			}
+			fk, err := e.columnData(t, spec.FKCol)
+			if err != nil {
+				return 0, err
+			}
+			pk, err := e.db.Lookup(spec.PKTable)
+			if err != nil {
+				return 0, err
+			}
+			h := hop{fk: fk, n: int64(pk.Rows())}
+			if partsOf[spec.Type].ru {
+				ex, err := c.existence(j)
+				if err != nil {
+					return 0, err
+				}
+				h.held = ex.l
+			}
+			cols[gi].hops = append(cols[gi].hops, h)
+		}
+		t, err := e.db.Lookup(e.owner[col])
 		if err != nil {
 			return 0, err
 		}
-		vals, err := e.columnData(t, g)
+		vals, err := e.columnData(t, col)
 		if err != nil {
-			return 0, fmt.Errorf("aggregate by %s: %w", g, err)
+			return 0, fmt.Errorf("aggregate by %s: %w", col, err)
 		}
 		cols[gi].vals = vals
 	}
 	keys := make(map[groupKey]struct{})
+	if m.null > 0 {
+		k := groupKey{a: storage.Null}
+		for range cols[1:] {
+			k = k.fold(storage.Null)
+		}
+		keys[k] = struct{}{}
+	}
+	rows := m.rows
 	next := make([]int32, blockRows)
-	hop := e.block(len(cols))
+	hops := e.block(len(cols))
 	for lo := 0; lo < len(rows); lo += blockRows {
 		blk := rows[lo:min(lo+blockRows, len(rows))]
 		for gi, col := range cols {
+			if col.vals == nil {
+				vals := e.block(gi)[:len(blk)]
+				for i := range vals {
+					vals[i] = storage.Null
+				}
+				continue
+			}
 			at := blk
-			for _, fk := range col.fks {
-				fk.Gather(hop, at)
+			for _, h := range col.hops {
+				h.fk.Gather(hops, at)
 				at = next[:len(blk)]
-				for i, k := range hop[:len(blk)] {
-					at[i] = int32(k - 1)
+				for i, k := range hops[:len(blk)] {
+					at[i] = nullRow
+					if k >= 1 && k <= h.n && (h.held == nil || h.held.test(int(k-1))) {
+						at[i] = int32(k - 1)
+					}
 				}
 			}
 			col.vals.Gather(e.block(gi), at)

@@ -7,6 +7,7 @@ package engine
 // does, on classic and windowed engines alike.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -67,8 +68,10 @@ func checkCountAgainstExecute(t *testing.T, name string, oracle *Engine, engines
 	q.Root.Walk(func(v *relalg.View) { views = append(views, v) })
 	check := func(how string, got *Result, root *relalg.View) {
 		t.Helper()
-		if len(got.Stats) != len(want.Stats) {
-			t.Errorf("%s %s: %d views counted, Execute %d", name, how, len(got.Stats), len(want.Stats))
+		distinct := make(map[*relalg.View]bool)
+		root.Walk(func(v *relalg.View) { distinct[v] = true })
+		if len(got.Stats) != len(distinct) {
+			t.Errorf("%s %s: %d views counted, %d in the tree", name, how, len(got.Stats), len(distinct))
 		}
 		i := 0
 		root.Walk(func(v *relalg.View) {
@@ -79,7 +82,7 @@ func checkCountAgainstExecute(t *testing.T, name string, oracle *Engine, engines
 		})
 	}
 	for ename, eng := range engines {
-		got, err := eng.Count(q, false, nil)
+		got, err := eng.Count(context.Background(), q, false, nil)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", name, ename, err)
 		}
@@ -88,28 +91,49 @@ func checkCountAgainstExecute(t *testing.T, name string, oracle *Engine, engines
 		if memo == nil {
 			continue
 		}
-		if got, err = eng.Count(q, false, memo); err != nil {
+		if got, err = eng.Count(context.Background(), q, false, memo); err != nil {
 			t.Fatalf("%s on %s: %v", name, ename, err)
 		}
 		check("through the memo on "+ename, got, q.Root)
 		clone := &relalg.AQT{Name: q.Name, Root: relalg.CloneViewShared(q.Root)}
-		if got, err = eng.Count(clone, false, memo); err != nil {
+		if got, err = eng.Count(context.Background(), clone, false, memo); err != nil {
 			t.Fatalf("%s on %s: %v", name, ename, err)
 		}
 		check("copy through the memo on "+ename, got, clone.Root)
 	}
 }
 
+// randMulti bundles 2–3 random trees of any join type under a MultiView,
+// each bare or wrapped; one time in three a later tree wraps the first one's
+// core again, so the inputs share views as a parsed template's do.
+func (rs *randSchema) randMulti(rng *rand.Rand) *relalg.View {
+	first := rs.randJoinTree(rng, rs.randTables(rng), true)
+	multi := &relalg.View{Kind: relalg.MultiView, Card: relalg.CardUnknown}
+	for i := 2 + rng.Intn(2); i > 0; i-- {
+		core := first
+		if len(multi.Inputs) > 0 && rng.Intn(3) != 0 {
+			core = rs.randJoinTree(rng, rs.randTables(rng), true)
+		}
+		if rng.Intn(4) != 0 {
+			core = rs.randWrap(rng, core)
+		}
+		multi.Inputs = append(multi.Inputs, core)
+	}
+	return multi
+}
+
 // TestCountMatchesExecute is the counting path's property test, over
 // TestReductionMatchesCollectRows's generator: star, chain and snowflake
 // schemas with flipped references; NULL, 0, nPK+1 and nPK+65 536 foreign
-// keys; columns stored at every width; empty tables; join trees of depth 1–4, bare or wrapped; counted alone and through
-// a memo. It also checks the trees took the counting path: every bare tree and every projection, and the
-// aggregates whose grouped tables a single table reaches.
+// keys; columns stored at every width; empty tables; join trees of depth 1–4
+// whose joins are of all eight types, bare, wrapped or bundled under a
+// MultiView; counted alone and through a memo. It also checks the trees took
+// the counting path: all but the grouped aggregates whose grouped tables no
+// single table determines, and at least 90 % of all trees.
 func TestCountMatchesExecute(t *testing.T) {
-	var counted, grouped, multiTable, evaluated int
+	var counted, grouped, multiTable, multis, evaluated int
 	widths := make(map[relalg.ColKind]map[int]int)
-	for seed := int64(1); seed <= 60; seed++ {
+	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rs := newRandSchema(rng)
 		engines := reductionEngines(t, rs)
@@ -118,25 +142,37 @@ func TestCountMatchesExecute(t *testing.T) {
 		for ename := range engines {
 			memos[ename] = &CountMemo{}
 		}
-		for k := 0; k < 6; k++ {
-			core := rs.randJoinTree(rng, rs.randTables(rng))
-			root := core
-			if k > 0 {
-				root = rs.randWrap(rng, core)
-			}
-			p := engines["classic"].countPlan(root)
+		for k := 0; k < 8; k++ {
+			var root *relalg.View
 			switch {
-			case p != nil:
+			case k == 0:
+				root = rs.randJoinTree(rng, rs.randTables(rng), true)
+			case k >= 6:
+				root = rs.randMulti(rng)
+			default:
+				root = rs.randWrap(rng, rs.randJoinTree(rng, rs.randTables(rng), true))
+			}
+			trees := []*relalg.View{root}
+			if root.Kind == relalg.MultiView {
+				trees = root.Inputs
+			}
+			plans := engines["classic"].countPlans(root)
+			switch {
+			case plans != nil:
 				counted++
-			case root.Kind != relalg.AggView:
+				multis += len(trees) - 1
+			case !slices.ContainsFunc(trees, func(v *relalg.View) bool { return v.Kind == relalg.AggView && len(v.GroupBy) > 0 }):
 				t.Fatalf("seed %d view %d: no counting plan for\n%s", seed, k, root.Format())
 			default:
 				evaluated++
 			}
-			if p != nil && root.Kind == relalg.AggView && len(root.GroupBy) > 0 {
+			for _, v := range trees {
+				if plans == nil || v.Kind != relalg.AggView || len(v.GroupBy) == 0 {
+					continue
+				}
 				grouped++
 				owners := make(map[string]bool)
-				for _, g := range root.GroupBy {
+				for _, g := range v.GroupBy {
 					owners[engines["classic"].owner[g]] = true
 				}
 				if len(owners) > 1 {
@@ -147,9 +183,13 @@ func TestCountMatchesExecute(t *testing.T) {
 			checkCountAgainstExecute(t, q.Name, engines["classic"], engines, memos, q)
 		}
 	}
-	t.Logf("%d trees counted (%d grouped, %d over several tables), %d evaluated", counted, grouped, multiTable, evaluated)
+	t.Logf("%d trees counted (%d grouped, %d over several tables, %d MultiViews' extra inputs), %d evaluated",
+		counted, grouped, multiTable, multis, evaluated)
 	if grouped < 50 || multiTable < 10 {
 		t.Errorf("only %d grouped aggregates counted, %d over several tables", grouped, multiTable)
+	}
+	if 10*counted < 9*(counted+evaluated) {
+		t.Errorf("%d of %d trees counted, want at least 90 %%", counted, counted+evaluated)
 	}
 	checkWidths(t, widths)
 }
@@ -184,11 +224,13 @@ func vDB(t *testing.T) *storage.DB {
 }
 
 // TestCountFallsBack runs one template of each shape Count does not count —
-// an outer, a semi and an anti join, a selection over a join, a MultiView, a
-// table under both inputs of a join, and an aggregate whose grouped tables no
-// single table reaches along foreign keys — and checks each is evaluated
-// (engine_count_materialized_total counts it) with Execute's Stats, while a
-// counted template beside them is not.
+// a selection over a join, a table under both inputs of a join, an aggregate
+// whose grouped tables no single table reaches along foreign keys, and one
+// grouping by both inputs of a left or full outer join, whose padded tuples
+// no single table determines — and checks each is evaluated
+// (engine_count_materialized_total counts it) with Execute's Stats, while
+// the counted templates beside them — outer, semi and anti joins and a
+// MultiView among them — are not.
 func TestCountFallsBack(t *testing.T) {
 	selS := func() *relalg.View { return sel(leaf("s"), unary("s1", relalg.OpLt, pv("p1", 4))) }
 	selT := func() *relalg.View { return sel(leaf("t"), unary("t1", relalg.OpGt, pv("p2", 2))) }
@@ -203,14 +245,20 @@ func TestCountFallsBack(t *testing.T) {
 		v     bool // over vDB instead of paperDB
 		count bool
 	}{
-		{"left outer join", agg(inner(relalg.LeftOuterJoin), "s1"), false, false},
-		{"right semi join", proj(inner(relalg.RightSemiJoin), "t", "t_fk"), false, false},
-		{"left anti join", inner(relalg.LeftAntiJoin), false, false},
 		{"selection over a join", agg(sel(inner(relalg.EquiJoin), unary("s1", relalg.OpGt, pv("p3", 1)))), false, false},
-		{"multi view", multi, false, false},
 		{"table under both inputs", join(relalg.EquiJoin, "s", inner(relalg.EquiJoin), selT(), "t", "t_fk"), false, false},
 		{"no table reaches every grouped table", agg(vJoin(), "a1", "b1"), true, false},
+		{"grouped by both inputs of a left outer join", agg(inner(relalg.LeftOuterJoin), "s1", "t2"), false, false},
+		{"grouped by both inputs of a full outer join", agg(inner(relalg.FullOuterJoin), "t2", "s1"), false, false},
+		{"counted: left outer join", agg(inner(relalg.LeftOuterJoin), "s1"), false, true},
+		{"counted: right outer join grouped by both inputs", agg(inner(relalg.RightOuterJoin), "s1", "t2"), false, true},
+		{"counted: right semi join", proj(inner(relalg.RightSemiJoin), "t", "t_fk"), false, true},
+		{"counted: left anti join", inner(relalg.LeftAntiJoin), false, true},
+		{"counted: grouped by the table a left semi join drops", agg(inner(relalg.LeftSemiJoin), "s1", "t2"), false, true},
+		{"counted: multi view", multi, false, true},
 		{"counted: one grouped table reached from each side", agg(vJoin(), "a1", "c_pk"), true, true},
+		{"counted: a join over a left semi join", join(relalg.EquiJoin, "c",
+			join(relalg.LeftSemiJoin, "c", leaf("c"), leaf("a"), "a", "a_fk"), leaf("b"), "b", "b_fk"), true, true},
 		{"counted: aggregate over a projection", agg(proj(inner(relalg.EquiJoin), "t", "t_fk"), "s1", "t2"), false, true},
 	}
 	for _, tc := range cases {
@@ -271,7 +319,7 @@ func TestCountMemoReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Count(copied, false, memo)
+		got, err := eng.Count(context.Background(), copied, false, memo)
 		if err != nil {
 			t.Fatal(err)
 		}

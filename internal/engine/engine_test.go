@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"github.com/dbhammer/mirage/internal/relalg"
@@ -173,7 +174,7 @@ func TestNullPadSatisfiesNoComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counted, err := e.Count(q, false, nil)
+	counted, err := e.Count(context.Background(), q, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

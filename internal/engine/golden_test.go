@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -52,7 +53,7 @@ func executeGolden(t *testing.T, name string, count bool) []queryStats {
 	for _, q := range templates {
 		run := eng.Execute
 		if count {
-			run = func(q *relalg.AQT, orig bool) (*Result, error) { return eng.Count(q, orig, nil) }
+			run = func(q *relalg.AQT, orig bool) (*Result, error) { return eng.Count(context.Background(), q, orig, nil) }
 		}
 		res, err := run(q, true)
 		if err != nil {

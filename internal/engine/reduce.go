@@ -28,7 +28,12 @@ import (
 // table once. Anything else — an outer, semi or anti join, a selection over a
 // join output, a projection, a table under both inputs of a join — has to be
 // evaluated.
-func reducible(v *relalg.View) bool {
+func reducible(v *relalg.View) bool { return joinTree(v, true) }
+
+// joinTree reports whether v is built from selection chains over leaves and
+// joins — equi-joins only, with equiOnly — each base table once: the cores
+// the reduction (equi-joins) and Count (every join type) answer.
+func joinTree(v *relalg.View, equiOnly bool) bool {
 	var tables []string
 	var walk func(v *relalg.View) bool
 	walk = func(v *relalg.View) bool {
@@ -39,8 +44,9 @@ func reducible(v *relalg.View) bool {
 			tables = append(tables, leaf.Table)
 			return true
 		}
-		return v.Kind == relalg.JoinView && v.Join.Type == relalg.EquiJoin &&
-			len(v.Inputs) == 2 && walk(v.Inputs[0]) && walk(v.Inputs[1])
+		return v.Kind == relalg.JoinView && len(v.Inputs) == 2 &&
+			(v.Join.Type == relalg.EquiJoin || !equiOnly && v.Join.Type <= relalg.RightAntiJoin && v.Join.Type >= 0) &&
+			walk(v.Inputs[0]) && walk(v.Inputs[1])
 	}
 	return walk(v)
 }

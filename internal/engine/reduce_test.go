@@ -161,10 +161,11 @@ func (rs *randSchema) randChain(rng *rand.Rand, i int) *relalg.View {
 	return v
 }
 
-// randJoinTree builds a random equi-join tree over the connected table set
+// randJoinTree builds a random join tree over the connected table set
 // tables: pick one of the references inside the set, split the set at it,
 // and join the PK side's tree with the FK side's. A single table is a chain.
-func (rs *randSchema) randJoinTree(rng *rand.Rand, tables []int) *relalg.View {
+// The joins are equi-joins, or with anyType set, of any of the eight types.
+func (rs *randSchema) randJoinTree(rng *rand.Rand, tables []int, anyType bool) *relalg.View {
 	if len(tables) == 1 {
 		return rs.randChain(rng, tables[0])
 	}
@@ -200,8 +201,12 @@ func (rs *randSchema) randJoinTree(rng *rand.Rand, tables []int) *relalg.View {
 			other = append(other, t)
 		}
 	}
-	return join(relalg.EquiJoin, tableName(cut.parent), rs.randJoinTree(rng, side),
-		rs.randJoinTree(rng, other), tableName(cut.child), cut.col)
+	jt := relalg.EquiJoin
+	if anyType {
+		jt = relalg.JoinType(rng.Intn(int(relalg.RightAntiJoin) + 1))
+	}
+	return join(jt, tableName(cut.parent), rs.randJoinTree(rng, side, anyType),
+		rs.randJoinTree(rng, other, anyType), tableName(cut.child), cut.col)
 }
 
 // randTables draws a connected set of 2–5 tables (so a tree over it is 1–4
@@ -315,7 +320,7 @@ func TestReductionMatchesCollectRows(t *testing.T) {
 		engines := reductionEngines(t, rs)
 		countWidths(widths, engines["classic"].db)
 		for k := 0; k < 4; k++ {
-			v := rs.randJoinTree(rng, rs.randTables(rng))
+			v := rs.randJoinTree(rng, rs.randTables(rng), false)
 			if !reducible(v) {
 				t.Fatalf("seed %d view %d: generated tree is not reducible:\n%s", seed, k, v.Format())
 			}

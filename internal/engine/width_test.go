@@ -37,7 +37,7 @@ func TestCollectRowSetsWidthInvariant(t *testing.T) {
 		rs := newRandSchema(rng)
 		var reqs []RowSetRequest
 		for k := 0; k < 3; k++ {
-			v := rs.randJoinTree(rng, rs.randTables(rng))
+			v := rs.randJoinTree(rng, rs.randTables(rng), false)
 			for _, table := range viewTables(v) {
 				reqs = append(reqs, RowSetRequest{View: v, Table: table})
 			}

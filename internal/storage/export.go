@@ -228,12 +228,18 @@ func ExportCSV(w io.Writer, t *TableData, codecs CodecSet) error {
 	return nil
 }
 
-// ExportDir writes every table of a materialized database as
+// ExportDir is ExportDirCtx without a context.
+func ExportDir(dir string, db *DB, codecs CodecSet) error {
+	return ExportDirCtx(context.Background(), dir, db, codecs)
+}
+
+// ExportDirCtx writes every table of a materialized database as
 // <dir>/<table>.csv, in deterministic (sorted) table order, through the same
 // DirSink protocol streamed runs use: each file lands as .tmp, is fsynced and
 // renamed on success and removed on failure. The first failure aborts the
-// export, wrapped with the table it occurred in.
-func ExportDir(dir string, db *DB, codecs CodecSet) error {
+// export, wrapped with the table it occurred in; a cancelled ctx is one, at
+// the next shard of the table in flight.
+func ExportDirCtx(ctx context.Context, dir string, db *DB, codecs CodecSet) error {
 	sink := &DirSink{Dir: dir}
 	names := make([]string, 0, len(db.Tables))
 	for name := range db.Tables {
@@ -241,7 +247,7 @@ func ExportDir(dir string, db *DB, codecs CodecSet) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if _, err := StreamTable(context.TODO(), sink, TableSource(db.Tables[name]), codecs, db.Schema, exportChunkRows, 0, nil); err != nil {
+		if _, err := StreamTable(ctx, sink, TableSource(db.Tables[name]), codecs, db.Schema, exportChunkRows, 0, nil); err != nil {
 			return fmt.Errorf("storage: export %s: %w", name, err)
 		}
 	}

@@ -8,6 +8,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/dbhammer/mirage/internal/engine"
@@ -38,18 +39,29 @@ func New(db *storage.DB) (*Annotator, error) {
 // route its telemetry (engine.Engine.SetRegistry).
 func (a *Annotator) Engine() *engine.Engine { return a.eng }
 
-// AnnotateAQT counts the template with its original parameter values
-// (engine.Count: no join is materialized where per-row multiplicities
-// suffice) and writes the observed cardinality constraints onto every view.
+// AnnotateAQT is AnnotateAQTCtx without a context.
 func (a *Annotator) AnnotateAQT(q *relalg.AQT) error {
-	a.last, a.memo = q, &engine.CountMemo{}
-	return a.annotate(q, a.memo)
+	return a.AnnotateAQTCtx(context.Background(), q)
 }
 
-// AnnotateForest labels every tree of a rewritten generation forest. Counting
-// reuses what annotating the forest's template left, when that was the last
-// template this annotator annotated.
+// AnnotateAQTCtx counts the template with its original parameter values
+// (engine.Count: no join is materialized where per-row multiplicities
+// suffice) and writes the observed cardinality constraints onto every view.
+// The count's table passes stop once ctx is done.
+func (a *Annotator) AnnotateAQTCtx(ctx context.Context, q *relalg.AQT) error {
+	a.last, a.memo = q, &engine.CountMemo{}
+	return a.annotate(ctx, q, a.memo)
+}
+
+// AnnotateForest is AnnotateForestCtx without a context.
 func (a *Annotator) AnnotateForest(f *rewrite.Forest) error {
+	return a.AnnotateForestCtx(context.Background(), f)
+}
+
+// AnnotateForestCtx labels every tree of a rewritten generation forest.
+// Counting reuses what annotating the forest's template left, when that was
+// the last template this annotator annotated.
+func (a *Annotator) AnnotateForestCtx(ctx context.Context, f *rewrite.Forest) error {
 	memo := a.memo
 	if f.Query != a.last {
 		memo = &engine.CountMemo{}
@@ -57,15 +69,15 @@ func (a *Annotator) AnnotateForest(f *rewrite.Forest) error {
 	a.last, a.memo = nil, nil
 	for i, tree := range f.Trees {
 		q := &relalg.AQT{Name: fmt.Sprintf("%s#%d", f.Query.Name, i), Root: tree}
-		if err := a.annotate(q, memo); err != nil {
+		if err := a.annotate(ctx, q, memo); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (a *Annotator) annotate(q *relalg.AQT, memo *engine.CountMemo) error {
-	res, err := a.eng.Count(q, true, memo)
+func (a *Annotator) annotate(ctx context.Context, q *relalg.AQT, memo *engine.CountMemo) error {
+	res, err := a.eng.Count(ctx, q, true, memo)
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}

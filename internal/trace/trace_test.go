@@ -1,12 +1,17 @@
 package trace
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
+	"github.com/dbhammer/mirage/internal/engine"
+	"github.com/dbhammer/mirage/internal/obs"
 	"github.com/dbhammer/mirage/internal/relalg"
 	"github.com/dbhammer/mirage/internal/rewrite"
 	"github.com/dbhammer/mirage/internal/sqlparse"
 	"github.com/dbhammer/mirage/internal/testutil"
+	"github.com/dbhammer/mirage/internal/workload"
 )
 
 func parseWorkload(t *testing.T) []*relalg.AQT {
@@ -137,5 +142,72 @@ func TestAnnotateAntiJoinDerivesJDC(t *testing.T) {
 	// Left anti output = |S| - jdc = 4 - 2 = 2; constraint jdc = |S| - card.
 	if j.Card != 2 || j.JDC != 2 {
 		t.Fatalf("anti join annotation = card %d jdc %d, want 2/2", j.Card, j.JDC)
+	}
+}
+
+// TestCountMatchesExecuteOnWorkloads holds every tree annotation counts on
+// SSB, TPC-H (q19 included) and TPC-DS — templates and rewritten forests —
+// to Execute, view by view, and checks that only q19's template, a
+// selection over a join, leaves the counting path.
+func TestCountMatchesExecuteOnWorkloads(t *testing.T) {
+	for _, wl := range []struct {
+		name string
+		sf   float64
+	}{{"ssb", 0.2}, {"tpch", 0.3}, {"tpcds", 0.05}} {
+		spec, err := workload.ByName(wl.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schema, db, templates, err := workload.Materialize(spec, wl.sf, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := New(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		eng, err := engine.New(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetRegistry(reg)
+		rw := rewrite.New(schema)
+		check := func(q *relalg.AQT) {
+			t.Helper()
+			got, err := eng.Count(context.Background(), q, true, nil)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", wl.name, q.Name, err)
+			}
+			want, err := eng.Execute(q, true)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", wl.name, q.Name, err)
+			}
+			q.Root.Walk(func(v *relalg.View) {
+				if got.Stats[v] != want.Stats[v] {
+					t.Errorf("%s/%s: %s counted %+v, Execute %+v", wl.name, q.Name, v, got.Stats[v], want.Stats[v])
+				}
+			})
+		}
+		for _, q := range templates {
+			if err := a.AnnotateAQT(q); err != nil {
+				t.Fatal(err)
+			}
+			check(q)
+			f, err := rw.Rewrite(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tree := range f.Trees {
+				check(&relalg.AQT{Name: fmt.Sprintf("%s#%d", q.Name, i), Root: tree})
+			}
+		}
+		want := int64(0)
+		if wl.name == "tpch" {
+			want = 1
+		}
+		if n := reg.Snapshot().Counters["engine_count_materialized_total"]; n != want {
+			t.Errorf("%s: %d trees evaluated, want %d", wl.name, n, want)
+		}
 	}
 }

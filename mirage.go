@@ -141,14 +141,14 @@ func BuildProblemCtx(ctx context.Context, original *storage.DB, w *Workload) (*P
 		}
 		defer tSpan.End()
 		ann := anns[worker]
-		if err := ann.AnnotateAQT(q); err != nil {
+		if err := ann.AnnotateAQTCtx(ctx, q); err != nil {
 			return fmt.Errorf("annotate %s: %w", q.Name, err)
 		}
 		f, err := rw.Rewrite(q)
 		if err != nil {
 			return err
 		}
-		if err := ann.AnnotateForest(f); err != nil {
+		if err := ann.AnnotateForestCtx(ctx, f); err != nil {
 			return fmt.Errorf("annotate forest %s: %w", q.Name, err)
 		}
 		forests[qi] = f

@@ -271,6 +271,36 @@ func TestExportCSVDirFaultLeavesNoTornFile(t *testing.T) {
 	}
 }
 
+// TestExportCSVDirCancel cancels the in-memory export at lineorder's second
+// shard: the export returns the context's error, and lineorder leaves
+// neither a final nor a temp file behind.
+func TestExportCSVDirCancel(t *testing.T) {
+	prob := streamProblem(t, "ssb", 0.5)
+	res, err := Generate(prob, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	in := faultinject.New(faultinject.Rule{Stage: "export/shard", Item: 1, Action: faultinject.Cancel})
+	in.BindCancel(cancel)
+	defer faultinject.Activate(in)()
+
+	dir := t.TempDir()
+	err = ExportCSVDirCtx(ctx, dir, res.DB, prob.Workload.Codecs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want wrapped context.Canceled", err)
+	}
+	if got := in.Fired(); len(got) != 1 {
+		t.Fatalf("Fired() = %v, want the one cancel", got)
+	}
+	for _, name := range []string{"lineorder.csv", "lineorder.csv.tmp"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s survived the cancelled export (stat err = %v)", name, err)
+		}
+	}
+}
+
 // residentColumns returns the columns a database holds in memory, by table,
 // and their total cell count (Σ len(Col), as the benchmark's
 // nonkey.retained_cells counts it).
