@@ -35,10 +35,15 @@ func InstantiateACCs(cfg Config, tp *TablePlan, data *storage.TableData) error {
 		if err != nil {
 			return err
 		}
-		vals := make([]int64, len(sample))
-		for j := range sample {
-			vals[j] = expr.EvalRow(int32(j))
+		// The buffers hold the sampled rows at positions 0..len(sample)-1;
+		// the row numbers, gathered already, are overwritten with those
+		// positions.
+		pos := sample
+		for j := range pos {
+			pos[j] = int32(j)
 		}
+		vals := make([]int64, len(pos))
+		expr.EvalBatch(vals, pos)
 		slices.Sort(vals)
 		tp.Stats.SampleTime += time.Since(start)
 

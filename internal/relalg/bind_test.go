@@ -85,13 +85,66 @@ func bindTestPreds() []Predicate {
 	}
 }
 
+// bindSweepPreds draws every comparator at selectivities near 0, 50 and
+// 100 % over columns holding 0..9 (scalar parameters 0, 5 and 9 on a, -9, 0
+// and 9 on a-b), IN lists of both kinds — dense ones, more than four values
+// over a narrow span (a bitset), and sparse ones, short or spread wider than
+// maxSetSpan (ORed) — and arithmetic whose batch path meets NULL operands
+// (the padded layout's pads, a NULL literal) and division by zero.
+func bindSweepPreds() []Predicate {
+	p := func(v int64) *Param { return &Param{ID: "p", Orig: v, Value: v, Instantiated: true} }
+	plist := func(vs ...int64) *Param { return &Param{ID: "p", OrigList: vs, List: vs, Instantiated: true} }
+	a, b := ColRef{Col: "a"}, ColRef{Col: "b"}
+	sub := BinExpr{Op: Sub, L: a, R: b}
+	var preds []Predicate
+	for op := OpEq; op <= OpGe; op++ {
+		for _, v := range []int64{0, 5, 9} {
+			preds = append(preds, &UnaryPred{Col: "a", Op: op, P: p(v)})
+		}
+		for _, v := range []int64{-9, 0, 9} {
+			preds = append(preds, &ArithPred{Expr: sub, Op: op, P: p(v)})
+		}
+	}
+	lists := [][]int64{
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},             // dense, every value
+		{0, 2, 4, 6, 8, NullValue},                 // dense, half
+		{11, 12, 13, 14, 15},                       // dense, none present
+		{3 << 20, 2, 4, -(3 << 20), 6, 8},          // sparse, half
+		{-5_000_000, 11, 3 << 20, 99, 12, 1 << 40}, // sparse, none present
+		{1, 3, 5, 7},                               // short, every value present
+		{9},                                        // short
+		{NullValue},                                // NULL alone
+		{},                                         // empty
+	}
+	for _, l := range lists {
+		for _, op := range []CompareOp{OpIn, OpNotIn, OpLike, OpNotLike} {
+			preds = append(preds, &UnaryPred{Col: "b", Op: op, P: plist(l...)})
+		}
+	}
+	exprs := []ArithExpr{
+		BinExpr{Op: Div, L: a, R: BinExpr{Op: Sub, L: b, R: b}},                                                        // always / 0
+		BinExpr{Op: Div, L: BinExpr{Op: Mul, L: a, R: ConstExpr{V: 7}}, R: BinExpr{Op: Sub, L: b, R: ConstExpr{V: 4}}}, // / 0 where b = 4
+		BinExpr{Op: Add, L: a, R: ConstExpr{V: NullValue}},                                                             // NULL literal
+		BinExpr{Op: Sub, L: BinExpr{Op: Mul, L: a, R: b}, R: BinExpr{Op: Div, L: b, R: a}},
+	}
+	for _, e := range exprs {
+		for _, op := range []CompareOp{OpEq, OpNe, OpLt, OpGe} {
+			for _, v := range []int64{-1, 0, 9} {
+				preds = append(preds, &ArithPred{Expr: e, Op: op, P: p(v)})
+			}
+		}
+	}
+	return preds
+}
+
 // TestBoundMatchesEvalPred is the differential test anchoring the batch path
 // to the row-at-a-time oracle: for every predicate shape and both layouts
 // (identity, and buffers gathered through a padded indirection), FilterBatch
 // must keep exactly the positions EvalPred accepts, and EvalRow must agree
-// position-wise.
+// position-wise. The sweep (bindSweepPreds) takes every branch-free kernel
+// through selectivities near 0, 50 and 100 %.
 func TestBoundMatchesEvalPred(t *testing.T) {
-	const n = 512
+	const n = 2500 // more than two arithmetic blocks
 	rng := rand.New(rand.NewSource(7))
 	a := make([]int64, n)
 	bvals := make([]int64, n)
@@ -112,12 +165,16 @@ func TestBoundMatchesEvalPred(t *testing.T) {
 		{cols: map[string][]int64{"a": a, "b": bvals}},
 		{cols: map[string][]int64{"a": a, "b": bvals}, idx: idx},
 	}
+	var setKinds [2]int // boundSets bound as a bitset, ORed
 	for li, binder := range layouts {
 		bufs := binder.buffers()
-		for pi, pred := range bindTestPreds() {
+		for pi, pred := range append(bindTestPreds(), bindSweepPreds()...) {
 			bound, err := BindPred(pred, bufs, false)
 			if err != nil {
 				t.Fatalf("layout %d pred %d (%s): bind: %v", li, pi, pred, err)
+			}
+			if s, ok := bound.(*boundSet); ok {
+				setKinds[b2i(s.bits == nil)]++
 			}
 			sel := make([]int32, n)
 			for i := range sel {
@@ -144,6 +201,9 @@ func TestBoundMatchesEvalPred(t *testing.T) {
 				}
 			}
 		}
+	}
+	if setKinds[0] == 0 || setKinds[1] == 0 {
+		t.Fatalf("%d set predicates bound as a bitset, %d ORed: want both kinds", setKinds[0], setKinds[1])
 	}
 }
 
@@ -236,6 +296,56 @@ func TestNullCellSatisfiesNoComparison(t *testing.T) {
 		}
 		if pred.EvalPred(row(0), false) || !pred.EvalPred(row(1), false) {
 			t.Errorf("%s: EvalPred = %v, %v, want false, true", pred, pred.EvalPred(row(0), false), pred.EvalPred(row(1), false))
+		}
+	}
+}
+
+// TestEvalBatchMatchesEvalArith: a bound expression's batch form writes, for
+// every position of a selection vector, the value EvalArith computes there —
+// over NULL operands, division by zero and selection vectors longer than one
+// arithmetic block, dense and sparse.
+func TestEvalBatchMatchesEvalArith(t *testing.T) {
+	const n = 3000
+	rng := rand.New(rand.NewSource(3))
+	cols := map[string][]int64{"a": make([]int64, n), "b": make([]int64, n)}
+	for _, c := range cols {
+		for i := range c {
+			if c[i] = rng.Int63n(7) - 3; rng.Intn(9) == 0 {
+				c[i] = NullValue
+			}
+		}
+	}
+	l := layout{cols: cols}
+	bufs := l.buffers()
+	a, b := ColRef{Col: "a"}, ColRef{Col: "b"}
+	exprs := []ArithExpr{
+		a,
+		ConstExpr{V: 5},
+		BinExpr{Op: Add, L: a, R: b},
+		BinExpr{Op: Sub, L: a, R: ConstExpr{V: NullValue}},
+		BinExpr{Op: Mul, L: BinExpr{Op: Sub, L: a, R: b}, R: b},
+		BinExpr{Op: Div, L: a, R: b},
+		BinExpr{Op: Div, L: BinExpr{Op: Div, L: a, R: ConstExpr{V: 0}}, R: BinExpr{Op: Add, L: b, R: a}},
+	}
+	for _, every := range []int{1, 3} {
+		var sel []int32
+		for i := int32(0); i < n; i++ {
+			if rng.Intn(every) == 0 {
+				sel = append(sel, i)
+			}
+		}
+		for _, e := range exprs {
+			bound, err := BindArith(e, bufs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]int64, len(sel))
+			bound.EvalBatch(got, sel)
+			for j, pos := range sel {
+				if want := e.EvalArith(l.rowFunc(pos)); got[j] != want {
+					t.Fatalf("%s at %d: EvalBatch %d, EvalArith %d", e, pos, got[j], want)
+				}
+			}
 		}
 	}
 }
